@@ -532,6 +532,10 @@ def equi_lattice(group_name, fmt):
 def equi_weyl(group_name, class_idx, fmt):
     """Weyl groups N_G(H)/H per subgroup class."""
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
+    if class_idx is not None and class_idx not in range(poset.n):
+        raise click.BadParameter(
+            f"{class_idx} is not a class index 0..{poset.n - 1}",
+            param_hint="'--class'")
     indices = range(poset.n) if class_idx is None else [class_idx]
     rows = []
     for i in indices:
@@ -570,8 +574,10 @@ def equi_fixdim(group_name, rep_name, fmt):
 
 @equi_group.command("collapse")
 @group_option
-@click.option("--rep", "rep_name", default="reduced-regular",
-              show_default=True, help="Axiom representation name.")
+@click.option("--rep", "rep_name",
+              type=click.Choice(sorted(eq.REP_PRESETS)),
+              default="reduced-regular", show_default=True,
+              help="Axiom representation name.")
 @format_option
 @guarded
 def equi_collapse(group_name, rep_name, fmt):

@@ -10,15 +10,17 @@ the current upset U is nonempty, pick its minimal class H (deterministic
                       locality of S^0 -> S^U passes to U minus {H}
 - SmashRemove(H):     replace U by U minus {H}
 
-The final fact, once U is empty, is F(S^0) = 0.  Validation replays the
-steps re-checking every lattice side condition from the poset alone.
+The final fact, once U is empty, is F(S^0) = 0.  Validation first checks
+that the certificate's group has the poset's degree and generates the
+poset's elements, then replays the steps re-checking every lattice side
+condition from the poset alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import ConjugacyPoset
+from .groups import ConjugacyPoset, PermGroup, generated_subgroup
 from .spheres import IntervalSphere, down_closure, interval_smash, is_upset
 
 SINGLETON_KILL = "SingletonKill"
@@ -127,11 +129,33 @@ class CertReport:
                 "checked_steps": self.checked_steps}
 
 
+def _group_mismatch(cert_group, G: PermGroup):
+    """Why the certificate's group is not G, or None when it has G's
+    degree and generates G's elements (its generators may differ)."""
+    try:
+        degree = cert_group["degree"]
+        gens = [tuple(i - 1 for i in g) for g in cert_group["generators"]]
+    except (KeyError, TypeError) as exc:
+        return f"certificate group is malformed ({type(exc).__name__})"
+    if degree != G.degree:
+        return (f"certificate group has degree {degree}, the poset's group "
+                f"has degree {G.degree}")
+    index = G.table.index
+    if not all(g in index for g in gens) or len(generated_subgroup(
+            G, [G.elements[index[g]] for g in gens])) != G.order:
+        return "certificate group generates a different element set"
+    return None
+
+
 def validate_collapse_certificate(cert: CollapseCertificate,
                                   poset: ConjugacyPoset) -> CertReport:
     """Replay the certificate, re-deriving every side condition from the
-    poset: premises previously derived, classes minimal in the current
-    upset, upset closure, and the interval-smash computation."""
+    poset: the certificate's group is the poset's group, premises were
+    previously derived, classes are minimal in the current upset, upsets
+    are closed, and the interval smash is right."""
+    mismatch = _group_mismatch(cert.group, poset.group)
+    if mismatch:
+        return CertReport(False, mismatch, -1, 0)
     derived = set(cert.axioms)
     everything = frozenset(range(poset.n))
     if local_fact(everything) not in derived:

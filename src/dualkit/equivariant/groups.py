@@ -4,11 +4,18 @@ Permutations are tuples ``p`` of length ``degree`` with ``p[i]`` the
 image of point ``i`` (0-based internally; JSON uses 1-based points).
 Subgroups are frozensets of permutations; the lattice groups them into
 conjugacy classes ordered by subconjugacy.
+
+Internally the lattice runs on element indices: ``PermGroup.table`` is a
+Cayley table over the sorted element list, built on first use, and a
+subgroup is a bitmask with bit ``i`` set when element ``i`` belongs to
+it.  Because the element list is sorted, comparing sorted index tuples
+orders subgroups exactly as comparing their sorted permutations does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 DEFAULT_ORDER_BOUND = 60
 
@@ -49,6 +56,31 @@ def _closure(degree: int, gens) -> frozenset:
     return frozenset(seen)
 
 
+class CayleyTable:
+    """The group law on element indices (positions in ``elements``).
+
+    ``mul[i][j]`` is the index of ``elements[i]`` after ``elements[j]``,
+    ``inv[i]`` the index of the inverse, ``identity`` the index of the
+    identity and ``index`` maps each permutation to its index.
+    """
+
+    def __init__(self, degree: int, elements: tuple):
+        index = {p: i for i, p in enumerate(elements)}
+        self.index = index
+        self.mul = [[index[tuple(map(p.__getitem__, q))] for q in elements]
+                    for p in elements]
+        self.identity = index[p_identity(degree)]
+        self.inv = [row.index(self.identity) for row in self.mul]
+
+    def conjugate_mask(self, members, x: int) -> int:
+        """The bitmask of x H x^-1 for H given by its element indices."""
+        row, xi, mul = self.mul[x], self.inv[x], self.mul
+        out = 0
+        for h in members:
+            out |= 1 << mul[row[h]][xi]
+        return out
+
+
 @dataclass(frozen=True)
 class PermGroup:
     degree: int
@@ -63,6 +95,11 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def table(self) -> CayleyTable:
+        """The Cayley table on element indices, built on first use."""
+        return CayleyTable(self.degree, self.elements)
 
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
@@ -97,22 +134,76 @@ def cyclic_subgroups(G: PermGroup) -> set:
     return {generated_subgroup(G, [g]) for g in G.elements}
 
 
+def _members(mask: int) -> tuple:
+    """The set bits of a mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _join(mul, hmask: int, hmembers, gens) -> int:
+    """The mask of the subgroup generated by ``gens``, which must include
+    generators of the subgroup H = (hmask, hmembers).
+
+    Dimino's method: the result is a union of left cosets r H, closed
+    under left multiplication by every generator."""
+    mask = hmask
+    reps = [hmembers[0]]
+    for r in reps:
+        for s in gens:
+            x = mul[s][r]
+            if not mask >> x & 1:
+                reps.append(x)
+                row = mul[x]
+                for h in hmembers:
+                    mask |= 1 << row[h]
+    return mask
+
+
+def _subgroup_classes(G: PermGroup) -> list:
+    """Every conjugacy class of subgroups as a list of member masks.
+
+    Cyclic extension by one class representative at a time: every
+    subgroup K > H is reached from H by adjoining elements one at a time,
+    <H, g> depends only on the coset g H, and the extensions of a
+    conjugate of H are the conjugates of the extensions of H."""
+    t = G.table
+    mul, n = t.mul, G.order
+    seen = set()
+    classes = []
+    todo = []
+
+    def add_class(mask, gens):
+        members = _members(mask)
+        orbit = {t.conjugate_mask(members, x) for x in range(n)}
+        seen.update(orbit)
+        classes.append(orbit)
+        todo.append((mask, members, gens))
+
+    add_class(1 << t.identity, [])
+    for hmask, hmembers, hgens in todo:
+        covered = hmask
+        for g in range(n):
+            if covered >> g & 1:
+                continue
+            row = mul[g]
+            for h in hmembers:
+                covered |= 1 << row[h]
+            kgens = hgens + [g]
+            kmask = _join(mul, hmask, hmembers, kgens)
+            if kmask not in seen:
+                add_class(kmask, kgens)
+    return classes
+
+
+def _to_subgroup(G: PermGroup, members) -> frozenset:
+    elements = G.elements
+    return frozenset(elements[i] for i in members)
+
+
 def all_subgroups(G: PermGroup) -> list:
-    """Every subgroup: cyclic subgroups closed under pairwise join."""
-    found = set(cyclic_subgroups(G))
-    while True:
-        new = set()
-        pool = sorted(found, key=subgroup_key)
-        for a in pool:
-            for b in pool:
-                if a < b or b < a or a == b:
-                    continue
-                j = generated_subgroup(G, tuple(a) + tuple(b))
-                if j not in found:
-                    new.add(j)
-        if not new:
-            return sorted(found, key=lambda h: (len(h), subgroup_key(h)))
-        found |= new
+    """Every subgroup, sorted by (order, sorted elements)."""
+    found = sorted((_members(m) for cl in _subgroup_classes(G) for m in cl),
+                   key=lambda s: (len(s), s))
+    return [_to_subgroup(G, s) for s in found]
 
 
 def conjugate_subgroup(H: frozenset, g: tuple) -> frozenset:
@@ -127,9 +218,17 @@ def is_subconjugate(G: PermGroup, H: frozenset, K: frozenset) -> bool:
     return any(H <= conjugate_subgroup(K, g) for g in G.elements)
 
 
+def _normalizer(G: PermGroup, H: frozenset) -> list:
+    """Indices of N_G(H), ascending."""
+    t = G.table
+    hmembers = [t.index[h] for h in H]
+    hmask = sum(1 << h for h in hmembers)
+    return [x for x in range(G.order)
+            if t.conjugate_mask(hmembers, x) == hmask]
+
+
 def normalizer(G: PermGroup, H: frozenset) -> frozenset:
-    return frozenset(g for g in G.elements
-                     if conjugate_subgroup(H, g) == H)
+    return _to_subgroup(G, _normalizer(G, H))
 
 
 # ------------------------------------------------------- conjugacy poset
@@ -177,34 +276,33 @@ def enumerate_subgroup_classes(G: PermGroup,
                                ) -> ConjugacyPoset:
     if G.order > bound:
         raise GroupTooLarge(f"|G| = {G.order} exceeds the bound {bound}")
-    subgroups = all_subgroups(G)
-    remaining = set(subgroups)
-    classes = []
-    while remaining:
-        H = min(remaining, key=lambda h: (len(h), subgroup_key(h)))
-        orbit = {conjugate_subgroup(H, g) for g in G.elements}
-        classes.append(tuple(sorted(orbit, key=subgroup_key)))
-        remaining -= orbit
-    classes.sort(key=lambda cl: (len(cl[0]), subgroup_key(cl[0])))
-    leq = tuple(
-        tuple(is_subconjugate(G, ci[0], cj[0]) for cj in classes)
-        for ci in classes)
-    weyl = tuple(len(normalizer(G, cl[0])) // len(cl[0]) for cl in classes)
-    return ConjugacyPoset(G, tuple(classes), leq, weyl)
+    classes = sorted((sorted((_members(m), m) for m in orbit)
+                      for orbit in _subgroup_classes(G)),
+                     key=lambda cl: (len(cl[0][0]), cl[0][0]))
+    leq = tuple(tuple(any(ci[0][1] & ~m == 0 for _, m in cj)
+                      for cj in classes) for ci in classes)
+    weyl = tuple(G.order // (len(cl) * len(cl[0][0])) for cl in classes)
+    return ConjugacyPoset(
+        G, tuple(tuple(_to_subgroup(G, s) for s, _ in cl) for cl in classes),
+        leq, weyl)
 
 
 def weyl_group(poset: ConjugacyPoset, class_idx: int):
     """(order, coset representatives) of N_G(H)/H for the class
-    representative H."""
+    representative H: the least element of each coset g H in N_G(H)."""
     G = poset.group
     H = poset.representative(class_idx)
-    N = sorted(normalizer(G, H))
+    t = G.table
+    hmembers = [t.index[h] for h in H]
+    N = _normalizer(G, H)
     reps = []
-    covered = set()
+    covered = 0
     for g in N:
-        if g in covered:
+        if covered >> g & 1:
             continue
-        reps.append(g)
-        covered |= {p_mul(g, h) for h in H}
+        reps.append(G.elements[g])
+        row = t.mul[g]
+        for h in hmembers:
+            covered |= 1 << row[h]
     assert len(reps) == len(N) // len(H)
     return len(reps), tuple(reps)

@@ -1,17 +1,23 @@
 """Exact rational representations of permutation groups.
 
-A representation is given by one square matrix of Fractions per group
-generator; the homomorphism property is verified by extending the
-assignment over the whole Cayley graph and re-checking every edge.
+A representation is given by one square rational matrix per group
+generator.  Internally every matrix is a pair ``(rows, den)``: a tuple
+of integer row tuples and one positive denominator, reduced so that the
+denominator and all entries have no common factor, which makes equal
+matrices equal pairs.  The homomorphism property is verified while the
+assignment is extended over the Cayley graph (``PermGroup.table``): each
+edge e -> g e either defines the matrix of g e or is compared with it.
 ``fixed_dim`` computes dim V^H as the exact character average over H,
-with the averaged-projector rank available as an independent route.
+with the averaged-projector rank, by fraction-free (Bareiss)
+elimination, available as an independent route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .groups import PermGroup, p_identity, p_mul
+from .groups import PermGroup
 
 
 class RepresentationError(Exception):
@@ -22,39 +28,71 @@ class NonIntegralAverage(Exception):
     """A character average came out non-integral (invalid representation)."""
 
 
-def _frac_rows(rows):
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+def _reduced(rows, den: int) -> tuple:
+    """(rows, den) with the common factor of den and every entry removed."""
+    if den != 1:
+        g = gcd(den, *(v for row in rows for v in row))
+        if g != 1:
+            rows = tuple(tuple(v // g for v in row) for row in rows)
+            den //= g
+    return rows, den
+
+
+def from_fractions(rows) -> tuple:
+    """The (rows, den) form of a matrix of Fractions."""
+    den = lcm(1, *(v.denominator for row in rows for v in row))
+    return _reduced(tuple(tuple(v.numerator * (den // v.denominator)
+                                for v in row) for row in rows), den)
+
+
+def to_fractions(a) -> tuple:
+    rows, den = a
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k))
-                       for j in range(m)) for i in range(n))
+    """The product, skipping zero entries of the left factor."""
+    (ra, da), (rb, db) = a, b
+    out = []
+    for row in ra:
+        acc = None
+        for t, v in enumerate(row):
+            if v:
+                brow = rb[t]
+                if acc is None:
+                    acc = brow if v == 1 else tuple(v * y for y in brow)
+                elif v == 1:
+                    acc = tuple(x + y for x, y in zip(acc, brow))
+                else:
+                    acc = tuple(x + v * y for x, y in zip(acc, brow))
+        out.append(acc if acc is not None else (0,) * len(rb[0]))
+    return _reduced(tuple(out), da * db)
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a):
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+def mat_sum(mats):
+    """The sum of a nonempty list of matrices."""
+    den = lcm(*(d for _, d in mats))
+    scaled = [rows if d == den else
+              tuple(tuple(v * (den // d) for v in row) for row in rows)
+              for rows, d in mats]
+    return _reduced(tuple(tuple(map(sum, zip(*(m[i] for m in scaled))))
+                          for i in range(len(scaled[0]))), den)
 
 
 def mat_identity(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n))
-                 for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
 
 
-def mat_trace(a):
-    return sum(a[i][i] for i in range(len(a)))
+def mat_trace(a) -> Fraction:
+    rows, den = a
+    return Fraction(sum(rows[i][i] for i in range(len(rows))), den)
 
 
 def mat_rank(a) -> int:
-    """Rank over the rationals by fraction-exact Gaussian elimination."""
-    rows = [list(r) for r in a]
-    rank = 0
+    """Rank over the rationals by fraction-free (Bareiss) elimination on
+    the integer rows; every division below is exact."""
+    rows = [list(r) for r in a[0] if any(r)]
+    rank, prev = 0, 1
     cols = len(rows[0]) if rows else 0
     for col in range(cols):
         pivot = next((r for r in range(rank, len(rows))
@@ -62,12 +100,13 @@ def mat_rank(a) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                c = rows[r][col]
-                rows[r] = [v - c * p for v, p in zip(rows[r], rows[rank])]
+        prow = rows[rank]
+        p = prow[col]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            c = row[col]
+            rows[r] = [(p * x - c * y) // prev for x, y in zip(row, prow)]
+        prev = p
         rank += 1
     return rank
 
@@ -76,47 +115,48 @@ class Representation:
     def __init__(self, group: PermGroup, dim: int, gen_matrices):
         self.group = group
         self.dim = dim
-        self.gen_matrices = tuple(_frac_rows(m) for m in gen_matrices)
+        self.gen_matrices = tuple(
+            tuple(tuple(Fraction(v) for v in row) for row in m)
+            for m in gen_matrices)
         if len(self.gen_matrices) != len(group.generators):
             raise RepresentationError("one matrix per generator required")
         for m in self.gen_matrices:
             if len(m) != dim or any(len(r) != dim for r in m):
                 raise RepresentationError("matrices must be dim x dim")
         self._matrices = self._extend()
-        self._verify()
-        self._character = {g: mat_trace(m)
-                           for g, m in self._matrices.items()}
+        self._character = [mat_trace(m) for m in self._matrices]
 
-    def _extend(self):
-        out = {p_identity(self.group.degree): mat_identity(self.dim)}
-        frontier = list(out)
-        pairs = list(zip(self.group.generators, self.gen_matrices))
+    def _extend(self) -> list:
+        """Matrices by element index, from a breadth-first walk of the
+        Cayley graph checking every edge e -> g e against M(g) M(e)."""
+        t = self.group.table
+        index, mul = t.index, t.mul
+        pairs = [(index[g], from_fractions(m))
+                 for g, m in zip(self.group.generators, self.gen_matrices)]
+        out = [None] * self.group.order
+        out[t.identity] = mat_identity(self.dim)
+        frontier = [t.identity]
         while frontier:
             nxt = []
             for e in frontier:
                 for g, mg in pairs:
-                    f = p_mul(g, e)
+                    f = mul[g][e]
                     m = mat_mul(mg, out[e])
-                    if f not in out:
+                    if out[f] is None:
                         out[f] = m
                         nxt.append(f)
+                    elif out[f] != m:
+                        raise RepresentationError(
+                            "generator matrices are not a homomorphism")
             frontier = nxt
         return out
 
-    def _verify(self):
-        if set(self._matrices) != set(self.group.elements):
-            raise RepresentationError("matrices do not cover the group")
-        for e, me in self._matrices.items():
-            for g, mg in zip(self.group.generators, self.gen_matrices):
-                if self._matrices[p_mul(g, e)] != mat_mul(mg, me):
-                    raise RepresentationError(
-                        "generator matrices are not a homomorphism")
-
     def matrix(self, element):
-        return self._matrices[tuple(element)]
+        return to_fractions(self._matrices[self.group.table.index[
+            tuple(element)]])
 
     def character(self, element) -> Fraction:
-        return self._character[tuple(element)]
+        return self._character[self.group.table.index[tuple(element)]]
 
     def to_json(self) -> dict:
         return {"dim": self.dim,
@@ -130,10 +170,15 @@ class Representation:
         return Representation(group, obj["dim"], mats)
 
 
+def _indices(rep: Representation, H) -> list:
+    index = rep.group.table.index
+    return [index[tuple(h)] for h in H]
+
+
 def fixed_dim(rep: Representation, H) -> int:
     """dim V^H as the exact character average (1/|H|) sum_{h in H} chi(h)."""
-    H = tuple(H)
-    avg = sum(rep.character(h) for h in H) / len(H)
+    H = _indices(rep, H)
+    avg = sum((rep._character[h] for h in H), Fraction(0)) / len(H)
     if avg.denominator != 1 or avg < 0:
         raise NonIntegralAverage(f"character average {avg} is not a "
                                  "nonnegative integer")
@@ -141,13 +186,10 @@ def fixed_dim(rep: Representation, H) -> int:
 
 
 def fixed_projector_rank(rep: Representation, H) -> int:
-    """dim V^H as the rank of the averaged projector (1/|H|) sum ρ(h);
-    an independent route used to cross-check ``fixed_dim``."""
-    H = tuple(H)
-    acc = rep.matrix(H[0])
-    for h in H[1:]:
-        acc = mat_add(acc, rep.matrix(h))
-    return mat_rank(mat_scale(Fraction(1, len(H)), acc))
+    """dim V^H as the rank of the averaged projector (1/|H|) sum ρ(h),
+    which is the rank of the sum; an independent route used to
+    cross-check ``fixed_dim``."""
+    return mat_rank(mat_sum([rep._matrices[h] for h in _indices(rep, H)]))
 
 
 # ------------------------------------------------------------- presets
@@ -168,8 +210,7 @@ def permutation_representation(G: PermGroup) -> Representation:
 
 
 def _translation(G: PermGroup, g) -> tuple:
-    index = {e: i for i, e in enumerate(G.elements)}
-    return tuple(index[p_mul(g, e)] for e in G.elements)
+    return tuple(G.table.mul[G.table.index[g]])
 
 
 def regular_representation(G: PermGroup) -> Representation:

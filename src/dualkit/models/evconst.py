@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible, fp,
-                        int_matrix, invert_or_fail, kronecker,
+                        int_matrix, invert_or_fail, is_prime, kronecker,
                         left_null_basis_fp, rank_fp, smith_normal_form)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory
 
@@ -282,16 +282,16 @@ class EvConst(ModelCategory):
         free_rank = f.cod.f - k
         relevant = set(f.explicit_primes())
         for x in nonzero:
-            if x > 1:
-                q = 2
-                while q * q <= x:
-                    if x % q == 0:
-                        relevant.add(q)
-                        while x % q == 0:
-                            x //= q
+            # trial division, stopped once the cofactor left is prime
+            q = 2
+            while x > 1 and not is_prime(x):
+                while x % q:
                     q += 1
-                if x > 1:
-                    relevant.add(x)
+                relevant.add(q)
+                while x % q == 0:
+                    x //= q
+            if x > 1:
+                relevant.add(x)
         dims = {}
         quot_expl = {}
         for p in sorted(relevant):

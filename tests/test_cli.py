@@ -3,6 +3,7 @@ deterministic JSON output."""
 
 import dataclasses
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -89,6 +90,15 @@ class TestSpan:
 
 
 class TestEvConst:
+    def test_cofiber_of_a_large_prime(self):
+        start = time.perf_counter()
+        res = run("evconst", "cofiber", "--morphism",
+                  '{"free": [[1000000000000000003]]}', "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 0
+        assert json.loads(res.output)["cofiber"]["json"]["exc"] == \
+            {"1000000000000000003": 1}
+
     def test_cofiber_of_six(self):
         res = run("evconst", "cofiber", "--morphism",
                   '{"free": [[6]], "explicit": {}}', "--format", "json")
@@ -196,6 +206,44 @@ class TestEqui:
         # validating against the wrong group fails with a report
         bad = run("equi", "validate", "--group", "s3", "--cert", str(path))
         assert bad.exit_code == 1
+
+    def test_certificate_bound_to_its_group(self, tmp_path):
+        res = run("equi", "collapse", "--group", "c4", "--format", "json")
+        cert = tmp_path / "c4-cert.json"
+        cert.write_text(res.output)
+        # C9 has as many classes as C4, so only the group binding can
+        # tell the certificate is not about it
+        c9 = tmp_path / "c9.json"
+        c9.write_text(json.dumps({"degree": 9, "generators": [
+            [2, 3, 4, 5, 6, 7, 8, 9, 1]]}))
+        bad = run("equi", "validate", "--group", str(c9), "--cert",
+                  str(cert), "--format", "json")
+        assert bad.exit_code == 1
+        report = json.loads(bad.output)
+        assert report["ok"] is False and "degree" in report["message"]
+        # the same group presented by another generator still validates
+        c4 = tmp_path / "c4.json"
+        c4.write_text(json.dumps({"degree": 4,
+                                  "generators": [[4, 1, 2, 3]]}))
+        ok = run("equi", "validate", "--group", str(c4), "--cert",
+                 str(cert))
+        assert ok.exit_code == 0
+
+    @pytest.mark.parametrize("idx", ["4", "99", "-1"])
+    def test_weyl_class_out_of_range_is_usage_error(self, idx):
+        res = run("equi", "weyl", "--group", "s3", "--class", idx)
+        assert res.exit_code == 2
+        assert "class index 0..3" in res.output
+
+    def test_weyl_single_class(self):
+        res = run("equi", "weyl", "--group", "s3", "--class", "3",
+                  "--format", "json")
+        assert res.exit_code == 0
+        assert [r["class"] for r in json.loads(res.output)["weyl"]] == [3]
+
+    def test_collapse_unknown_rep_is_usage_error(self):
+        res = run("equi", "collapse", "--rep", "totally-bogus")
+        assert res.exit_code == 2
 
     def test_group_file_input(self, tmp_path):
         path = tmp_path / "group.json"

@@ -310,6 +310,27 @@ class TestCollapseCertificates:
         bad = dataclasses.replace(cert, steps=tuple(steps))
         assert not validate_collapse_certificate(bad, poset)
 
+    def test_certificate_bound_to_its_group(self):
+        c4 = enumerate_subgroup_classes(get_group("c4"))
+        cert = generate_collapse_certificate(c4)
+        # C9 and C4 both have three classes in a chain
+        c9 = enumerate_subgroup_classes(
+            perm_group(9, [(1, 2, 3, 4, 5, 6, 7, 8, 0)]))
+        report = validate_collapse_certificate(cert, c9)
+        assert not report.ok and "degree" in report.message
+        # same degree, different elements: the Klein four-group
+        v4 = enumerate_subgroup_classes(
+            perm_group(4, [(1, 0, 3, 2), (2, 3, 0, 1)]))
+        assert not validate_collapse_certificate(cert, v4)
+        # the same group from another generator is accepted
+        inverse = enumerate_subgroup_classes(perm_group(4, [(3, 0, 1, 2)]))
+        assert validate_collapse_certificate(cert, inverse)
+        for group in ({"degree": 4}, {"degree": 4, "generators": [[5, 1]]},
+                      {"degree": 4, "generators": [["a", "b", "c", "d"]]},
+                      [], {"degree": 4, "generators": [[2, 3, 4, 1.5]]}):
+            bad = dataclasses.replace(cert, group=group)
+            assert not validate_collapse_certificate(bad, c4)
+
     def test_determinism(self):
         poset = enumerate_subgroup_classes(get_group("d4"))
         c1 = generate_collapse_certificate(poset)

@@ -1,0 +1,296 @@
+"""Differential tests for the index-table equivariant layer.
+
+The oracles below are the earlier tuple-based implementations: subgroups
+as the cyclic subgroups closed under pairwise joins, conjugacy classes,
+subconjugacy and normalisers from conjugating permutation tuples, coset
+actions and the untwisting check over (g, x) pairs of permutations and
+points, and rank by Gaussian elimination over Fractions.  Every group is
+compared after a seeded relabelling of its points, which changes every
+permutation (and so the element order) but none of the structure.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from dualkit.equivariant import (REP_PRESETS, InvalidAction, Representation,
+                                 all_subgroups, coset_action,
+                                 enumerate_subgroup_classes, fixed_dim,
+                                 fixed_projector_rank, generated_subgroup,
+                                 get_group, left_translation_action,
+                                 p_identity, p_inv, p_mul, perm_group,
+                                 reduced_permutation_representation,
+                                 transitive_actions, untwisting_check,
+                                 validate_action, weyl_group)
+from dualkit.equivariant.rep import from_fractions, mat_rank
+
+PRESETS = ["c2", "c4", "s3", "d4", "q8", "a4"]
+EXTRA = {
+    "s4": (4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+    "d6": (6, [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]),
+    "a5": (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),
+    "s4xc2": (6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5),
+                  (0, 1, 2, 3, 5, 4)]),
+}
+GROUPS = PRESETS + list(EXTRA)
+
+
+def relabelled(name: str, seed: int = 1):
+    """The group with its points renamed by a seeded permutation."""
+    if name in EXTRA:
+        degree, gens = EXTRA[name]
+    else:
+        G = get_group(name)
+        degree, gens = G.degree, G.generators
+    sigma = list(range(degree))
+    random.Random(f"{name}-{seed}").shuffle(sigma)
+    sigma = tuple(sigma)
+    return perm_group(degree, [p_mul(sigma, p_mul(g, p_inv(sigma)))
+                               for g in gens])
+
+
+# ------------------------------------------------------------------ oracles
+
+def oracle_all_subgroups(G):
+    """Every subgroup: cyclic subgroups closed under pairwise join."""
+    found = {generated_subgroup(G, [g]) for g in G.elements}
+    while True:
+        new = set()
+        pool = sorted(found, key=lambda h: tuple(sorted(h)))
+        for a in pool:
+            for b in pool:
+                if a < b or b < a or a == b:
+                    continue
+                j = generated_subgroup(G, tuple(a) + tuple(b))
+                if j not in found:
+                    new.add(j)
+        if not new:
+            return sorted(found, key=lambda h: (len(h), tuple(sorted(h))))
+        found |= new
+
+
+def oracle_conjugate(H, g):
+    gi = p_inv(g)
+    return frozenset(p_mul(g, p_mul(h, gi)) for h in H)
+
+
+def oracle_normalizer(G, H):
+    return frozenset(g for g in G.elements if oracle_conjugate(H, g) == H)
+
+
+def oracle_poset(G, subgroups):
+    """(classes, leq, weyl orders, Weyl groups) from tuple arithmetic."""
+    key = lambda h: (len(h), tuple(sorted(h)))  # noqa: E731
+    remaining = set(subgroups)
+    classes = []
+    while remaining:
+        H = min(remaining, key=key)
+        orbit = {oracle_conjugate(H, g) for g in G.elements}
+        classes.append(tuple(sorted(orbit, key=key)))
+        remaining -= orbit
+    classes.sort(key=lambda cl: key(cl[0]))
+    # a class is the set of all conjugates of its representative
+    leq = tuple(tuple(any(ci[0] <= K for K in cj) for cj in classes)
+                for ci in classes)
+    weyl = tuple(len(oracle_normalizer(G, cl[0])) // len(cl[0])
+                 for cl in classes)
+    groups = []
+    for cl in classes:
+        H = cl[0]
+        reps, covered = [], set()
+        for g in sorted(oracle_normalizer(G, H)):
+            if g not in covered:
+                reps.append(g)
+                covered |= {p_mul(g, h) for h in H}
+        groups.append((len(reps), tuple(reps)))
+    return tuple(classes), leq, weyl, groups
+
+
+def oracle_validate_action(G, action):
+    if set(action) != set(G.elements):
+        raise InvalidAction("table does not cover the group exactly")
+    sizes = {len(v) for v in action.values()}
+    if len(sizes) != 1:
+        raise InvalidAction("rows have different lengths")
+    m = sizes.pop()
+    for v in action.values():
+        if sorted(v) != list(range(m)):
+            raise InvalidAction("row is not a permutation of the points")
+    if action[p_identity(G.degree)] != tuple(range(m)):
+        raise InvalidAction("identity does not act trivially")
+    for g in G.elements:
+        for h in G.elements:
+            if tuple(action[g][action[h][x]] for x in range(m)) != \
+                    action[p_mul(g, h)]:
+                raise InvalidAction("not associative with the group law")
+    return m
+
+
+def oracle_coset_action(G, H):
+    cosets, seen = [], set()
+    for g in G.elements:
+        c = frozenset(p_mul(g, h) for h in H)
+        if c not in seen:
+            seen.add(c)
+            cosets.append(c)
+    index = {e: i for i, c in enumerate(cosets) for e in c}
+    return {g: tuple(index[p_mul(g, min(c))] for c in cosets)
+            for g in G.elements}
+
+
+def oracle_untwisting_check(G, action):
+    m = oracle_validate_action(G, action)
+
+    def phi(g, x):
+        return g, action[g][x]
+
+    def psi(g, x):
+        return g, action[p_inv(g)][x]
+
+    pairs = [(g, x) for g in G.elements for x in range(m)]
+    for g, x in pairs:
+        if psi(*phi(g, x)) != (g, x) or phi(*psi(g, x)) != (g, x):
+            return False
+    for h in G.elements:
+        for g, x in pairs:
+            gd, xd = phi(g, x)
+            if phi(p_mul(h, g), x) != (p_mul(h, gd), action[h][xd]):
+                return False
+    return True
+
+
+def oracle_rank(rows) -> int:
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [v - c * p for v, p in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def cauchy_frobenius(perms) -> int:
+    """Orbits of a permutation group given by its elements: the average
+    number of fixed points."""
+    perms = list(perms)
+    fixed = sum(sum(1 for i, j in enumerate(p) if i == j) for p in perms)
+    assert fixed % len(perms) == 0
+    return fixed // len(perms)
+
+
+# -------------------------------------------------------------------- tests
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_lattice_matches_pairwise_join_oracle(name):
+    G = relabelled(name)
+    subgroups = oracle_all_subgroups(G)
+    assert all_subgroups(G) == subgroups
+    classes, leq, weyl, groups = oracle_poset(G, subgroups)
+    poset = enumerate_subgroup_classes(G)
+    assert poset.classes == classes
+    assert poset.leq == leq
+    assert poset.weyl_orders == weyl
+    assert [weyl_group(poset, i) for i in range(poset.n)] == groups
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_untwisting_matches_tuple_oracle(name):
+    G = relabelled(name)
+    poset = enumerate_subgroup_classes(G)
+    actions = transitive_actions(G, poset)
+    assert actions == [oracle_coset_action(G, poset.representative(i))
+                       for i in range(poset.n)]
+    actions.append(left_translation_action(G))
+    for action in actions:
+        assert untwisting_check(G, action) is \
+            oracle_untwisting_check(G, action) is True
+        assert validate_action(G, action) == oracle_validate_action(
+            G, action)
+
+
+def test_corrupted_action_table_rejected():
+    G = relabelled("a5")
+    H = enumerate_subgroup_classes(G).representative(3)
+    action = coset_action(G, H)
+    # swap the rows of two non-identity elements: every row is still a
+    # permutation and the identity still acts trivially
+    a, b = sorted(action)[1], sorted(action)[-1]
+    assert action[a] != action[b]
+    action[a], action[b] = action[b], action[a]
+    for check in (untwisting_check, oracle_untwisting_check,
+                  validate_action, oracle_validate_action):
+        with pytest.raises(InvalidAction):
+            check(G, action)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_fixed_dims_match_orbit_counts(name):
+    G = relabelled(name)
+    poset = enumerate_subgroup_classes(G)
+    translations = left_translation_action(G)
+    for rep_name, make in REP_PRESETS.items():
+        rep = make(G)
+        for i in range(poset.n):
+            H = poset.representative(i)
+            if rep_name == "trivial":
+                want = 1
+            elif rep_name in ("permutation", "standard"):
+                want = cauchy_frobenius(H)
+            else:
+                want = cauchy_frobenius(translations[h] for h in H)
+            if rep_name in ("standard", "reduced-regular"):
+                want -= 1
+            assert fixed_dim(rep, H) == fixed_projector_rank(rep, H) == want
+
+
+def test_non_integral_representation_json_roundtrip():
+    G = get_group("s3")
+    std = reduced_permutation_representation(G)
+    P = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(-2, 5), Fraction(3)]]
+    det = P[0][0] * P[1][1] - P[0][1] * P[1][0]
+    P_inv = [[P[1][1] / det, -P[0][1] / det], [-P[1][0] / det, P[0][0] / det]]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)]
+                for i in range(2)]
+
+    mats = [mul(mul(P, m), P_inv) for m in std.gen_matrices]
+    rep = Representation(G, 2, mats)
+    obj = rep.to_json()
+    assert any("/" in v for m in obj["matrices"] for row in m for v in row)
+    back = Representation.from_json(G, obj)
+    assert back.gen_matrices == rep.gen_matrices
+    assert back.to_json() == obj
+    for g in G.elements:
+        assert back.character(g) == rep.character(g) == std.character(g)
+        assert back.matrix(g) == rep.matrix(g)
+        assert mul(P_inv, mul(rep.matrix(g), P)) == \
+            [list(r) for r in std.matrix(g)]
+    poset = enumerate_subgroup_classes(G)
+    for i in range(poset.n):
+        H = poset.representative(i)
+        assert fixed_dim(back, H) == fixed_projector_rank(back, H) == \
+            fixed_dim(std, H)
+
+
+def test_bareiss_rank_matches_fraction_elimination():
+    rng = random.Random(3)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+        basis = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                  for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+        m = [[sum(rng.randint(-2, 2) * b[j] for b in basis)
+              for j in range(cols)] for _ in range(rows)]
+        if not m:
+            continue
+        assert mat_rank(from_fractions(m)) == oracle_rank(m)

@@ -13,8 +13,9 @@ import pytest
 
 from dualkit.exactlin import (
     INT, NAT, DimensionMismatch, Matrix, NotInvertible, cokernel_decomposition,
-    fp, fp_matrix, int_matrix, invert_or_fail, kronecker, left_null_basis_fp,
-    nat_matrix, rank_fp, smith_normal_form, solve_right_fp, solve_right_int,
+    fp, fp_matrix, int_matrix, invert_or_fail, is_prime, kronecker,
+    left_null_basis_fp, nat_matrix, rank_fp, smith_normal_form, solve_right_fp,
+    solve_right_int,
 )
 
 
@@ -266,3 +267,28 @@ def test_solve_right():
             assert a.mul(y) == b
     with pytest.raises(NotInvertible):
         solve_right_int(int_matrix([[2]]), int_matrix([[1]]))
+
+
+# ---------------------------------------------------------------- primality
+
+def test_is_prime_matches_sieve_below_1e5():
+    sieve = [False, False] + [True] * (10 ** 5 - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [n for n in range(10 ** 5) if is_prime(n) != sieve[n]] == []
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,            # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,   # strong pseudoprime to bases 2 through 23
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large():
+    assert is_prime(1000000000000000003)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime((2 ** 61 - 1) * 1000000000000000003)
+    assert is_prime(662638805832249361537049)

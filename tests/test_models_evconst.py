@@ -8,10 +8,12 @@ The cofiber oracle used here is independent of the implementation:
 
 import itertools
 import random
+import time
 
 import pytest
 
-from dualkit.exactlin import (Matrix, NotInvertible, fp, int_matrix)
+from dualkit.exactlin import (Matrix, NotInvertible, fp, int_matrix,
+                              is_prime, smith_normal_form)
 from dualkit.models import (EvConst, EvMorphism, UNIT, ZERO,
                             biproduct_equations_hold, enumerate_homs,
                             ev_morphism, ev_object, hom_group_structure,
@@ -194,6 +196,29 @@ def test_cofiber_frozen_examples():
     s2 = ev_object(2)
     c = C.cofiber(ev_morphism(s2, s2, [[2, 0], [0, 0]]))
     assert c.obj == ev_object(1, {2: 2})
+
+
+def test_cofiber_with_a_24_digit_prime_factor():
+    # the last invariant factor has 29 digits: 2 * 11^4 * a 24-digit prime
+    rng = random.Random(2)
+    rows = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
+    s24 = ev_object(24)
+    start = time.perf_counter()
+    c = C.cofiber(ev_morphism(s24, s24, rows))
+    assert time.perf_counter() - start < 1.0
+    primes = c.obj.exc_primes()
+    assert sorted(primes) == [2, 11, 662638805832249361537049]
+    assert all(is_prime(p) for p in primes)
+    # the torsion primes are exactly those of the invariant factors
+    d = smith_normal_form(int_matrix(rows))[1]
+    rest = 1
+    for i in range(24):
+        x = d.data[i][i]
+        for p in primes:
+            while x % p == 0:
+                x //= p
+        rest *= x
+    assert rest == 1
 
 
 def test_cofiber_against_oracle_300():
