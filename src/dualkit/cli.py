@@ -22,13 +22,14 @@ import click
 from . import diagram as dg
 from . import equivariant as eq
 from . import idem
-from .exactlin import DimensionMismatch, NotInvertible
+from .exactlin import DimensionMismatch, NotInvertible, PrimalityUnproven
 from .models import (EvConst, EvMorphism, EvObject, SpanFin, SpanMorphism,
                      UnsupportedShape, biproduct_equations_hold, ev_morphism,
                      ev_object, product_category, span,
                      triangle_equations_hold)
 
-DOMAIN_ERRORS = (DimensionMismatch, NotInvertible, UnsupportedShape,
+DOMAIN_ERRORS = (DimensionMismatch, NotInvertible, PrimalityUnproven,
+                 UnsupportedShape,
                  idem.NotTwistedTrivial, eq.GroupTooLarge, eq.InvalidAction,
                  eq.NotADownset, eq.NotConvex, eq.NonIntegralAverage,
                  dg.RewriteError, dg.TypingError, dg.EvaluationError,
@@ -123,10 +124,55 @@ def diagrams_verify(verify_all, trace_name, fmt):
     emit(data, fmt, code=0 if ok else 1)
 
 
+# ------------------------------------------------------------ JSON inputs
+# Spans, EvConst objects and EvConst morphisms given as JSON are checked
+# for shape here, so that a malformed value is a usage error (exit 2)
+# and never reaches the models.
+
+def _int_rows(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(r, list) and all(isinstance(e, int) for e in r) for r in v)
+
+
+def _prime_keyed(v, valid) -> bool:
+    return isinstance(v, dict) and all(
+        k.isdecimal() and valid(x) for k, x in v.items())
+
+
+def _is_span(v) -> bool:
+    return (isinstance(v, dict) and isinstance(v.get("dom"), int)
+            and isinstance(v.get("cod"), int) and _int_rows(v.get("matrix")))
+
+
+def _is_ev_object(v) -> bool:
+    return (isinstance(v, dict) and isinstance(v.get("f"), int)
+            and _prime_keyed(v.get("exc", {}), lambda d: isinstance(d, int)))
+
+
+def _is_ev_morphism(v) -> bool:
+    return (isinstance(v, dict) and _int_rows(v.get("free"))
+            and _prime_keyed(v.get("explicit", {}), _int_rows)
+            and ("dom" not in v or _is_ev_object(v["dom"])
+                 and _is_ev_object(v.get("cod"))))
+
+
+def _json_option(blob: str, param: str | None, valid, expected: str):
+    try:
+        obj = json.loads(blob)
+    except ValueError:
+        raise click.BadParameter(f"not JSON; expected {expected}",
+                                 param_hint=param) from None
+    if not valid(obj):
+        raise click.BadParameter(f"expected {expected}", param_hint=param)
+    return obj
+
+
 # -------------------------------------------------------------------- span
 
-def _span_from_json(blob: str) -> SpanMorphism:
-    return SpanMorphism.from_json(json.loads(blob))
+def _span_from_json(blob: str, param: str) -> SpanMorphism:
+    return SpanMorphism.from_json(_json_option(
+        blob, param, _is_span,
+        'a span {"dom": m, "cod": n, "matrix": [[int, ...], ...]}'))
 
 
 @main.group("span")
@@ -142,7 +188,8 @@ def span_group():
 def span_compose(left, right, fmt):
     """Compose two spans (left after right)."""
     model = SpanFin()
-    out = model.compose(_span_from_json(left), _span_from_json(right))
+    out = model.compose(_span_from_json(left, "--left"),
+                        _span_from_json(right, "--right"))
     emit({"ok": True, "result": out.to_json()}, fmt)
 
 
@@ -154,7 +201,8 @@ def span_compose(left, right, fmt):
 def span_tensor(left, right, fmt):
     """Tensor (cartesian product) of two spans."""
     model = SpanFin()
-    out = model.tensor_mor(_span_from_json(left), _span_from_json(right))
+    out = model.tensor_mor(_span_from_json(left, "--left"),
+                           _span_from_json(right, "--right"))
     emit({"ok": True, "result": out.to_json()}, fmt)
 
 
@@ -203,7 +251,7 @@ def span_cofiber(morphism, shape, sizes, fmt):
     if (morphism is None) == (shape is None):
         raise click.UsageError("give exactly one of --morphism / --shape")
     if morphism is not None:
-        f = _span_from_json(morphism)
+        f = _span_from_json(morphism, "--morphism")
     else:
         d, c = (int(s) for s in sizes.split(","))
         f = _span_shape(shape, (d, c))
@@ -220,7 +268,8 @@ def parse_ev_object(text: str) -> EvObject:
     and '+'-separated sums of those."""
     text = text.strip()
     if text.startswith("{"):
-        return EvObject.from_json(json.loads(text))
+        return EvObject.from_json(_json_option(
+            text, None, _is_ev_object, 'an object {"f": int, "exc": {p: int}}'))
     if text == "0":
         return ev_object(0)
     f = 0
@@ -240,8 +289,11 @@ def parse_ev_object(text: str) -> EvObject:
     return ev_object(f, {p: f + d for p, d in torsion.items()})
 
 
-def _ev_morphism_from_json(blob: str) -> EvMorphism:
-    obj = json.loads(blob)
+def _ev_morphism_from_json(blob: str, param: str) -> EvMorphism:
+    obj = _json_option(
+        blob, param, _is_ev_morphism,
+        'a morphism {"free": [[int, ...], ...]}, optionally with '
+        '"explicit": {p: rows} and "dom"/"cod": {"f": int, "exc": {p: int}}')
     if "dom" not in obj:
         # free-only shorthand: infer free objects from the matrix shape
         rows = obj["free"]
@@ -266,8 +318,8 @@ def evconst_group():
 def evconst_compose(left, right, fmt):
     """Compose two morphisms (left after right)."""
     model = EvConst()
-    out = model.compose(_ev_morphism_from_json(left),
-                        _ev_morphism_from_json(right))
+    out = model.compose(_ev_morphism_from_json(left, "--left"),
+                        _ev_morphism_from_json(right, "--right"))
     emit({"ok": True, "result": out.to_json()}, fmt)
 
 
@@ -292,7 +344,7 @@ def evconst_biproduct(x_str, y_str, fmt):
 @guarded
 def evconst_cofiber(morphism, fmt):
     """Cofiber (exact cokernel) of a morphism."""
-    f = _ev_morphism_from_json(morphism)
+    f = _ev_morphism_from_json(morphism, "--morphism")
     cof = EvConst().cofiber(f)
     emit({"ok": True, "input": f.to_json(),
           "cofiber": {"obj": str(cof.obj), "json": cof.obj.to_json(),

@@ -5,13 +5,17 @@ wires connecting boundary positions and box ports, and closed loops.
 Braids, cups and caps are pure wire routing, so two diagrams have the
 same open graph exactly when they are equal in the free symmetric
 monoidal category with duals on the signature.  Equality is decided by
-a canonical labeling of the box occurrences.
+a canonical labeling of the box occurrences: colour refinement from the
+box labels along the wires, then, for each component refinement leaves
+non-discrete, one individualisation per box of its first smallest cell
+(McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic Comput.
+60, 2014).  The cost is polynomial in the number of boxes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 
 from .diagram import BRAID, CAP, CUP, GEN, GEN_INV, Diagram, cell_arity
 
@@ -142,6 +146,80 @@ def _encode(graph: OpenGraph, perm) -> tuple:
                         graph.wires))
 
 
+def _ports(graph: OpenGraph) -> dict:
+    """Each box occurrence's ports in (in/out, index) order, each paired
+    with the endpoint at the far end of its wire."""
+    ports = {occ: [] for occ in range(len(graph.boxes))}
+    for a, b in graph.wires:
+        for here, far in ((a, b), (b, a)):
+            if here[0] == "box":
+                ports[here[1]].append((here[2:], far))
+    return {occ: sorted(p) for occ, p in ports.items()}
+
+
+def _refine(colour: dict, ports: dict) -> dict:
+    """Refine a colouring of box occurrences until it is stable.
+
+    A box's next colour ranks its colour followed by, port by port, what
+    the port's wire reaches: a boundary position, or the colour and port
+    of a box.  Colours are ranks of these signatures and the old colour
+    leads, so the order of cells is kept and no occurrence index ever
+    decides a colour."""
+    cells = len(set(colour.values()))
+    while cells < len(colour):
+        sig = {occ: (c, tuple(
+            (port, far if far[0] != "box" else
+             ("box", colour[far[1]]) + far[2:]) for port, far in ports[occ]))
+            for occ, c in colour.items()}
+        rank = {s: r for r, s in enumerate(sorted(set(sig.values())))}
+        colour = {occ: rank[s] for occ, s in sig.items()}
+        if len(rank) == cells:
+            break
+        cells = len(rank)
+    return colour
+
+
+def _components(occs, ports) -> list:
+    """Connected components of the given boxes along box-to-box wires."""
+    seen, comps = set(), []
+    for start in occs:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for occ in comp:        # comp grows while it is walked
+            for _, far in ports[occ]:
+                if far[0] == "box" and far[1] not in seen:
+                    seen.add(far[1])
+                    comp.append(far[1])
+        comps.append(comp)
+    return comps
+
+
+def _canonical_component(comp, colour, ports, labels) -> tuple:
+    """(code, boxes in canonical order) of a component that refinement
+    left non-discrete.  Each box of its first smallest cell is
+    individualised in turn; as every port carries one wire, refinement
+    then makes the connected component discrete.  The least code wins:
+    the boxes' labels and adjacency under the resulting order."""
+    cells = {}
+    for occ in comp:
+        cells.setdefault(colour[occ], []).append(occ)
+    _, first = min((len(members), c) for c, members in cells.items())
+    best = None
+    for v in cells[first]:
+        split = _refine({occ: 2 * colour[occ] + (occ != v) for occ in comp},
+                        ports)
+        order = sorted(comp, key=split.__getitem__)
+        local = {occ: i for i, occ in enumerate(order)}
+        code = (tuple(labels[occ] for occ in order),
+                tuple(tuple((port, local[far[1]]) + far[2:]
+                            for port, far in ports[occ]) for occ in order))
+        if best is None or code < best[0]:
+            best = (code, order)
+    return best
+
+
 @dataclass(frozen=True)
 class NormalForm:
     dom: tuple
@@ -153,43 +231,38 @@ class NormalForm:
 
 def normalize_symmetric(diagram: Diagram) -> NormalForm:
     """A canonical form deciding equality in the free symmetric monoidal
-    category with duals: box occurrences are relabeled, within each box
-    label class, to minimize the wire encoding."""
+    category with duals.
+
+    Box occurrences are coloured by the rank of their label and refined
+    by what their ports are wired to; a box wired to the boundary, or
+    connected to a box in a singleton cell, ends in a singleton cell.
+    So a component that refinement leaves non-discrete floats free of
+    the boundary; each such component is canonicalised on its own, and
+    they are ordered by their codes.  Boxes are then numbered by label,
+    the discrete ones first by colour, and the wires are encoded under
+    that numbering."""
     graph = diagram_to_open_graph(diagram)
-    n = len(graph.boxes)
-    groups = {}
-    for occ, label in enumerate(graph.boxes):
-        groups.setdefault(label, []).append(occ)
-
-    # canonical box order: occurrences sorted by label, then choose the
-    # within-class permutation minimizing the wire encoding
-    labels_sorted = sorted(groups)
-    base = {}
-    pos = 0
-    for label in labels_sorted:
-        for occ in groups[label]:
-            base[occ] = pos
-            pos += 1
-
-    best = None
-    class_lists = [groups[label] for label in labels_sorted]
-
-    def rec(idx, perm):
-        nonlocal best
-        if idx == len(class_lists):
-            enc = _encode(graph, perm)
-            if best is None or enc < best:
-                best = enc
-            return
-        occs = class_lists[idx]
-        slots = sorted(base[o] for o in occs)
-        for assignment in permutations(slots):
-            for o, s in zip(occs, assignment):
-                perm[o] = s
-            rec(idx + 1, perm)
-
-    rec(0, [0] * n)
-    canonical_boxes = tuple(label for label in labels_sorted
-                            for _ in groups[label])
-    return NormalForm(graph.dom, graph.cod, canonical_boxes,
-                      best if best is not None else (), graph.loops)
+    labels = graph.boxes
+    rank = {label: r for r, label in enumerate(sorted(set(labels)))}
+    colour = {occ: rank[label] for occ, label in enumerate(labels)}
+    key = {}
+    if len(rank) < len(labels):
+        ports = _ports(graph)
+        colour = _refine(colour, ports)
+        size = Counter(colour.values())
+        floating = [occ for occ in colour if size[colour[occ]] > 1]
+        codes = sorted((_canonical_component(comp, colour, ports, labels)
+                        for comp in _components(floating, ports)),
+                       key=lambda code_order: code_order[0])
+        for ordinal, (_, order) in enumerate(codes):
+            for i, occ in enumerate(order):
+                key[occ] = (labels[occ], 1, ordinal, i)
+    for occ, c in colour.items():
+        key.setdefault(occ, (labels[occ], 0, c))
+    order = sorted(colour, key=key.__getitem__)
+    perm = [0] * len(labels)
+    for pos, occ in enumerate(order):
+        perm[occ] = pos
+    return NormalForm(graph.dom, graph.cod,
+                      tuple(labels[occ] for occ in order),
+                      _encode(graph, perm), graph.loops)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence, Union
 
 Domain = Union[str, tuple]
@@ -34,19 +35,18 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
 
 
-def _trial_division(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+class PrimalityUnproven(Exception):
+    """Raised by ``is_prime`` for a number at or above 3.3e24 that is a
+    strong probable prime to every base: it is very likely prime, but no
+    primality proof is implemented at that size, so the answer is
+    refused rather than guessed (or searched for by trial division,
+    which would not finish)."""
 
 
 def is_prime(n: int) -> bool:
     """Exact primality: deterministic Miller-Rabin below 3.3e24.  Above
     that bound a witness still proves compositeness, and a number
-    passing every base is confirmed by trial division."""
+    passing every base raises PrimalityUnproven."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -68,7 +68,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_PROVEN or _trial_division(n)
+    if n >= _MR_PROVEN:
+        raise PrimalityUnproven(
+            f"{n} is a strong probable prime to {len(_MR_BASES)} bases, "
+            f"but primality is only proven below {_MR_PROVEN}")
+    return True
 
 
 class NotInvertible(Exception):
@@ -196,15 +200,26 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        # each output row combines the rows of other picked out by the
+        # nonzero entries of a row of self, reduced mod p once at the end
+        p = _domain_prime(self.domain)
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = 0
-                for k in range(self.cols):
-                    s += self.data[i][k] * other.data[k][j]
-                row.append(self._reduce(s))
-            out.append(row)
+        for arow in self.data:
+            acc = None
+            for a, brow in zip(arow, other.data):
+                if not a:
+                    continue
+                if acc is None:
+                    acc = brow if a == 1 else [a * e for e in brow]
+                elif a == 1:
+                    acc = list(map(add, acc, brow))
+                else:
+                    acc = [s + a * e for s, e in zip(acc, brow)]
+            if acc is None:
+                acc = [0] * other.cols
+            elif p is not None:
+                acc = [s % p for s in acc]
+            out.append(acc)
         return Matrix.from_rows(self.domain, out, shape=(self.rows, other.cols))
 
     def transpose(self) -> "Matrix":
@@ -270,6 +285,17 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
                     v = aij * b.data[k][l]
                     out[i * b.rows + k][j * b.cols + l] = v % p if p else v
     return Matrix.from_rows(a.domain, out, shape=(rows, cols))
+
+
+def commutation(domain: Domain, a: int, b: int) -> Matrix:
+    """The permutation matrix of the swap A (x) B -> B (x) A for
+    dim A = a and dim B = b: basis (i, j) at index i*b + j goes to index
+    j*a + i."""
+    rows = [[0] * (a * b) for _ in range(a * b)]
+    for i in range(a):
+        for j in range(b):
+            rows[j * a + i][i * b + j] = 1
+    return Matrix.from_rows(domain, rows, shape=(a * b, a * b))
 
 
 # ---------------------------------------------------------- smith normal form

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible, fp,
-                        int_matrix, invert_or_fail, is_prime, kronecker,
-                        left_null_basis_fp, rank_fp, smith_normal_form)
+from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
+                        commutation, fp, int_matrix, invert_or_fail, is_prime,
+                        kronecker, left_null_basis_fp, rank_fp,
+                        smith_normal_form)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory
 
 
@@ -187,20 +188,12 @@ class EvConst(ModelCategory):
         expl = {p: kronecker(f.component(p), g.component(p)) for p in primes}
         return ev_morphism(dom, cod, kronecker(f.free, g.free), expl)
 
-    @staticmethod
-    def _commutation(domain, a: int, b: int) -> Matrix:
-        rows = [[0] * (a * b) for _ in range(a * b)]
-        for i in range(a):
-            for j in range(b):
-                rows[j * a + i][i * b + j] = 1
-        return Matrix.from_rows(domain, rows, shape=(a * b, a * b))
-
     def braiding(self, x: EvObject, y: EvObject) -> EvMorphism:
         dom = self.tensor_obj(x, y)
         cod = self.tensor_obj(y, x)
         primes = set(x.exc_primes()) | set(y.exc_primes())
-        expl = {p: self._commutation(fp(p), x.dim(p), y.dim(p)) for p in primes}
-        return ev_morphism(dom, cod, self._commutation(INT, x.f, y.f), expl)
+        expl = {p: commutation(fp(p), x.dim(p), y.dim(p)) for p in primes}
+        return ev_morphism(dom, cod, commutation(INT, x.f, y.f), expl)
 
     def zero_mor(self, x: EvObject, y: EvObject) -> EvMorphism:
         primes = set(x.exc_primes()) | set(y.exc_primes())
@@ -248,18 +241,18 @@ class EvConst(ModelCategory):
     def duality(self, x: EvObject) -> DualityDatum:
         xx = self.tensor_obj(x, x)
 
-        def pairing(domain, n, rows, transposed):
+        def pairing(domain, n, transposed):
             diag = {i * n + i for i in range(n)}
             col = [[1 if k in diag else 0] for k in range(n * n)]
             m = Matrix.from_rows(domain, col, shape=(n * n, 1))
             return m.transpose() if transposed else m
 
         primes = x.exc_primes()
-        eta = ev_morphism(UNIT, xx, pairing(INT, x.f, None, False),
-                          {p: pairing(fp(p), x.dim(p), None, False)
+        eta = ev_morphism(UNIT, xx, pairing(INT, x.f, False),
+                          {p: pairing(fp(p), x.dim(p), False)
                            for p in primes})
-        eps = ev_morphism(xx, UNIT, pairing(INT, x.f, None, True),
-                          {p: pairing(fp(p), x.dim(p), None, True)
+        eps = ev_morphism(xx, UNIT, pairing(INT, x.f, True),
+                          {p: pairing(fp(p), x.dim(p), True)
                            for p in primes})
         return DualityDatum(obj=x, dual=x, eta=eta, eps=eps)
 
@@ -310,7 +303,6 @@ def enumerate_homs(x: EvObject, y: EvObject):
     (requires x.f * y.f = 0, so the free part is empty)."""
     if x.f * y.f != 0:
         raise ValueError("infinite hom-set: free parts are nonzero")
-    cat = EvConst()
     primes = sorted(set(x.exc_primes()) | set(y.exc_primes()))
     shapes = [(p, y.dim(p), x.dim(p)) for p in primes]
     free = Matrix.zeros(INT, y.f, x.f)
@@ -334,7 +326,6 @@ def enumerate_homs(x: EvObject, y: EvObject):
                 yield from cells(j + 1, flat + [v])
         yield from cells(0, [])
     yield from rec(0, [])
-    del cat
 
 
 def hom_group_structure(x: EvObject, y: EvObject) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exactlin import (NAT, DimensionMismatch, Matrix, NotInvertible,
-                        invert_or_fail, kronecker, nat_matrix)
+                        commutation, invert_or_fail, kronecker, nat_matrix)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory, UnsupportedShape
 
 
@@ -78,12 +78,7 @@ class SpanFin(ModelCategory):
                             kronecker(f.matrix, g.matrix))
 
     def braiding(self, x: int, y: int) -> SpanMorphism:
-        # basis (i, j) of x (x) y at index i*y + j maps to index j*x + i
-        rows = [[0] * (x * y) for _ in range(x * y)]
-        for i in range(x):
-            for j in range(y):
-                rows[j * x + i][i * y + j] = 1
-        return SpanMorphism(x * y, y * x, nat_matrix(rows, shape=(x * y, x * y)))
+        return SpanMorphism(x * y, y * x, commutation(NAT, x, y))
 
     def zero_mor(self, x: int, y: int) -> SpanMorphism:
         return SpanMorphism(x, y, Matrix.zeros(NAT, y, x))

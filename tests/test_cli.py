@@ -275,3 +275,35 @@ class TestContract:
         b = run(*args, "--format", "json")
         assert a.exit_code == b.exit_code == 0
         assert a.output == b.output
+
+
+class TestInputShapes:
+    SPAN = json.dumps({"dom": 2, "cod": 2, "matrix": [[0, 1], [1, 0]]})
+
+    @pytest.mark.parametrize("args", [
+        ("evconst", "cofiber", "--morphism", "[1]"),
+        ("evconst", "cofiber", "--morphism", "not json"),
+        ("evconst", "cofiber", "--morphism", '{"free": [[1, "x"]]}'),
+        ("evconst", "compose", "--left", '{"free": [[1]]}',
+         "--right", '{"free": [[1]], "explicit": {"two": [[1]]}}'),
+        ("span", "compose", "--left", '{"dom": 2, "cod": 2}',
+         "--right", SPAN),
+        ("span", "tensor", "--left", SPAN, "--right", "[[1]]"),
+        ("span", "cofiber", "--morphism", '{"dom": 1, "cod": "1"}'),
+        ("evconst", "biproduct", "--x", '{"f": 1, "exc": [1]}', "--y", "S"),
+        ("evconst", "biproduct", "--x", "S", "--y", '{"g": 1}'),
+    ])
+    def test_malformed_json_is_usage_error(self, args):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+
+    def test_unproven_prime_is_domain_error(self):
+        start = time.perf_counter()
+        res = run("evconst", "cofiber", "--morphism",
+                  '{"free": [[618970019642690137449562111]]}',
+                  "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 1
+        assert json.loads(res.output)["error"].startswith(
+            "PrimalityUnproven: ")

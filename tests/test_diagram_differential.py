@@ -1,0 +1,368 @@
+"""Differential tests for the diagram layer's fast paths.
+
+The brute-force normaliser below (every product of permutations within
+each box label class, keeping the least wire encoding) and the
+triple-loop matrix product are the previous implementations, kept as
+oracles.  The refinement-based ``normalize_symmetric`` must induce the
+same equal / not-equal relation as the oracle on a seeded pool of random
+diagrams with at most 6 boxes, and the row-combination ``Matrix.mul``
+must return the oracle's product on every domain and shape.
+"""
+
+import random
+import time
+from itertools import permutations
+
+import pytest
+
+from dualkit.diagram import (BUILTIN_RULES, Cell, Diagram, Letter,
+                             RewriteError, TypingError, apply_rule,
+                             diagram_to_open_graph, normalize_symmetric,
+                             signature)
+from dualkit.exactlin import INT, NAT, Matrix, fp
+
+T = Letter("T")
+Td = Letter("T", dual=True)
+SIG = signature(["T"], {
+    "f": (("T",), ("T",), True),
+    "g": (("T",), ("T",)),
+    "m": (("T", "T"), ("T",)),
+    "d": (("T",), ("T", "T")),
+    "u": ((), ("T",)),
+    "c": (("T",), ()),
+    "s": ((), ()),
+    "h": (("T", "T"), ("T", "T")),
+})
+MAX_BOXES = 6
+
+
+# ------------------------------------------------------------------ oracles
+
+def brute_force_normal_form(diagram):
+    """The open graph with box occurrences relabeled, within each label
+    class, to minimise the wire encoding over every permutation."""
+    graph = diagram_to_open_graph(diagram)
+    groups = {}
+    for occ, label in enumerate(graph.boxes):
+        groups.setdefault(label, []).append(occ)
+    labels_sorted = sorted(groups)
+    base, pos = {}, 0
+    for label in labels_sorted:
+        for occ in groups[label]:
+            base[occ] = pos
+            pos += 1
+
+    def encode(perm):
+        def rename(pt):
+            if pt[0] == "box":
+                return ("box", perm[pt[1]], pt[2], pt[3])
+            return pt
+        return tuple(sorted(tuple(sorted(map(rename, wire)))
+                            for wire in graph.wires))
+
+    best = None
+    class_lists = [groups[label] for label in labels_sorted]
+
+    def rec(idx, perm):
+        nonlocal best
+        if idx == len(class_lists):
+            enc = encode(perm)
+            if best is None or enc < best:
+                best = enc
+            return
+        occs = class_lists[idx]
+        slots = sorted(base[o] for o in occs)
+        for assignment in permutations(slots):
+            for o, s in zip(occs, assignment):
+                perm[o] = s
+            rec(idx + 1, perm)
+
+    rec(0, [0] * len(graph.boxes))
+    boxes = tuple(label for label in labels_sorted for _ in groups[label])
+    return (graph.dom, graph.cod, boxes, best, graph.loops)
+
+
+def triple_loop_mul(a, b):
+    p = a.domain[1] if isinstance(a.domain, tuple) else None
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = 0
+            for k in range(a.cols):
+                s += a.data[i][k] * b.data[k][j]
+            row.append(s % p if p else s)
+        out.append(row)
+    return Matrix.from_rows(a.domain, out, shape=(a.rows, b.cols))
+
+
+# --------------------------------------------------------- diagram pool
+
+def _boxes(diagram):
+    return sum(c.kind in ("gen", "gen-inv") for c in diagram.slices)
+
+
+def random_diagram(rng):
+    """A random well-typed diagram with at most MAX_BOXES boxes and width
+    at most 4."""
+    dom = tuple(rng.choice((T, Td)) for _ in range(rng.randrange(3)))
+    cells, current = [], Diagram(SIG, dom, ())
+    for _ in range(rng.randrange(2, 10)):
+        width = len(current.cod)
+        kind = rng.choice(("gen", "gen", "gen", "gen-inv", "braid", "cup",
+                           "cap"))
+        if kind in ("gen", "gen-inv") and _boxes(current) >= MAX_BOXES:
+            continue
+        offset = rng.randrange(width + 1)
+        if kind == "gen":
+            cell = Cell(kind, offset, rng.choice("fgmducs"))
+        elif kind == "gen-inv":
+            cell = Cell(kind, offset, "f")
+        elif kind == "braid":
+            cell = Cell(kind, offset, rng.choice((1, -1)))
+        else:
+            cell = Cell(kind, offset, rng.choice((T, Td)))
+        try:
+            candidate = Diagram(SIG, dom, tuple(cells) + (cell,))
+        except TypingError:
+            continue
+        if len(candidate.cod) <= 4:
+            cells.append(cell)
+            current = candidate
+    return current
+
+
+def isotopic_variant(rng, diagram):
+    """The diagram after a few random isotopy moves: built-in rewrite
+    steps and inserted double braids."""
+    for _ in range(rng.randrange(1, 6)):
+        n = len(diagram.slices)
+        if rng.random() < 0.3:
+            words = diagram.boundaries()
+            k = rng.randrange(n + 1)
+            if len(words[k]) >= 2:
+                w = rng.randrange(len(words[k]) - 1)
+                pair = (Cell("braid", w, rng.choice((1, -1))),
+                        Cell("braid", w, rng.choice((1, -1))))
+                diagram = Diagram(SIG, diagram.dom, diagram.slices[:k] + pair
+                                  + diagram.slices[k:])
+            continue
+        rule = rng.choice(BUILTIN_RULES)
+        try:
+            diagram = apply_rule(diagram, rule, rng.choice(("fwd", "bwd")),
+                                 rng.randrange(n + 1), rng.randrange(4))
+        except (RewriteError, TypingError):
+            pass
+    return diagram
+
+
+def chain_loop(label, k):
+    """k boxes ``label`` composed in a closed loop, floating free."""
+    return [Cell("cup", 0, Td)] + [Cell("gen", 0, label)] * k + \
+        [Cell("cap", 0, T)]
+
+
+def _braid_into(tags, target):
+    """Braid cells that sort the strand tags into the target order."""
+    cells = []
+    for i, tag in enumerate(target):
+        j = tags.index(tag)
+        for w in range(j - 1, i - 1, -1):
+            tags[w], tags[w + 1] = tags[w + 1], tags[w]
+            cells.append(Cell("braid", w, 1))
+    return cells
+
+
+def closed_h_graph(n, sigma, tau):
+    """n boxes h: T (x) T -> T (x) T, floating free, with output port 0 of
+    box v wired to input port 0 of box sigma[v] and output port 1 to
+    input port 1 of box tau[v]."""
+    ins = [(v, k) for v in range(n) for k in (0, 1)]
+    wiring = {(v, 0): (sigma[v], 0) for v in range(n)}
+    wiring.update({(v, 1): (tau[v], 1) for v in range(n)})
+    cells = [Cell("cup", 2 * i, Td) for i in range(len(ins))]
+    tags = [(kind, port) for port in ins for kind in ("up", "down")]
+    cells += _braid_into(tags, [("up", port) for port in ins]
+                         + [("down", port) for port in ins])
+    cells += [Cell("gen", 2 * v, "h") for v in range(n)]
+    tags[:2 * n] = [("out", port) for port in ins]
+    cells += _braid_into(tags, [tag for port in ins for tag in
+                                (("out", port), ("down", wiring[port]))])
+    cells += [Cell("cap", 0, T)] * len(ins)
+    return Diagram(SIG, (), tuple(cells))
+
+
+def _relabel(perm, pi):
+    """The permutation pi perm pi^-1, as a list."""
+    out = [0] * len(perm)
+    for v, w in enumerate(perm):
+        out[pi[v]] = pi[w]
+    return out
+
+
+def floating_pool():
+    """Hand-made members with floating components and closed loops."""
+    loops = {name: Diagram(SIG, (), tuple(cells)) for name, cells in (
+        ("f4", chain_loop("f", 4)),
+        ("f2+f2", chain_loop("f", 2) + chain_loop("f", 2)),
+        ("f1+f3", chain_loop("f", 1) + chain_loop("f", 3)),
+        ("f3+f1", chain_loop("f", 3) + chain_loop("f", 1)),
+        ("f2+g2", chain_loop("f", 2) + chain_loop("g", 2)),
+        ("fg+f", chain_loop("f", 1)[:-1] + chain_loop("g", 1)[1:]
+         + chain_loop("f", 1)),
+        ("f+fg", chain_loop("f", 1) + chain_loop("f", 1)[:-1]
+         + chain_loop("g", 1)[1:]),
+        ("f+g", chain_loop("f", 1) + chain_loop("g", 1)),
+        ("g+f", chain_loop("g", 1) + chain_loop("f", 1)),
+        ("3uc", [Cell("gen", 0, "u"), Cell("gen", 0, "c")] * 3),
+        ("2s+loop", [Cell("gen", 0, "s")] * 2
+         + [Cell("cup", 0, T), Cell("cap", 0, Td)]),
+        ("uu-braid-mc", [Cell("gen", 0, "u"), Cell("gen", 1, "u"),
+                         Cell("braid", 0, 1), Cell("gen", 0, "m"),
+                         Cell("gen", 0, "c")]),
+        ("uu-mc", [Cell("gen", 0, "u"), Cell("gen", 1, "u"),
+                   Cell("gen", 0, "m"), Cell("gen", 0, "c")]),
+        ("udmc", [Cell("gen", 0, "u"), Cell("gen", 0, "d"),
+                  Cell("gen", 0, "m"), Cell("gen", 0, "c")]),
+        ("ud-braid-mc", [Cell("gen", 0, "u"), Cell("gen", 0, "d"),
+                         Cell("braid", 0, -1), Cell("gen", 0, "m"),
+                         Cell("gen", 0, "c")]),
+    )}
+    loops["f+f2-attached"] = Diagram(SIG, (T,), (Cell("gen", 0, "f"),)
+                                     + tuple(chain_loop("f", 2)))
+    # colour refinement leaves these three boxes in one cell, yet box 2
+    # (fixed by tau) is not like boxes 0 and 1: every relabelling must
+    # give one form, and tau = id another
+    for pi in permutations(range(3)):
+        loops[f"h{pi}"] = closed_h_graph(3, _relabel([1, 2, 0], pi),
+                                         _relabel([1, 0, 2], pi))
+    loops["h-tau-id"] = closed_h_graph(3, [1, 2, 0], [0, 1, 2])
+    return loops
+
+
+def diagram_pool(seed, bases=40, variants=2):
+    rng = random.Random(seed)
+    pool = list(floating_pool().values())
+    for _ in range(bases):
+        base = random_diagram(rng)
+        pool.append(base)
+        pool += [isotopic_variant(rng, base) for _ in range(variants)]
+    return pool
+
+
+def _features(diagram):
+    graph = diagram_to_open_graph(diagram)
+    kinds = {c.kind for c in diagram.slices}
+    attached = {pt[1] for wire in graph.wires for pt in wire
+                if pt[0] == "box" and any(q[0] != "box" for q in wire)}
+    labels = {name for _, name in graph.boxes}
+    return {
+        "cup": "cup" in kinds, "cap": "cap" in kinds,
+        "loop": bool(graph.loops), "two-port": bool(labels & {"m", "d"}),
+        "0-ary": bool(labels & {"u", "c", "s"}),
+        "gen-inv": "gen-inv" in kinds,
+        "floating": len(attached) < len(graph.boxes),
+    }
+
+
+# -------------------------------------------------------------- normaliser
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_normaliser_agrees_with_brute_force(seed):
+    pool = diagram_pool(seed)
+    assert all(_boxes(d) <= MAX_BOXES for d in pool)
+    covered = {name for d in pool for name, has in _features(d).items()
+               if has}
+    assert covered == {"cup", "cap", "loop", "two-port", "0-ary", "gen-inv",
+                       "floating"}
+    old = [brute_force_normal_form(d) for d in pool]
+    new = [normalize_symmetric(d) for d in pool]
+    equal_pairs = distinct_pairs = 0
+    for i in range(len(pool)):
+        assert new[i].boxes == old[i][2]
+        for j in range(i + 1, len(pool)):
+            same = old[i] == old[j]
+            assert (new[i] == new[j]) == same, (pool[i], pool[j])
+            if same and pool[i] != pool[j]:
+                equal_pairs += 1
+            elif not same and new[i].boxes == new[j].boxes:
+                distinct_pairs += 1
+    # the pool has teeth: syntactically different equal diagrams, and
+    # unequal diagrams with the same boxes
+    assert equal_pairs >= 40 and distinct_pairs >= 40
+
+
+def test_floating_components_told_apart():
+    nf = {name: normalize_symmetric(d) for name, d in floating_pool().items()}
+    assert len({nf["f4"], nf["f2+f2"], nf["f1+f3"]}) == 3
+    # the order in which components are built is irrelevant
+    assert nf["f1+f3"] == nf["f3+f1"]
+    assert nf["fg+f"] == nf["f+fg"]
+    assert nf["f+g"] == nf["g+f"]
+    assert nf["uu-braid-mc"] == nf["uu-mc"]     # a braid between two units
+    assert nf["udmc"] != nf["ud-braid-mc"]      # d's outputs swapped
+    relabelled = {nf[name] for name in nf if name.startswith("h(")}
+    assert len(relabelled) == 1 and nf["h-tau-id"] not in relabelled
+
+
+def _timed_normal_form(diagram):
+    start = time.perf_counter()
+    nf = normalize_symmetric(diagram)
+    return nf, time.perf_counter() - start
+
+
+def test_ten_disjoint_traced_boxes_under_a_second():
+    ten = Diagram(SIG, (), tuple(chain_loop("f", 1) * 10))
+    nf, seconds = _timed_normal_form(ten)
+    assert seconds < 1.0
+    assert nf.boxes == (("gen", "f"),) * 10 and len(nf.wires) == 10
+    # nine traced boxes and one loop of two differ from ten traced boxes
+    other = Diagram(SIG, (), tuple(chain_loop("f", 1) * 8
+                                   + chain_loop("f", 2)))
+    assert normalize_symmetric(other) != nf
+
+
+def test_ten_identical_scalar_pairs_under_a_second():
+    pairs = Diagram(SIG, (), (Cell("gen", 0, "u"), Cell("gen", 0, "c")) * 10)
+    nf, seconds = _timed_normal_form(pairs)
+    assert seconds < 1.0
+    shuffled = Diagram(SIG, (), (Cell("gen", 0, "u"),) * 10
+                       + (Cell("gen", 0, "c"),) * 10)
+    assert normalize_symmetric(shuffled) == nf
+
+
+# --------------------------------------------------------- matrix product
+
+def _random_matrix(rng, domain, rows, cols, density):
+    p = domain[1] if isinstance(domain, tuple) else None
+    lo = 0 if domain == NAT or p else -9
+    hi = p - 1 if p else 9
+    return Matrix.from_rows(domain, [
+        [rng.randint(lo, hi) if rng.random() < density else 0
+         for _ in range(cols)] for _ in range(rows)], shape=(rows, cols))
+
+
+@pytest.mark.parametrize("domain", [NAT, INT, fp(2), fp(7), fp(101)],
+                         ids=["nat", "int", "f2", "f7", "f101"])
+def test_mul_matches_triple_loop(domain):
+    rng = random.Random(repr(domain))
+    shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1),
+              (2, 5, 3), (6, 6, 6), (9, 4, 7)]
+    for n, k, m in shapes:
+        for density in (0.0, 0.2, 1.0):
+            a = _random_matrix(rng, domain, n, k, density)
+            b = _random_matrix(rng, domain, k, m, density)
+            assert a.mul(b) == triple_loop_mul(a, b)
+
+
+def test_mul_of_a_whiskered_slice():
+    # id (x) f (x) id, the shape each diagram slice has, times a dense
+    # matrix: at most 3 nonzeros per row
+    rng = random.Random(5)
+    f = Matrix.from_rows(NAT, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    slice_ = Matrix.from_rows(NAT, [
+        [f.data[i // 3 % 3][j // 3 % 3] if i // 9 == j // 9 and i % 3 == j % 3
+         else 0 for j in range(27)] for i in range(27)])
+    dense = _random_matrix(rng, NAT, 27, 27, 1.0)
+    assert slice_.mul(dense) == triple_loop_mul(slice_, dense)
+    assert dense.mul(slice_) == triple_loop_mul(dense, slice_)

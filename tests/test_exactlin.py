@@ -8,14 +8,15 @@ Oracles used here are independent of the implementation under test:
 """
 
 import random
+import time
 
 import pytest
 
 from dualkit.exactlin import (
-    INT, NAT, DimensionMismatch, Matrix, NotInvertible, cokernel_decomposition,
-    fp, fp_matrix, int_matrix, invert_or_fail, is_prime, kronecker,
-    left_null_basis_fp, nat_matrix, rank_fp, smith_normal_form, solve_right_fp,
-    solve_right_int,
+    INT, NAT, DimensionMismatch, Matrix, NotInvertible, PrimalityUnproven,
+    cokernel_decomposition, commutation, fp, fp_matrix, int_matrix,
+    invert_or_fail, is_prime, kronecker, left_null_basis_fp, nat_matrix,
+    rank_fp, smith_normal_form, solve_right_fp, solve_right_int,
 )
 
 
@@ -292,3 +293,29 @@ def test_is_prime_large():
     assert is_prime(2 ** 61 - 1)
     assert not is_prime((2 ** 61 - 1) * 1000000000000000003)
     assert is_prime(662638805832249361537049)
+
+
+def test_is_prime_refuses_an_unproven_probable_prime_at_once():
+    start = time.perf_counter()
+    with pytest.raises(PrimalityUnproven):
+        is_prime(2 ** 89 - 1)
+    with pytest.raises(PrimalityUnproven):
+        fp(2 ** 127 - 1)
+    assert time.perf_counter() - start < 1.0
+    # above the proven bound a witness still settles composites
+    assert not is_prime(2 ** 101 - 1)
+    assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
+
+
+# ---------------------------------------------------------------- commutation
+
+def test_commutation_swaps_kronecker_factors():
+    # K_{m,n} (x (x) y) = (y (x) x) K_{a,b} for x: a -> m, y: b -> n
+    rng = random.Random(3)
+    for a, b, m, n in ((2, 3, 1, 2), (3, 1, 2, 2), (0, 2, 1, 3)):
+        x = rand_int_matrix(rng, m, a, 5)
+        y = rand_int_matrix(rng, n, b, 5)
+        assert commutation(INT, m, n).mul(kronecker(x, y)) == \
+            kronecker(y, x).mul(commutation(INT, a, b))
+    k = commutation(NAT, 2, 3)
+    assert k.mul(commutation(NAT, 3, 2)).is_identity()
