@@ -4,9 +4,14 @@ Subcommands: ``diagrams`` (trace-corpus verification), ``span`` and
 ``evconst`` (model-category computations), ``idem`` (idempotent
 machinery), ``equi`` (equivariant lattices and collapse certificates).
 
-Exit codes: 0 success / verdict true, 1 verdict false or domain error,
-2 usage error.  JSON output is deterministic (sorted keys).  The
-environment variable DUALKIT_SEED (default 0) seeds all sampling.
+Exit codes: 0 success / verdict true, 1 verdict false or domain error
+(any ``dualkit.DomainError``), 2 usage error.  JSON output is
+deterministic (sorted keys).  The environment variable DUALKIT_SEED
+(default 0) seeds all sampling.
+
+Importing this module loads no dualkit layer: each command imports the
+layer it runs inside its body, so a command pays only for its own layer
+at start-up.
 """
 
 from __future__ import annotations
@@ -16,24 +21,19 @@ import os
 import random
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
-from . import diagram as dg
-from . import equivariant as eq
-from . import idem
-from .exactlin import DimensionMismatch, NotInvertible, PrimalityUnproven
-from .models import (EvConst, EvMorphism, EvObject, SpanFin, SpanMorphism,
-                     UnsupportedShape, biproduct_equations_hold, ev_morphism,
-                     ev_object, product_category, span,
-                     triangle_equations_hold)
+from . import DomainError
 
-DOMAIN_ERRORS = (DimensionMismatch, NotInvertible, PrimalityUnproven,
-                 UnsupportedShape,
-                 idem.NotTwistedTrivial, eq.GroupTooLarge, eq.InvalidAction,
-                 eq.NotADownset, eq.NotConvex, eq.NonIntegralAverage,
-                 dg.RewriteError, dg.TypingError, dg.EvaluationError,
-                 KeyError, ValueError, FileNotFoundError)
+if TYPE_CHECKING:
+    from .models import EvMorphism, EvObject, SpanMorphism
+
+# The names of dualkit.equivariant.REP_PRESETS, written out so that the
+# option can be declared without importing the equivariant layer.
+REP_NAMES = ("permutation", "reduced-regular", "regular", "standard",
+             "trivial")
 
 
 def get_seed() -> int:
@@ -86,7 +86,7 @@ def guarded(fn):
     def wrapper(*args, fmt="text", **kwargs):
         try:
             return fn(*args, fmt=fmt, **kwargs)
-        except DOMAIN_ERRORS as exc:
+        except (DomainError, KeyError, ValueError, FileNotFoundError) as exc:
             fail(f"{type(exc).__name__}: {exc}", fmt)
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
@@ -115,6 +115,7 @@ def diagrams():
 @guarded
 def diagrams_verify(verify_all, trace_name, fmt):
     """Replay rewrite traces and check them step by step."""
+    from . import diagram as dg
     if trace_name is None:
         reports = dg.validate_corpus()
     else:
@@ -170,6 +171,7 @@ def _json_option(blob: str, param: str | None, valid, expected: str):
 # -------------------------------------------------------------------- span
 
 def _span_from_json(blob: str, param: str) -> SpanMorphism:
+    from .models import SpanMorphism
     return SpanMorphism.from_json(_json_option(
         blob, param, _is_span,
         'a span {"dom": m, "cod": n, "matrix": [[int, ...], ...]}'))
@@ -187,6 +189,7 @@ def span_group():
 @guarded
 def span_compose(left, right, fmt):
     """Compose two spans (left after right)."""
+    from .models import SpanFin
     model = SpanFin()
     out = model.compose(_span_from_json(left, "--left"),
                         _span_from_json(right, "--right"))
@@ -200,6 +203,7 @@ def span_compose(left, right, fmt):
 @guarded
 def span_tensor(left, right, fmt):
     """Tensor (cartesian product) of two spans."""
+    from .models import SpanFin
     model = SpanFin()
     out = model.tensor_mor(_span_from_json(left, "--left"),
                            _span_from_json(right, "--right"))
@@ -213,6 +217,7 @@ def span_tensor(left, right, fmt):
 @guarded
 def span_dual_check(size, fmt):
     """Check both snake identities for the diagonal self-duality."""
+    from .models import SpanFin, triangle_equations_hold
     model = SpanFin()
     dd = model.duality(size)
     ok = triangle_equations_hold(model, dd)
@@ -222,6 +227,7 @@ def span_dual_check(size, fmt):
 
 
 def _span_shape(shape: str, sizes) -> SpanMorphism:
+    from .models import span
     d, c = sizes
     if shape == "zero-to-one":
         return span(0, 1, [[]])
@@ -248,6 +254,7 @@ def _span_shape(shape: str, sizes) -> SpanMorphism:
 @guarded
 def span_cofiber(morphism, shape, sizes, fmt):
     """Shape-classified cofiber of a span."""
+    from .models import SpanFin
     if (morphism is None) == (shape is None):
         raise click.UsageError("give exactly one of --morphism / --shape")
     if morphism is not None:
@@ -266,6 +273,7 @@ def span_cofiber(morphism, shape, sizes, fmt):
 def parse_ev_object(text: str) -> EvObject:
     """Accept JSON or compact names: '0', 'S', 'S^2', 'S/2', 'S/2^3',
     and '+'-separated sums of those."""
+    from .models import EvObject, ev_object
     text = text.strip()
     if text.startswith("{"):
         return EvObject.from_json(_json_option(
@@ -290,6 +298,7 @@ def parse_ev_object(text: str) -> EvObject:
 
 
 def _ev_morphism_from_json(blob: str, param: str) -> EvMorphism:
+    from .models import EvMorphism, ev_morphism, ev_object
     obj = _json_option(
         blob, param, _is_ev_morphism,
         'a morphism {"free": [[int, ...], ...]}, optionally with '
@@ -317,6 +326,7 @@ def evconst_group():
 @guarded
 def evconst_compose(left, right, fmt):
     """Compose two morphisms (left after right)."""
+    from .models import EvConst
     model = EvConst()
     out = model.compose(_ev_morphism_from_json(left, "--left"),
                         _ev_morphism_from_json(right, "--right"))
@@ -330,6 +340,7 @@ def evconst_compose(left, right, fmt):
 @guarded
 def evconst_biproduct(x_str, y_str, fmt):
     """Biproduct of two objects, with its equations re-checked."""
+    from .models import EvConst, biproduct_equations_hold
     model = EvConst()
     x, y = parse_ev_object(x_str), parse_ev_object(y_str)
     bp = model.biproduct(x, y)
@@ -344,6 +355,7 @@ def evconst_biproduct(x_str, y_str, fmt):
 @guarded
 def evconst_cofiber(morphism, fmt):
     """Cofiber (exact cokernel) of a morphism."""
+    from .models import EvConst
     f = _ev_morphism_from_json(morphism, "--morphism")
     cof = EvConst().cofiber(f)
     emit({"ok": True, "input": f.to_json(),
@@ -361,6 +373,8 @@ def evconst_cofiber(morphism, fmt):
 @guarded
 def evconst_split(modulus, obj_str, fmt):
     """Split an object along S/m and its complement S(m)."""
+    from . import idem
+    from .models import EvConst
     model = EvConst()
     x = parse_ev_object(obj_str)
     part1, part2, (u, v) = idem.char_split(model, modulus, x)
@@ -372,6 +386,7 @@ def evconst_split(modulus, obj_str, fmt):
 # -------------------------------------------------------------------- idem
 
 def _get_model(name: str):
+    from .models import EvConst, SpanFin, product_category
     if name == "spanfin":
         return SpanFin()
     if name == "evconst":
@@ -409,6 +424,8 @@ def idem_group():
 def _default_clopen(model, model_name, obj_str):
     """A concrete clopen idempotent to test: S/m machinery on evconst,
     the unit object elsewhere."""
+    from . import idem
+    from .models import ev_morphism
     if model_name == "evconst":
         x = parse_ev_object(obj_str or "S/2")
         primes = x.exc_primes()
@@ -427,6 +444,7 @@ def _default_clopen(model, model_name, obj_str):
 @guarded
 def idem_closed(model_name, fmt):
     """Check that the grouplike idempotent S_gp is closed."""
+    from . import idem
     model = _get_model(model_name)
     ci = idem.gp_idempotent(model)
     ok = idem.is_closed_idempotent(model, ci.E, ci.r)
@@ -443,6 +461,7 @@ def idem_closed(model_name, fmt):
 def idem_clopen(model_name, obj_str, fmt):
     """Check the splitting and stability equations of a clopen
     idempotent."""
+    from . import idem
     model = _get_model(model_name)
     cl = _default_clopen(model, model_name, obj_str)
     ok = idem.is_clopen(model, cl.E, cl.r, cl.i)
@@ -458,6 +477,7 @@ def idem_clopen(model_name, obj_str, fmt):
 def idem_untwist(model_name, fmt):
     """Untwist the unit object's trivial braiding into a clopen
     idempotent."""
+    from . import idem
     model = _get_model(model_name)
     dd = model.duality(model.unit())
     t = model.identity(model.unit())
@@ -475,6 +495,7 @@ def idem_untwist(model_name, fmt):
 @guarded
 def idem_euler(model_name, size, fmt):
     """Euler-characteristic twist of a self-dual object."""
+    from . import idem
     model = _get_model(model_name)
     obj = size if model_name == "spanfin" else model.unit()
     t = idem.euler_twist(model, model.duality(obj))
@@ -490,6 +511,7 @@ def idem_euler(model_name, size, fmt):
 def idem_complement(model_name, obj_str, fmt):
     """Complement of a clopen idempotent via the cofiber of its
     inclusion."""
+    from . import idem
     model = _get_model(model_name)
     if model_name != "evconst":
         raise ValueError("complements need the additive evconst model")
@@ -503,6 +525,7 @@ def idem_complement(model_name, obj_str, fmt):
 
 
 def _sample_torsion_objects(rng, k):
+    from .models import ev_object
     out = []
     for _ in range(k):
         exc = {}
@@ -522,6 +545,7 @@ def _sample_torsion_objects(rng, k):
 def idem_split_homs(model_name, obj_str, pairs, fmt):
     """Check hom-set splitting along a clopen idempotent and its
     complement on sampled object pairs."""
+    from . import idem
     model = _get_model(model_name)
     if model_name != "evconst":
         raise ValueError("hom splitting is checked in the evconst model")
@@ -543,6 +567,7 @@ def idem_split_homs(model_name, obj_str, pairs, fmt):
 @guarded
 def idem_gp(model_name, fmt):
     """The grouplike idempotent S_gp (cofiber of the diagonal)."""
+    from . import idem
     model = _get_model(model_name)
     ci = idem.gp_idempotent(model)
     emit({"ok": True, "model": model_name, "E": _obj_str(ci.E),
@@ -569,6 +594,7 @@ def equi_group():
 def equi_lattice(group_name, fmt):
     """Subgroup-conjugacy classes with subconjugacy order and Weyl
     orders."""
+    from . import equivariant as eq
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
     data = poset.to_json()
     data["ok"] = True
@@ -583,6 +609,7 @@ def equi_lattice(group_name, fmt):
 @guarded
 def equi_weyl(group_name, class_idx, fmt):
     """Weyl groups N_G(H)/H per subgroup class."""
+    from . import equivariant as eq
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
     if class_idx is not None and class_idx not in range(poset.n):
         raise click.BadParameter(
@@ -601,13 +628,14 @@ def equi_weyl(group_name, class_idx, fmt):
 @equi_group.command("fixdim")
 @group_option
 @click.option("--rep", "rep_name",
-              type=click.Choice(sorted(eq.REP_PRESETS)),
+              type=click.Choice(REP_NAMES),
               default="reduced-regular", show_default=True)
 @format_option
 @guarded
 def equi_fixdim(group_name, rep_name, fmt):
     """Fixed-point dimensions per class, cross-checked against the
     averaged-projector rank."""
+    from . import equivariant as eq
     G = eq.get_group(group_name)
     poset = eq.enumerate_subgroup_classes(G)
     rep = eq.REP_PRESETS[rep_name](G)
@@ -627,13 +655,14 @@ def equi_fixdim(group_name, rep_name, fmt):
 @equi_group.command("collapse")
 @group_option
 @click.option("--rep", "rep_name",
-              type=click.Choice(sorted(eq.REP_PRESETS)),
+              type=click.Choice(REP_NAMES),
               default="reduced-regular", show_default=True,
               help="Axiom representation name.")
 @format_option
 @guarded
 def equi_collapse(group_name, rep_name, fmt):
     """Generate a collapse certificate and re-validate it."""
+    from . import equivariant as eq
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
     cert = eq.generate_collapse_certificate(poset, rep_name)
     report = eq.validate_collapse_certificate(cert, poset)
@@ -651,6 +680,7 @@ def equi_collapse(group_name, rep_name, fmt):
 @guarded
 def equi_validate(group_name, cert_path, fmt):
     """Validate a collapse certificate against the group's lattice."""
+    from . import equivariant as eq
     with open(cert_path) as fh:
         cert = eq.CollapseCertificate.from_json(json.load(fh))
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))

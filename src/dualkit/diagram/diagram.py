@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import DomainError
 from .signature import (Letter, Signature, dual_letter, word_from_json,
                         word_str, word_to_json)
 
@@ -21,7 +22,7 @@ CUP = "cup"
 CAP = "cap"
 
 
-class TypingError(Exception):
+class TypingError(DomainError):
     """A cell does not fit the word it is applied to."""
 
 

@@ -9,11 +9,12 @@ inversion.
 
 from __future__ import annotations
 
+from .. import DomainError
 from .diagram import BRAID, CAP, CUP, GEN, GEN_INV, Diagram, cell_arity
 from .signature import Letter
 
 
-class EvaluationError(Exception):
+class EvaluationError(DomainError):
     """The interpretation does not cover the diagram."""
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import DomainError
 from .diagram import (BRAID, CAP, CUP, GEN, GEN_INV, Cell, Diagram,
                       TypingError, cell_arity)
 from .signature import Signature, dual_letter, word_str
@@ -35,7 +36,7 @@ BWD = "bwd"
 RULE_KINDS = ("hypothesis", "lemma", "definition")
 
 
-class RewriteError(Exception):
+class RewriteError(DomainError):
     """A rewrite step does not apply at the given location."""
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from operator import itemgetter
 
+from .. import DomainError
 from .groups import PermGroup
 
 
-class InvalidAction(Exception):
+class InvalidAction(DomainError):
     """The table is not a group action."""
 
 

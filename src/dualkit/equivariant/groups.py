@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .. import DomainError
+
 DEFAULT_ORDER_BOUND = 60
 
 
-class GroupTooLarge(Exception):
+class GroupTooLarge(DomainError):
     """The group order exceeds the configured enumeration bound."""
 
 
@@ -88,9 +90,7 @@ class PermGroup:
     elements: tuple         # sorted materialized closure
 
     def __post_init__(self):
-        for g in self.generators:
-            if sorted(g) != list(range(self.degree)):
-                raise ValueError(f"{g} is not a permutation of the degree")
+        _check_permutations(self.degree, self.generators)
 
     @property
     def order(self) -> int:
@@ -110,12 +110,27 @@ class PermGroup:
 
     @staticmethod
     def from_json(obj) -> "PermGroup":
+        if not (isinstance(obj, dict) and isinstance(obj.get("degree"), int)
+                and obj["degree"] >= 0
+                and isinstance(obj.get("generators"), list)
+                and all(isinstance(g, list)
+                        and all(isinstance(i, int) for i in g)
+                        for g in obj["generators"])):
+            raise ValueError('expected a group {"degree": n, "generators": '
+                             '[[image of 1, ..., image of n], ...]}')
         gens = [tuple(i - 1 for i in g) for g in obj["generators"]]
         return perm_group(obj["degree"], gens)
 
 
+def _check_permutations(degree: int, generators):
+    for g in generators:
+        if sorted(g) != list(range(degree)):
+            raise ValueError(f"{g} is not a permutation of the degree")
+
+
 def perm_group(degree: int, generators) -> PermGroup:
     gens = tuple(tuple(g) for g in generators)
+    _check_permutations(degree, gens)  # before the closure indexes them
     elements = tuple(sorted(_closure(degree, gens)))
     return PermGroup(degree, gens, elements)
 

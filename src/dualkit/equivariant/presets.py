@@ -50,6 +50,6 @@ def get_group(name: str) -> PermGroup:
     if name in GROUP_PRESETS:
         return GROUP_PRESETS[name]()
     path = Path(name)
-    if path.exists():
+    if path.is_file():
         return PermGroup.from_json(json.loads(path.read_text()))
     raise KeyError(f"unknown group preset or file: {name}")

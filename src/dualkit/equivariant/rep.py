@@ -17,14 +17,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .. import DomainError
 from .groups import PermGroup
 
 
-class RepresentationError(Exception):
+class RepresentationError(DomainError):
     """The generator matrices do not define a group homomorphism."""
 
 
-class NonIntegralAverage(Exception):
+class NonIntegralAverage(DomainError):
     """A character average came out non-integral (invalid representation)."""
 
 

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import DomainError
 from .groups import ConjugacyPoset
 
 
-class NotADownset(Exception):
+class NotADownset(DomainError):
     """The given class set is not downward closed."""
 
 
-class NotConvex(Exception):
+class NotConvex(DomainError):
     """The given class set is not order-convex."""
 
 

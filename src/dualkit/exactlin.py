@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import add
 from typing import Iterable, Sequence, Union
+
+from . import DomainError
 
 Domain = Union[str, tuple]
 
@@ -35,7 +38,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
 
 
-class PrimalityUnproven(Exception):
+class PrimalityUnproven(DomainError):
     """Raised by ``is_prime`` for a number at or above 3.3e24 that is a
     strong probable prime to every base: it is very likely prime, but no
     primality proof is implemented at that size, so the answer is
@@ -75,11 +78,70 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class NotInvertible(Exception):
+def pollard_brent(n: int) -> int:
+    """A nontrivial factor of a composite n: Brent's variant of Pollard's
+    rho (Brent 1980) on x -> x^2 + c from y = 2, taking differences in
+    batches of 128 per gcd.  c starts at 1 and moves to the next integer
+    when a cycle closes without a factor, so the result is deterministic."""
+    if n % 2 == 0:
+        return 2
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+        c += 1
+
+
+def prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, in increasing order: trial
+    division below 1000, then Pollard-Brent rho on a composite cofactor.
+    Like ``is_prime``, raises PrimalityUnproven for a factor at or above
+    3.3e24 that passes every base."""
+    small = []
+    q = 2
+    while q < 1000 and q * q <= n:
+        if n % q == 0:
+            small.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    large = set()
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            large.add(m)
+        else:
+            d = pollard_brent(m)
+            todo += [d, m // d]
+    return small + sorted(large)
+
+
+class NotInvertible(DomainError):
     """Raised when a matrix has no two-sided inverse over its domain."""
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(DomainError):
     """Raised when matrix dimensions are inconsistent for an operation."""
 
 

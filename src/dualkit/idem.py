@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from . import DomainError
 from .exactlin import NotInvertible, solve_right_fp, solve_right_int
 from .models.base import DualityDatum, ModelCategory
 from .models.evconst import EvConst, EvMorphism, EvObject, ev_morphism
 
 
-class NotTwistedTrivial(Exception):
+class NotTwistedTrivial(DomainError):
     """The twisted-trivial-braiding equation fails for the given twist."""
 
 

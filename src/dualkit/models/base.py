@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from .. import DomainError
 from ..exactlin import NotInvertible
 
 
-class UnsupportedShape(Exception):
+class UnsupportedShape(DomainError):
     """A partial operation (e.g. a shape-classified cofiber) rejected its input."""
 
 

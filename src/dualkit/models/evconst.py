@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
-                        commutation, fp, int_matrix, invert_or_fail, is_prime,
-                        kronecker, left_null_basis_fp, rank_fp,
+                        commutation, fp, int_matrix, invert_or_fail,
+                        kronecker, left_null_basis_fp, prime_factors,
                         smith_normal_form)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory
 
@@ -275,22 +275,14 @@ class EvConst(ModelCategory):
         free_rank = f.cod.f - k
         relevant = set(f.explicit_primes())
         for x in nonzero:
-            # trial division, stopped once the cofactor left is prime
-            q = 2
-            while x > 1 and not is_prime(x):
-                while x % q:
-                    q += 1
-                relevant.add(q)
-                while x % q == 0:
-                    x //= q
-            if x > 1:
-                relevant.add(x)
+            relevant.update(prime_factors(x))
         dims = {}
         quot_expl = {}
         for p in sorted(relevant):
-            comp = f.component(p)
-            dims[p] = f.cod.dim(p) - rank_fp(comp)
-            quot_expl[p] = left_null_basis_fp(comp)
+            # one elimination: the cokernel's dimension is the number of
+            # rows of the left null basis
+            quot_expl[p] = left_null_basis_fp(f.component(p))
+            dims[p] = quot_expl[p].rows
         cobj = ev_object(free_rank, dims)
         q_free = Matrix.from_rows(INT, [list(u.data[i]) for i in range(k, f.cod.f)],
                                   shape=(free_rank, f.cod.f))

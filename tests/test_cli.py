@@ -307,3 +307,13 @@ class TestInputShapes:
         assert res.exit_code == 1
         assert json.loads(res.output)["error"].startswith(
             "PrimalityUnproven: ")
+
+    def test_cofiber_of_two_large_primes(self):
+        # trial division needed about 10**12 steps here; rho about 10**6
+        start = time.perf_counter()
+        res = run("evconst", "cofiber", "--morphism",
+                  '{"free": [[999999999948000000000451]]}', "--format", "json")
+        assert time.perf_counter() - start < 5.0
+        assert res.exit_code == 0
+        assert json.loads(res.output)["cofiber"]["json"] == {
+            "f": 0, "exc": {"999999999959": 1, "999999999989": 1}}

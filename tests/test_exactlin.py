@@ -16,7 +16,8 @@ from dualkit.exactlin import (
     INT, NAT, DimensionMismatch, Matrix, NotInvertible, PrimalityUnproven,
     cokernel_decomposition, commutation, fp, fp_matrix, int_matrix,
     invert_or_fail, is_prime, kronecker, left_null_basis_fp, nat_matrix,
-    rank_fp, smith_normal_form, solve_right_fp, solve_right_int,
+    pollard_brent, prime_factors, rank_fp, smith_normal_form, solve_right_fp,
+    solve_right_int,
 )
 
 
@@ -319,3 +320,53 @@ def test_commutation_swaps_kronecker_factors():
             kronecker(y, x).mul(commutation(INT, a, b))
     k = commutation(NAT, 2, 3)
     assert k.mul(commutation(NAT, 3, 2)).is_identity()
+
+
+# ---------------------------------------------------------------- factoring
+
+def trial_division_factors(n):
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + ([n] if n > 1 else [])
+
+
+def test_prime_factors_match_trial_division():
+    assert [n for n in range(1, 3000)
+            if prime_factors(n) != trial_division_factors(n)] == []
+    rng = random.Random(5)
+    for _ in range(200):
+        primes = rng.sample((2, 3, 997, 1009, 65537, 999983, 1000003),
+                            rng.randint(1, 4))
+        n = 1
+        for q in primes:
+            n *= q ** rng.randint(1, 3)
+        assert prime_factors(n) == sorted(primes)
+
+
+@pytest.mark.parametrize("n, factors", [
+    (999999999959 * 999999999989, [999999999959, 999999999989]),
+    (1000003 ** 2, [1000003]),
+    (2 ** 64 + 1, [274177, 67280421310721]),
+    (561 * 1105 * 1729, [3, 5, 7, 11, 13, 17, 19]),
+    (6 * 1000000000000000003, [2, 3, 1000000000000000003]),
+])
+def test_prime_factors_of_large_composites(n, factors):
+    assert prime_factors(n) == factors
+
+
+def test_pollard_brent_finds_a_proper_factor():
+    for n in (1009 * 1013, 1000003 ** 2, 3215031751, 3825123056546413051):
+        d = pollard_brent(n)
+        assert 1 < d < n and n % d == 0
+    # deterministic: the same factor every time
+    assert pollard_brent(1009 * 1013) == pollard_brent(1009 * 1013)
+
+
+def test_prime_factors_refuse_an_unproven_prime_factor():
+    with pytest.raises(PrimalityUnproven):
+        prime_factors(3 * (2 ** 89 - 1))
