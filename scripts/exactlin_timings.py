@@ -1,0 +1,111 @@
+"""Print a scaling series for the exact linear algebra layer.
+
+Run from the repository root:
+
+    python3 scripts/exactlin_timings.py [repeats]
+
+For n = 16, 24, 32 and 48 it times, each as the median of ``repeats``
+calls (default 3) in this one interpreter:
+
+- ``smith_normal_form`` and ``invariant_factors`` on a random n x n
+  matrix with entries in [-9, 9] drawn row by row from ``Random(2)``;
+- ``EvConst.cofiber`` of an endomorphism of the free object of rank n
+  whose free part is U * D * V, with U and V products of 5n random
+  elementary row operations and D the diagonal 1, ..., 1, 2, 6, 30, 210
+  followed by two zeros (so the quotient's free part has two rows);
+- ``left_null_basis_fp`` on a random n x n matrix over F_101 whose last
+  quarter of rows are sums of two earlier rows.
+
+It also prints the largest entry of the SNF transforms U and V and of
+the cofiber's free quotient, in decimal digits, and exits with status 1
+if ``invariant_factors`` differs from the SNF diagonal or the cofiber's
+free rank is not 2.
+"""
+
+from __future__ import annotations
+
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from dualkit.exactlin import (fp_matrix, int_matrix,  # noqa: E402
+                              invariant_factors, left_null_basis_fp,
+                              smith_normal_form)
+from dualkit.models import EvConst, ev_morphism, ev_object  # noqa: E402
+
+SIZES = (16, 24, 32, 48)
+P = 101
+
+
+def timed(fn, repeats):
+    times, result = [], None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return result, statistics.median(times)
+
+
+def digits(*matrices) -> int:
+    return len(str(max((abs(e) for m in matrices for r in m.data for e in r),
+                       default=0)))
+
+
+def elementary_product(rng, n):
+    """A product of 5n elementary row operations r_i += c * r_j."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(5 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return int_matrix(u)
+
+
+def cofiber_input(rng, n):
+    diag = [1] * (n - 6) + [2, 6, 30, 210, 0, 0]
+    d = int_matrix([[diag[i] if i == j else 0 for j in range(n)]
+                    for i in range(n)])
+    free = elementary_product(rng, n).mul(d).mul(elementary_product(rng, n))
+    return ev_morphism(ev_object(n), ev_object(n), free)
+
+
+def fp_input(rng, n):
+    rows = [[rng.randrange(P) for _ in range(n)] for _ in range(n - n // 4)]
+    while len(rows) < n:
+        a, b = rng.sample(rows, 2)
+        rows.append([(x + y) % P for x, y in zip(a, b)])
+    return fp_matrix(P, rows)
+
+
+def main() -> int:
+    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+    model = EvConst()
+    ok = True
+    print(f"{'n':>3} {'snf':>9} {'inv.fact.':>9} {'cofiber':>9} "
+          f"{'null_fp':>9}   U/V digits  quotient digits")
+    for n in SIZES:
+        rng = random.Random(2)
+        m = int_matrix([[rng.randint(-9, 9) for _ in range(n)]
+                        for _ in range(n)])
+        (u, d, v), snf_s = timed(lambda: smith_normal_form(m), repeats)
+        factors, inv_s = timed(lambda: invariant_factors(m), repeats)
+        f = cofiber_input(rng, n)
+        cof, cof_s = timed(lambda: model.cofiber(f), repeats)
+        a = fp_input(rng, n)
+        _, null_s = timed(lambda: left_null_basis_fp(a), repeats)
+        diag = [d.data[i][i] for i in range(n) if d.data[i][i]]
+        ok = ok and factors == diag and cof.obj.f == 2
+        print(f"{n:>3} {snf_s * 1e3:>7.1f}ms {inv_s * 1e3:>7.1f}ms "
+              f"{cof_s * 1e3:>7.1f}ms {null_s * 1e3:>7.1f}ms   "
+              f"{digits(u, v):>10}  {digits(cof.quotient.free):>15}")
+    if not ok:
+        print("invariant factors or cofiber free rank WRONG")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,3 +9,31 @@ class DomainError(Exception):
     rejects (a singular matrix, a group too large, an invalid action, a
     mistyped diagram, ...), as opposed to a bug.  The CLI reports any
     DomainError as a structured failure with exit code 1."""
+
+
+class MalformedInput(DomainError, ValueError):
+    """A JSON input does not have the shape its reader expects."""
+
+
+def has_shape(obj, shape) -> bool:
+    """Whether the JSON value obj has the shape: a type; a callable,
+    which tests obj; [s], a list of s; {key: s}, an object with these
+    keys (one ending in "?" may be absent) and maybe more; or {test: s},
+    with a type or callable test, an object whose keys all pass it and
+    whose values all have shape s."""
+    if isinstance(shape, type):
+        return isinstance(obj, shape)
+    if isinstance(shape, list):
+        return isinstance(obj, list) and all(has_shape(x, shape[0])
+                                             for x in obj)
+    if not isinstance(shape, dict):
+        return shape(obj)
+
+    def field_ok(key, s) -> bool:
+        if callable(key):
+            return all(has_shape(k, key) and has_shape(x, s)
+                       for k, x in obj.items())
+        name = key.rstrip("?")
+        return has_shape(obj[name], s) if name in obj else key.endswith("?")
+    return isinstance(obj, dict) and all(field_ok(key, s)
+                                         for key, s in shape.items())

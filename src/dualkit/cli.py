@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import DomainError
+from . import DomainError, has_shape
 
 if TYPE_CHECKING:
     from .models import EvMorphism, EvObject, SpanMorphism
@@ -42,24 +42,15 @@ def get_seed() -> int:
 
 def _render_text(data, indent=0):
     pad = "  " * indent
+    if not isinstance(data, (dict, list)):
+        return [f"{pad}{data}"]
     lines = []
-    if isinstance(data, dict):
-        for k in data:
-            v = data[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-    elif isinstance(data, list):
-        for v in data:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
-    else:
-        lines.append(f"{pad}{data}")
+    for label, v in (((f"{k}:", v) for k, v in data.items())
+                     if isinstance(data, dict) else (("-", v) for v in data)):
+        if isinstance(v, (dict, list)):
+            lines += [f"{pad}{label}", *_render_text(v, indent + 1)]
+        else:
+            lines.append(f"{pad}{label} {v}")
     return lines
 
 
@@ -130,40 +121,22 @@ def diagrams_verify(verify_all, trace_name, fmt):
 # for shape here, so that a malformed value is a usage error (exit 2)
 # and never reaches the models.
 
-def _int_rows(v) -> bool:
-    return isinstance(v, list) and all(
-        isinstance(r, list) and all(isinstance(e, int) for e in r) for r in v)
-
-
-def _prime_keyed(v, valid) -> bool:
-    return isinstance(v, dict) and all(
-        k.isdecimal() and valid(x) for k, x in v.items())
-
-
-def _is_span(v) -> bool:
-    return (isinstance(v, dict) and isinstance(v.get("dom"), int)
-            and isinstance(v.get("cod"), int) and _int_rows(v.get("matrix")))
-
-
-def _is_ev_object(v) -> bool:
-    return (isinstance(v, dict) and isinstance(v.get("f"), int)
-            and _prime_keyed(v.get("exc", {}), lambda d: isinstance(d, int)))
+EV_OBJECT = {"f": int, "exc?": {str.isdecimal: int}}
 
 
 def _is_ev_morphism(v) -> bool:
-    return (isinstance(v, dict) and _int_rows(v.get("free"))
-            and _prime_keyed(v.get("explicit", {}), _int_rows)
-            and ("dom" not in v or _is_ev_object(v["dom"])
-                 and _is_ev_object(v.get("cod"))))
+    return has_shape(v, {"free": [[int]],
+                         "explicit?": {str.isdecimal: [[int]]}}) and (
+        "dom" not in v or has_shape(v, {"dom": EV_OBJECT, "cod": EV_OBJECT}))
 
 
-def _json_option(blob: str, param: str | None, valid, expected: str):
+def _json_option(blob: str, param: str | None, shape, expected: str):
     try:
         obj = json.loads(blob)
     except ValueError:
         raise click.BadParameter(f"not JSON; expected {expected}",
                                  param_hint=param) from None
-    if not valid(obj):
+    if not has_shape(obj, shape):
         raise click.BadParameter(f"expected {expected}", param_hint=param)
     return obj
 
@@ -173,7 +146,7 @@ def _json_option(blob: str, param: str | None, valid, expected: str):
 def _span_from_json(blob: str, param: str) -> SpanMorphism:
     from .models import SpanMorphism
     return SpanMorphism.from_json(_json_option(
-        blob, param, _is_span,
+        blob, param, {"dom": int, "cod": int, "matrix": [[int]]},
         'a span {"dom": m, "cod": n, "matrix": [[int, ...], ...]}'))
 
 
@@ -277,7 +250,7 @@ def parse_ev_object(text: str) -> EvObject:
     text = text.strip()
     if text.startswith("{"):
         return EvObject.from_json(_json_option(
-            text, None, _is_ev_object, 'an object {"f": int, "exc": {p: int}}'))
+            text, None, EV_OBJECT, 'an object {"f": int, "exc": {p: int}}'))
     if text == "0":
         return ev_object(0)
     f = 0

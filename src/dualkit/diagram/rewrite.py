@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import DomainError
+from .. import DomainError, MalformedInput, has_shape
 from .diagram import (BRAID, CAP, CUP, GEN, GEN_INV, Cell, Diagram,
                       TypingError, cell_arity)
 from .signature import Signature, dual_letter, word_str
@@ -341,6 +341,19 @@ BUILTIN_RULES = ("interchange", "braid-nat", "unit-slide+", "unit-slide-",
 
 # ------------------------------------------------------------------ traces
 
+_WORD = [str]
+_DIAGRAM = {"dom": _WORD, "slices": [{"kind": str, "offset": int,
+                                      "sign?": int, "letter?": str,
+                                      "gen?": str}]}
+TRACE_SHAPE = {
+    "name": str,
+    "signature": {"objects": [str],
+                  "generators?": {str: {"dom": _WORD, "cod": _WORD}}},
+    "rules": [{"id": str, "kind": str, "lhs": _DIAGRAM, "rhs": _DIAGRAM}],
+    "start": _DIAGRAM, "end": _DIAGRAM,
+    "steps": [{"rule": str, "dir": str, "slice": int, "offset": int}]}
+
+
 @dataclass(frozen=True)
 class RewriteTrace:
     name: str
@@ -363,6 +376,9 @@ class RewriteTrace:
 
     @staticmethod
     def from_json(obj) -> "RewriteTrace":
+        if not has_shape(obj, TRACE_SHAPE):
+            raise MalformedInput("not a rewrite trace: expected an object "
+                                 f"with the fields {sorted(TRACE_SHAPE)}")
         sig = Signature.from_json(obj["signature"])
         rules = tuple(RewriteRule.from_json(sig, r) for r in obj["rules"])
         return RewriteTrace(

@@ -79,9 +79,6 @@ class Signature:
                 return gt
         raise KeyError(f"unknown generator {name}")
 
-    def has_gen(self, name: str) -> bool:
-        return any(gname == name for gname, _ in self.generators)
-
     def check_letter(self, letter: Letter):
         if letter.name not in self.objects:
             raise ValueError(f"unknown object {letter.name}")

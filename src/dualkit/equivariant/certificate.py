@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import MalformedInput, has_shape
 from .groups import ConjugacyPoset, PermGroup, generated_subgroup
 from .spheres import IntervalSphere, down_closure, interval_smash, is_upset
 
@@ -59,6 +60,12 @@ class CertStep:
                         tuple(obj["premises"]), obj["conclusion"])
 
 
+CERTIFICATE_SHAPE = {
+    "group": object, "axioms": [str], "final_fact": str,
+    "steps": [{"rule": str, "class": int, "upset": [int], "premises": [str],
+               "conclusion": str}]}
+
+
 @dataclass(frozen=True)
 class CollapseCertificate:
     group: dict              # the group presentation, for provenance
@@ -73,6 +80,10 @@ class CollapseCertificate:
 
     @staticmethod
     def from_json(obj) -> "CollapseCertificate":
+        if not has_shape(obj, CERTIFICATE_SHAPE):
+            raise MalformedInput("not a collapse certificate: expected an "
+                                 f"object with the fields "
+                                 f"{sorted(CERTIFICATE_SHAPE)}")
         return CollapseCertificate(
             obj["group"], tuple(obj["axioms"]),
             tuple(CertStep.from_json(s) for s in obj["steps"]),

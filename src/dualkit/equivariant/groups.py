@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .. import DomainError
+from .. import DomainError, has_shape
 
 DEFAULT_ORDER_BOUND = 60
 
@@ -101,21 +101,14 @@ class PermGroup:
         """The Cayley table on element indices, built on first use."""
         return CayleyTable(self.degree, self.elements)
 
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
     def to_json(self) -> dict:
         return {"degree": self.degree,
                 "generators": [[i + 1 for i in g] for g in self.generators]}
 
     @staticmethod
     def from_json(obj) -> "PermGroup":
-        if not (isinstance(obj, dict) and isinstance(obj.get("degree"), int)
-                and obj["degree"] >= 0
-                and isinstance(obj.get("generators"), list)
-                and all(isinstance(g, list)
-                        and all(isinstance(i, int) for i in g)
-                        for g in obj["generators"])):
+        if not (has_shape(obj, {"degree": int, "generators": [[int]]})
+                and obj["degree"] >= 0):
             raise ValueError('expected a group {"degree": n, "generators": '
                              '[[image of 1, ..., image of n], ...]}')
         gens = [tuple(i - 1 for i in g) for g in obj["generators"]]

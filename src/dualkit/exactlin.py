@@ -1,8 +1,9 @@
 """Exact matrix arithmetic over N, Z (arbitrary precision), and F_p.
 
 Provides Kronecker products, Smith normal form with unimodular
-transformations, cokernel decomposition, and exact inversion.  All
-arithmetic uses Python's arbitrary-precision integers; there are no
+transforms, invariant factors and saturated left kernels from one row
+echelon over Z, one forward elimination over F_p, and exact inversion.
+All arithmetic uses Python's arbitrary-precision integers; there are no
 floats and no tolerances anywhere.
 
 Scalar domains are tagged: ``"nat"``, ``"int"``, or ``("fp", p)`` with p
@@ -12,10 +13,9 @@ prime.  Matrices are immutable value objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from operator import add
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from . import DomainError
 
@@ -78,17 +78,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class FactorBudgetExceeded(DomainError):
+    """Raised by ``pollard_brent`` for a composite whose factor it has
+    not found within ``RHO_STEPS`` steps, naming that composite."""
+
+
+# rho needs about sqrt(p) steps for a prime factor p, so this bound
+# covers cofactors whose second-largest prime has about 12 digits (two
+# 12-digit primes take 1,646,718 steps) and stops in about a second
+RHO_STEPS = 1 << 21
+
+
 def pollard_brent(n: int) -> int:
     """A nontrivial factor of a composite n: Brent's variant of Pollard's
     rho (Brent 1980) on x -> x^2 + c from y = 2, taking differences in
     batches of 128 per gcd.  c starts at 1 and moves to the next integer
-    when a cycle closes without a factor, so the result is deterministic."""
+    when a cycle closes without a factor, so the result is deterministic.
+    Raises FactorBudgetExceeded rather than start a round that would
+    take the steps of all rounds past RHO_STEPS."""
     if n % 2 == 0:
         return 2
-    c = 1
+    c, steps = 1, 0
     while True:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps + 2 * r > RHO_STEPS:
+                raise FactorBudgetExceeded(
+                    f"no factor of the composite {n} found in {RHO_STEPS} "
+                    f"Pollard-Brent rho steps")
+            steps += 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -229,30 +247,24 @@ class Matrix:
 
     # ------------------------------------------------------------ arithmetic
 
-    def _reduce(self, e: int) -> int:
-        p = _domain_prime(self.domain)
-        return e % p if p is not None else e
-
     def add(self, other: "Matrix") -> "Matrix":
         if self.domain != other.domain:
             raise DimensionMismatch("domain mismatch in add")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in add")
         return Matrix.from_rows(
-            self.domain,
-            [[self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-             for i in range(self.rows)],
+            self.domain, [list(map(add, r, s))
+                          for r, s in zip(self.data, other.data)],
             shape=(self.rows, self.cols))
 
     def sub(self, other: "Matrix") -> "Matrix":
         if self.domain == NAT:
             raise ValueError("subtraction undefined over nat")
-        neg = other.scale(-1)
-        return self.add(neg)
+        return self.add(other.scale(-1))
 
     def scale(self, c: int) -> "Matrix":
         return Matrix.from_rows(
-            self.domain, [[self._reduce(c * e) for e in r] for r in self.data],
+            self.domain, [[c * e for e in r] for r in self.data],
             shape=(self.rows, self.cols))
 
     def mul(self, other: "Matrix") -> "Matrix":
@@ -286,8 +298,7 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix.from_rows(
-            self.domain,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
+            self.domain, [[r[j] for r in self.data] for j in range(self.cols)],
             shape=(self.cols, self.rows))
 
     def retag(self, domain: Domain) -> "Matrix":
@@ -300,10 +311,8 @@ class Matrix:
     # -------------------------------------------------------- serialization
 
     def to_json(self) -> dict:
-        if isinstance(self.domain, tuple):
-            tag: object = {"fp": self.domain[1]}
-        else:
-            tag = self.domain
+        tag = {"fp": self.domain[1]} if isinstance(self.domain, tuple) \
+            else self.domain
         return {"domain": tag, "rows": self.rows, "cols": self.cols,
                 "entries": self.tolist()}
 
@@ -333,20 +342,11 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Standard Kronecker product, (ra*rb) x (ca*cb), same scalar domain."""
     if a.domain != b.domain:
         raise DimensionMismatch("domain mismatch in kronecker")
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [[0] * cols for _ in range(rows)]
-    p = _domain_prime(a.domain)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.data[i][j]
-            if aij == 0:
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    v = aij * b.data[k][l]
-                    out[i * b.rows + k][j * b.cols + l] = v % p if p else v
-    return Matrix.from_rows(a.domain, out, shape=(rows, cols))
+    # row (i, k) is [a_ij * b_kl for j for l]; from_rows reduces mod p
+    out = [[x * y for x in arow for y in brow]
+           for arow in a.data for brow in b.data]
+    return Matrix.from_rows(a.domain, out,
+                            shape=(a.rows * b.rows, a.cols * b.cols))
 
 
 def commutation(domain: Domain, a: int, b: int) -> Matrix:
@@ -360,173 +360,264 @@ def commutation(domain: Domain, a: int, b: int) -> Matrix:
     return Matrix.from_rows(domain, rows, shape=(a * b, a * b))
 
 
+def _with_identity(m: Matrix) -> list:
+    return [list(r) + [int(i == j) for j in range(m.rows)]
+            for i, r in enumerate(m.data)]
+
+
 # ---------------------------------------------------------- smith normal form
+
+def _diagonalise(w: list, nr: int, nc: int, chain: bool = True) -> None:
+    """Diagonalise the top-left nr x nc block of the rows w in place,
+    with d1 | d2 | ... when ``chain``.  Row operations act on whole rows
+    and column operations on every row, so columns appended to the block
+    record U and rows appended below it record V.  Pivot choice: minimal
+    nonzero absolute value, ties broken row-major."""
+    t = 0
+    while t < min(nr, nc):
+        best = pi = None
+        for i in range(t, nr):
+            v = min(filter(None, map(abs, w[i][t:nc])), default=0)
+            if v and (best is None or v < best):
+                best, pi = v, i
+                if v == 1:
+                    break
+        if best is None:
+            break
+        pj = next(j for j in range(t, nc) if abs(w[pi][j]) == best)
+        w[t], w[pi] = w[pi], w[t]
+        if pj != t:
+            for r in w:
+                r[t], r[pj] = r[pj], r[t]
+        # one reduction pass; any nonzero remainder is strictly smaller than
+        # the pivot, so re-running the pivot search terminates
+        prow, d = w[t], w[t][t]
+        dirty = False
+        for i in range(t + 1, nr):
+            if w[i][t]:
+                q = w[i][t] // d
+                if q:
+                    w[i] = [x - q * y for x, y in zip(w[i], prow)]
+                dirty = dirty or w[i][t] != 0
+        # column j loses q_j times column t, which none of them changes
+        qs = [(j, prow[j] // d) for j in range(t + 1, nc) if prow[j] // d]
+        for r in w:
+            if qs and r[t]:
+                for j, q in qs:
+                    r[j] -= q * r[t]
+        dirty = dirty or any(prow[t + 1:nc])
+        if dirty:
+            continue
+        if d < 0:
+            w[t] = [-x for x in prow]
+        # enforce divisibility: the pivot must divide every later entry;
+        # otherwise add the offending row and re-run elimination at t
+        bad = chain and next((i for i in range(t + 1, nr) if any(
+            x % w[t][t] for x in w[i][t + 1:nc])), None)
+        if bad:
+            w[t] = [x + y for x, y in zip(w[t], w[bad])]
+            continue
+        t += 1
+
 
 def smith_normal_form(m: Matrix) -> tuple:
     """Return (U, D, V) with U*m*V = D, U and V unimodular, D diagonal
     with d1 | d2 | ... and all d_i >= 0.
 
-    Pivot choice: minimal nonzero absolute value, ties broken row-major.
+    ``invariant_factors`` gives the diagonal without U and V, whose
+    entries grow far past those of D.
     """
     if m.domain not in (INT, NAT):
         raise ValueError("smith_normal_form requires an integer matrix")
-    a = [list(r) for r in m.data]
     nr, nc = m.rows, m.cols
-    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    w = _with_identity(m) + [[int(i == j) for j in range(nc)]
+                             for i in range(nc)]
+    _diagonalise(w, nr, nc)
+    return (Matrix.from_rows(INT, [r[nc:] for r in w[:nr]], shape=(nr, nr)),
+            Matrix.from_rows(INT, [r[:nc] for r in w[:nr]], shape=(nr, nc)),
+            Matrix.from_rows(INT, w[nr:], shape=(nc, nc)))
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
 
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, c):
-        # row dst += c * row src
-        arow, srow = a[dst], a[src]
-        for j in range(nc):
-            arow[j] += c * srow[j]
-        ur, us = U[dst], U[src]
-        for j in range(nr):
-            ur[j] += c * us[j]
-
-    def addmul_col(dst, src, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    n = min(nr, nc)
-    while t < n:
-        # find pivot: minimal nonzero |entry| in the trailing block, row-major
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(a[i][j])
-                if v != 0 and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        # one reduction pass; any nonzero remainder is strictly smaller than
-        # the pivot, so re-running the pivot search terminates
-        dirty = False
-        for i in range(t + 1, nr):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                if q:
-                    addmul_row(i, t, -q)
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, nc):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                if q:
-                    addmul_col(j, t, -q)
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
-        # enforce divisibility: a[t][t] must divide every later entry
-        fixed = False
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    addmul_row(t, i, 1)
-                    fixed = True
-                    break
-            if fixed:
+def _echelon(rows: list, ncols: int) -> int:
+    """Row echelon form over Z of the first ncols columns of rows, in
+    place; returns the rank.  Euclid down each column: the smallest
+    nonzero |entry| is the pivot, and the nearest multiple of it is
+    subtracted from each row below until none is left.  On [m | I] the
+    I-part records a unimodular U with U*m = echelon."""
+    r = 0
+    for j in range(ncols):
+        while r < len(rows):
+            piv = min((i for i in range(r, len(rows)) if rows[i][j]),
+                      key=lambda i: abs(rows[i][j]), default=None)
+            if piv is None:
                 break
-        if fixed:
-            continue  # re-run elimination at the same t
-        t += 1
-    D = Matrix.from_rows(INT, a, shape=(nr, nc))
-    Um = Matrix.from_rows(INT, U, shape=(nr, nr))
-    Vm = Matrix.from_rows(INT, V, shape=(nc, nc))
-    return Um, D, Vm
+            rows[r], rows[piv] = rows[piv], rows[r]
+            prow, d = rows[r], rows[r][j]
+            left = False
+            for i in range(r + 1, len(rows)):
+                if rows[i][j]:
+                    q = (2 * rows[i][j] + d) // (2 * d)
+                    rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+                    left = left or rows[i][j] != 0
+            if not left:
+                r += 1
+                break
+    return r
+
+
+def invariant_factors(m: Matrix) -> list:
+    """The nonzero invariant factors d1 | ... | dr of an integer matrix,
+    with no unimodular transforms: its r echelon rows are diagonalised,
+    then a gcd/lcm sweep keeps their prime-power divisors."""
+    if m.domain not in (INT, NAT):
+        raise ValueError("invariant_factors requires an integer matrix")
+    h = [list(r) for r in m.data]
+    h = h[:_echelon(h, m.cols)]
+    _diagonalise(h, len(h), m.cols, chain=False)
+    d = [h[i][i] for i in range(len(h))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
+
+
+def _size_reduce(basis: list) -> None:
+    """Reduce lattice basis rows against each other in place, taking a
+    step only when it strictly shortens a row, so the loop ends."""
+    norm = [sum(x * x for x in b) for b in basis]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in ((i, j) for i in range(len(basis))
+                     for j in range(len(basis)) if i != j):
+            dot = sum(x * y for x, y in zip(basis[i], basis[j]))
+            q = (2 * dot + norm[j]) // (2 * norm[j])
+            if q * q * norm[j] < 2 * q * dot:
+                basis[i] = [x - q * y for x, y in zip(basis[i], basis[j])]
+                norm[i] = sum(x * x for x in basis[i])
+                changed = True
+
+
+def left_kernel_int(m: Matrix) -> tuple:
+    """(invariant factors of m, q) with q a size-reduced Z-basis of the
+    left kernel, (rows - rank) x rows.  q is the I-part of the echelon
+    rows of [m | I] whose m-part vanished: rows of a unimodular matrix,
+    so q is saturated and is the free quotient of coker m."""
+    n, c = m.rows, m.cols
+    rows = _with_identity(m)
+    r = _echelon(rows, c)
+    kernel = [row[c:] for row in rows[r:]]
+    _size_reduce(kernel)
+    h = Matrix.from_rows(INT, [row[:c] for row in rows[:r]], shape=(r, c))
+    return (invariant_factors(h),
+            Matrix.from_rows(INT, kernel, shape=(n - r, n)))
 
 
 def cokernel_decomposition(m: Matrix) -> tuple:
-    """coker(m) = (+) Z/d_i (+) Z^free_rank; returns (torsion list, free_rank).
+    """coker(m) = (+) Z/d_i (+) Z^free_rank as (torsion, free_rank); the
+    torsion lists the invariant factors > 1 in divisibility order."""
+    factors = invariant_factors(m)
+    return [x for x in factors if x > 1], m.rows - len(factors)
 
-    Torsion lists the invariant factors > 1 in divisibility order.
+
+# ------------------------------------------------------- elimination over F_p
+
+def _forward_fp(a: list, ncols: int, p: int) -> list:
+    """Forward elimination over F_p of the first ncols columns of the
+    rows a, in place: each pivot is scaled to 1 and only the rows below
+    it are cleared.  Returns the pivot columns."""
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = pow(a[row][col], -1, p)
+        prow = a[row] = [x * inv % p for x in a[row]]
+        for i in range(row + 1, len(a)):
+            c = a[i][col]
+            if c:
+                a[i] = [(x - c * y) % p for x, y in zip(a[i], prow)]
+        pivots.append(col)
+    return pivots
+
+
+def _backward(a: list, pivots, start: int, p: int = 0) -> None:
+    """Back-substitution after a forward elimination with unit pivots
+    (over F_p when p, else Z), in the columns from ``start`` only: a later
+    pivot row is zero in every earlier pivot column, so they need none."""
+    for r in range(len(pivots) - 1, 0, -1):
+        col, tail = pivots[r], a[r][start:]
+        for i in range(r):
+            c = a[i][col]
+            if c:
+                row = [x - c * y for x, y in zip(a[i][start:], tail)]
+                a[i][start:] = [x % p for x in row] if p else row
+
+
+def _fp_prime(*ms: Matrix) -> int:
+    p = _domain_prime(ms[0].domain)
+    if p is None or any(m.domain != ms[0].domain for m in ms):
+        raise ValueError("expected F_p matrices over one prime")
+    return p
+
+
+def rank_fp(m: Matrix) -> int:
+    """Rank of a matrix over its F_p domain."""
+    return len(_forward_fp([list(r) for r in m.data], m.cols, _fp_prime(m)))
+
+
+def left_null_basis_fp(m: Matrix) -> Matrix:
+    """Deterministic basis of the left null space of an F_p matrix.
+
+    Returns a k x rows matrix N of full rank k = rows - rank(m) with
+    N*m = 0: the identity part of the rows of [m | I] whose m-part
+    vanished under forward elimination.
     """
-    _, d, _ = smith_normal_form(m)
-    diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
-    nonzero = [x for x in diag if x != 0]
-    torsion = [x for x in nonzero if x > 1]
-    free_rank = d.rows - len(nonzero)
-    return torsion, free_rank
+    a = _with_identity(m)
+    k = len(_forward_fp(a, m.cols, _fp_prime(m)))
+    return Matrix.from_rows(m.domain, [r[m.cols:] for r in a[k:]],
+                            shape=(m.rows - k, m.rows))
+
+
+def solve_right_fp(a: Matrix, b: Matrix) -> Matrix:
+    """One solution X of a*X = b over F_p, or NotInvertible if none exists.
+
+    Deterministic: free variables are set to zero.
+    """
+    p = _fp_prime(a, b)
+    if a.rows != b.rows:
+        raise DimensionMismatch("row mismatch in solve")
+    aug = [list(x) + list(y) for x, y in zip(a.data, b.data)]
+    pivots = _forward_fp(aug, a.cols, p)
+    if any(any(r[a.cols:]) for r in aug[len(pivots):]):
+        raise NotInvertible("inconsistent linear system over F_p")
+    _backward(aug, pivots, a.cols, p)
+    x = [[0] * b.cols for _ in range(a.cols)]
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][a.cols:]
+    return Matrix.from_rows(a.domain, x, shape=(a.cols, b.cols))
 
 
 # ------------------------------------------------------------------ inversion
 
-def _invert_fp(m: Matrix) -> Matrix:
-    p = _domain_prime(m.domain)
-    n = m.rows
-    a = [list(m.data[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, n):
-            if a[i][col] % p != 0:
-                piv = i
-                break
-        if piv is None:
-            raise NotInvertible(f"singular over F_{p}")
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [(x * inv) % p for x in a[row]]
-        for i in range(n):
-            if i != row and a[i][col] % p != 0:
-                c = a[i][col]
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[row])]
-        row += 1
-    return Matrix.from_rows(m.domain, [r[n:] for r in a], shape=(n, n))
-
-
-def _invert_int(m: Matrix) -> Matrix:
-    n = m.rows
-    a = [[Fraction(m.data[i][j]) for j in range(n)]
-         + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, n):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise NotInvertible("singular over Z")
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(n):
-            if i != row and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[row])]
-        row += 1
-    ent = [r[n:] for r in a]
-    if any(x.denominator != 1 for r in ent for x in r):
-        raise NotInvertible("inverse is not integral")
-    return Matrix.from_rows(INT, [[int(x) for x in r] for r in ent], shape=(n, n))
+def _invert(m: Matrix) -> Matrix:
+    """Gauss-Jordan on [m | I]: forward elimination over F_p, or the row
+    echelon over Z (or nat, as Z), then back-substitution."""
+    p, n = _domain_prime(m.domain), m.rows
+    a = _with_identity(m)
+    if (len(_forward_fp(a, n, p)) if p else _echelon(a, n)) < n:
+        raise NotInvertible(f"singular over F_{p}" if p else "singular over Z")
+    if not p:
+        # U*m is upper triangular, with unit pivots iff m is unimodular
+        if any(abs(a[i][i]) != 1 for i in range(n)):
+            raise NotInvertible("inverse is not integral")
+        a = [[x * row[i] for x in row] for i, row in enumerate(a)]
+    _backward(a, range(n), n, p)
+    return Matrix.from_rows(m.domain if p else INT, [r[n:] for r in a],
+                            shape=(n, n))
 
 
 def invert_or_fail(m: Matrix) -> Matrix:
@@ -538,115 +629,12 @@ def invert_or_fail(m: Matrix) -> Matrix:
     """
     if m.rows != m.cols:
         raise NotInvertible("not square")
-    if _domain_prime(m.domain) is not None:
-        return _invert_fp(m)
-    inv = _invert_int(m.retag(INT))
+    inv = _invert(m)
     if m.domain == NAT:
         if any(e < 0 for r in inv.data for e in r):
             raise NotInvertible("inverse has negative entries over nat")
         return inv.retag(NAT)
     return inv
-
-
-def rank_fp(m: Matrix) -> int:
-    """Rank of a matrix over its F_p domain."""
-    p = _domain_prime(m.domain)
-    if p is None:
-        raise ValueError("rank_fp requires an F_p matrix")
-    a = [list(r) for r in m.data]
-    rank = 0
-    row = 0
-    for col in range(m.cols):
-        piv = None
-        for i in range(row, m.rows):
-            if a[i][col] % p != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [(x * inv) % p for x in a[row]]
-        for i in range(m.rows):
-            if i != row and a[i][col] % p != 0:
-                c = a[i][col]
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[row])]
-        row += 1
-        rank += 1
-    return rank
-
-
-def left_null_basis_fp(m: Matrix) -> Matrix:
-    """Deterministic basis of the left null space of an F_p matrix.
-
-    Returns a k x rows matrix N of full rank k = rows - rank(m) with
-    N*m = 0, computed by row-reducing [m | I] and reading the rows whose
-    m-part vanished.
-    """
-    p = _domain_prime(m.domain)
-    if p is None:
-        raise ValueError("left_null_basis_fp requires an F_p matrix")
-    n = m.rows
-    a = [list(m.data[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(m.cols):
-        piv = None
-        for i in range(row, n):
-            if a[i][col] % p != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [(x * inv) % p for x in a[row]]
-        for i in range(n):
-            if i != row and a[i][col] % p != 0:
-                c = a[i][col]
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[row])]
-        row += 1
-    null_rows = [r[m.cols:] for r in a[row:]]
-    return Matrix.from_rows(m.domain, null_rows, shape=(n - row, n))
-
-
-def solve_right_fp(a: Matrix, b: Matrix) -> Matrix:
-    """One solution X of a*X = b over F_p, or NotInvertible if none exists.
-
-    Deterministic: free variables are set to zero.
-    """
-    p = _domain_prime(a.domain)
-    if p is None or a.domain != b.domain:
-        raise ValueError("solve_right_fp requires matching F_p matrices")
-    if a.rows != b.rows:
-        raise DimensionMismatch("row mismatch in solve")
-    aug = [list(a.data[i]) + list(b.data[i]) for i in range(a.rows)]
-    pivots = []
-    row = 0
-    for col in range(a.cols):
-        piv = None
-        for i in range(row, a.rows):
-            if aug[i][col] % p != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [(x * inv) % p for x in aug[row]]
-        for i in range(a.rows):
-            if i != row and aug[i][col] % p != 0:
-                c = aug[i][col]
-                aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, a.rows):
-        if any(x % p != 0 for x in aug[i][a.cols:]):
-            raise NotInvertible("inconsistent linear system over F_p")
-    x = [[0] * b.cols for _ in range(a.cols)]
-    for r, col in enumerate(pivots):
-        for j in range(b.cols):
-            x[col][j] = aug[r][a.cols + j] % p
-    return Matrix.from_rows(a.domain, x, shape=(a.cols, b.cols))
 
 
 def solve_right_int(a: Matrix, b: Matrix) -> Matrix:

@@ -11,9 +11,10 @@ component is the reduction of the free part.  Canonical form drops
 explicit primes where both endpoints are non-exceptional and the stored
 matrix equals that reduction.
 
-Cofibers are computed through the Smith normal form of the free part:
-the free rank of the cokernel gives the new free rank, and at each
-relevant prime the component dimension is cod_p - rank_p(component).
+Cofibers are computed from one integer row echelon of the free part:
+its rank gives the new free rank, its invariant factors the relevant
+primes, and its saturated left kernel the free part of the quotient; at
+each relevant prime the component dimension is cod_p - rank_p(component).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
                         commutation, fp, int_matrix, invert_or_fail,
-                        kronecker, left_null_basis_fp, prime_factors,
-                        smith_normal_form)
+                        kronecker, left_kernel_int, left_null_basis_fp,
+                        prime_factors)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory
 
 
@@ -268,24 +269,17 @@ class EvConst(ModelCategory):
     # ----------------------------------------------------------- cofibers
 
     def cofiber(self, f: EvMorphism) -> Cofiber:
-        u, d, _ = smith_normal_form(f.free)
-        diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
-        nonzero = [x for x in diag if x != 0]
-        k = len(nonzero)
-        free_rank = f.cod.f - k
+        factors, q_free = left_kernel_int(f.free)
         relevant = set(f.explicit_primes())
-        for x in nonzero:
-            relevant.update(prime_factors(x))
-        dims = {}
-        quot_expl = {}
-        for p in sorted(relevant):
-            # one elimination: the cokernel's dimension is the number of
-            # rows of the left null basis
-            quot_expl[p] = left_null_basis_fp(f.component(p))
-            dims[p] = quot_expl[p].rows
-        cobj = ev_object(free_rank, dims)
-        q_free = Matrix.from_rows(INT, [list(u.data[i]) for i in range(k, f.cod.f)],
-                                  shape=(free_rank, f.cod.f))
+        if factors:
+            # d1 | d2 | ... | dr, so the primes of dr are those of them all
+            relevant.update(prime_factors(factors[-1]))
+        # one elimination per prime: the cokernel's dimension is the
+        # number of rows of the left null basis
+        quot_expl = {p: left_null_basis_fp(f.component(p))
+                     for p in sorted(relevant)}
+        cobj = ev_object(f.cod.f - len(factors),
+                         {p: q.rows for p, q in quot_expl.items()})
         quotient = ev_morphism(f.cod, cobj, q_free, quot_expl)
         return Cofiber(obj=cobj, quotient=quotient, provenance="snf")
 

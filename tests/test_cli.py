@@ -317,3 +317,30 @@ class TestInputShapes:
         assert res.exit_code == 0
         assert json.loads(res.output)["cofiber"]["json"] == {
             "f": 0, "exc": {"999999999959": 1, "999999999989": 1}}
+
+
+class TestFileShapes:
+    @pytest.mark.parametrize("blob", ["[]", "null", "3", '{"name": "x"}'])
+    def test_malformed_trace_and_certificate_files_exit_1(self, tmp_path,
+                                                          blob):
+        path = tmp_path / "input.json"
+        path.write_text(blob)
+        for args in (("diagrams", "verify", "--trace", str(path)),
+                     ("equi", "validate", "--group", "s3", "--cert",
+                      str(path))):
+            res = run(*args, "--format", "json")
+            assert res.exit_code == 1
+            assert json.loads(res.output)["error"].startswith(
+                "MalformedInput: ")
+
+    def test_factor_budget_is_a_domain_error(self):
+        # two 20-digit primes: rho would need about 10**10 steps
+        start = time.perf_counter()
+        res = run("evconst", "cofiber", "--morphism",
+                  '{"free": [[100000000000000001380000000000000004437]]}',
+                  "--format", "json")
+        assert time.perf_counter() - start < 20.0   # a hang guard
+        assert res.exit_code == 1
+        assert json.loads(res.output)["error"].startswith(
+            "FactorBudgetExceeded: no factor of the composite "
+            "100000000000000001380000000000000004437 ")

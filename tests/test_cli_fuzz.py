@@ -4,12 +4,16 @@ Every input must end in exit code 0 (success), 1 (domain failure) or 2
 (usage error), never in any other exception, and the ``--format json``
 output of exit codes 0 and 1 must parse.  The strategies generate both
 well-formed and malformed JSON payloads and object or group names, with
-entries |x| <= 10**6 and dimensions <= 4.  Runs are derandomized, so the
-suite is deterministic.
+entries |x| <= 10**6 and dimensions <= 4, and trace and certificate
+files: arbitrary JSON, or a valid document with one node replaced by
+arbitrary JSON or removed.  Runs are derandomized, so the suite is
+deterministic, and each example has a deadline, so a call that runs
+away fails the suite instead of stalling it.
 """
 
 import json
 import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,8 @@ from dualkit.cli import main
 
 runner = CliRunner()
 FUZZ = settings(derandomize=True, database=None, max_examples=100,
-                deadline=None, suppress_health_check=[HealthCheck.too_slow])
+                deadline=timedelta(seconds=5),
+                suppress_health_check=[HealthCheck.too_slow])
 
 ENTRY = st.integers(-10 ** 6, 10 ** 6)
 DIM = st.integers(0, 4)
@@ -160,3 +165,67 @@ def test_equi_group(scratch, cmd, group):
         path.write_text(json.dumps(group))
         group = str(path)
     check("equi", cmd, "--group", group)
+
+
+# ------------------------------------------------------ trace and cert files
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _replace(doc, path, new):
+    """A copy of doc with the node at path replaced by new, or removed
+    when new is _REMOVE (the root is then replaced by null)."""
+    if not path:
+        return None if new is _REMOVE else new
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _REMOVE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc
+
+
+_REMOVE = object()
+
+
+def mutants(doc):
+    """Arbitrary JSON, or doc with one node replaced or removed."""
+    return ANY_JSON | st.tuples(
+        st.sampled_from(list(_nodes(doc))),
+        ANY_JSON | st.just(_REMOVE)).map(lambda t: _replace(doc, *t))
+
+
+def _trace_doc():
+    from dualkit.diagram import load_trace
+    return load_trace("dual-euler-twist").to_json()
+
+
+def _cert_doc():
+    from dualkit import equivariant as eq
+    poset = eq.enumerate_subgroup_classes(eq.get_group("s3"))
+    return eq.generate_collapse_certificate(poset).to_json()
+
+
+@FUZZ
+@given(mutants(_trace_doc()))
+def test_diagrams_verify_trace_file(scratch, doc):
+    path = scratch / "trace.json"
+    path.write_text(json.dumps(doc))
+    check("diagrams", "verify", "--trace", str(path))
+
+
+@FUZZ
+@given(mutants(_cert_doc()))
+def test_equi_validate_cert_file(scratch, doc):
+    path = scratch / "cert.json"
+    path.write_text(json.dumps(doc))
+    check("equi", "validate", "--group", "s3", "--cert", str(path))

@@ -13,8 +13,8 @@ import time
 import pytest
 
 from dualkit.exactlin import (
-    INT, NAT, DimensionMismatch, Matrix, NotInvertible, PrimalityUnproven,
-    cokernel_decomposition, commutation, fp, fp_matrix, int_matrix,
+    INT, NAT, RHO_STEPS, DimensionMismatch, FactorBudgetExceeded, Matrix,
+    NotInvertible, PrimalityUnproven, cokernel_decomposition, commutation, fp, fp_matrix, int_matrix,
     invert_or_fail, is_prime, kronecker, left_null_basis_fp, nat_matrix,
     pollard_brent, prime_factors, rank_fp, smith_normal_form, solve_right_fp,
     solve_right_int,
@@ -370,3 +370,13 @@ def test_pollard_brent_finds_a_proper_factor():
 def test_prime_factors_refuse_an_unproven_prime_factor():
     with pytest.raises(PrimalityUnproven):
         prime_factors(3 * (2 ** 89 - 1))
+
+
+def test_pollard_brent_gives_up_within_its_step_budget():
+    # 10000000000000000051 * 10000000000000000087 needs about 10**10 steps
+    n = 100000000000000001380000000000000004437
+    start = time.perf_counter()
+    with pytest.raises(FactorBudgetExceeded, match=str(n)):
+        prime_factors(6 * n)   # rho runs on the cofactor n
+    assert time.perf_counter() - start < 20.0   # a hang guard, not a timing
+    assert RHO_STEPS >= 1646718   # the steps two 12-digit primes take

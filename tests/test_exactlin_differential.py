@@ -1,0 +1,411 @@
+"""Differential tests for the exact linear algebra's fast paths.
+
+The oracles below are the previous implementations, kept verbatim in
+substance: the min-pivot Smith normal form that updated U and V on every
+operation, the four Gauss-Jordan copies over F_p (inverse, rank, left
+null basis, solve), the Fraction Gauss-Jordan inverse over Z, the
+four-loop Kronecker product, and the SNF-based EvConst cofiber.  On
+seeded matrices (square, non-square, rank-deficient, with zero rows and
+columns, 0 x n and n x 0) the new code must agree with them:
+
+- ``smith_normal_form`` returns the oracle's U, D and V exactly;
+- ``invariant_factors`` is the oracle's nonzero diagonal;
+- ``left_kernel_int`` gives rows - rank rows q with q*F = 0 and an SNF of
+  all ones, so q is a saturated basis of the left kernel;
+- ``EvConst.cofiber`` builds the oracle's cofiber object;
+- the F_p routines, ``invert_or_fail`` and ``kronecker`` return
+  byte-identical matrices, or the same exception with the same message.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from dualkit.exactlin import (
+    INT, NAT, Matrix, NotInvertible, fp, fp_matrix, int_matrix,
+    invariant_factors, invert_or_fail, kronecker, left_kernel_int,
+    left_null_basis_fp, nat_matrix, prime_factors, rank_fp,
+    smith_normal_form, solve_right_fp,
+)
+from dualkit.models import EvConst, ev_morphism, ev_object
+
+
+# ------------------------------------------------------------------ oracles
+
+def oracle_snf(m):
+    """The min-pivot SNF with U and V updated on every operation."""
+    a = [list(r) for r in m.data]
+    nr, nc = m.rows, m.cols
+    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def addmul_row(dst, src, c):
+        for j in range(nc):
+            a[dst][j] += c * a[src][j]
+        for j in range(nr):
+            U[dst][j] += c * U[src][j]
+
+    def addmul_col(dst, src, c):
+        for r in a + V:
+            r[dst] += c * r[src]
+
+    t = 0
+    while t < min(nr, nc):
+        pivot = best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                v = abs(a[i][j])
+                if v != 0 and (best is None or v < best):
+                    best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        U[t], U[pi] = U[pi], U[t]
+        for r in a + V:
+            r[t], r[pj] = r[pj], r[t]
+        dirty = False
+        for i in range(t + 1, nr):
+            if a[i][t] != 0:
+                q = a[i][t] // a[t][t]
+                if q:
+                    addmul_row(i, t, -q)
+                dirty = dirty or a[i][t] != 0
+        for j in range(t + 1, nc):
+            if a[t][j] != 0:
+                q = a[t][j] // a[t][t]
+                if q:
+                    addmul_col(j, t, -q)
+                dirty = dirty or a[t][j] != 0
+        if dirty:
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            U[t] = [-x for x in U[t]]
+        fixed = False
+        for i in range(t + 1, nr):
+            if any(a[i][j] % a[t][t] for j in range(t + 1, nc)):
+                addmul_row(t, i, 1)
+                fixed = True
+                break
+        if not fixed:
+            t += 1
+    return (int_matrix(U, shape=(nr, nr)), int_matrix(a, shape=(nr, nc)),
+            int_matrix(V, shape=(nc, nc)))
+
+
+def oracle_diagonal(m):
+    _, d, _ = oracle_snf(m)
+    return [d.data[i][i] for i in range(min(d.rows, d.cols))
+            if d.data[i][i]]
+
+
+def _gauss_jordan_fp(a, ncols, p):
+    """Clear above and below every pivot; returns the pivot columns."""
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((i for i in range(row, len(a)) if a[i][col] % p), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = pow(a[row][col], -1, p)
+        a[row] = [(x * inv) % p for x in a[row]]
+        for i in range(len(a)):
+            if i != row and a[i][col] % p:
+                c = a[i][col]
+                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def _eye(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def oracle_rank_fp(m):
+    return len(_gauss_jordan_fp([list(r) for r in m.data], m.cols,
+                                m.domain[1]))
+
+
+def oracle_left_null_fp(m):
+    a = [list(r) + e for r, e in zip(m.data, _eye(m.rows))]
+    k = len(_gauss_jordan_fp(a, m.cols, m.domain[1]))
+    return Matrix.from_rows(m.domain, [r[m.cols:] for r in a[k:]],
+                            shape=(m.rows - k, m.rows))
+
+
+def oracle_solve_fp(a, b):
+    p = a.domain[1]
+    aug = [list(x) + list(y) for x, y in zip(a.data, b.data)]
+    pivots = _gauss_jordan_fp(aug, a.cols, p)
+    for r in aug[len(pivots):]:
+        if any(x % p for x in r[a.cols:]):
+            raise NotInvertible("inconsistent linear system over F_p")
+    x = [[0] * b.cols for _ in range(a.cols)]
+    for r, col in enumerate(pivots):
+        x[col] = [v % p for v in aug[r][a.cols:]]
+    return Matrix.from_rows(a.domain, x, shape=(a.cols, b.cols))
+
+
+def oracle_invert(m):
+    """invert_or_fail as it was: Gauss-Jordan over F_p, or over Q with
+    Fractions followed by an integrality check."""
+    if m.rows != m.cols:
+        raise NotInvertible("not square")
+    n = m.rows
+    if isinstance(m.domain, tuple):
+        p = m.domain[1]
+        a = [list(r) + e for r, e in zip(m.data, _eye(n))]
+        if len(_gauss_jordan_fp(a, n, p)) < n:
+            raise NotInvertible(f"singular over F_{p}")
+        return Matrix.from_rows(m.domain, [r[n:] for r in a], shape=(n, n))
+    a = [[Fraction(x) for x in r] + [Fraction(x) for x in e]
+         for r, e in zip(m.data, _eye(n))]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            raise NotInvertible("singular over Z")
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                c = a[i][col]
+                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
+    ent = [r[n:] for r in a]
+    if any(x.denominator != 1 for r in ent for x in r):
+        raise NotInvertible("inverse is not integral")
+    inv = int_matrix([[int(x) for x in r] for r in ent], shape=(n, n))
+    if m.domain == NAT:
+        if any(e < 0 for r in inv.data for e in r):
+            raise NotInvertible("inverse has negative entries over nat")
+        return inv.retag(NAT)
+    return inv
+
+
+def oracle_kronecker(a, b):
+    out = [[0] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    out[i * b.rows + k][j * b.cols + l] = \
+                        a.data[i][j] * b.data[k][l]
+    return Matrix.from_rows(a.domain, out,
+                            shape=(a.rows * b.rows, a.cols * b.cols))
+
+
+def oracle_cofiber_obj(f):
+    """The cofiber object as the SNF-based EvConst.cofiber built it."""
+    diag = oracle_diagonal(f.free)
+    relevant = set(f.explicit_primes())
+    for d in diag:
+        relevant.update(prime_factors(d))
+    dims = {p: oracle_left_null_fp(f.component(p)).rows for p in relevant}
+    return ev_object(f.cod.f - len(diag), dims)
+
+
+def outcome(fn, *args):
+    """The result's entries, or the exception's type and message."""
+    try:
+        res = fn(*args)
+    except NotInvertible as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return res if isinstance(res, int) else (res.domain, res.rows, res.cols,
+                                             res.data)
+
+
+# ------------------------------------------------------------------- inputs
+
+def int_rows(rng, nr, nc, bound=9):
+    """A seeded integer matrix of one of the shapes the oracles must meet:
+    dense, sparse, rank-deficient (a product through a thinner inner
+    dimension) or with zeroed rows and columns."""
+    kind = rng.choice(("dense", "sparse", "deficient", "zeroed"))
+    if kind == "deficient" and min(nr, nc) > 1:
+        k = rng.randint(0, min(nr, nc) - 1)
+        a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
+        b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
+        return [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)]
+                if k else [0] * nc for r in a]
+    rows = [[rng.randint(-bound, bound)
+             if kind != "sparse" or rng.random() < 0.3 else 0
+             for _ in range(nc)] for _ in range(nr)]
+    if kind == "zeroed":
+        for i in rng.sample(range(nr), rng.randint(0, nr)):
+            rows[i] = [0] * nc
+        for j in rng.sample(range(nc), rng.randint(0, nc)):
+            for r in rows:
+                r[j] = 0
+    return rows
+
+
+def int_cases(seed, count, max_dim=7):
+    rng = random.Random(seed)
+    cases = [int_matrix([], shape=(0, 3)), int_matrix([[], [], []],
+                                                      shape=(3, 0)),
+             int_matrix([], shape=(0, 0)), int_matrix([[0, 0], [0, 0]])]
+    for _ in range(count):
+        nr = rng.randint(1, max_dim)
+        nc = nr if rng.random() < 0.4 else rng.randint(1, max_dim)
+        cases.append(int_matrix(int_rows(rng, nr, nc), shape=(nr, nc)))
+    return cases
+
+
+def fp_cases(seed, count, max_dim=7):
+    rng = random.Random(seed)
+    cases = []
+    for p in (2, 3, 5, 7, 101):
+        cases += [fp_matrix(p, [], shape=(0, 4)),
+                  fp_matrix(p, [[], []], shape=(2, 0))]
+        for _ in range(count):
+            nr = rng.randint(1, max_dim)
+            nc = nr if rng.random() < 0.4 else rng.randint(1, max_dim)
+            cases.append(fp_matrix(p, int_rows(rng, nr, nc, p),
+                                   shape=(nr, nc)))
+    return cases
+
+
+INT_CASES = int_cases(11, 250)
+FP_CASES = fp_cases(12, 60)
+
+
+# -------------------------------------------------------------------- tests
+
+def test_smith_normal_form_matches_the_oracle_exactly():
+    for m in INT_CASES:
+        got = smith_normal_form(m)
+        assert [x.data for x in got] == [x.data for x in oracle_snf(m)], \
+            m.tolist()
+
+
+def test_smith_normal_form_on_nat_matrices():
+    rng = random.Random(13)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        m = nat_matrix([[rng.randint(0, 6) for _ in range(nc)]
+                        for _ in range(nr)])
+        got = smith_normal_form(m)
+        assert [x.data for x in got] == [x.data for x in oracle_snf(m)]
+
+
+def test_invariant_factors_are_the_oracle_diagonal():
+    for m in INT_CASES:
+        assert invariant_factors(m) == oracle_diagonal(m), m.tolist()
+
+
+def test_invariant_factors_of_products_with_a_known_diagonal():
+    # U * diag * V for unimodular U and V, as the benchmark builds them
+    rng = random.Random(14)
+    for n in (6, 9, 12):
+        diag = [1, 1, 2, 2, 6, 6 * 5, 6 * 5 * 7 * 999983][:n - 2]
+        unimodular = [oracle_snf(int_matrix(int_rows(rng, n, n)))[0]
+                      for _ in range(2)]
+        d = int_matrix([[diag[i] if i == j and i < len(diag) else 0
+                         for j in range(n)] for i in range(n)])
+        m = unimodular[0].mul(d).mul(unimodular[1])
+        assert invariant_factors(m) == diag
+
+
+def test_left_kernel_is_a_saturated_basis():
+    for m in INT_CASES:
+        factors, q = left_kernel_int(m)
+        assert factors == oracle_diagonal(m)
+        assert (q.rows, q.cols) == (m.rows - len(factors), m.rows)
+        assert q.mul(m).is_zero()
+        # saturated: every invariant factor of q is 1
+        assert oracle_diagonal(q) == [1] * q.rows, m.tolist()
+
+
+def test_left_kernel_is_size_reduced():
+    # each pair of rows is reduced: no multiple of one shortens another
+    for m in INT_CASES:
+        _, q = left_kernel_int(m)
+        norm = [sum(x * x for x in r) for r in q.data]
+        for i, a in enumerate(q.data):
+            for j, b in enumerate(q.data):
+                if i != j:
+                    dot = sum(x * y for x, y in zip(a, b))
+                    assert 2 * abs(dot) <= norm[j]
+
+
+def _ev_morphisms(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        primes = rng.sample((2, 3, 5, 7), rng.randint(0, 2))
+        dom = ev_object(c, {p: rng.randint(0, 3) for p in primes})
+        cod = ev_object(r, {p: rng.randint(0, 3) for p in primes})
+        free = int_rows(rng, r, c) if r and c else [[]] * r
+        expl = {p: [[rng.randrange(p) for _ in range(dom.dim(p))]
+                    for _ in range(cod.dim(p))] for p in primes}
+        out.append(ev_morphism(dom, cod, int_matrix(free, shape=(r, c)),
+                               expl))
+    return out
+
+
+def test_cofiber_object_matches_the_snf_cofiber():
+    model = EvConst()
+    for f in _ev_morphisms(15, 150):
+        cof = model.cofiber(f)
+        assert cof.obj == oracle_cofiber_obj(f)
+        q = cof.quotient
+        assert q.free.mul(f.free).is_zero()
+        assert oracle_diagonal(q.free) == [1] * q.free.rows
+        for p in set(q.explicit_primes()) | set(f.explicit_primes()):
+            assert q.component(p).mul(f.component(p)).is_zero()
+
+
+def test_fp_kernel_is_byte_identical_to_the_gauss_jordan_copies():
+    for m in FP_CASES:
+        assert rank_fp(m) == oracle_rank_fp(m)
+        assert outcome(left_null_basis_fp, m) == \
+            outcome(oracle_left_null_fp, m)
+        assert outcome(invert_or_fail, m) == outcome(oracle_invert, m)
+
+
+def test_fp_solve_is_byte_identical():
+    rng = random.Random(16)
+    for a in FP_CASES:
+        p = a.domain[1]
+        k = rng.randint(0, 3)
+        if rng.random() < 0.5:   # consistent: b = a * x
+            x = fp_matrix(p, [[rng.randrange(p) for _ in range(k)]
+                              for _ in range(a.cols)], shape=(a.cols, k))
+            b = a.mul(x)
+        else:                    # usually inconsistent when a is deficient
+            b = fp_matrix(p, [[rng.randrange(p) for _ in range(k)]
+                              for _ in range(a.rows)], shape=(a.rows, k))
+        assert outcome(solve_right_fp, a, b) == outcome(oracle_solve_fp, a, b)
+
+
+def test_integer_inverse_matches_the_fraction_oracle():
+    rng = random.Random(17)
+    cases = [m for m in INT_CASES if m.rows == m.cols]
+    cases += [oracle_snf(m)[k] for m in INT_CASES[:60] for k in (0, 2)]
+    for n in range(1, 5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases.append(nat_matrix([[int(j == perm[i]) for j in range(n)]
+                                 for i in range(n)]))
+        cases.append(nat_matrix([[rng.randint(0, 2) for _ in range(n)]
+                                 for _ in range(n)]))
+    cases.append(int_matrix([[1, 2], [3, 4]]))
+    for m in cases:
+        assert outcome(invert_or_fail, m) == outcome(oracle_invert, m), \
+            m.tolist()
+
+
+@pytest.mark.parametrize("domain", [NAT, INT, fp(2), fp(7)])
+def test_kronecker_matches_the_loop_oracle(domain):
+    rng = random.Random(18)
+    for _ in range(30):
+        a, b = ((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(2))
+        ma, mb = (Matrix.from_rows(domain, [[rng.randint(0, 9)
+                                             for _ in range(c)]
+                                            for _ in range(r)], shape=(r, c))
+                  for r, c in (a, b))
+        assert kronecker(ma, mb) == oracle_kronecker(ma, mb)
