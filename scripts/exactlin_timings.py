@@ -14,12 +14,20 @@ calls (default 3) in this one interpreter:
   elementary row operations and D the diagonal 1, ..., 1, 2, 6, 30, 210
   followed by two zeros (so the quotient's free part has two rows);
 - ``left_null_basis_fp`` on a random n x n matrix over F_101 whose last
-  quarter of rows are sums of two earlier rows.
+  quarter of rows are sums of two earlier rows;
+- ``solve_right_int`` beside the Smith-normal-form solve it replaced
+  (the oracle in ``tests/test_exactlin_differential.py``), on a*X = b
+  for a unit lower-triangular a with entries in [-3, 3] below the
+  diagonal (as the benchmark's solve-int inputs) and for a rank-deficient
+  a = L*R through an inner dimension n - n/4, each with b = a*x for a
+  random n x 2 matrix x, plus a random b that the deficient a cannot
+  reach.
 
 It also prints the largest entry of the SNF transforms U and V and of
 the cofiber's free quotient, in decimal digits, and exits with status 1
-if ``invariant_factors`` differs from the SNF diagonal or the cofiber's
-free rank is not 2.
+if ``invariant_factors`` differs from the SNF diagonal, the cofiber's
+free rank is not 2, the two solves disagree on whether a system has a
+solution, or a returned X does not satisfy a*X = b.
 """
 
 from __future__ import annotations
@@ -30,12 +38,15 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from dualkit.exactlin import (fp_matrix, int_matrix,  # noqa: E402
-                              invariant_factors, left_null_basis_fp,
-                              smith_normal_form)
+from dualkit.exactlin import (NotInvertible, fp_matrix,  # noqa: E402
+                              int_matrix, invariant_factors,
+                              left_null_basis_fp, smith_normal_form,
+                              solve_right_int)
 from dualkit.models import EvConst, ev_morphism, ev_object  # noqa: E402
+from test_exactlin_differential import oracle_solve_int  # noqa: E402
 
 SIZES = (16, 24, 32, 48)
 P = 101
@@ -81,6 +92,45 @@ def fp_input(rng, n):
     return fp_matrix(P, rows)
 
 
+def solve_inputs(rng, n):
+    """(name, a, b) for the consistent and inconsistent systems above."""
+    lower = int_matrix([[rng.randint(-3, 3) if j < i else int(i == j)
+                         for j in range(n)] for i in range(n)])
+    k = n - n // 4
+    left, right = (int_matrix([[rng.randint(-3, 3) for _ in range(c)]
+                               for _ in range(r)])
+                   for r, c in ((n, k), (k, n)))
+    deficient = left.mul(right)
+    x = int_matrix([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
+    return [("lower", lower, lower.mul(x)),
+            ("deficient", deficient, deficient.mul(x)),
+            ("unreachable", deficient, x)]
+
+
+def outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except NotInvertible:
+        return None
+
+
+def solve_series(repeats) -> bool:
+    ok = True
+    print(f"\n{'n':>3} {'system':>11} {'solve_int':>10} {'snf solve':>10}"
+          f"  solvable")
+    for n in SIZES:
+        for name, a, b in solve_inputs(random.Random(3), n):
+            x, new_s = timed(lambda: outcome(solve_right_int, a, b), repeats)
+            y, old_s = timed(lambda: outcome(oracle_solve_int, a, b), repeats)
+            agree = (x is None) == (y is None) and (
+                x is None or a.mul(x) == b)
+            ok = ok and agree
+            print(f"{n:>3} {name:>11} {new_s * 1e3:>8.2f}ms "
+                  f"{old_s * 1e3:>8.2f}ms  {x is not None}"
+                  + ("" if agree else "  DISAGREE"))
+    return ok
+
+
 def main() -> int:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     model = EvConst()
@@ -104,6 +154,9 @@ def main() -> int:
               f"{digits(u, v):>10}  {digits(cof.quotient.free):>15}")
     if not ok:
         print("invariant factors or cofiber free rank WRONG")
+    if not solve_series(repeats):
+        print("solve_right_int and the SNF solve DISAGREE")
+        ok = False
     return 0 if ok else 1
 
 

@@ -369,11 +369,11 @@ def _get_model(name: str):
     raise ValueError(f"unknown model {name}")
 
 
-def _mor_json(model, f):
+def _mor_json(f):
     if hasattr(f, "to_json"):
         return f.to_json()
     if isinstance(f, tuple):
-        return [_mor_json(model, c) for c in f]
+        return [_mor_json(c) for c in f]
     return str(f)
 
 
@@ -398,17 +398,11 @@ def _default_clopen(model, model_name, obj_str):
     """A concrete clopen idempotent to test: S/m machinery on evconst,
     the unit object elsewhere."""
     from . import idem
-    from .models import ev_morphism
     if model_name == "evconst":
-        x = parse_ev_object(obj_str or "S/2")
-        primes = x.exc_primes()
-        m = primes[0] if primes else 2
-        cof = model.cofiber(ev_morphism(model.unit(), model.unit(), [[m]]))
-        return idem.clopen_structure_on_torsion_retract(model, cof.obj,
-                                                        cof.quotient)
-    e = model.unit()
-    r = model.identity(e)
-    return idem.ClopenIdempotent(E=e, r=r, i=r)
+        primes = parse_ev_object(obj_str or "S/2").exc_primes()
+        return idem.char_clopen(model, primes[0] if primes else 2)
+    r = model.identity(model.unit())
+    return idem.ClopenIdempotent(E=model.unit(), r=r, i=r)
 
 
 @idem_group.command("closed")
@@ -422,7 +416,7 @@ def idem_closed(model_name, fmt):
     ci = idem.gp_idempotent(model)
     ok = idem.is_closed_idempotent(model, ci.E, ci.r)
     emit({"ok": ok, "model": model_name, "E": _obj_str(ci.E),
-          "r": _mor_json(model, ci.r)}, fmt, code=0 if ok else 1)
+          "r": _mor_json(ci.r)}, fmt, code=0 if ok else 1)
 
 
 @idem_group.command("clopen")
@@ -439,7 +433,7 @@ def idem_clopen(model_name, obj_str, fmt):
     cl = _default_clopen(model, model_name, obj_str)
     ok = idem.is_clopen(model, cl.E, cl.r, cl.i)
     emit({"ok": ok, "model": model_name, "E": _obj_str(cl.E),
-          "r": _mor_json(model, cl.r), "i": _mor_json(model, cl.i)},
+          "r": _mor_json(cl.r), "i": _mor_json(cl.i)},
          fmt, code=0 if ok else 1)
 
 
@@ -473,7 +467,7 @@ def idem_euler(model_name, size, fmt):
     obj = size if model_name == "spanfin" else model.unit()
     t = idem.euler_twist(model, model.duality(obj))
     emit({"ok": True, "model": model_name, "object": _obj_str(obj),
-          "twist": _mor_json(model, t)}, fmt)
+          "twist": _mor_json(t)}, fmt)
 
 
 @idem_group.command("complement")
@@ -544,7 +538,7 @@ def idem_gp(model_name, fmt):
     model = _get_model(model_name)
     ci = idem.gp_idempotent(model)
     emit({"ok": True, "model": model_name, "E": _obj_str(ci.E),
-          "r": _mor_json(model, ci.r)}, fmt)
+          "r": _mor_json(ci.r)}, fmt)
 
 
 # -------------------------------------------------------------------- equi

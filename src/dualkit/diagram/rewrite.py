@@ -23,7 +23,7 @@ Built-in schemas (each is its own inverse or has an explicit direction):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import DomainError, MalformedInput, has_shape
 from .diagram import (BRAID, CAP, CUP, GEN, GEN_INV, Cell, Diagram,
@@ -394,19 +394,17 @@ class TraceReport:
     ok: bool
     steps_applied: int
     message: str = ""
-    intermediate: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok,
                 "steps_applied": self.steps_applied, "message": self.message}
 
 
-def validate_trace(trace: RewriteTrace, keep_intermediate=False) -> TraceReport:
+def validate_trace(trace: RewriteTrace) -> TraceReport:
     """Replay every step of the trace; ok iff all steps apply and the
     final diagram equals the declared end diagram syntactically."""
     rules = trace.rules_by_id()
     current = trace.start
-    inter = [current] if keep_intermediate else []
     for n, s in enumerate(trace.steps):
         try:
             current = apply_rule(current, s.rule, s.direction, s.slice_idx,
@@ -414,12 +412,9 @@ def validate_trace(trace: RewriteTrace, keep_intermediate=False) -> TraceReport:
         except RewriteError as exc:
             return TraceReport(trace.name, False, n,
                                f"step {n} ({s.rule} {s.direction} at "
-                               f"{s.slice_idx}/{s.offset}): {exc}", inter)
-        if keep_intermediate:
-            inter.append(current)
+                               f"{s.slice_idx}/{s.offset}): {exc}")
     if current.dom != trace.end.dom or current.slices != trace.end.slices:
         return TraceReport(
             trace.name, False, len(trace.steps),
-            f"final diagram {current} differs from declared end {trace.end}",
-            inter)
-    return TraceReport(trace.name, True, len(trace.steps), "", inter)
+            f"final diagram {current} differs from declared end {trace.end}")
+    return TraceReport(trace.name, True, len(trace.steps))

@@ -10,8 +10,7 @@ from .groups import (DEFAULT_ORDER_BOUND, ConjugacyPoset, GroupTooLarge,
                      PermGroup, all_subgroups, conjugate_subgroup,
                      cyclic_subgroups, enumerate_subgroup_classes,
                      generated_subgroup, is_subconjugate, normalizer,
-                     p_identity, p_inv, p_mul, perm_group, subgroup_key,
-                     weyl_group)
+                     p_identity, p_inv, p_mul, perm_group, weyl_group)
 from .presets import GROUP_PRESETS, get_group
 from .rep import (REP_PRESETS, NonIntegralAverage, Representation,
                   RepresentationError, fixed_dim, fixed_projector_rank,
@@ -34,7 +33,7 @@ __all__ = [
     "all_subgroups", "conjugate_subgroup", "cyclic_subgroups",
     "enumerate_subgroup_classes", "generated_subgroup", "is_subconjugate",
     "normalizer", "p_identity", "p_inv", "p_mul", "perm_group",
-    "subgroup_key", "weyl_group",
+    "weyl_group",
     "GROUP_PRESETS", "get_group",
     "REP_PRESETS", "NonIntegralAverage", "Representation",
     "RepresentationError", "fixed_dim", "fixed_projector_rank",

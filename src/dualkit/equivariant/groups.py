@@ -130,10 +130,6 @@ def perm_group(degree: int, generators) -> PermGroup:
 
 # ------------------------------------------------------------ subgroups
 
-def subgroup_key(H: frozenset) -> tuple:
-    return tuple(sorted(H))
-
-
 def generated_subgroup(G: PermGroup, gens) -> frozenset:
     return _closure(G.degree, gens)
 

@@ -1,8 +1,9 @@
 """Exact matrix arithmetic over N, Z (arbitrary precision), and F_p.
 
 Provides Kronecker products, Smith normal form with unimodular
-transforms, invariant factors and saturated left kernels from one row
-echelon over Z, one forward elimination over F_p, and exact inversion.
+transforms, and invariant factors, saturated left kernels and integral
+solutions from one row echelon over Z, one forward elimination over
+F_p, and exact inversion.
 All arithmetic uses Python's arbitrary-precision integers; there are no
 floats and no tolerances anywhere.
 
@@ -13,7 +14,7 @@ prime.  Matrices are immutable value objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 from operator import add
 from typing import Sequence, Union
 
@@ -130,9 +131,23 @@ def pollard_brent(n: int) -> int:
         c += 1
 
 
+def _perfect_root(n: int):
+    """r with r ** k == n for some k >= 2, or None: isqrt for k = 2, else
+    Newton's method down from a power of two above the k-th root.  n has
+    no prime factor below 1000 > 2 ** 9, so only k <= bits / 9 can hold."""
+    for k in range(2, n.bit_length() // 9 + 1):
+        x = isqrt(n) if k == 2 else 1 << -(-n.bit_length() // k)
+        while k > 2 and (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+            x = y
+        if x ** k == n:
+            return x
+    return None
+
+
 def prime_factors(n: int) -> list:
     """The distinct prime factors of n >= 1, in increasing order: trial
-    division below 1000, then Pollard-Brent rho on a composite cofactor.
+    division below 1000, then on a composite cofactor its root if it is
+    a perfect power (rho is slowest there) or Pollard-Brent rho.
     Like ``is_prime``, raises PrimalityUnproven for a factor at or above
     3.3e24 that passes every base."""
     small = []
@@ -149,6 +164,8 @@ def prime_factors(n: int) -> list:
         m = todo.pop()
         if is_prime(m):
             large.add(m)
+        elif (root := _perfect_root(m)) is not None:
+            todo.append(root)
         else:
             d = pollard_brent(m)
             todo += [d, m // d]
@@ -230,9 +247,6 @@ class Matrix:
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
 
     def tolist(self) -> list:
         return [list(r) for r in self.data]
@@ -638,24 +652,26 @@ def invert_or_fail(m: Matrix) -> Matrix:
 
 
 def solve_right_int(a: Matrix, b: Matrix) -> Matrix:
-    """One integral solution X of a*X = b over Z via Smith normal form,
-    or NotInvertible if none exists."""
+    """One integral solution X of a*X = b, or NotInvertible if none
+    exists.  The row echelon of [a^T | I] gives a unimodular V with
+    V*a^T = H, so a*V^T = H^T: H^T*Y = b is solved forward from each
+    pivot and X = V^T*Y.  A remainder left at a pivot (no integral Y) or
+    below the last one (no rational Y) stays in b - H^T*Y."""
     if a.rows != b.rows:
         raise DimensionMismatch("row mismatch in solve")
-    u, d, v = smith_normal_form(a.retag(INT))
-    c = u.mul(b.retag(INT))  # d * (v^-1 x) = c
-    y = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(a.rows):
-        di = d.data[i][i] if i < min(d.rows, d.cols) else 0
-        for j in range(b.cols):
-            cij = c.data[i][j]
-            if di == 0:
-                if cij != 0:
-                    raise NotInvertible("inconsistent linear system over Z")
-            else:
-                if cij % di != 0:
-                    raise NotInvertible("no integral solution")
-                if i < a.cols:
-                    y[i][j] = cij // di
-    ym = Matrix.from_rows(INT, y, shape=(a.cols, b.cols))
-    return v.mul(ym)
+    n, m = a.rows, a.cols
+    w = _with_identity(a.transpose())
+    r = _echelon(w, n)
+    res = [list(row) for row in b.data]  # b - H^T*Y so far
+    y = []
+    for h in w[:r]:
+        c = next(j for j in range(n) if h[j])
+        yi = [x // h[c] for x in res[c]]
+        for j in range(c, n):
+            if h[j]:
+                res[j] = [x - h[j] * v for x, v in zip(res[j], yi)]
+        y.append(yi)
+    if any(map(any, res)):
+        raise NotInvertible("no integral solution")
+    vt = Matrix.from_rows(INT, [h[n:] for h in w[:r]], shape=(r, m))
+    return vt.transpose().mul(Matrix.from_rows(INT, y, shape=(r, b.cols)))

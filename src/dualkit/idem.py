@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import DomainError
-from .exactlin import NotInvertible, solve_right_fp, solve_right_int
+from .exactlin import NotInvertible
 from .models.base import DualityDatum, ModelCategory
-from .models.evconst import EvConst, EvMorphism, EvObject, ev_morphism
 
 
 class NotTwistedTrivial(DomainError):
@@ -94,60 +93,43 @@ def derived_open_structure(model: ModelCategory, E, r, i):
     return model.compose_many(i, inv_idr, inv_idi)
 
 
-# ------------------------------------------------------- EvConst solving
-
-def _ev_solve_section(q: EvMorphism, e: EvMorphism) -> EvMorphism:
-    """Solve j o q = e for j: q.cod -> e.cod, given q surjective-split.
-
-    Componentwise: transpose to q^T j^T = e^T and solve exactly.
-    """
-    primes = sorted(set(q.explicit_primes()) | set(e.explicit_primes()))
-    free_t = solve_right_int(q.free.transpose(), e.free.transpose())
-    expl = {}
-    for p in primes:
-        xt = solve_right_fp(q.component(p).transpose(),
-                            e.component(p).transpose())
-        expl[p] = xt.transpose()
-    return ev_morphism(q.cod, e.cod, free_t.transpose(), expl)
-
+# ------------------------------------------------------- complements
 
 def complement_of_retract(model: ModelCategory, E, r, i):
     """Complement of a clopen idempotent: the cofiber of i: E -> S with its
     own clopen structure (s = quotient, j the solved section).
 
-    Requires an additive model (EvConst) where 1 - i o r makes sense.
+    Requires an additive model that solves extensions (EvConst).
     """
     cof = model.cofiber(i)
     c_obj, s = cof.obj, cof.quotient
     e = model.sub_mor(model.identity(model.unit()), model.compose(i, r))
-    j = _ev_solve_section(s, e)  # j o s = 1 - i o r
+    j = model.extend(s, e)  # j o s = 1 - i o r
     if not is_clopen(model, c_obj, s, j):
         raise NotInvertible("complement construction failed the clopen check")
     return c_obj, ClopenIdempotent(E=c_obj, r=s, i=j)
 
 
-def clopen_structure_on_torsion_retract(model: EvConst, E: EvObject,
-                                        r: EvMorphism) -> ClopenIdempotent:
+def clopen_structure_on_torsion_retract(model: ModelCategory, E, r):
     """Given the quotient r: S -> E of a cofiber with E purely torsion,
     solve for the inclusion i with r o i = id_E and return the clopen."""
-    ident = model.identity(E)
-    primes = sorted(set(r.explicit_primes()) | set(E.exc_primes()))
-    expl = {}
-    for p in primes:
-        expl[p] = solve_right_fp(r.component(p), ident.component(p))
-    free = solve_right_int(r.free, ident.free)
-    i = ev_morphism(E, model.unit(), free, expl)
-    cl = ClopenIdempotent(E=E, r=r, i=i)
+    i = model.lift(r, model.identity(E))
     if not is_clopen(model, E, r, i):
         raise NotInvertible("no clopen structure on the given retract")
-    return cl
+    return ClopenIdempotent(E=E, r=r, i=i)
+
+
+def char_clopen(model: ModelCategory, m: int) -> ClopenIdempotent:
+    """S/m, the cofiber of m: S -> S, with its quotient's clopen structure."""
+    cof = model.cofiber(model.scalar(m))
+    return clopen_structure_on_torsion_retract(model, cof.obj, cof.quotient)
 
 
 # ----------------------------------------------------------- hom splitting
 
 def _decomposition_witnesses(model, cl: ClopenIdempotent,
                              comp: ClopenIdempotent, X):
-    """u: X -> (E^X) (+) (C^X) and its inverse v, from the clopen data."""
+    """u: X -> E^X (+) C^X, its inverse v, the biproduct and (E^X, C^X)."""
     id_x = model.identity(X)
     ex = model.tensor_obj(cl.E, X)
     cx = model.tensor_obj(comp.E, X)
@@ -158,7 +140,19 @@ def _decomposition_witnesses(model, cl: ClopenIdempotent,
     v = model.add_mor(
         model.compose(model.tensor_mor(cl.i, id_x), bp.proj1),
         model.compose(model.tensor_mor(comp.i, id_x), bp.proj2))
-    return u, v, bp
+    return u, v, bp, (ex, cx)
+
+
+def _dimension_count(model, whole, *parts):
+    """Whether Hom(whole) has the summed dimension of the Hom(parts),
+    generically and at each prime where one of them differs from its
+    generic rank; None if the model does not count hom-groups."""
+    dims = [model.hom_dims(x, y) for x, y in (whole, *parts)]
+    if None not in dims:
+        primes = sorted({p for _, at in dims for p in at})
+        # the key None is no prime, so at.get(None, g) is the generic rank
+        return all(w == sum(rest) for w, *rest in (
+            [at.get(p, g) for g, at in dims] for p in [None, *primes]))
 
 
 def split_homs_check(model: ModelCategory, cl: ClopenIdempotent,
@@ -177,31 +171,23 @@ def split_homs_check(model: ModelCategory, cl: ClopenIdempotent,
     id_c = model.identity(comp.E)
     for X, Y in pairs:
         label = f"({X}, {Y})"
-        u_x, v_x, _ = _decomposition_witnesses(model, cl, comp, X)
-        u_y, v_y, bpy = _decomposition_witnesses(model, cl, comp, Y)
+        u_x, v_x, bpx, (ex, cx) = _decomposition_witnesses(model, cl, comp, X)
+        u_y, v_y, bpy, (ey, cy) = _decomposition_witnesses(model, cl, comp, Y)
         ok = model.mor_eq(model.compose(v_x, u_x), model.identity(X)) and \
             model.mor_eq(model.compose(u_y, v_y),
                          model.identity(model.dom(v_y)))
         detail = {"decomposition": ok}
         if ok and enumerate_homs_fn is not None:
             homs = list(enumerate_homs_fn(X, Y))
-            ex, cx = model.tensor_obj(cl.E, X), model.tensor_obj(comp.E, X)
-            ey, cy = model.tensor_obj(cl.E, Y), model.tensor_obj(comp.E, Y)
             target = len(list(enumerate_homs_fn(ex, ey))) * \
                 len(list(enumerate_homs_fn(cx, cy)))
-            images = set()
-            for f in homs:
-                images.add((model.tensor_mor(id_e, f),
-                            model.tensor_mor(id_c, f)))
+            images = {(model.tensor_mor(id_e, f), model.tensor_mor(id_c, f))
+                      for f in homs}
             injective = len(images) == len(homs)
             ok = injective and len(homs) == target
             detail.update({"hom_size": len(homs), "target_size": target,
                            "injective": injective})
         elif ok and sample_fn is not None:
-            ex, cx = model.tensor_obj(cl.E, X), model.tensor_obj(comp.E, X)
-            ey, cy = model.tensor_obj(cl.E, Y), model.tensor_obj(comp.E, Y)
-            bpx = model.biproduct(ex, cx)
-
             def reassemble(g, h):
                 gh = model.add_mor(
                     model.compose_many(bpy.inj1, g, bpx.proj1),
@@ -220,19 +206,11 @@ def split_homs_check(model: ModelCategory, cl: ClopenIdempotent,
                     ok = ok and model.mor_eq(model.tensor_mor(id_e, f), g) \
                         and model.mor_eq(model.tensor_mor(id_c, f), h)
             detail["sampled"] = True
-        elif ok and isinstance(model, EvConst):
-            # structural mode: hom-groups here are determined by per-prime
-            # dimension products, so the splitting is a dimension count at
-            # every relevant prime plus the generic (free) dimension
-            objs = [X, Y, cl.E, comp.E]
-            primes = sorted({p for o in objs for p in o.exc_primes()})
-            ex, cx = model.tensor_obj(cl.E, X), model.tensor_obj(comp.E, X)
-            ey, cy = model.tensor_obj(cl.E, Y), model.tensor_obj(comp.E, Y)
-            ok = X.f * Y.f == ex.f * ey.f + cx.f * cy.f and all(
-                X.dim(p) * Y.dim(p) ==
-                ex.dim(p) * ey.dim(p) + cx.dim(p) * cy.dim(p)
-                for p in primes)
-            detail["dimension_count"] = ok
+        elif ok and (count := _dimension_count(
+                model, (X, Y), (ex, ey), (cx, cy))) is not None:
+            # structural mode: the splitting is a count of hom-group
+            # dimensions, generically and at every prime
+            ok = detail["dimension_count"] = count
         report.record(label, ok, detail)
     return report
 
@@ -250,19 +228,15 @@ def gp_idempotent(model: ModelCategory) -> ClosedIdempotent:
     return ClosedIdempotent(E=cof.obj, r=r)
 
 
-def char_split(model: EvConst, m: int, X: EvObject):
+def char_split(model: ModelCategory, m: int, X):
     """Split X as (S/m ^ X) (+) (S(m) ^ X) with verified iso witnesses.
 
     Returns (torsion part, complement part, (u, v)) where u: X -> part1
     (+) part2 and v is its two-sided inverse.
     """
-    s = model.unit()
-    cof = model.cofiber(ev_morphism(s, s, [[m]]))
-    cl = clopen_structure_on_torsion_retract(model, cof.obj, cof.quotient)
-    c_obj, comp = complement_of_retract(model, cl.E, cl.r, cl.i)
-    part1 = model.tensor_obj(cl.E, X)
-    part2 = model.tensor_obj(c_obj, X)
-    u, v, _ = _decomposition_witnesses(model, cl, comp, X)
+    cl = char_clopen(model, m)
+    _, comp = complement_of_retract(model, cl.E, cl.r, cl.i)
+    u, v, _, (part1, part2) = _decomposition_witnesses(model, cl, comp, X)
     if not (model.mor_eq(model.compose(v, u), model.identity(X))
             and model.mor_eq(model.compose(u, v),
                              model.identity(model.dom(v)))):

@@ -2,8 +2,9 @@
 
 A model category exposes: object canonical form and equality, morphism
 equality, identity, composition, tensor, braiding, biproducts, zero
-objects/morphisms, duality data, cofibers, and suspension.  Everything
-is exact and deterministic.
+objects/morphisms, duality data, cofibers, suspension and, optionally,
+lifts, extensions, scalars and hom dimensions.  Everything is exact and
+deterministic.
 """
 
 from __future__ import annotations
@@ -102,6 +103,24 @@ class ModelCategory:
 
     def invert(self, f):  # pragma: no cover - interface
         raise NotImplementedError
+
+    # solving and counting, for models with matrix hom-groups: lift(a, b)
+    # is the X with a o X = b, and extend(a, b) the X with X o a = b
+
+    def lift(self, a, b):
+        raise UnsupportedShape(f"{self.name} solves no lifting problems")
+
+    def extend(self, a, b):
+        raise UnsupportedShape(f"{self.name} solves no extension problems")
+
+    def scalar(self, n: int):
+        """n times the identity of the unit."""
+        raise UnsupportedShape(f"{self.name} has no integer scalars")
+
+    def hom_dims(self, x, y):
+        """(generic rank of Hom(x, y), {prime: dimension where it differs}),
+        or None if the model does not count hom-groups by dimension."""
+        return None
 
     # derived ------------------------------------------------------------
 

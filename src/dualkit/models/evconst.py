@@ -20,11 +20,12 @@ each relevant prime the component dimension is cod_p - rank_p(component).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
                         commutation, fp, int_matrix, invert_or_fail,
                         kronecker, left_kernel_int, left_null_basis_fp,
-                        prime_factors)
+                        prime_factors, solve_right_fp, solve_right_int)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory
 
 
@@ -219,24 +220,22 @@ class EvConst(ModelCategory):
         primes = set(x.exc_primes()) | set(y.exc_primes())
         obj = ev_object(x.f + y.f, {p: x.dim(p) + y.dim(p) for p in primes})
 
-        def block(domain, rows, cols, fn):
+        def block(domain, rows, cols, k):
             return Matrix.from_rows(
-                domain, [[fn(i, j) for j in range(cols)] for i in range(rows)],
-                shape=(rows, cols))
+                domain, [[int(i == j + k) for j in range(cols)]
+                         for i in range(rows)], shape=(rows, cols))
 
-        def mk(dom, cod, fn_free, fn_p):
-            expl = {p: block(fp(p), cod.dim(p), dom.dim(p), fn_p(p))
-                    for p in primes}
-            return ev_morphism(dom, cod, block(INT, cod.f, dom.f, fn_free), expl)
+        def injection(src, second):
+            # the identity onto the coordinates of the first or second
+            # summand; its transpose is the projection
+            free = block(INT, obj.f, src.f, second * x.f)
+            i = ev_morphism(src, obj, free, {
+                p: block(fp(p), obj.dim(p), src.dim(p), second * x.dim(p))
+                for p in primes})
+            return i, ev_morphism(obj, src, i.free.transpose(),
+                                  {p: m.transpose() for p, m in i.explicit})
 
-        i1 = mk(x, obj, lambda i, j: 1 if i == j else 0,
-                lambda p: lambda i, j: 1 if i == j else 0)
-        i2 = mk(y, obj, lambda i, j: 1 if i == x.f + j else 0,
-                lambda p: lambda i, j: 1 if i == x.dim(p) + j else 0)
-        p1 = mk(obj, x, lambda i, j: 1 if j == i else 0,
-                lambda p: lambda i, j: 1 if j == i else 0)
-        p2 = mk(obj, y, lambda i, j: 1 if j == x.f + i else 0,
-                lambda p: lambda i, j: 1 if j == x.dim(p) + i else 0)
+        (i1, p1), (i2, p2) = injection(x, 0), injection(y, 1)
         return Biproduct(obj=obj, inj1=i1, inj2=i2, proj1=p1, proj2=p2)
 
     def duality(self, x: EvObject) -> DualityDatum:
@@ -266,6 +265,31 @@ class EvConst(ModelCategory):
         expl = {p: invert_or_fail(m) for p, m in f.explicit}
         return ev_morphism(f.cod, f.dom, free_inv, expl)
 
+    # ------------------------------------------------ solving and counting
+
+    def _solve(self, a, b, dom, cod, t):
+        """X: dom -> cod with t(a) * t(X) = t(b) at the free part and at
+        each explicit prime of a or b; t is the identity or the transpose."""
+        primes = sorted(set(a.explicit_primes()) | set(b.explicit_primes()))
+        free = t(solve_right_int(t(a.free), t(b.free)))
+        return ev_morphism(dom, cod, free, {
+            p: t(solve_right_fp(t(a.component(p)), t(b.component(p))))
+            for p in primes})
+
+    def lift(self, a: EvMorphism, b: EvMorphism) -> EvMorphism:
+        return self._solve(a, b, b.dom, a.dom, lambda m: m)
+
+    def extend(self, a: EvMorphism, b: EvMorphism) -> EvMorphism:
+        return self._solve(a, b, a.cod, b.cod, Matrix.transpose)
+
+    def scalar(self, n: int) -> EvMorphism:
+        return ev_morphism(UNIT, UNIT, [[n]])
+
+    def hom_dims(self, x: EvObject, y: EvObject) -> tuple:
+        # Hom(x, y) has the dimensions of x (x) y: every object is self-dual
+        xy = self.tensor_obj(x, y)
+        return xy.f, dict(xy.exc)
+
     # ----------------------------------------------------------- cofibers
 
     def cofiber(self, f: EvMorphism) -> Cofiber:
@@ -286,32 +310,18 @@ class EvConst(ModelCategory):
 
 def enumerate_homs(x: EvObject, y: EvObject):
     """Yield every morphism x -> y when the hom-set is finite
-    (requires x.f * y.f = 0, so the free part is empty)."""
+    (requires x.f * y.f = 0, so the free part is empty): the entries of
+    the components in lexicographic order, the smallest prime slowest."""
     if x.f * y.f != 0:
         raise ValueError("infinite hom-set: free parts are nonzero")
     primes = sorted(set(x.exc_primes()) | set(y.exc_primes()))
-    shapes = [(p, y.dim(p), x.dim(p)) for p in primes]
     free = Matrix.zeros(INT, y.f, x.f)
-
-    def rec(idx, acc):
-        if idx == len(shapes):
-            yield ev_morphism(x, y, free, dict(acc))
-            return
-        p, r, c = shapes[idx]
-        total = r * c
-
-        def cells(j, flat):
-            if j == total:
-                m = Matrix.from_rows(fp(p), [flat[i * c:(i + 1) * c]
-                                             for i in range(r)], shape=(r, c))
-                acc.append((p, m))
-                yield from rec(idx + 1, acc)
-                acc.pop()
-                return
-            for v in range(p):
-                yield from cells(j + 1, flat + [v])
-        yield from cells(0, [])
-    yield from rec(0, [])
+    choices = [[Matrix.from_rows(fp(p), [e[i * c:(i + 1) * c]
+                                         for i in range(r)], shape=(r, c))
+                for e in product(range(p), repeat=r * c)]
+               for p, r, c in ((p, y.dim(p), x.dim(p)) for p in primes)]
+    for comps in product(*choices):
+        yield ev_morphism(x, y, free, dict(zip(primes, comps)))
 
 
 def hom_group_structure(x: EvObject, y: EvObject) -> dict:

@@ -91,15 +91,11 @@ class SpanFin(ModelCategory):
 
     def biproduct(self, x: int, y: int) -> Biproduct:
         s = x + y
-        i1 = [[1 if i == j else 0 for j in range(x)] for i in range(s)]
-        i2 = [[1 if i == x + j else 0 for j in range(y)] for i in range(s)]
-        return Biproduct(
-            obj=s,
-            inj1=span(x, s, i1), inj2=span(y, s, i2),
-            proj1=span(s, x, [[1 if j == i else 0 for j in range(s)]
-                              for i in range(x)]),
-            proj2=span(s, y, [[1 if j == x + i else 0 for j in range(s)]
-                              for i in range(y)]))
+        i1, i2 = (span(n, s, [[int(i == j + k) for j in range(n)]
+                              for i in range(s)]) for n, k in ((x, 0), (y, x)))
+        return Biproduct(obj=s, inj1=i1, inj2=i2,
+                         proj1=SpanMorphism(s, x, i1.matrix.transpose()),
+                         proj2=SpanMorphism(s, y, i2.matrix.transpose()))
 
     def duality(self, x: int) -> DualityDatum:
         # self-dual via the diagonal span 1 <- x -> x*x

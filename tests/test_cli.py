@@ -333,6 +333,15 @@ class TestFileShapes:
             assert json.loads(res.output)["error"].startswith(
                 "MalformedInput: ")
 
+    def test_cofiber_of_a_large_prime_square_exits_0(self):
+        # (10**13 + 37) ** 2: its root is factored instead of running rho
+        res = run("evconst", "cofiber", "--morphism",
+                  '{"free": [[100000000000740000000001369]]}',
+                  "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["cofiber"]["json"] == {
+            "f": 0, "exc": {"10000000000037": 1}}
+
     def test_factor_budget_is_a_domain_error(self):
         # two 20-digit primes: rho would need about 10**10 steps
         start = time.perf_counter()

@@ -359,6 +359,16 @@ def test_prime_factors_of_large_composites(n, factors):
     assert prime_factors(n) == factors
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_prime_factors_of_a_large_prime_power(k):
+    # rho on the square of a 14-digit prime used to exhaust its budget
+    q = 10 ** 13 + 37
+    start = time.perf_counter()
+    assert prime_factors(q ** k) == [q]
+    assert time.perf_counter() - start < 0.1
+    assert prime_factors(12 * q ** k * 1009 ** 2) == [2, 3, 1009, q]
+
+
 def test_pollard_brent_finds_a_proper_factor():
     for n in (1009 * 1013, 1000003 ** 2, 3215031751, 3825123056546413051):
         d = pollard_brent(n)

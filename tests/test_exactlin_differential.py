@@ -4,7 +4,8 @@ The oracles below are the previous implementations, kept verbatim in
 substance: the min-pivot Smith normal form that updated U and V on every
 operation, the four Gauss-Jordan copies over F_p (inverse, rank, left
 null basis, solve), the Fraction Gauss-Jordan inverse over Z, the
-four-loop Kronecker product, and the SNF-based EvConst cofiber.  On
+four-loop Kronecker product, the SNF-based EvConst cofiber, and the
+integer solve through the Smith transforms.  On
 seeded matrices (square, non-square, rank-deficient, with zero rows and
 columns, 0 x n and n x 0) the new code must agree with them:
 
@@ -13,6 +14,8 @@ columns, 0 x n and n x 0) the new code must agree with them:
 - ``left_kernel_int`` gives rows - rank rows q with q*F = 0 and an SNF of
   all ones, so q is a saturated basis of the left kernel;
 - ``EvConst.cofiber`` builds the oracle's cofiber object;
+- ``solve_right_int`` agrees with the SNF solve on solvability, and its
+  X solves a*X = b and is the oracle's whenever a has full column rank;
 - the F_p routines, ``invert_or_fail`` and ``kronecker`` return
   byte-identical matrices, or the same exception with the same message.
 """
@@ -26,7 +29,7 @@ from dualkit.exactlin import (
     INT, NAT, Matrix, NotInvertible, fp, fp_matrix, int_matrix,
     invariant_factors, invert_or_fail, kronecker, left_kernel_int,
     left_null_basis_fp, nat_matrix, prime_factors, rank_fp,
-    smith_normal_form, solve_right_fp,
+    smith_normal_form, solve_right_fp, solve_right_int,
 )
 from dualkit.models import EvConst, ev_morphism, ev_object
 
@@ -205,6 +208,27 @@ def oracle_cofiber_obj(f):
         relevant.update(prime_factors(d))
     dims = {p: oracle_left_null_fp(f.component(p)).rows for p in relevant}
     return ev_object(f.cod.f - len(diag), dims)
+
+
+def oracle_solve_int(a, b):
+    """One integral solution of a*X = b through U*a*V = D."""
+    u, d, v = smith_normal_form(a.retag(INT))
+    c = u.mul(b.retag(INT))  # d * (v^-1 x) = c
+    y = [[0] * b.cols for _ in range(a.cols)]
+    for i in range(a.rows):
+        di = d.data[i][i] if i < min(d.rows, d.cols) else 0
+        for j in range(b.cols):
+            cij = c.data[i][j]
+            if di == 0:
+                if cij != 0:
+                    raise NotInvertible("inconsistent linear system over Z")
+            else:
+                if cij % di != 0:
+                    raise NotInvertible("no integral solution")
+                if i < a.cols:
+                    y[i][j] = cij // di
+    ym = Matrix.from_rows(INT, y, shape=(a.cols, b.cols))
+    return v.mul(ym)
 
 
 def outcome(fn, *args):
@@ -409,3 +433,47 @@ def test_kronecker_matches_the_loop_oracle(domain):
                                             for _ in range(r)], shape=(r, c))
                   for r, c in (a, b))
         assert kronecker(ma, mb) == oracle_kronecker(ma, mb)
+
+
+def _unsolvable_rhs(rng, a, k):
+    """a*x plus U^-1 * e_i * [1 0 ...] for the first i with d_i != 1 in
+    U*a*V = D (d_i = 0 past the rank): then the i-th row of U*b is
+    1 + d_i * (...), which d_i does not divide.  None if every d_i is 1."""
+    u, d, _ = smith_normal_form(a)
+    diag = [d.data[i][i] if i < d.cols else 0 for i in range(a.rows)]
+    i = next((i for i, di in enumerate(diag) if di != 1), None)
+    if i is None:
+        return None
+    e = int_matrix([[int(r == i and c == 0) for c in range(k)]
+                    for r in range(a.rows)], shape=(a.rows, k))
+    x = int_matrix([[rng.randint(-5, 5) for _ in range(k)]
+                    for _ in range(a.cols)], shape=(a.cols, k))
+    return a.mul(x).add(invert_or_fail(u).mul(e))
+
+
+def test_integer_solve_agrees_with_the_snf_oracle():
+    rng = random.Random(19)
+    n = 24   # unit lower-triangular, as the benchmark's solve-int inputs
+    cases = INT_CASES + [int_matrix(
+        [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(n)]
+         for i in range(n)])]
+    unsolvable = 0
+    for a in cases:
+        k = rng.randint(1, 3)
+        x = int_matrix([[rng.randint(-9, 9) for _ in range(k)]
+                        for _ in range(a.cols)], shape=(a.cols, k))
+        bad = _unsolvable_rhs(rng, a, k)
+        unsolvable += bad is not None
+        full_column_rank = len(invariant_factors(a)) == a.cols
+        for b, solvable in ((a.mul(x), True), (bad, False)):
+            if b is None:
+                continue
+            got = outcome(solve_right_int, a, b)
+            want = outcome(oracle_solve_int, a, b)
+            assert (want[0] != "raised") == solvable, (a.tolist(), b.tolist())
+            assert (got[0] != "raised") == solvable, (a.tolist(), b.tolist())
+            if solvable:
+                assert a.mul(solve_right_int(a, b)) == b
+                if full_column_rank:
+                    assert got == want
+    assert unsolvable > len(cases) // 2

@@ -10,7 +10,9 @@ import random
 
 import pytest
 
-from dualkit.idem import (ClopenIdempotent, NotTwistedTrivial, char_split,
+from dualkit import DomainError
+from dualkit.idem import (ClopenIdempotent, NotTwistedTrivial,
+                          _dimension_count, char_clopen, char_split,
                           clopen_structure_on_torsion_retract,
                           complement_of_retract, derived_open_structure,
                           euler_twist, gp_idempotent, is_closed_idempotent,
@@ -225,3 +227,63 @@ def test_split_homs_product_model_samples():
     pairs = [((S, 2), (S, 3)), ((ev_object(2), 1), (S, 2))]
     rep = split_homs_check(pc, cl, comp, pairs, sample_fn=sample)
     assert rep.verdict
+
+
+# ----------------------------------------------------- model-agnostic idem
+
+def test_idem_binds_no_concrete_model():
+    import dualkit.idem
+    assert not {"EvConst", "EvMorphism", "EvObject", "ev_morphism"} & \
+        set(vars(dualkit.idem))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: m.lift(m.identity(1), m.identity(1)),
+    lambda m: m.extend(m.identity(1), m.identity(1)),
+    lambda m: m.scalar(2)])
+def test_spanfin_solves_nothing(call):
+    with pytest.raises(DomainError):
+        call(SP)
+    assert SP.hom_dims(1, 2) is None
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 6, -12])
+def test_char_clopen_is_the_cofiber_then_retract(m):
+    assert char_clopen(EV, m) == clopen_from_char(m)
+
+
+def oracle_dimension_count(X, Y, E, C):
+    """The dimension count split_homs_check made when it read EvConst
+    objects itself: the free dimension and the dimension at every
+    exceptional prime of X, Y, E and C."""
+    primes = sorted({p for o in (X, Y, E, C) for p in o.exc_primes()})
+    ex, cx = EV.tensor_obj(E, X), EV.tensor_obj(C, X)
+    ey, cy = EV.tensor_obj(E, Y), EV.tensor_obj(C, Y)
+    return X.f * Y.f == ex.f * ey.f + cx.f * cy.f and all(
+        X.dim(p) * Y.dim(p) == ex.dim(p) * ey.dim(p) + cx.dim(p) * cy.dim(p)
+        for p in primes)
+
+
+def _random_ev_object(rng):
+    return ev_object(rng.randint(0, 2), {p: rng.randint(0, 3)
+                                         for p in (2, 3, 5)
+                                         if rng.random() < 0.5})
+
+
+def test_hom_dims_count_matches_the_evconst_oracle():
+    rng = random.Random(23)
+    verdicts = set()
+    for trial in range(400):
+        if trial % 2:   # a clopen idempotent and its complement
+            cl = clopen_from_char(rng.choice((2, 3, 6, 12)))
+            E, C = cl.E, complement_of_retract(EV, cl.E, cl.r, cl.i)[0]
+        else:
+            E, C = _random_ev_object(rng), _random_ev_object(rng)
+        X, Y = _random_ev_object(rng), _random_ev_object(rng)
+        got = _dimension_count(
+            EV, (X, Y), (EV.tensor_obj(E, X), EV.tensor_obj(E, Y)),
+            (EV.tensor_obj(C, X), EV.tensor_obj(C, Y)))
+        assert got == oracle_dimension_count(X, Y, E, C), (X, Y, E, C)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    assert _dimension_count(SP, (1, 2), (1, 2)) is None
