@@ -7,8 +7,10 @@ Run from the repository root:
 For n = 16, 24, 32 and 48 it times, each as the median of ``repeats``
 calls (default 3) in this one interpreter:
 
-- ``smith_normal_form`` and ``invariant_factors`` on a random n x n
-  matrix with entries in [-9, 9] drawn row by row from ``Random(2)``;
+- ``smith_normal_form``, the min-pivot SNF it replaced (``oracle_snf``
+  in ``tests/test_exactlin_differential.py``) and ``invariant_factors``
+  on a random n x n matrix with entries in [-9, 9] drawn row by row
+  from ``Random(2)``;
 - ``EvConst.cofiber`` of an endomorphism of the free object of rank n
   whose free part is U * D * V, with U and V products of 5n random
   elementary row operations and D the diagonal 1, ..., 1, 2, 6, 30, 210
@@ -23,10 +25,11 @@ calls (default 3) in this one interpreter:
   random n x 2 matrix x, plus a random b that the deficient a cannot
   reach.
 
-It also prints the largest entry of the SNF transforms U and V and of
-the cofiber's free quotient, in decimal digits, and exits with status 1
-if ``invariant_factors`` differs from the SNF diagonal, the cofiber's
-free rank is not 2, the two solves disagree on whether a system has a
+It also prints the largest entry of the transforms U and V of both
+SNFs and of the cofiber's free quotient, in decimal digits, and exits
+with status 1 if the two SNF diagonals differ, U*m*V is not D,
+``invariant_factors`` differs from the SNF diagonal, the cofiber's free
+rank is not 2, the two solves disagree on whether a system has a
 solution, or a returned X does not satisfy a*X = b.
 """
 
@@ -46,7 +49,8 @@ from dualkit.exactlin import (NotInvertible, fp_matrix,  # noqa: E402
                               left_null_basis_fp, smith_normal_form,
                               solve_right_int)
 from dualkit.models import EvConst, ev_morphism, ev_object  # noqa: E402
-from test_exactlin_differential import oracle_solve_int  # noqa: E402
+from test_exactlin_differential import (oracle_snf,  # noqa: E402
+                                        oracle_solve_int)
 
 SIZES = (16, 24, 32, 48)
 P = 101
@@ -135,25 +139,31 @@ def main() -> int:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     model = EvConst()
     ok = True
-    print(f"{'n':>3} {'snf':>9} {'inv.fact.':>9} {'cofiber':>9} "
-          f"{'null_fp':>9}   U/V digits  quotient digits")
+    print(f"{'n':>3} {'snf':>9} {'oracle':>9} {'inv.fact.':>9} "
+          f"{'cofiber':>9} {'null_fp':>9}   U/V digits (oracle)  "
+          f"quotient digits")
     for n in SIZES:
         rng = random.Random(2)
         m = int_matrix([[rng.randint(-9, 9) for _ in range(n)]
                         for _ in range(n)])
         (u, d, v), snf_s = timed(lambda: smith_normal_form(m), repeats)
+        (ou, od, ov), oracle_s = timed(lambda: oracle_snf(m), repeats)
         factors, inv_s = timed(lambda: invariant_factors(m), repeats)
         f = cofiber_input(rng, n)
         cof, cof_s = timed(lambda: model.cofiber(f), repeats)
         a = fp_input(rng, n)
         _, null_s = timed(lambda: left_null_basis_fp(a), repeats)
         diag = [d.data[i][i] for i in range(n) if d.data[i][i]]
-        ok = ok and factors == diag and cof.obj.f == 2
-        print(f"{n:>3} {snf_s * 1e3:>7.1f}ms {inv_s * 1e3:>7.1f}ms "
-              f"{cof_s * 1e3:>7.1f}ms {null_s * 1e3:>7.1f}ms   "
-              f"{digits(u, v):>10}  {digits(cof.quotient.free):>15}")
+        snf_ok = d == od and u.mul(m).mul(v) == d
+        ok = ok and snf_ok and factors == diag and cof.obj.f == 2
+        print(f"{n:>3} {snf_s * 1e3:>7.1f}ms {oracle_s * 1e3:>7.1f}ms "
+              f"{inv_s * 1e3:>7.1f}ms {cof_s * 1e3:>7.1f}ms "
+              f"{null_s * 1e3:>7.1f}ms   {digits(u, v):>10} "
+              f"{'(' + str(digits(ou, ov)) + ')':>8}  "
+              f"{digits(cof.quotient.free):>15}"
+              + ("" if snf_ok else "  SNF WRONG"))
     if not ok:
-        print("invariant factors or cofiber free rank WRONG")
+        print("SNF, invariant factors or cofiber free rank WRONG")
     if not solve_series(repeats):
         print("solve_right_int and the SNF solve DISAGREE")
         ok = False

@@ -107,6 +107,8 @@ def diagrams():
 def diagrams_verify(verify_all, trace_name, fmt):
     """Replay rewrite traces and check them step by step."""
     from . import diagram as dg
+    if verify_all and trace_name is not None:
+        raise click.UsageError("give at most one of --all / --trace")
     if trace_name is None:
         reports = dg.validate_corpus()
     else:
@@ -216,13 +218,20 @@ def _span_shape(shape: str, sizes) -> SpanMorphism:
     raise ValueError(f"unknown shape {shape}")
 
 
+def _parse_sizes(ctx, param, value: str) -> tuple:
+    parts = value.split(",")
+    if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
+        raise click.BadParameter("expected two nonnegative integers dom,cod")
+    return tuple(int(p) for p in parts)
+
+
 @span_group.command("cofiber")
 @click.option("--morphism", default=None, help="Span as JSON.")
 @click.option("--shape",
               type=click.Choice(["zero-to-one", "fold", "backward", "zero"]),
               default=None, help="Build the span from a named shape.")
 @click.option("--sizes", default="2,1", show_default=True,
-              help="dom,cod sizes for --shape.")
+              callback=_parse_sizes, help="dom,cod sizes for --shape.")
 @format_option
 @guarded
 def span_cofiber(morphism, shape, sizes, fmt):
@@ -233,8 +242,7 @@ def span_cofiber(morphism, shape, sizes, fmt):
     if morphism is not None:
         f = _span_from_json(morphism, "--morphism")
     else:
-        d, c = (int(s) for s in sizes.split(","))
-        f = _span_shape(shape, (d, c))
+        f = _span_shape(shape, sizes)
     cof = SpanFin().cofiber(f)
     emit({"ok": True, "input": f.to_json(),
           "cofiber": {"obj": cof.obj, "quotient": cof.quotient.to_json(),
@@ -506,7 +514,8 @@ def _sample_torsion_objects(rng, k):
 @idem_group.command("split-homs")
 @model_option
 @click.option("--object", "obj_str", default="S/2", show_default=True)
-@click.option("--pairs", type=int, default=10, show_default=True)
+@click.option("--pairs", type=click.IntRange(min=1), default=10,
+              show_default=True)
 @format_option
 @guarded
 def idem_split_homs(model_name, obj_str, pairs, fmt):

@@ -8,8 +8,8 @@ matrices equal pairs.  The homomorphism property is verified while the
 assignment is extended over the Cayley graph (``PermGroup.table``): each
 edge e -> g e either defines the matrix of g e or is compared with it.
 ``fixed_dim`` computes dim V^H as the exact character average over H,
-with the averaged-projector rank, by fraction-free (Bareiss)
-elimination, available as an independent route.
+with the averaged-projector rank, by the integer row echelon of
+``dualkit.introws``, available as an independent route.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .. import DomainError
+from ..introws import echelon, mul_rows
 from .groups import PermGroup
 
 
@@ -52,22 +53,10 @@ def to_fractions(a) -> tuple:
 
 
 def mat_mul(a, b):
-    """The product, skipping zero entries of the left factor."""
+    """The product of two square matrices, skipping zero entries of the
+    left factor."""
     (ra, da), (rb, db) = a, b
-    out = []
-    for row in ra:
-        acc = None
-        for t, v in enumerate(row):
-            if v:
-                brow = rb[t]
-                if acc is None:
-                    acc = brow if v == 1 else tuple(v * y for y in brow)
-                elif v == 1:
-                    acc = tuple(x + y for x, y in zip(acc, brow))
-                else:
-                    acc = tuple(x + v * y for x, y in zip(acc, brow))
-        out.append(acc if acc is not None else (0,) * len(rb[0]))
-    return _reduced(tuple(out), da * db)
+    return _reduced(tuple(map(tuple, mul_rows(ra, rb, len(rb)))), da * db)
 
 
 def mat_sum(mats):
@@ -90,26 +79,9 @@ def mat_trace(a) -> Fraction:
 
 
 def mat_rank(a) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination on
-    the integer rows; every division below is exact."""
-    rows = [list(r) for r in a[0] if any(r)]
-    rank, prev = 0, 1
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows))
-                      if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for r in range(rank + 1, len(rows)):
-            row = rows[r]
-            c = row[col]
-            rows[r] = [(p * x - c * y) // prev for x, y in zip(row, prow)]
-        prev = p
-        rank += 1
-    return rank
+    """Rank over the rationals: the rank of the integer rows' echelon."""
+    rows = list(a[0])
+    return echelon(rows, len(rows[0]) if rows else 0)
 
 
 class Representation:

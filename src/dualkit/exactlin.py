@@ -1,9 +1,9 @@
 """Exact matrix arithmetic over N, Z (arbitrary precision), and F_p.
 
-Provides Kronecker products, Smith normal form with unimodular
-transforms, and invariant factors, saturated left kernels and integral
-solutions from one row echelon over Z, one forward elimination over
-F_p, and exact inversion.
+Provides Kronecker products; the Smith normal form with unimodular
+transforms, invariant factors, saturated left kernels and integral
+solutions, all from one row echelon over Z (``dualkit.introws``); one
+forward elimination over F_p; and exact inversion.
 All arithmetic uses Python's arbitrary-precision integers; there are no
 floats and no tolerances anywhere.
 
@@ -19,6 +19,7 @@ from operator import add
 from typing import Sequence, Union
 
 from . import DomainError
+from .introws import echelon, mul_rows
 
 Domain = Union[str, tuple]
 
@@ -288,27 +289,10 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # each output row combines the rows of other picked out by the
-        # nonzero entries of a row of self, reduced mod p once at the end
-        p = _domain_prime(self.domain)
-        out = []
-        for arow in self.data:
-            acc = None
-            for a, brow in zip(arow, other.data):
-                if not a:
-                    continue
-                if acc is None:
-                    acc = brow if a == 1 else [a * e for e in brow]
-                elif a == 1:
-                    acc = list(map(add, acc, brow))
-                else:
-                    acc = [s + a * e for s, e in zip(acc, brow)]
-            if acc is None:
-                acc = [0] * other.cols
-            elif p is not None:
-                acc = [s % p for s in acc]
-            out.append(acc)
-        return Matrix.from_rows(self.domain, out, shape=(self.rows, other.cols))
+        # from_rows reduces the integer product mod p
+        return Matrix.from_rows(self.domain,
+                                mul_rows(self.data, other.data, other.cols),
+                                shape=(self.rows, other.cols))
 
     def transpose(self) -> "Matrix":
         return Matrix.from_rows(
@@ -374,64 +358,60 @@ def commutation(domain: Domain, a: int, b: int) -> Matrix:
     return Matrix.from_rows(domain, rows, shape=(a * b, a * b))
 
 
+def _identity_rows(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _with_identity(m: Matrix) -> list:
-    return [list(r) + [int(i == j) for j in range(m.rows)]
-            for i, r in enumerate(m.data)]
+    return [list(r) + e for r, e in zip(m.data, _identity_rows(m.rows))]
 
 
 # ---------------------------------------------------------- smith normal form
 
-def _diagonalise(w: list, nr: int, nc: int, chain: bool = True) -> None:
-    """Diagonalise the top-left nr x nc block of the rows w in place,
-    with d1 | d2 | ... when ``chain``.  Row operations act on whole rows
-    and column operations on every row, so columns appended to the block
-    record U and rows appended below it record V.  Pivot choice: minimal
-    nonzero absolute value, ties broken row-major."""
-    t = 0
-    while t < min(nr, nc):
-        best = pi = None
-        for i in range(t, nr):
-            v = min(filter(None, map(abs, w[i][t:nc])), default=0)
-            if v and (best is None or v < best):
-                best, pi = v, i
-                if v == 1:
-                    break
-        if best is None:
+def _smith(a: list, nc: int, u: list, vt: list) -> tuple:
+    """Diagonalise the integer rows a (nc columns) as U*a*V = D with
+    d1 | d2 | ... and every d_i >= 0, carrying the rows u of U and vt of
+    V^T along: identity rows give Smith transforms, empty rows track
+    nothing.  Row echelons of [a | U] and of [a^T | V^T] alternate until
+    a is diagonal (Kannan & Bachem 1979): each either clears the first
+    row and column not yet clear or lowers |pivot| there.  Then a gcd/lcm
+    sweep of 2x2 unimodular steps makes the diagonal a divisor chain.
+    Returns (the nonzero diagonal, u, vt)."""
+    flips = 0
+    while True:
+        w = [x + y for x, y in zip(a, u)]
+        echelon(w, nc)
+        a, u = [r[:nc] for r in w], [r[nc:] for r in w]
+        if not any(x for i, r in enumerate(a) for j, x in enumerate(r)
+                   if i != j):
             break
-        pj = next(j for j in range(t, nc) if abs(w[pi][j]) == best)
-        w[t], w[pi] = w[pi], w[t]
-        if pj != t:
-            for r in w:
-                r[t], r[pj] = r[pj], r[t]
-        # one reduction pass; any nonzero remainder is strictly smaller than
-        # the pivot, so re-running the pivot search terminates
-        prow, d = w[t], w[t][t]
-        dirty = False
-        for i in range(t + 1, nr):
-            if w[i][t]:
-                q = w[i][t] // d
-                if q:
-                    w[i] = [x - q * y for x, y in zip(w[i], prow)]
-                dirty = dirty or w[i][t] != 0
-        # column j loses q_j times column t, which none of them changes
-        qs = [(j, prow[j] // d) for j in range(t + 1, nc) if prow[j] // d]
-        for r in w:
-            if qs and r[t]:
-                for j, q in qs:
-                    r[j] -= q * r[t]
-        dirty = dirty or any(prow[t + 1:nc])
-        if dirty:
-            continue
-        if d < 0:
-            w[t] = [-x for x in prow]
-        # enforce divisibility: the pivot must divide every later entry;
-        # otherwise add the offending row and re-run elimination at t
-        bad = chain and next((i for i in range(t + 1, nr) if any(
-            x % w[t][t] for x in w[i][t + 1:nc])), None)
-        if bad:
-            w[t] = [x + y for x, y in zip(w[t], w[bad])]
-            continue
-        t += 1
+        a, nc, u, vt = [list(c) for c in zip(*a)], len(a), vt, u
+        flips += 1
+    if flips % 2:
+        u, vt = vt, u
+    # the echelon pivots: nonzero entries first
+    d = [a[i][i] for i in range(min(len(a), nc)) if a[i][i]]
+    for i, x in enumerate(d):
+        if x < 0:
+            d[i], u[i] = -x, [-y for y in u[i]]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            di, dj = d[i], d[j]
+            if dj % di:
+                # x*di + y*dj = g: U = [[x, y], [-dj/g, di/g]] and
+                # V = [[1, -y*dj/g], [1, x*di/g]] take diag(di, dj) to
+                # diag(g, di*dj/g)
+                g = gcd(di, dj)
+                s, t = dj // g, di // g
+                x = pow(t, -1, s)
+                y = (g - x * di) // dj
+                ui, uj, vi, vj = u[i], u[j], vt[i], vt[j]
+                u[i] = [x * p + y * q for p, q in zip(ui, uj)]
+                u[j] = [t * q - s * p for p, q in zip(ui, uj)]
+                vt[i] = [p + q for p, q in zip(vi, vj)]
+                vt[j] = [x * t * q - y * s * p for p, q in zip(vi, vj)]
+                d[i], d[j] = g, t * dj
+    return d, u, vt
 
 
 def smith_normal_form(m: Matrix) -> tuple:
@@ -444,56 +424,22 @@ def smith_normal_form(m: Matrix) -> tuple:
     if m.domain not in (INT, NAT):
         raise ValueError("smith_normal_form requires an integer matrix")
     nr, nc = m.rows, m.cols
-    w = _with_identity(m) + [[int(i == j) for j in range(nc)]
-                             for i in range(nc)]
-    _diagonalise(w, nr, nc)
-    return (Matrix.from_rows(INT, [r[nc:] for r in w[:nr]], shape=(nr, nr)),
-            Matrix.from_rows(INT, [r[:nc] for r in w[:nr]], shape=(nr, nc)),
-            Matrix.from_rows(INT, w[nr:], shape=(nc, nc)))
-
-
-def _echelon(rows: list, ncols: int) -> int:
-    """Row echelon form over Z of the first ncols columns of rows, in
-    place; returns the rank.  Euclid down each column: the smallest
-    nonzero |entry| is the pivot, and the nearest multiple of it is
-    subtracted from each row below until none is left.  On [m | I] the
-    I-part records a unimodular U with U*m = echelon."""
-    r = 0
-    for j in range(ncols):
-        while r < len(rows):
-            piv = min((i for i in range(r, len(rows)) if rows[i][j]),
-                      key=lambda i: abs(rows[i][j]), default=None)
-            if piv is None:
-                break
-            rows[r], rows[piv] = rows[piv], rows[r]
-            prow, d = rows[r], rows[r][j]
-            left = False
-            for i in range(r + 1, len(rows)):
-                if rows[i][j]:
-                    q = (2 * rows[i][j] + d) // (2 * d)
-                    rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
-                    left = left or rows[i][j] != 0
-            if not left:
-                r += 1
-                break
-    return r
+    d, u, vt = _smith([list(r) for r in m.data], nc, _identity_rows(nr),
+                      _identity_rows(nc))
+    return (Matrix.from_rows(INT, u, shape=(nr, nr)),
+            Matrix.from_rows(INT, [[d[i] if i == j and i < len(d) else 0
+                                    for j in range(nc)] for i in range(nr)],
+                             shape=(nr, nc)),
+            Matrix.from_rows(INT, vt, shape=(nc, nc)).transpose())
 
 
 def invariant_factors(m: Matrix) -> list:
     """The nonzero invariant factors d1 | ... | dr of an integer matrix,
-    with no unimodular transforms: its r echelon rows are diagonalised,
-    then a gcd/lcm sweep keeps their prime-power divisors."""
+    diagonalised with no unimodular transforms."""
     if m.domain not in (INT, NAT):
         raise ValueError("invariant_factors requires an integer matrix")
-    h = [list(r) for r in m.data]
-    h = h[:_echelon(h, m.cols)]
-    _diagonalise(h, len(h), m.cols, chain=False)
-    d = [h[i][i] for i in range(len(h))]
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
-    return d
+    return _smith([list(r) for r in m.data], m.cols, [[]] * m.rows,
+                  [[]] * m.cols)[0]
 
 
 def _size_reduce(basis: list) -> None:
@@ -520,7 +466,7 @@ def left_kernel_int(m: Matrix) -> tuple:
     so q is saturated and is the free quotient of coker m."""
     n, c = m.rows, m.cols
     rows = _with_identity(m)
-    r = _echelon(rows, c)
+    r = echelon(rows, c)
     kernel = [row[c:] for row in rows[r:]]
     _size_reduce(kernel)
     h = Matrix.from_rows(INT, [row[:c] for row in rows[:r]], shape=(r, c))
@@ -622,7 +568,7 @@ def _invert(m: Matrix) -> Matrix:
     echelon over Z (or nat, as Z), then back-substitution."""
     p, n = _domain_prime(m.domain), m.rows
     a = _with_identity(m)
-    if (len(_forward_fp(a, n, p)) if p else _echelon(a, n)) < n:
+    if (len(_forward_fp(a, n, p)) if p else echelon(a, n)) < n:
         raise NotInvertible(f"singular over F_{p}" if p else "singular over Z")
     if not p:
         # U*m is upper triangular, with unit pivots iff m is unimodular
@@ -661,7 +607,7 @@ def solve_right_int(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("row mismatch in solve")
     n, m = a.rows, a.cols
     w = _with_identity(a.transpose())
-    r = _echelon(w, n)
+    r = echelon(w, n)
     res = [list(row) for row in b.data]  # b - H^T*Y so far
     y = []
     for h in w[:r]:

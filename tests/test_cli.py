@@ -44,6 +44,11 @@ class TestDiagrams:
         res = run("diagrams", "verify", "--trace", "no-such-trace")
         assert res.exit_code == 1
 
+    def test_all_with_trace_is_usage_error(self):
+        res = run("diagrams", "verify", "--all", "--trace",
+                  "dual-euler-twist")
+        assert res.exit_code == 2
+
 
 class TestSpan:
     A = json.dumps({"dom": 2, "cod": 2, "matrix": [[1, 2], [0, 1]]})
@@ -81,6 +86,11 @@ class TestSpan:
 
     def test_cofiber_requires_exactly_one_source(self):
         res = run("span", "cofiber")
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize("sizes", ["2", "a,b", "-1,2", "1,2,3", ""])
+    def test_cofiber_sizes_not_two_naturals_is_usage_error(self, sizes):
+        res = run("span", "cofiber", "--shape", "fold", "--sizes", sizes)
         assert res.exit_code == 2
 
     def test_mismatched_compose_is_domain_error(self):
@@ -166,6 +176,11 @@ class TestIdem:
                 env={"DUALKIT_SEED": "7"})
         assert c.exit_code == 0
         assert json.loads(c.output)["seed"] == 7
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_split_homs_needs_a_pair(self, pairs):
+        res = run("idem", "split-homs", "--pairs", pairs)
+        assert res.exit_code == 2
 
     def test_gp(self):
         res = run("idem", "gp", "--model", "spanfin", "--format", "json")

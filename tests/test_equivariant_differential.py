@@ -283,7 +283,7 @@ def test_non_integral_representation_json_roundtrip():
             fixed_dim(std, H)
 
 
-def test_bareiss_rank_matches_fraction_elimination():
+def test_mat_rank_matches_fraction_elimination():
     rng = random.Random(3)
     for _ in range(200):
         rows, cols = rng.randint(0, 6), rng.randint(1, 6)
@@ -294,3 +294,10 @@ def test_bareiss_rank_matches_fraction_elimination():
         if not m:
             continue
         assert mat_rank(from_fractions(m)) == oracle_rank(m)
+
+
+def test_zero_dimensional_representation():
+    # the standard representation of the trivial group of degree 1
+    rep = reduced_permutation_representation(perm_group(1, [(0,)]))
+    assert rep.dim == 0
+    assert fixed_dim(rep, [(0,)]) == fixed_projector_rank(rep, [(0,)]) == 0

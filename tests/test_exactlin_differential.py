@@ -9,7 +9,9 @@ integer solve through the Smith transforms.  On
 seeded matrices (square, non-square, rank-deficient, with zero rows and
 columns, 0 x n and n x 0) the new code must agree with them:
 
-- ``smith_normal_form`` returns the oracle's U, D and V exactly;
+- ``smith_normal_form`` returns the oracle's D with unimodular U and V
+  (|det| = 1 by Bareiss) such that U*m*V = D, and on 28 x 28 inputs
+  its U and V have fewer digits than the oracle's;
 - ``invariant_factors`` is the oracle's nonzero diagonal;
 - ``left_kernel_int`` gives rows - rank rows q with q*F = 0 and an SNF of
   all ones, so q is a saturated basis of the left kernel;
@@ -298,21 +300,84 @@ FP_CASES = fp_cases(12, 60)
 
 # -------------------------------------------------------------------- tests
 
-def test_smith_normal_form_matches_the_oracle_exactly():
+def bareiss_det(rows):
+    """Determinant by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(a[k][k] * x - a[i][k] * y) // prev
+                    for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * prev
+
+
+def assert_smith_contract(m):
+    """D is the oracle's, U*m*V = D, and U and V are unimodular."""
+    u, d, v = smith_normal_form(m)
+    assert d.data == oracle_snf(m)[1].data, m.tolist()
+    assert u.mul(m.retag(INT)).mul(v) == d, m.tolist()
+    assert abs(bareiss_det(u.data)) == abs(bareiss_det(v.data)) == 1
+
+
+def test_smith_normal_form_meets_the_contract():
     for m in INT_CASES:
-        got = smith_normal_form(m)
-        assert [x.data for x in got] == [x.data for x in oracle_snf(m)], \
-            m.tolist()
+        assert_smith_contract(m)
 
 
 def test_smith_normal_form_on_nat_matrices():
     rng = random.Random(13)
     for _ in range(40):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        m = nat_matrix([[rng.randint(0, 6) for _ in range(nc)]
-                        for _ in range(nr)])
-        got = smith_normal_form(m)
-        assert [x.data for x in got] == [x.data for x in oracle_snf(m)]
+        assert_smith_contract(nat_matrix([[rng.randint(0, 6)
+                                           for _ in range(nc)]
+                                          for _ in range(nr)]))
+
+
+def test_bareiss_det_of_known_matrices():
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[2, 1, 0], [1, 3, 1], [0, 1, 4]]) == 18
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
+
+
+def unit_triangular_product(rng, n):
+    """A random determinant-1 matrix: a unit lower times a unit upper
+    triangular matrix with entries in [-3, 3]."""
+    lower = [[rng.randint(-3, 3) if j < i else int(i == j)
+              for j in range(n)] for i in range(n)]
+    upper = [[rng.randint(-3, 3) if j > i else int(i == j)
+              for j in range(n)] for i in range(n)]
+    return int_matrix(lower).mul(int_matrix(upper))
+
+
+def max_digits(*ms):
+    return max(len(str(abs(x))) for m in ms for r in m.data for x in r)
+
+
+def test_smith_transforms_have_fewer_digits_than_the_oracles():
+    # U * D * V at n = 28 with a divisor chain of small primes and two
+    # zeros, built like the benchmark's SNF inputs
+    rng = random.Random(16)
+    n = 28
+    for _ in range(2):
+        diag, x = [], 1
+        for i in range(n - 2):
+            x *= rng.choice((2, 3, 5, 7)) if i >= n - 6 else 1
+            diag.append(x)
+        d = int_matrix([[diag[i] if i == j and i < n - 2 else 0
+                         for j in range(n)] for i in range(n)])
+        m = unit_triangular_product(rng, n).mul(d).mul(
+            unit_triangular_product(rng, n))
+        u, got, v = smith_normal_form(m)
+        ou, want, ov = oracle_snf(m)
+        assert got == want
+        assert max_digits(u, v) < max_digits(ou, ov)
 
 
 def test_invariant_factors_are_the_oracle_diagonal():
