@@ -186,8 +186,10 @@ def span_tensor(left, right, fmt):
 
 
 @span_group.command("dual-check")
-@click.option("--size", type=int, default=2, show_default=True,
-              help="Cardinality of the self-dual object.")
+@click.option("--size", type=click.IntRange(0, 32), default=2,
+              show_default=True,
+              help="Cardinality of the self-dual object (the check's "
+                   "memory grows as its fourth power).")
 @format_option
 @guarded
 def span_dual_check(size, fmt):

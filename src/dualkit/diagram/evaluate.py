@@ -3,8 +3,10 @@
 An interpretation assigns a model object to every generating object and
 a model morphism to every generator.  Cups and caps evaluate through
 the model's duality data (the bundled models are strictly self-dual),
-braids through the model braiding, and inverse boxes through exact
-inversion.
+braids of either sign through the model braiding (the bundled models
+are symmetric), and inverse boxes through exact inversion.  Each slice
+is applied to its tensor factor alone: no identity on the other wires,
+and no Kronecker product with one, is ever built.
 """
 
 from __future__ import annotations
@@ -50,33 +52,28 @@ class Interpretation:
 
 
 def evaluate(diagram: Diagram, interp: Interpretation):
-    """The model morphism denoted by the diagram."""
+    """The model morphism denoted by the diagram: each slice acts on the
+    running morphism at its own tensor factor (``ModelCategory.act``)."""
     model = interp.model
     words = diagram.boundaries()
     out = model.identity(interp.word_obj(diagram.dom))
     for t, cell in enumerate(diagram.slices):
-        consumed, produced = cell_arity(diagram.sig, cell, words[t])
-        del produced
+        consumed, _ = cell_arity(diagram.sig, cell, words[t])
         w = cell.offset
         if cell.kind == GEN:
             mor = interp.gen_mor(cell.data)
         elif cell.kind == GEN_INV:
             mor = model.invert(interp.gen_mor(cell.data))
         elif cell.kind == BRAID:
-            a = interp.obj(words[t][w])
-            b = interp.obj(words[t][w + 1])
-            if cell.data == 1:
-                mor = model.braiding(a, b)
-            else:
-                mor = model.invert(model.braiding(b, a))
+            # the models are symmetric: either sign is the braiding a, b
+            mor = model.braiding(interp.obj(words[t][w]),
+                                 interp.obj(words[t][w + 1]))
         elif cell.kind == CUP:
             mor = model.duality(interp.obj(cell.data)).eta
         elif cell.kind == CAP:
             mor = model.duality(interp.obj(cell.data)).eps
         else:  # pragma: no cover - exhaustive
             raise EvaluationError(f"unknown cell {cell}")
-        left = model.identity(interp.word_obj(words[t][:w]))
-        right = model.identity(interp.word_obj(words[t][w + len(consumed):]))
-        slice_mor = model.tensor_mor(model.tensor_mor(left, mor), right)
-        out = model.compose(slice_mor, out)
+        out = model.act(out, interp.word_obj(words[t][:w]), mor,
+                        interp.word_obj(words[t][w + len(consumed):]))
     return out

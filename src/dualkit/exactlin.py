@@ -1,9 +1,11 @@
 """Exact matrix arithmetic over N, Z (arbitrary precision), and F_p.
 
-Provides Kronecker products; the Smith normal form with unimodular
-transforms, invariant factors, saturated left kernels and integral
-solutions, all from one row echelon over Z (``dualkit.introws``); one
-forward elimination over F_p; and exact inversion.
+Provides Kronecker products and ``apply_factor``, which applies a
+matrix to one tensor factor without building one; the Smith normal form
+with unimodular transforms, invariant factors, saturated left kernels
+and integral solutions, all from one row echelon over Z
+(``dualkit.introws``); one forward elimination over F_p; and exact
+inversion.
 All arithmetic uses Python's arbitrary-precision integers; there are no
 floats and no tolerances anywhere.
 
@@ -345,6 +347,29 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
            for arow in a.data for brow in b.data]
     return Matrix.from_rows(a.domain, out,
                             shape=(a.rows * b.rows, a.cols * b.cols))
+
+
+def apply_factor(f: Matrix, m: Matrix, left: int, right: int) -> Matrix:
+    """(I_left (x) f (x) I_right) * m without building the Kronecker
+    product: row (l, i, r) of m, at index (l*a + i)*right + r with
+    a = f.cols, is the i-th input of block (l, r), and row (l, j, r) of
+    the result is row j of f times that block's a rows."""
+    if f.domain != m.domain:
+        raise DimensionMismatch("domain mismatch in apply_factor")
+    a, b = f.cols, f.rows
+    if m.rows != left * a * right:
+        raise DimensionMismatch(
+            f"cannot apply a {b}x{a} factor between {left} and {right} "
+            f"to {m.rows} rows")
+    out = []
+    for l in range(left):
+        start = l * a * right
+        # per offset r, the b rows f * (rows (l, 0, r), ..., (l, a-1, r))
+        blocks = [mul_rows(f.data, m.data[start + r:start + a * right:right],
+                           m.cols) for r in range(right)]
+        out += [blk[j] for j in range(b) for blk in blocks]
+    # from_rows reduces the integer combinations mod p
+    return Matrix.from_rows(m.domain, out, shape=(left * b * right, m.cols))
 
 
 def commutation(domain: Domain, a: int, b: int) -> Matrix:

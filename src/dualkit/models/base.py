@@ -1,10 +1,10 @@
 """Uniform computable-category interface shared by the concrete models.
 
 A model category exposes: object canonical form and equality, morphism
-equality, identity, composition, tensor, braiding, biproducts, zero
-objects/morphisms, duality data, cofibers, suspension and, optionally,
-lifts, extensions, scalars and hom dimensions.  Everything is exact and
-deterministic.
+equality, identity, composition, tensor, the action of a morphism on one
+tensor factor, braiding, biproducts, zero objects/morphisms, duality
+data, cofibers, suspension and, optionally, lifts, extensions, scalars
+and hom dimensions.  Everything is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ class ModelCategory:
     def tensor_mor(self, f, g):  # pragma: no cover - interface
         raise NotImplementedError
 
+    def act(self, out, left, mor, right):  # pragma: no cover - interface
+        """(id_left (x) mor (x) id_right) o out, computed without the
+        identities or their tensor products."""
+        raise NotImplementedError
+
     def braiding(self, x, y):  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -150,13 +155,11 @@ def triangle_equations_hold(model: ModelCategory, dd: DualityDatum) -> bool:
     (eps (x) id_X) o (id_X (x) eta) = id_X and
     (id_Xv (x) eps) o (eta (x) id_Xv) = id_Xv.
     """
-    x, xv = dd.obj, dd.dual
+    x, xv, s = dd.obj, dd.dual, model.unit()
     idx = model.identity(x)
     idxv = model.identity(xv)
-    left = model.compose(model.tensor_mor(dd.eps, idx),
-                         model.tensor_mor(idx, dd.eta))
-    right = model.compose(model.tensor_mor(idxv, dd.eps),
-                          model.tensor_mor(dd.eta, idxv))
+    left = model.act(model.act(idx, x, dd.eta, s), s, dd.eps, x)
+    right = model.act(model.act(idxv, s, dd.eta, xv), xv, dd.eps, s)
     return model.mor_eq(left, idx) and model.mor_eq(right, idxv)
 
 

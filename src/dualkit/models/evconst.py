@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
-                        commutation, fp, int_matrix, invert_or_fail,
-                        kronecker, left_kernel_int, left_null_basis_fp,
-                        prime_factors, solve_right_fp, solve_right_int)
+                        apply_factor, commutation, fp, int_matrix,
+                        invert_or_fail, kronecker, left_kernel_int,
+                        left_null_basis_fp, prime_factors, solve_right_fp,
+                        solve_right_int)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory
 
 
@@ -189,6 +190,20 @@ class EvConst(ModelCategory):
         primes = sorted(set(f.explicit_primes()) | set(g.explicit_primes()))
         expl = {p: kronecker(f.component(p), g.component(p)) for p in primes}
         return ev_morphism(dom, cod, kronecker(f.free, g.free), expl)
+
+    def act(self, out: EvMorphism, left: EvObject, mor: EvMorphism,
+            right: EvObject) -> EvMorphism:
+        tensor = self.tensor_obj
+        if out.cod != tensor(tensor(left, mor.dom), right):
+            raise DimensionMismatch("evconst action boundary mismatch")
+        # at any other prime every part is the reduction of the free one
+        primes = (set(out.explicit_primes()) | set(mor.explicit_primes())
+                  | set(left.exc_primes()) | set(right.exc_primes()))
+        expl = {p: apply_factor(mor.component(p), out.component(p),
+                                left.dim(p), right.dim(p)) for p in primes}
+        return ev_morphism(out.dom, tensor(tensor(left, mor.cod), right),
+                           apply_factor(mor.free, out.free, left.f, right.f),
+                           expl)
 
     def braiding(self, x: EvObject, y: EvObject) -> EvMorphism:
         dom = self.tensor_obj(x, y)

@@ -42,6 +42,10 @@ class ProductCategory(ModelCategory):
     def tensor_mor(self, f, g):
         return (self.m1.tensor_mor(f[0], g[0]), self.m2.tensor_mor(f[1], g[1]))
 
+    def act(self, out, left, mor, right):
+        return (self.m1.act(out[0], left[0], mor[0], right[0]),
+                self.m2.act(out[1], left[1], mor[1], right[1]))
+
     def braiding(self, x, y):
         return (self.m1.braiding(x[0], y[0]), self.m2.braiding(x[1], y[1]))
 

@@ -4,8 +4,8 @@ Objects are finite sets up to isomorphism (a size n >= 0); a morphism
 m -> n is an isomorphism class of spans m <- A -> n, recorded as the
 n x m natural-number matrix counting apex elements over each pair.
 Composition is then exactly matrix multiplication (pullback counting),
-tensor is Kronecker, and every object is self-dual via the diagonal
-span.
+tensor is Kronecker (applied to one tensor factor, by ``apply_factor``),
+and every object is self-dual via the diagonal span.
 
 Cofibers are deliberately partial: only the shapes with a known answer
 are accepted — backward maps (each apex element carries an identity
@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exactlin import (NAT, DimensionMismatch, Matrix, NotInvertible,
-                        commutation, invert_or_fail, kronecker, nat_matrix)
+                        apply_factor, commutation, invert_or_fail, kronecker,
+                        nat_matrix)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory, UnsupportedShape
 
 
@@ -76,6 +77,13 @@ class SpanFin(ModelCategory):
     def tensor_mor(self, f: SpanMorphism, g: SpanMorphism) -> SpanMorphism:
         return SpanMorphism(f.dom * g.dom, f.cod * g.cod,
                             kronecker(f.matrix, g.matrix))
+
+    def act(self, out: SpanMorphism, left: int, mor: SpanMorphism,
+            right: int) -> SpanMorphism:
+        if out.cod != left * mor.dom * right:
+            raise DimensionMismatch("span action boundary mismatch")
+        return SpanMorphism(out.dom, left * mor.cod * right,
+                            apply_factor(mor.matrix, out.matrix, left, right))
 
     def braiding(self, x: int, y: int) -> SpanMorphism:
         return SpanMorphism(x * y, y * x, commutation(NAT, x, y))

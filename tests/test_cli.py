@@ -72,6 +72,19 @@ class TestSpan:
             res = run("span", "dual-check", "--size", str(n))
             assert res.exit_code == 0
 
+    @pytest.mark.parametrize("size", ["-1", "33"])
+    def test_dual_check_size_out_of_range_is_usage_error(self, size):
+        # the check's memory grows as size ** 4, so sizes stop at 32
+        start = time.perf_counter()
+        res = run("span", "dual-check", "--size", size)
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+
+    def test_dual_check_largest_size(self):
+        res = run("span", "dual-check", "--size", "32", "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["ok"]
+
     def test_cofiber_shapes(self):
         cases = {
             ("zero-to-one", "0,1"): 1,
