@@ -20,9 +20,11 @@ def has_shape(obj, shape) -> bool:
     which tests obj; [s], a list of s; {key: s}, an object with these
     keys (one ending in "?" may be absent) and maybe more; or {test: s},
     with a type or callable test, an object whose keys all pass it and
-    whose values all have shape s."""
+    whose values all have shape s.  JSON true and false are not ints,
+    though Python's bool is a subclass of int."""
     if isinstance(shape, type):
-        return isinstance(obj, shape)
+        return isinstance(obj, shape) and not (shape is int
+                                               and isinstance(obj, bool))
     if isinstance(shape, list):
         return isinstance(obj, list) and all(has_shape(x, shape[0])
                                              for x in obj)

@@ -10,7 +10,11 @@ All arithmetic uses Python's arbitrary-precision integers; there are no
 floats and no tolerances anywhere.
 
 Scalar domains are tagged: ``"nat"``, ``"int"``, or ``("fp", p)`` with p
-prime.  Matrices are immutable value objects.
+prime.  Matrices are immutable value objects.  Their entries are checked
+where data comes in (direct construction, ``from_rows`` and the readers
+built on it, ``retag``, ``scale``); the kernels, whose results are valid
+whenever their inputs are, build their results with ``Matrix._trusted``,
+which checks no entry and only reduces mod p.
 """
 
 from __future__ import annotations
@@ -221,6 +225,25 @@ class Matrix:
     # ---------------------------------------------------------- construction
 
     @staticmethod
+    def _trusted(domain: Domain, rows: int, cols: int, data) -> "Matrix":
+        """The rows x cols matrix with the rows data (lists or tuples of
+        ints), built without ``__post_init__``: only for results that are
+        valid whenever the inputs are.  Over F_p the entries are reduced
+        mod p in the same pass; over N and Z a row that is already a
+        tuple is kept, not copied.  Only the dimensions are checked."""
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch("negative matrix dimension")
+        p = _domain_prime(domain)
+        data = (tuple([tuple([e % p for e in r]) for r in data]) if p
+                else tuple(map(tuple, data)))
+        m = object.__new__(Matrix)
+        object.__setattr__(m, "domain", domain)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
+
+    @staticmethod
     def from_rows(domain: Domain, rows: Sequence[Sequence[int]],
                   shape: tuple | None = None) -> "Matrix":
         rows = [list(r) for r in rows]
@@ -236,14 +259,12 @@ class Matrix:
 
     @staticmethod
     def identity(domain: Domain, n: int) -> "Matrix":
-        return Matrix.from_rows(
-            domain, [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-            shape=(n, n))
+        return Matrix._trusted(domain, n, n, _identity_rows(n))
 
     @staticmethod
     def zeros(domain: Domain, rows: int, cols: int) -> "Matrix":
-        return Matrix.from_rows(domain, [[0] * cols for _ in range(rows)],
-                                shape=(rows, cols))
+        # every row is the same immutable zero tuple
+        return Matrix._trusted(domain, rows, cols, ((0,) * cols,) * rows)
 
     # --------------------------------------------------------------- access
 
@@ -269,10 +290,9 @@ class Matrix:
             raise DimensionMismatch("domain mismatch in add")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in add")
-        return Matrix.from_rows(
-            self.domain, [list(map(add, r, s))
-                          for r, s in zip(self.data, other.data)],
-            shape=(self.rows, self.cols))
+        return Matrix._trusted(
+            self.domain, self.rows, self.cols,
+            [list(map(add, r, s)) for r, s in zip(self.data, other.data)])
 
     def sub(self, other: "Matrix") -> "Matrix":
         if self.domain == NAT:
@@ -291,22 +311,21 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # from_rows reduces the integer product mod p
-        return Matrix.from_rows(self.domain,
-                                mul_rows(self.data, other.data, other.cols),
-                                shape=(self.rows, other.cols))
+        # _trusted reduces the integer product mod p
+        return Matrix._trusted(self.domain, self.rows, other.cols,
+                               mul_rows(self.data, other.data, other.cols))
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_rows(
-            self.domain, [[r[j] for r in self.data] for j in range(self.cols)],
-            shape=(self.cols, self.rows))
+        return Matrix._trusted(
+            self.domain, self.cols, self.rows,
+            zip(*self.data) if self.rows else [()] * self.cols)
 
     def retag(self, domain: Domain) -> "Matrix":
         """Reinterpret entries in another domain (reducing mod p if needed)."""
         return Matrix.from_rows(domain, self.tolist(), shape=(self.rows, self.cols))
 
     def mod(self, p: int) -> "Matrix":
-        return self.retag(fp(p))
+        return Matrix._trusted(fp(p), self.rows, self.cols, self.data)
 
     # -------------------------------------------------------- serialization
 
@@ -342,11 +361,10 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Standard Kronecker product, (ra*rb) x (ca*cb), same scalar domain."""
     if a.domain != b.domain:
         raise DimensionMismatch("domain mismatch in kronecker")
-    # row (i, k) is [a_ij * b_kl for j for l]; from_rows reduces mod p
+    # row (i, k) is [a_ij * b_kl for j for l]; _trusted reduces mod p
     out = [[x * y for x in arow for y in brow]
            for arow in a.data for brow in b.data]
-    return Matrix.from_rows(a.domain, out,
-                            shape=(a.rows * b.rows, a.cols * b.cols))
+    return Matrix._trusted(a.domain, a.rows * b.rows, a.cols * b.cols, out)
 
 
 def apply_factor(f: Matrix, m: Matrix, left: int, right: int) -> Matrix:
@@ -368,8 +386,8 @@ def apply_factor(f: Matrix, m: Matrix, left: int, right: int) -> Matrix:
         blocks = [mul_rows(f.data, m.data[start + r:start + a * right:right],
                            m.cols) for r in range(right)]
         out += [blk[j] for j in range(b) for blk in blocks]
-    # from_rows reduces the integer combinations mod p
-    return Matrix.from_rows(m.domain, out, shape=(left * b * right, m.cols))
+    # _trusted reduces the integer combinations mod p
+    return Matrix._trusted(m.domain, left * b * right, m.cols, out)
 
 
 def commutation(domain: Domain, a: int, b: int) -> Matrix:
@@ -380,11 +398,14 @@ def commutation(domain: Domain, a: int, b: int) -> Matrix:
     for i in range(a):
         for j in range(b):
             rows[j * a + i][i * b + j] = 1
-    return Matrix.from_rows(domain, rows, shape=(a * b, a * b))
+    return Matrix._trusted(domain, a * b, a * b, rows)
 
 
 def _identity_rows(n: int) -> list:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def _with_identity(m: Matrix) -> list:
@@ -451,11 +472,11 @@ def smith_normal_form(m: Matrix) -> tuple:
     nr, nc = m.rows, m.cols
     d, u, vt = _smith([list(r) for r in m.data], nc, _identity_rows(nr),
                       _identity_rows(nc))
-    return (Matrix.from_rows(INT, u, shape=(nr, nr)),
-            Matrix.from_rows(INT, [[d[i] if i == j and i < len(d) else 0
-                                    for j in range(nc)] for i in range(nr)],
-                             shape=(nr, nc)),
-            Matrix.from_rows(INT, vt, shape=(nc, nc)).transpose())
+    return (Matrix._trusted(INT, nr, nr, u),
+            Matrix._trusted(INT, nr, nc,
+                            [[d[i] if i == j and i < len(d) else 0
+                              for j in range(nc)] for i in range(nr)]),
+            Matrix._trusted(INT, nc, nc, vt).transpose())
 
 
 def invariant_factors(m: Matrix) -> list:
@@ -494,9 +515,8 @@ def left_kernel_int(m: Matrix) -> tuple:
     r = echelon(rows, c)
     kernel = [row[c:] for row in rows[r:]]
     _size_reduce(kernel)
-    h = Matrix.from_rows(INT, [row[:c] for row in rows[:r]], shape=(r, c))
-    return (invariant_factors(h),
-            Matrix.from_rows(INT, kernel, shape=(n - r, n)))
+    h = Matrix._trusted(INT, r, c, [row[:c] for row in rows[:r]])
+    return invariant_factors(h), Matrix._trusted(INT, n - r, n, kernel)
 
 
 def cokernel_decomposition(m: Matrix) -> tuple:
@@ -563,8 +583,8 @@ def left_null_basis_fp(m: Matrix) -> Matrix:
     """
     a = _with_identity(m)
     k = len(_forward_fp(a, m.cols, _fp_prime(m)))
-    return Matrix.from_rows(m.domain, [r[m.cols:] for r in a[k:]],
-                            shape=(m.rows - k, m.rows))
+    return Matrix._trusted(m.domain, m.rows - k, m.rows,
+                           [r[m.cols:] for r in a[k:]])
 
 
 def solve_right_fp(a: Matrix, b: Matrix) -> Matrix:
@@ -583,7 +603,7 @@ def solve_right_fp(a: Matrix, b: Matrix) -> Matrix:
     x = [[0] * b.cols for _ in range(a.cols)]
     for r, col in enumerate(pivots):
         x[col] = aug[r][a.cols:]
-    return Matrix.from_rows(a.domain, x, shape=(a.cols, b.cols))
+    return Matrix._trusted(a.domain, a.cols, b.cols, x)
 
 
 # ------------------------------------------------------------------ inversion
@@ -601,8 +621,7 @@ def _invert(m: Matrix) -> Matrix:
             raise NotInvertible("inverse is not integral")
         a = [[x * row[i] for x in row] for i, row in enumerate(a)]
     _backward(a, range(n), n, p)
-    return Matrix.from_rows(m.domain if p else INT, [r[n:] for r in a],
-                            shape=(n, n))
+    return Matrix._trusted(m.domain if p else INT, n, n, [r[n:] for r in a])
 
 
 def invert_or_fail(m: Matrix) -> Matrix:
@@ -644,5 +663,5 @@ def solve_right_int(a: Matrix, b: Matrix) -> Matrix:
         y.append(yi)
     if any(map(any, res)):
         raise NotInvertible("no integral solution")
-    vt = Matrix.from_rows(INT, [h[n:] for h in w[:r]], shape=(r, m))
-    return vt.transpose().mul(Matrix.from_rows(INT, y, shape=(r, b.cols)))
+    vt = Matrix._trusted(INT, r, m, [h[n:] for h in w[:r]])
+    return vt.transpose().mul(Matrix._trusted(INT, r, b.cols, y))

@@ -326,6 +326,26 @@ class TestInputShapes:
         assert res.exit_code == 2
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("args", [
+        ("evconst", "cofiber", "--morphism", '{"free": [[true, false]]}'),
+        ("evconst", "biproduct", "--x", '{"f": true}', "--y", "S"),
+        ("span", "compose", "--left", '{"dom": 1, "cod": 1, "matrix": [[1]]}',
+         "--right", '{"dom": true, "cod": true, "matrix": [[1]]}'),
+        ("span", "tensor", "--left", SPAN, "--right",
+         '{"dom": 1, "cod": 1, "matrix": [[false]]}'),
+    ])
+    def test_json_booleans_are_not_integers(self, args):
+        res = run(*args, "--format", "json")
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+
+    def test_group_file_booleans_are_not_integers(self, tmp_path):
+        path = tmp_path / "group.json"
+        path.write_text('{"degree": 2, "generators": [[1, true]]}')
+        res = run("equi", "lattice", "--group", str(path), "--format", "json")
+        assert res.exit_code == 1
+        assert "expected a group" in json.loads(res.output)["error"]
+
     def test_unproven_prime_is_domain_error(self):
         start = time.perf_counter()
         res = run("evconst", "cofiber", "--morphism",

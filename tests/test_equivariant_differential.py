@@ -53,21 +53,25 @@ def relabelled(name: str, seed: int = 1):
 # ------------------------------------------------------------------ oracles
 
 def oracle_all_subgroups(G):
-    """Every subgroup: cyclic subgroups closed under pairwise join."""
+    """Every subgroup: cyclic subgroups closed under pairwise join,
+    semi-naively: a round joins only the pairs with a subgroup found in
+    the round before, since every other pair was joined already."""
+    key = lambda h: tuple(sorted(h))  # noqa: E731
     found = {generated_subgroup(G, [g]) for g in G.elements}
-    while True:
+    frontier = found
+    while frontier:
         new = set()
-        pool = sorted(found, key=lambda h: tuple(sorted(h)))
-        for a in pool:
+        pool = sorted(found, key=key)
+        for a in sorted(frontier, key=key):
             for b in pool:
                 if a < b or b < a or a == b:
                     continue
                 j = generated_subgroup(G, tuple(a) + tuple(b))
                 if j not in found:
                     new.add(j)
-        if not new:
-            return sorted(found, key=lambda h: (len(h), tuple(sorted(h))))
         found |= new
+        frontier = new
+    return sorted(found, key=lambda h: (len(h), tuple(sorted(h))))
 
 
 def oracle_conjugate(H, g):

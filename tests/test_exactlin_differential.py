@@ -19,7 +19,12 @@ columns, 0 x n and n x 0) the new code must agree with them:
 - ``solve_right_int`` agrees with the SNF solve on solvability, and its
   X solves a*X = b and is the oracle's whenever a has full column rank;
 - the F_p routines, ``invert_or_fail`` and ``kronecker`` return
-  byte-identical matrices, or the same exception with the same message.
+  byte-identical matrices, or the same exception with the same message;
+- every kernel that builds its result with ``Matrix._trusted`` (no entry
+  check) returns what the validating ``Matrix.from_rows`` builds from the
+  same rows, with tuple rows of plain ints, over N, Z, F_2 and F_7, while
+  the validating entry points still raise; a ``_trusted`` that does not
+  reduce mod p fails this.
 """
 
 import random
@@ -28,10 +33,11 @@ from fractions import Fraction
 import pytest
 
 from dualkit.exactlin import (
-    INT, NAT, Matrix, NotInvertible, fp, fp_matrix, int_matrix,
-    invariant_factors, invert_or_fail, kronecker, left_kernel_int,
-    left_null_basis_fp, nat_matrix, prime_factors, rank_fp,
-    smith_normal_form, solve_right_fp, solve_right_int,
+    INT, NAT, DimensionMismatch, Matrix, NotInvertible, apply_factor,
+    commutation, fp, fp_matrix, int_matrix, invariant_factors,
+    invert_or_fail, kronecker, left_kernel_int, left_null_basis_fp,
+    nat_matrix, prime_factors, rank_fp, smith_normal_form, solve_right_fp,
+    solve_right_int,
 )
 from dualkit.models import EvConst, ev_morphism, ev_object
 
@@ -542,3 +548,135 @@ def test_integer_solve_agrees_with_the_snf_oracle():
                 if full_column_rank:
                     assert got == want
     assert unsolvable > len(cases) // 2
+
+
+# ----------------------------------------------------- trusted construction
+
+TRUSTED_DOMAINS = [NAT, INT, fp(2), fp(7)]
+
+
+def seeded_matrix(rng, domain, nr, nc):
+    """Entries in [-9, 9] ([0, 9] over N), reduced by from_rows over F_p,
+    with a zero row now and then."""
+    lo = 0 if domain == NAT else -9
+    rows = [[rng.randint(lo, 9) for _ in range(nc)] for _ in range(nr)]
+    if nr and rng.random() < 0.3:
+        rows[rng.randrange(nr)] = [0] * nc
+    return Matrix.from_rows(domain, rows, shape=(nr, nc))
+
+
+def revalidated(m):
+    """m rebuilt by the validating constructor from its rows."""
+    return Matrix.from_rows(m.domain, m.tolist(), shape=(m.rows, m.cols))
+
+
+def trusted_results(domain, seed):
+    """(kernel, result) for every kernel built on Matrix._trusted, on
+    seeded inputs over domain: 0 x n, n x 0 and 0 x 0 shapes among them.
+    A kernel's result that feeds another kernel is revalidated first, so
+    that the second kernel sees checked input."""
+    rng = random.Random(seed)
+    shapes = [(0, 3), (3, 0), (0, 0)]
+    for _ in range(25):
+        nr = rng.randint(1, 5)
+        shapes.append((nr, nr if rng.random() < 0.4 else rng.randint(1, 5)))
+    out = [("identity", Matrix.identity(domain, n)) for n in range(4)]
+    out += [("zeros", Matrix.zeros(domain, r, c))
+            for r, c in ((0, 2), (2, 0), (2, 3))]
+    out += [("commutation", commutation(domain, a, b))
+            for a in range(4) for b in range(4)]
+    for nr, nc in shapes:
+        m = seeded_matrix(rng, domain, nr, nc)
+        other = seeded_matrix(rng, domain, rng.randint(0, 3),
+                              rng.randint(0, 3))
+        out += [("transpose", m.transpose()), ("add", m.add(m)),
+                ("kronecker", kronecker(m, other)),
+                ("mul", m.mul(seeded_matrix(rng, domain, nc,
+                                            rng.randint(0, 4))))]
+        left, right = rng.randint(0, 2), rng.randint(0, 2)
+        f = seeded_matrix(rng, domain, rng.randint(0, 3), rng.randint(0, 3))
+        out.append(("apply_factor", apply_factor(
+            f, seeded_matrix(rng, domain, left * f.cols * right, nc),
+            left, right)))
+        if domain in (NAT, INT):
+            out += [("mod", m.mod(2)), ("mod", m.mod(7))]
+            u, d, v = smith_normal_form(m)
+            out += [("snf", u), ("snf", d), ("snf", v),
+                    ("left_kernel_int", left_kernel_int(m)[1]),
+                    ("invert", invert_or_fail(u)),
+                    ("solve_right_int", solve_right_int(
+                        m.retag(INT), m.retag(INT).mul(
+                            seeded_matrix(rng, INT, nc, 2))))]
+        else:
+            out += [("left_null_basis_fp", left_null_basis_fp(m)),
+                    ("solve_right_fp", solve_right_fp(m, revalidated(m.mul(
+                        seeded_matrix(rng, domain, nc, 2)))))]
+            if nr == nc:
+                try:
+                    out.append(("invert", invert_or_fail(revalidated(
+                        m.add(Matrix.identity(domain, nr))))))
+                except NotInvertible:
+                    pass
+    return out
+
+
+def assert_trusted_results_valid(domain, seed):
+    for name, r in trusted_results(domain, seed):
+        assert revalidated(r) == r, name
+        assert all(type(e) is int for row in r.data for e in row), name
+
+
+@pytest.mark.parametrize("domain", TRUSTED_DOMAINS)
+def test_trusted_results_are_what_from_rows_builds(domain):
+    assert_trusted_results_valid(domain, 20)
+
+
+def test_trusted_results_cover_every_kernel():
+    names = {name for domain in TRUSTED_DOMAINS
+             for name, _ in trusted_results(domain, 20)}
+    assert names == {"identity", "zeros", "commutation", "transpose",
+                     "add", "kronecker", "mul", "apply_factor", "mod",
+                     "snf", "left_kernel_int", "invert", "solve_right_int",
+                     "left_null_basis_fp", "solve_right_fp"}
+
+
+def test_entry_points_still_validate():
+    with pytest.raises(ValueError):
+        nat_matrix([[1]]).scale(-1)
+    with pytest.raises(ValueError):
+        nat_matrix([[1]]).sub(nat_matrix([[0]]))
+    with pytest.raises(ValueError):
+        int_matrix([[2, -1]]).retag(NAT)
+    with pytest.raises(ValueError):
+        Matrix(fp(7), 1, 1, ((7,),))
+    with pytest.raises(ValueError):
+        Matrix(NAT, 1, 1, ((-1,),))
+    # from_json reads through from_rows, which reduces an F_p entry and
+    # checks everything else
+    fp_json = {"domain": {"fp": 7}, "rows": 1, "cols": 1}
+    assert Matrix.from_json({**fp_json, "entries": [[9]]}).data == ((2,),)
+    with pytest.raises(TypeError):
+        Matrix.from_json({**fp_json, "entries": [[1.5]]})
+    with pytest.raises(ValueError):
+        Matrix.from_json({"domain": "nat", "rows": 1, "cols": 1,
+                          "entries": [[-1]]})
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_json({**fp_json, "rows": 2, "entries": [[1]]})
+    with pytest.raises(DimensionMismatch):
+        Matrix.identity(INT, -1)
+
+
+def _unreduced(domain, rows, cols, data):
+    """Matrix._trusted without the reduction mod p."""
+    m = object.__new__(Matrix)
+    for name, value in (("domain", domain), ("rows", rows), ("cols", cols),
+                        ("data", tuple(map(tuple, data)))):
+        object.__setattr__(m, name, value)
+    return m
+
+
+@pytest.mark.parametrize("domain", [fp(2), fp(7)])
+def test_unreduced_trusted_mutant_is_caught(domain, monkeypatch):
+    monkeypatch.setattr(Matrix, "_trusted", staticmethod(_unreduced))
+    with pytest.raises(AssertionError):
+        assert_trusted_results_valid(domain, 20)
