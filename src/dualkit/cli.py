@@ -222,9 +222,13 @@ def _span_shape(shape: str, sizes) -> SpanMorphism:
 
 def _parse_sizes(ctx, param, value: str) -> tuple:
     parts = value.split(",")
-    if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
-        raise click.BadParameter("expected two nonnegative integers dom,cod")
-    return tuple(int(p) for p in parts)
+    try:
+        sizes = tuple(int(p) for p in parts if p.strip().isdecimal())
+    except ValueError:      # more digits than int() converts
+        sizes = ()
+    if len(parts) != 2 or len(sizes) != 2 or max(sizes) > 256:
+        raise click.BadParameter("expected two integers dom,cod in [0, 256]")
+    return sizes
 
 
 @span_group.command("cofiber")
@@ -233,7 +237,8 @@ def _parse_sizes(ctx, param, value: str) -> tuple:
               type=click.Choice(["zero-to-one", "fold", "backward", "zero"]),
               default=None, help="Build the span from a named shape.")
 @click.option("--sizes", default="2,1", show_default=True,
-              callback=_parse_sizes, help="dom,cod sizes for --shape.")
+              callback=_parse_sizes,
+              help="dom,cod sizes for --shape, each at most 256.")
 @format_option
 @guarded
 def span_cofiber(morphism, shape, sizes, fmt):
@@ -466,8 +471,10 @@ def idem_untwist(model_name, fmt):
 
 @idem_group.command("euler")
 @model_option
-@click.option("--size", type=int, default=2, show_default=True,
-              help="Object size (spanfin).")
+@click.option("--size", type=click.IntRange(0, 32), default=2,
+              show_default=True,
+              help="Object size (spanfin; memory grows as its fourth "
+                   "power).")
 @format_option
 @guarded
 def idem_euler(model_name, size, fmt):

@@ -1,15 +1,17 @@
 """Open-graph semantics and the symmetric-equality decision procedure.
 
 A diagram determines an open graph: generator boxes with typed ports,
-wires connecting boundary positions and box ports, and closed loops.
-Braids, cups and caps are pure wire routing, so two diagrams have the
-same open graph exactly when they are equal in the free symmetric
-monoidal category with duals on the signature.  Equality is decided by
-a canonical labeling of the box occurrences: colour refinement from the
-box labels along the wires, then, for each component refinement leaves
-non-discrete, one individualisation per box of its first smallest cell
-(McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic Comput.
-60, 2014).  The cost is polynomial in the number of boxes.
+wires connecting boundary positions and box ports, and closed loops,
+read off in one union-find pass over strand segments (Tarjan, J. ACM
+22, 1975).  Braids, cups and caps are pure wire routing, so two
+diagrams have the same open graph exactly when they are equal in the
+free symmetric monoidal category with duals on the signature.
+Equality is decided by a canonical labeling of the box occurrences:
+colour refinement from the box labels along the wires, then, for each
+component refinement leaves non-discrete, one individualisation per
+box of its first smallest cell (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60, 2014).  The cost is
+polynomial in the number of boxes.
 """
 
 from __future__ import annotations
@@ -33,106 +35,61 @@ class OpenGraph:
 
 
 def diagram_to_open_graph(diagram: Diagram) -> OpenGraph:
-    """Trace every wire of the diagram through its routing cells."""
+    """Trace every wire of the diagram in one union-find pass.
+
+    A strand segment is created at a ``dom`` position, at a box output or
+    at a cup, and ends at a box input, at a ``cod`` position or at a cap.
+    A braid only swaps two live segments; a cup unites the two segments
+    it creates and a cap the two it consumes.  Each resulting class has
+    two terminal ends, which make a wire, or none, which make a closed
+    loop named by its letter."""
     sig = diagram.sig
     words = diagram.boundaries()
+    parent, letters = [], []    # union-find forest over segments
 
-    edges = {}      # edge id -> [endpointA, endpointB or None]
-    edge_letter = {}
-    nxt = [0]
+    def segment(letter):
+        parent.append(len(parent))
+        letters.append(letter)
+        return parent[-1]
 
-    def new_edge(endpoint, letter):
-        eid = nxt[0]
-        nxt[0] += 1
-        edges[eid] = [endpoint, None]
-        edge_letter[eid] = letter
-        return eid
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
 
-    live = [new_edge(("dom", i), letter)
-            for i, letter in enumerate(diagram.dom)]
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    live = [segment(letter) for letter in diagram.dom]
+    ends = [(("dom", i), s) for i, s in enumerate(live)]
     boxes = []
-    routing = {}    # (node, port) -> (node, partner port) for braid/cup/cap
-
     for t, cell in enumerate(diagram.slices):
         consumed, produced = cell_arity(sig, cell, words[t])
         w = cell.offset
+        ins = live[w:w + len(consumed)]
+        outs = ins[::-1] if cell.kind == BRAID else \
+            [segment(letter) for letter in produced]
         if cell.kind in (GEN, GEN_INV):
             occ = len(boxes)
             boxes.append((cell.kind, cell.data))
-            for k in range(len(consumed)):
-                edges[live[w + k]][1] = ("box", occ, "in", k)
-            outs = [new_edge(("box", occ, "out", k), produced[k])
-                    for k in range(len(produced))]
-        else:
-            node = ("route", t)
-            if cell.kind == BRAID:
-                pairs = [(node + ("in", 0), node + ("out", 1)),
-                         (node + ("in", 1), node + ("out", 0))]
-            elif cell.kind == CUP:
-                pairs = [(node + ("out", 0), node + ("out", 1))]
-            else:  # CAP
-                pairs = [(node + ("in", 0), node + ("in", 1))]
-            for a, b in pairs:
-                routing[a] = b
-                routing[b] = a
-            for k in range(len(consumed)):
-                edges[live[w + k]][1] = node + ("in", k)
-            outs = [new_edge(node + ("out", k), produced[k])
-                    for k in range(len(produced))]
+            ends += [(("box", occ, "in", k), s) for k, s in enumerate(ins)]
+            ends += [(("box", occ, "out", k), s) for k, s in enumerate(outs)]
+        elif cell.kind == CUP:
+            union(*outs)
+        elif cell.kind == CAP:
+            union(*ins)
         live[w:w + len(consumed)] = outs
+    ends += [(("cod", j), s) for j, s in enumerate(live)]
 
-    cod = words[-1]
-    for j, eid in enumerate(live):
-        edges[eid][1] = ("cod", j)
-
-    full_routing = routing
-
-    # index edges by endpoint
-    by_endpoint = {}
-    for eid, (ea, eb) in edges.items():
-        by_endpoint[ea] = eid
-        by_endpoint[eb] = eid
-
-    def is_terminal(pt):
-        return pt[0] in ("dom", "cod", "box")
-
-    visited = set()
-    wires = []
-    for eid, (ea, eb) in sorted(edges.items()):
-        for start in (ea, eb):
-            if not is_terminal(start) or eid in visited:
-                continue
-            # walk from this terminal to the far terminal
-            here_edge, here_end = eid, start
-            while True:
-                visited.add(here_edge)
-                a, b = edges[here_edge]
-                far = b if a == here_end else a
-                if is_terminal(far):
-                    wires.append(frozenset((start, far)))
-                    break
-                partner = full_routing[far]
-                here_edge = by_endpoint[partner]
-                here_end = partner
-
-    loops = []
-    for eid in sorted(edges.keys()):
-        if eid in visited:
-            continue
-        loops.append(edge_letter[eid].name)
-        here_edge, here_end = eid, edges[eid][0]
-        while True:
-            visited.add(here_edge)
-            a, b = edges[here_edge]
-            far = b if a == here_end else a
-            partner = full_routing[far]
-            here_edge = by_endpoint[partner]
-            here_end = partner
-            if here_edge == eid:
-                break
-
-    return OpenGraph(diagram.dom, cod, tuple(boxes), tuple(wires),
-                     tuple(sorted(loops)))
+    wires = {}
+    for end, s in ends:
+        wires.setdefault(find(s), []).append(end)
+    loops = sorted(letters[s].name for s in range(len(parent))
+                   if find(s) == s and s not in wires)
+    return OpenGraph(diagram.dom, words[-1], tuple(boxes),
+                     tuple(frozenset(pair) for pair in wires.values()),
+                     tuple(loops))
 
 
 def _encode(graph: OpenGraph, perm) -> tuple:

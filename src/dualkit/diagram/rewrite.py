@@ -211,33 +211,20 @@ def _unit_slide(diagram: Diagram, sign: int, direction: str, k: int,
 
 
 def _cupcap_slide(diagram: Diagram, direction: str, k: int, w: int) -> Diagram:
+    """A cup followed by a braid, or a braid followed by a cap, on
+    adjacent strands: the cup or cap takes the braid's offset, and the
+    braid takes the cup's or cap's offset with its sign flipped."""
     del direction  # the move is its own inverse
     _need_slices(diagram, k, 2)
     a, b = diagram.slices[k], diagram.slices[k + 1]
     if a.offset != w:
         raise RewriteError(f"offset {w} does not match first cell {a}")
-    if a.kind == CUP and b.kind == BRAID:
-        cup, braid = a, b
-        if braid.offset == cup.offset + 1:
-            new = (Cell(CUP, cup.offset + 1, cup.data),
-                   Cell(BRAID, braid.offset - 1, -braid.data))
-        elif braid.offset == cup.offset - 1:
-            new = (Cell(CUP, cup.offset - 1, cup.data),
-                   Cell(BRAID, braid.offset + 1, -braid.data))
-        else:
-            raise RewriteError(f"braid {b} not adjacent to cup {a}")
-    elif a.kind == BRAID and b.kind == CAP:
-        braid, cap = a, b
-        if braid.offset == cap.offset + 1:
-            new = (Cell(BRAID, braid.offset - 1, -braid.data),
-                   Cell(CAP, cap.offset + 1, cap.data))
-        elif braid.offset == cap.offset - 1:
-            new = (Cell(BRAID, braid.offset + 1, -braid.data),
-                   Cell(CAP, cap.offset - 1, cap.data))
-        else:
-            raise RewriteError(f"braid {a} not adjacent to cap {b}")
-    else:
+    if (a.kind, b.kind) not in ((CUP, BRAID), (BRAID, CAP)):
         raise RewriteError(f"no cup/braid or braid/cap pair at slice {k}")
+    if abs(a.offset - b.offset) != 1:
+        raise RewriteError(f"cells {a} and {b} are not adjacent")
+    new = (Cell(a.kind, b.offset, -a.data if a.kind == BRAID else a.data),
+           Cell(b.kind, a.offset, -b.data if b.kind == BRAID else b.data))
     return _splice(diagram, k, 2, new)
 
 

@@ -10,7 +10,8 @@ and every object is self-dual via the diagonal span.
 Cofibers are deliberately partial: only the shapes with a known answer
 are accepted — backward maps (each apex element carries an identity
 forward leg), forward maps (functions), and disjoint-union combinations
-of those — via a connected-block decomposition of the matrix.
+of those — classified from the row and column support counts of the
+matrix.
 """
 
 from __future__ import annotations
@@ -123,61 +124,33 @@ class SpanFin(ModelCategory):
     def cofiber(self, f: SpanMorphism) -> Cofiber:
         """Shape-classified cofiber.
 
-        Decomposes the matrix into connected blocks and handles:
-        all-zero column (a map 1 -> 0: backward, cofiber 0), all-zero row
-        (0 -> 1: cofiber 1), a column of ones (backward map onto one
-        source point: cofiber 0), a row of ones (forward fold n -> 1:
-        cofiber 0).  Anything else raises UnsupportedShape.
+        Each connected block of the matrix's support must be a single row
+        or a single column of ones: an all-zero column is a map 1 -> 0
+        (backward, cofiber 0), an all-zero row 0 -> 1 (cofiber 1), a
+        column of ones a backward map onto one source point (cofiber 0),
+        and a row of two or more ones a forward fold n -> 1 (cofiber 0).
+        A block is one row or one column exactly when no nonzero entry
+        has another entry both in its row and in its column, so the
+        blocks are counted from the row and column support counts.
+        Anything else raises UnsupportedShape, an entry > 1 first.
         """
         m = f.matrix
-        rules = []
-        unhit_rows = []
-        seen_rows, seen_cols = set(), set()
-        # connected components of the bipartite support graph
-        adj_row = {i: [j for j in range(m.cols) if m.data[i][j]]
-                   for i in range(m.rows)}
-        adj_col = {j: [i for i in range(m.rows) if m.data[i][j]]
-                   for j in range(m.cols)}
-        for start in range(m.rows):
-            if start in seen_rows or not adj_row[start]:
-                continue
-            rows_, cols_ = set(), set()
-            stack = [("r", start)]
-            while stack:
-                kind, k = stack.pop()
-                if kind == "r":
-                    if k in rows_:
-                        continue
-                    rows_.add(k)
-                    stack.extend(("c", j) for j in adj_row[k])
-                else:
-                    if k in cols_:
-                        continue
-                    cols_.add(k)
-                    stack.extend(("r", i) for i in adj_col[k])
-            seen_rows |= rows_
-            seen_cols |= cols_
-            entries = [m.data[i][j] for i in rows_ for j in cols_]
-            if any(e not in (0, 1) for e in entries):
-                raise UnsupportedShape("entry > 1 in a connected block")
-            if len(cols_) == 1 and all(
-                    sum(m.data[i][j] for j in cols_) == 1 for i in rows_):
-                rules.append("backward")
-            elif len(rows_) == 1 and all(
-                    sum(m.data[i][j] for i in rows_) == 1 for j in cols_):
-                rules.append("fold" if len(cols_) > 1 else "backward")
-            else:
-                raise UnsupportedShape(
-                    "connected block is neither backward nor a forward fold")
-        for i in range(m.rows):
-            if i not in seen_rows:
-                unhit_rows.append(i)
-                rules.append("zero-to-one")
-        for j in range(m.cols):
-            if j not in seen_cols:
-                rules.append("one-to-zero")
+        if any(e > 1 for row in m.data for e in row):
+            raise UnsupportedShape("entry > 1 in a connected block")
+        row_hits = [sum(row) for row in m.data]
+        col_hits = [sum(col) for col in m.transpose().data]
+        if any(e and row_hits[i] > 1 and col_hits[j] > 1
+               for i, row in enumerate(m.data) for j, e in enumerate(row)):
+            raise UnsupportedShape(
+                "connected block is neither backward nor a forward fold")
+        folds = [h for h in row_hits if h > 1]
+        backward = len(col_hits) - col_hits.count(0) - sum(folds)
+        rules = (["backward"] * backward + ["fold"] * len(folds)
+                 + ["one-to-zero"] * col_hits.count(0)
+                 + ["zero-to-one"] * row_hits.count(0))
+        unhit_rows = [i for i, h in enumerate(row_hits) if not h]
         c = len(unhit_rows)
         q_rows = [[1 if j == b else 0 for j in range(f.cod)] for b in unhit_rows]
         quotient = SpanMorphism(f.cod, c, nat_matrix(q_rows, shape=(c, f.cod)))
         return Cofiber(obj=c, quotient=quotient,
-                       provenance="+".join(sorted(rules)) or "empty")
+                       provenance="+".join(rules) or "empty")

@@ -101,10 +101,19 @@ class TestSpan:
         res = run("span", "cofiber")
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("sizes", ["2", "a,b", "-1,2", "1,2,3", ""])
+    @pytest.mark.parametrize("sizes", [
+        "2", "a,b", "-1,2", "1,2,3", "", "257,1", "1,257",
+        pytest.param("9" * 5000 + ",1", id="5000-digits")])
     def test_cofiber_sizes_not_two_naturals_is_usage_error(self, sizes):
+        # each side stops at 256: the output grows as dom * cod
         res = run("span", "cofiber", "--shape", "fold", "--sizes", sizes)
         assert res.exit_code == 2
+
+    def test_cofiber_largest_sizes(self):
+        res = run("span", "cofiber", "--shape", "zero", "--sizes", "256,256",
+                  "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["cofiber"]["obj"] == 256
 
     def test_mismatched_compose_is_domain_error(self):
         small = json.dumps({"dom": 1, "cod": 1, "matrix": [[1]]})
@@ -170,6 +179,18 @@ class TestIdem:
         twist = json.loads(res.output)["twist"]
         assert twist["matrix"] == [[3 if i == j else 0 for j in range(3)]
                                    for i in range(3)]
+
+    @pytest.mark.parametrize("size", ["-1", "33"])
+    def test_euler_size_out_of_range_is_usage_error(self, size):
+        # the twist's memory grows as size ** 4, so sizes stop at 32
+        res = run("idem", "euler", "--model", "spanfin", "--size", size)
+        assert res.exit_code == 2
+
+    def test_euler_largest_size(self):
+        res = run("idem", "euler", "--model", "spanfin", "--size", "32",
+                  "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["twist"]["matrix"][31][31] == 32
 
     def test_complement(self):
         res = run("idem", "complement", "--model", "evconst",

@@ -201,6 +201,17 @@ class TestBuiltinMoves:
         back = apply_rule(mid, "cupcap-slide", "fwd", 0, 0)
         assert back.slices == d.slices
 
+    @pytest.mark.parametrize("cells", [
+        (("T", "T"), Cell("cup", 0, T), Cell("braid", 2, 1)),
+        (("T", "T"), Cell("cup", 2, T), Cell("braid", 0, 1)),
+        (("T", "T", "T", "T^"), Cell("braid", 0, 1), Cell("cap", 2, T)),
+        (("T", "T^", "T", "T"), Cell("braid", 2, 1), Cell("cap", 0, T)),
+    ])
+    def test_cupcap_slide_needs_adjacent_strands(self, cells):
+        d = dia(*cells)
+        with pytest.raises(RewriteError, match="not adjacent"):
+            apply_rule(d, "cupcap-slide", "fwd", 0, d.slices[0].offset)
+
     def test_braid_cancel(self):
         d = dia(("T", "T"), Cell("braid", 0, 1), Cell("braid", 0, -1))
         mid = roundtrip(d, "braid-cancel", 0, 0)

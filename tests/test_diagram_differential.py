@@ -1,14 +1,18 @@
 """Differential tests for the diagram layer's fast paths.
 
 The brute-force normaliser below (every product of permutations within
-each box label class, keeping the least wire encoding) and the
-triple-loop matrix product are the previous implementations, kept as
-oracles.  The refinement-based ``normalize_symmetric`` must induce the
-same equal / not-equal relation as the oracle on a seeded pool of random
-diagrams with at most 6 boxes, and the row-combination ``Matrix.mul``
-must return the oracle's product on every domain and shape.
+each box label class, keeping the least wire encoding), the two-walk
+open-graph tracer and the triple-loop matrix product are the previous
+implementations, kept as oracles.  The refinement-based
+``normalize_symmetric`` must induce the same equal / not-equal relation
+as the oracle on a seeded pool of random diagrams with at most 6 boxes,
+the union-find ``diagram_to_open_graph`` must give the tracer's graph on
+the same pools, and the row-combination ``Matrix.mul`` must return the
+oracle's product on every domain and shape.  The brute-force normaliser
+reads the tracer's graph, so it does not depend on the union-find pass.
 """
 
+import inspect
 import random
 import time
 from itertools import permutations
@@ -16,9 +20,11 @@ from itertools import permutations
 import pytest
 
 from dualkit.diagram import (BUILTIN_RULES, Cell, Diagram, Letter,
-                             RewriteError, TypingError, apply_rule,
-                             diagram_to_open_graph, normalize_symmetric,
-                             signature)
+                             OpenGraph, RewriteError, TypingError,
+                             apply_rule, diagram_to_open_graph,
+                             normalize_symmetric, signature)
+from dualkit.diagram import graph as graph_module
+from dualkit.diagram.diagram import cell_arity
 from dualkit.exactlin import INT, NAT, Matrix, fp
 
 T = Letter("T")
@@ -38,10 +44,111 @@ MAX_BOXES = 6
 
 # ------------------------------------------------------------------ oracles
 
+def oracle_open_graph(diagram):
+    """The open graph traced by walking an edge table: every edge between
+    two cells is recorded with its two endpoints, braids, cups and caps
+    route an edge end to a partner port, and each wire is walked from one
+    terminal to the other; the edges left over form closed loops."""
+    sig = diagram.sig
+    words = diagram.boundaries()
+
+    edges = {}      # edge id -> [endpointA, endpointB or None]
+    edge_letter = {}
+
+    def new_edge(endpoint, letter):
+        eid = len(edges)
+        edges[eid] = [endpoint, None]
+        edge_letter[eid] = letter
+        return eid
+
+    live = [new_edge(("dom", i), letter)
+            for i, letter in enumerate(diagram.dom)]
+    boxes = []
+    routing = {}    # (node, port) -> (node, partner port) for braid/cup/cap
+
+    for t, cell in enumerate(diagram.slices):
+        consumed, produced = cell_arity(sig, cell, words[t])
+        w = cell.offset
+        if cell.kind in ("gen", "gen-inv"):
+            occ = len(boxes)
+            boxes.append((cell.kind, cell.data))
+            for k in range(len(consumed)):
+                edges[live[w + k]][1] = ("box", occ, "in", k)
+            outs = [new_edge(("box", occ, "out", k), produced[k])
+                    for k in range(len(produced))]
+        else:
+            node = ("route", t)
+            if cell.kind == "braid":
+                pairs = [(node + ("in", 0), node + ("out", 1)),
+                         (node + ("in", 1), node + ("out", 0))]
+            elif cell.kind == "cup":
+                pairs = [(node + ("out", 0), node + ("out", 1))]
+            else:  # cap
+                pairs = [(node + ("in", 0), node + ("in", 1))]
+            for a, b in pairs:
+                routing[a] = b
+                routing[b] = a
+            for k in range(len(consumed)):
+                edges[live[w + k]][1] = node + ("in", k)
+            outs = [new_edge(node + ("out", k), produced[k])
+                    for k in range(len(produced))]
+        live[w:w + len(consumed)] = outs
+
+    cod = words[-1]
+    for j, eid in enumerate(live):
+        edges[eid][1] = ("cod", j)
+
+    by_endpoint = {}
+    for eid, (ea, eb) in edges.items():
+        by_endpoint[ea] = eid
+        by_endpoint[eb] = eid
+
+    def is_terminal(pt):
+        return pt[0] in ("dom", "cod", "box")
+
+    visited = set()
+    wires = []
+    for eid, (ea, eb) in sorted(edges.items()):
+        for start in (ea, eb):
+            if not is_terminal(start) or eid in visited:
+                continue
+            # walk from this terminal to the far terminal
+            here_edge, here_end = eid, start
+            while True:
+                visited.add(here_edge)
+                a, b = edges[here_edge]
+                far = b if a == here_end else a
+                if is_terminal(far):
+                    wires.append(frozenset((start, far)))
+                    break
+                partner = routing[far]
+                here_edge = by_endpoint[partner]
+                here_end = partner
+
+    loops = []
+    for eid in sorted(edges.keys()):
+        if eid in visited:
+            continue
+        loops.append(edge_letter[eid].name)
+        here_edge, here_end = eid, edges[eid][0]
+        while True:
+            visited.add(here_edge)
+            a, b = edges[here_edge]
+            far = b if a == here_end else a
+            partner = routing[far]
+            here_edge = by_endpoint[partner]
+            here_end = partner
+            if here_edge == eid:
+                break
+
+    return OpenGraph(diagram.dom, cod, tuple(boxes), tuple(wires),
+                     tuple(sorted(loops)))
+
+
 def brute_force_normal_form(diagram):
     """The open graph with box occurrences relabeled, within each label
     class, to minimise the wire encoding over every permutation."""
-    graph = diagram_to_open_graph(diagram)
+    graph = oracle_open_graph(diagram)
     groups = {}
     for occ, label in enumerate(graph.boxes):
         groups.setdefault(label, []).append(occ)
@@ -263,6 +370,40 @@ def _features(diagram):
         "gen-inv": "gen-inv" in kinds,
         "floating": len(attached) < len(graph.boxes),
     }
+
+
+# -------------------------------------------------------------- open graph
+
+def _graph_mismatches(pool):
+    """The members of the pool whose open graph differs from the oracle's
+    in its boundaries, boxes, loops or set of wires.  The function under
+    test is looked up on its module, so that a test can patch in a
+    mutant."""
+    def view(graph):
+        return (graph.dom, graph.cod, graph.boxes, graph.loops,
+                frozenset(graph.wires), len(graph.wires))
+    return [d for d in pool if view(graph_module.diagram_to_open_graph(d))
+            != view(oracle_open_graph(d))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_open_graph_agrees_with_the_tracer(seed):
+    assert _graph_mismatches(diagram_pool(seed)) == []
+
+
+CAP_UNION = """        elif cell.kind == CAP:
+            union(*ins)
+"""
+
+
+def test_open_graph_oracle_catches_a_cap_that_does_not_unite(monkeypatch):
+    source = inspect.getsource(graph_module.diagram_to_open_graph)
+    assert source.count(CAP_UNION) == 1
+    namespace = dict(vars(graph_module))
+    exec(source.replace(CAP_UNION, ""), namespace)
+    monkeypatch.setattr(graph_module, "diagram_to_open_graph",
+                        namespace["diagram_to_open_graph"])
+    assert _graph_mismatches(diagram_pool(0))
 
 
 # -------------------------------------------------------------- normaliser
