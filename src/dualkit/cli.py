@@ -16,6 +16,7 @@ at start-up.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -54,34 +55,30 @@ def _render_text(data, indent=0):
     return lines
 
 
-def emit(data: dict, fmt: str, code: int = 0):
-    if fmt == "json":
-        click.echo(json.dumps(data, sort_keys=True, indent=2))
-    else:
-        click.echo("\n".join(_render_text(data)))
-    sys.exit(code)
-
-
-def fail(message: str, fmt: str):
-    emit({"ok": False, "error": message}, fmt, code=1)
-
-
-def format_option(fn):
-    return click.option("--format", "fmt",
-                        type=click.Choice(["text", "json"]),
-                        default="text", help="Output format.")(fn)
-
-
-def guarded(fn):
-    """Turn domain errors into structured exit-1 reports."""
-    def wrapper(*args, fmt="text", **kwargs):
-        try:
-            return fn(*args, fmt=fmt, **kwargs)
-        except (DomainError, KeyError, ValueError, FileNotFoundError) as exc:
-            fail(f"{type(exc).__name__}: {exc}", fmt)
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+def command(group: click.Group, name: str):
+    """Register the decorated function as command ``name`` of ``group``,
+    with a last option ``--format text|json``.  The function takes the
+    parsed options and returns its report, a dict with an "ok" verdict; a
+    domain failure it raises becomes the report {"ok": false, "error":
+    "<Class>: <message>"}.  The command prints the report and exits 0
+    when its "ok" is true, else 1."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(fmt, **options):
+            try:
+                report = fn(**options)
+            except (DomainError, KeyError, ValueError,
+                    FileNotFoundError) as exc:
+                report = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            click.echo(json.dumps(report, sort_keys=True, indent=2)
+                       if fmt == "json" else "\n".join(_render_text(report)))
+            sys.exit(0 if report["ok"] else 1)
+        cmd = group.command(name)(run)
+        cmd.params.append(click.Option(
+            ["--format", "fmt"], type=click.Choice(["text", "json"]),
+            default="text", help="Output format."))
+        return cmd
+    return decorate
 
 
 @click.group()
@@ -97,14 +94,12 @@ def diagrams():
     """String-diagram rewrite traces."""
 
 
-@diagrams.command("verify")
+@command(diagrams, "verify")
 @click.option("--all", "verify_all", is_flag=True,
               help="Verify the whole bundled corpus (default).")
 @click.option("--trace", "trace_name", default=None,
               help="Verify one bundled trace by name, or a JSON file.")
-@format_option
-@guarded
-def diagrams_verify(verify_all, trace_name, fmt):
+def diagrams_verify(verify_all, trace_name):
     """Replay rewrite traces and check them step by step."""
     from . import diagram as dg
     if verify_all and trace_name is not None:
@@ -113,9 +108,8 @@ def diagrams_verify(verify_all, trace_name, fmt):
         reports = dg.validate_corpus()
     else:
         reports = [dg.validate_trace(dg.load_trace(trace_name))]
-    ok = all(r.ok for r in reports)
-    data = {"ok": ok, "traces": [r.to_json() for r in reports]}
-    emit(data, fmt, code=0 if ok else 1)
+    return {"ok": all(r.ok for r in reports),
+            "traces": [r.to_json() for r in reports]}
 
 
 # ------------------------------------------------------------ JSON inputs
@@ -123,12 +117,15 @@ def diagrams_verify(verify_all, trace_name, fmt):
 # for shape here, so that a malformed value is a usage error (exit 2)
 # and never reaches the models.
 
-EV_OBJECT = {"f": int, "exc?": {str.isdecimal: int}}
+# A prime as a JSON key is written in canonical decimal, so that two keys
+# such as "2" and "02" cannot name one prime.
+PRIME_KEY = re.compile("0|[1-9][0-9]*").fullmatch
+EV_OBJECT = {"f": int, "exc?": {PRIME_KEY: int}}
 
 
 def _is_ev_morphism(v) -> bool:
     return has_shape(v, {"free": [[int]],
-                         "explicit?": {str.isdecimal: [[int]]}}) and (
+                         "explicit?": {PRIME_KEY: [[int]]}}) and (
         "dom" not in v or has_shape(v, {"dom": EV_OBJECT, "cod": EV_OBJECT}))
 
 
@@ -157,50 +154,42 @@ def span_group():
     """Spans of finite sets (matrices over the natural numbers)."""
 
 
-@span_group.command("compose")
+@command(span_group, "compose")
 @click.option("--left", required=True, help="Outer span as JSON.")
 @click.option("--right", required=True, help="Inner span as JSON.")
-@format_option
-@guarded
-def span_compose(left, right, fmt):
+def span_compose(left, right):
     """Compose two spans (left after right)."""
     from .models import SpanFin
     model = SpanFin()
     out = model.compose(_span_from_json(left, "--left"),
                         _span_from_json(right, "--right"))
-    emit({"ok": True, "result": out.to_json()}, fmt)
+    return {"ok": True, "result": out.to_json()}
 
 
-@span_group.command("tensor")
+@command(span_group, "tensor")
 @click.option("--left", required=True, help="First span as JSON.")
 @click.option("--right", required=True, help="Second span as JSON.")
-@format_option
-@guarded
-def span_tensor(left, right, fmt):
+def span_tensor(left, right):
     """Tensor (cartesian product) of two spans."""
     from .models import SpanFin
     model = SpanFin()
     out = model.tensor_mor(_span_from_json(left, "--left"),
                            _span_from_json(right, "--right"))
-    emit({"ok": True, "result": out.to_json()}, fmt)
+    return {"ok": True, "result": out.to_json()}
 
 
-@span_group.command("dual-check")
+@command(span_group, "dual-check")
 @click.option("--size", type=click.IntRange(0, 32), default=2,
               show_default=True,
               help="Cardinality of the self-dual object (the check's "
                    "memory grows as its fourth power).")
-@format_option
-@guarded
-def span_dual_check(size, fmt):
+def span_dual_check(size):
     """Check both snake identities for the diagonal self-duality."""
     from .models import SpanFin, triangle_equations_hold
     model = SpanFin()
     dd = model.duality(size)
-    ok = triangle_equations_hold(model, dd)
-    emit({"ok": ok, "object": size,
-          "eta": dd.eta.to_json(), "eps": dd.eps.to_json()},
-         fmt, code=0 if ok else 1)
+    return {"ok": triangle_equations_hold(model, dd), "object": size,
+            "eta": dd.eta.to_json(), "eps": dd.eps.to_json()}
 
 
 def _span_shape(shape: str, sizes) -> SpanMorphism:
@@ -215,9 +204,7 @@ def _span_shape(shape: str, sizes) -> SpanMorphism:
         # the reverse of a function cod -> dom (one 1 per row)
         return span(d, c, [[int(j == min(i, d - 1)) for j in range(d)]
                            for i in range(c)])
-    if shape == "zero":
-        return span(d, c, [[0] * d for _ in range(c)])
-    raise ValueError(f"unknown shape {shape}")
+    return span(d, c, [[0] * d for _ in range(c)])     # "zero"
 
 
 def _parse_sizes(ctx, param, value: str) -> tuple:
@@ -231,7 +218,7 @@ def _parse_sizes(ctx, param, value: str) -> tuple:
     return sizes
 
 
-@span_group.command("cofiber")
+@command(span_group, "cofiber")
 @click.option("--morphism", default=None, help="Span as JSON.")
 @click.option("--shape",
               type=click.Choice(["zero-to-one", "fold", "backward", "zero"]),
@@ -239,9 +226,7 @@ def _parse_sizes(ctx, param, value: str) -> tuple:
 @click.option("--sizes", default="2,1", show_default=True,
               callback=_parse_sizes,
               help="dom,cod sizes for --shape, each at most 256.")
-@format_option
-@guarded
-def span_cofiber(morphism, shape, sizes, fmt):
+def span_cofiber(morphism, shape, sizes):
     """Shape-classified cofiber of a span."""
     from .models import SpanFin
     if (morphism is None) == (shape is None):
@@ -251,38 +236,40 @@ def span_cofiber(morphism, shape, sizes, fmt):
     else:
         f = _span_shape(shape, sizes)
     cof = SpanFin().cofiber(f)
-    emit({"ok": True, "input": f.to_json(),
-          "cofiber": {"obj": cof.obj, "quotient": cof.quotient.to_json(),
-                      "provenance": cof.provenance}}, fmt)
+    return {"ok": True, "input": f.to_json(),
+            "cofiber": {"obj": cof.obj, "quotient": cof.quotient.to_json(),
+                        "provenance": cof.provenance}}
 
 
 # ----------------------------------------------------------------- evconst
 
 def parse_ev_object(text: str) -> EvObject:
     """Accept JSON or compact names: '0', 'S', 'S^2', 'S/2', 'S/2^3',
-    and '+'-separated sums of those."""
+    and '+'-separated sums of those, of dimension at most 256 at every
+    prime; any other text is a usage error."""
     from .models import EvObject, ev_object
     text = text.strip()
     if text.startswith("{"):
-        return EvObject.from_json(_json_option(
+        x = EvObject.from_json(_json_option(
             text, None, EV_OBJECT, 'an object {"f": int, "exc": {p: int}}'))
-    if text == "0":
-        return ev_object(0)
-    f = 0
-    torsion = {}
-    for part in text.split("+"):
-        part = part.strip()
-        m = re.fullmatch(r"S(\^(\d+))?", part)
-        if m:
-            f += int(m.group(2) or 1)
-            continue
-        m = re.fullmatch(r"S/(\d+)(\^(\d+))?", part)
-        if m:
-            p = int(m.group(1))
-            torsion[p] = torsion.get(p, 0) + int(m.group(3) or 1)
-            continue
-        raise ValueError(f"cannot parse object {part!r}")
-    return ev_object(f, {p: f + d for p, d in torsion.items()})
+    else:
+        f, torsion = 0, {}
+        for part in re.split(r"\s*\+\s*", text) if text != "0" else ():
+            # an exponent of five digits or more is above the bound, and
+            # int() refuses one of 4300, so such a name does not parse
+            m = re.fullmatch(r"S(/(?P<p>\d+))?(\^0*(?P<n>\d{1,4}))?", part)
+            if not m:
+                raise click.BadParameter(f"cannot parse object {part!r}")
+            n = int(m["n"] or 1)
+            if m["p"]:
+                p = int(m["p"])
+                torsion[p] = torsion.get(p, 0) + n
+            else:
+                f += n
+        x = ev_object(f, {p: f + d for p, d in torsion.items()})
+    if max([x.f, *(d for _, d in x.exc)]) > 256:
+        raise click.BadParameter(f"{x} has a dimension above 256")
+    return x
 
 
 def _ev_morphism_from_json(blob: str, param: str) -> EvMorphism:
@@ -307,68 +294,59 @@ def evconst_group():
     """Eventually-constant products of prime-field vector spaces."""
 
 
-@evconst_group.command("compose")
+@command(evconst_group, "compose")
 @click.option("--left", required=True, help="Outer morphism as JSON.")
 @click.option("--right", required=True, help="Inner morphism as JSON.")
-@format_option
-@guarded
-def evconst_compose(left, right, fmt):
+def evconst_compose(left, right):
     """Compose two morphisms (left after right)."""
     from .models import EvConst
     model = EvConst()
     out = model.compose(_ev_morphism_from_json(left, "--left"),
                         _ev_morphism_from_json(right, "--right"))
-    emit({"ok": True, "result": out.to_json()}, fmt)
+    return {"ok": True, "result": out.to_json()}
 
 
-@evconst_group.command("biproduct")
+@command(evconst_group, "biproduct")
 @click.option("--x", "x_str", required=True, help="First object.")
 @click.option("--y", "y_str", required=True, help="Second object.")
-@format_option
-@guarded
-def evconst_biproduct(x_str, y_str, fmt):
+def evconst_biproduct(x_str, y_str):
     """Biproduct of two objects, with its equations re-checked."""
     from .models import EvConst, biproduct_equations_hold
     model = EvConst()
     x, y = parse_ev_object(x_str), parse_ev_object(y_str)
     bp = model.biproduct(x, y)
-    ok = biproduct_equations_hold(model, x, y, bp)
-    emit({"ok": ok, "object": str(bp.obj), "json": bp.obj.to_json()},
-         fmt, code=0 if ok else 1)
+    return {"ok": biproduct_equations_hold(model, x, y, bp),
+            "object": str(bp.obj), "json": bp.obj.to_json()}
 
 
-@evconst_group.command("cofiber")
+@command(evconst_group, "cofiber")
 @click.option("--morphism", required=True, help="Morphism as JSON.")
-@format_option
-@guarded
-def evconst_cofiber(morphism, fmt):
+def evconst_cofiber(morphism):
     """Cofiber (exact cokernel) of a morphism."""
     from .models import EvConst
     f = _ev_morphism_from_json(morphism, "--morphism")
     cof = EvConst().cofiber(f)
-    emit({"ok": True, "input": f.to_json(),
-          "cofiber": {"obj": str(cof.obj), "json": cof.obj.to_json(),
-                      "quotient": cof.quotient.to_json(),
-                      "provenance": cof.provenance}}, fmt)
+    return {"ok": True, "input": f.to_json(),
+            "cofiber": {"obj": str(cof.obj), "json": cof.obj.to_json(),
+                        "quotient": cof.quotient.to_json(),
+                        "provenance": cof.provenance}}
 
 
-@evconst_group.command("split")
+@command(evconst_group, "split")
 @click.option("--m", "modulus", type=int, required=True,
               help="Characteristic modulus.")
 @click.option("--object", "obj_str", default="S", show_default=True,
               help="Object to split.")
-@format_option
-@guarded
-def evconst_split(modulus, obj_str, fmt):
+def evconst_split(modulus, obj_str):
     """Split an object along S/m and its complement S(m)."""
     from . import idem
     from .models import EvConst
     model = EvConst()
     x = parse_ev_object(obj_str)
     part1, part2, (u, v) = idem.char_split(model, modulus, x)
-    emit({"ok": True, "object": str(x), "m": modulus,
-          "torsion_part": str(part1), "complement_part": str(part2),
-          "witness_u": u.to_json(), "witness_v": v.to_json()}, fmt)
+    return {"ok": True, "object": str(x), "m": modulus,
+            "torsion_part": str(part1), "complement_part": str(part2),
+            "witness_u": u.to_json(), "witness_v": v.to_json()}
 
 
 # -------------------------------------------------------------------- idem
@@ -379,9 +357,7 @@ def _get_model(name: str):
         return SpanFin()
     if name == "evconst":
         return EvConst()
-    if name == "product":
-        return product_category(EvConst(), SpanFin())
-    raise ValueError(f"unknown model {name}")
+    return product_category(EvConst(), SpanFin())     # "product"
 
 
 def _mor_json(f):
@@ -420,43 +396,35 @@ def _default_clopen(model, model_name, obj_str):
     return idem.ClopenIdempotent(E=model.unit(), r=r, i=r)
 
 
-@idem_group.command("closed")
+@command(idem_group, "closed")
 @model_option
-@format_option
-@guarded
-def idem_closed(model_name, fmt):
+def idem_closed(model_name):
     """Check that the grouplike idempotent S_gp is closed."""
     from . import idem
     model = _get_model(model_name)
     ci = idem.gp_idempotent(model)
-    ok = idem.is_closed_idempotent(model, ci.E, ci.r)
-    emit({"ok": ok, "model": model_name, "E": _obj_str(ci.E),
-          "r": _mor_json(ci.r)}, fmt, code=0 if ok else 1)
+    return {"ok": idem.is_closed_idempotent(model, ci.E, ci.r),
+            "model": model_name, "E": _obj_str(ci.E), "r": _mor_json(ci.r)}
 
 
-@idem_group.command("clopen")
+@command(idem_group, "clopen")
 @model_option
 @click.option("--object", "obj_str", default=None,
               help="Torsion object selecting the idempotent (evconst).")
-@format_option
-@guarded
-def idem_clopen(model_name, obj_str, fmt):
+def idem_clopen(model_name, obj_str):
     """Check the splitting and stability equations of a clopen
     idempotent."""
     from . import idem
     model = _get_model(model_name)
     cl = _default_clopen(model, model_name, obj_str)
-    ok = idem.is_clopen(model, cl.E, cl.r, cl.i)
-    emit({"ok": ok, "model": model_name, "E": _obj_str(cl.E),
-          "r": _mor_json(cl.r), "i": _mor_json(cl.i)},
-         fmt, code=0 if ok else 1)
+    return {"ok": idem.is_clopen(model, cl.E, cl.r, cl.i),
+            "model": model_name, "E": _obj_str(cl.E),
+            "r": _mor_json(cl.r), "i": _mor_json(cl.i)}
 
 
-@idem_group.command("untwist")
+@command(idem_group, "untwist")
 @model_option
-@format_option
-@guarded
-def idem_untwist(model_name, fmt):
+def idem_untwist(model_name):
     """Untwist the unit object's trivial braiding into a clopen
     idempotent."""
     from . import idem
@@ -464,35 +432,30 @@ def idem_untwist(model_name, fmt):
     dd = model.duality(model.unit())
     t = model.identity(model.unit())
     cl = idem.untwist(model, dd, t)
-    ok = idem.is_clopen(model, cl.E, cl.r, cl.i)
-    emit({"ok": ok, "model": model_name, "E": _obj_str(cl.E)},
-         fmt, code=0 if ok else 1)
+    return {"ok": idem.is_clopen(model, cl.E, cl.r, cl.i),
+            "model": model_name, "E": _obj_str(cl.E)}
 
 
-@idem_group.command("euler")
+@command(idem_group, "euler")
 @model_option
 @click.option("--size", type=click.IntRange(0, 32), default=2,
               show_default=True,
               help="Object size (spanfin; memory grows as its fourth "
                    "power).")
-@format_option
-@guarded
-def idem_euler(model_name, size, fmt):
+def idem_euler(model_name, size):
     """Euler-characteristic twist of a self-dual object."""
     from . import idem
     model = _get_model(model_name)
     obj = size if model_name == "spanfin" else model.unit()
     t = idem.euler_twist(model, model.duality(obj))
-    emit({"ok": True, "model": model_name, "object": _obj_str(obj),
-          "twist": _mor_json(t)}, fmt)
+    return {"ok": True, "model": model_name, "object": _obj_str(obj),
+            "twist": _mor_json(t)}
 
 
-@idem_group.command("complement")
+@command(idem_group, "complement")
 @model_option
 @click.option("--object", "obj_str", default="S/2", show_default=True)
-@format_option
-@guarded
-def idem_complement(model_name, obj_str, fmt):
+def idem_complement(model_name, obj_str):
     """Complement of a clopen idempotent via the cofiber of its
     inclusion."""
     from . import idem
@@ -502,10 +465,9 @@ def idem_complement(model_name, obj_str, fmt):
     cl = _default_clopen(model, model_name, obj_str)
     c_obj, comp = idem.complement_of_retract(model, cl.E, cl.r, cl.i)
     smash = model.tensor_obj(cl.E, comp.E)
-    ok = model.obj_eq(smash, model.zero_obj())
-    emit({"ok": ok, "model": model_name, "E": str(cl.E),
-          "complement": str(c_obj), "smash_with_complement": str(smash)},
-         fmt, code=0 if ok else 1)
+    return {"ok": model.obj_eq(smash, model.zero_obj()), "model": model_name,
+            "E": str(cl.E), "complement": str(c_obj),
+            "smash_with_complement": str(smash)}
 
 
 def _sample_torsion_objects(rng, k):
@@ -520,14 +482,12 @@ def _sample_torsion_objects(rng, k):
     return out
 
 
-@idem_group.command("split-homs")
+@command(idem_group, "split-homs")
 @model_option
 @click.option("--object", "obj_str", default="S/2", show_default=True)
-@click.option("--pairs", type=click.IntRange(min=1), default=10,
+@click.option("--pairs", type=click.IntRange(1, 1000), default=10,
               show_default=True)
-@format_option
-@guarded
-def idem_split_homs(model_name, obj_str, pairs, fmt):
+def idem_split_homs(model_name, obj_str, pairs):
     """Check hom-set splitting along a clopen idempotent and its
     complement on sampled object pairs."""
     from . import idem
@@ -543,20 +503,18 @@ def idem_split_homs(model_name, obj_str, pairs, fmt):
     data = report.to_json()
     data["ok"] = report.verdict
     data["seed"] = get_seed()
-    emit(data, fmt, code=0 if report.verdict else 1)
+    return data
 
 
-@idem_group.command("gp")
+@command(idem_group, "gp")
 @model_option
-@format_option
-@guarded
-def idem_gp(model_name, fmt):
+def idem_gp(model_name):
     """The grouplike idempotent S_gp (cofiber of the diagonal)."""
     from . import idem
     model = _get_model(model_name)
     ci = idem.gp_idempotent(model)
-    emit({"ok": True, "model": model_name, "E": _obj_str(ci.E),
-          "r": _mor_json(ci.r)}, fmt)
+    return {"ok": True, "model": model_name, "E": _obj_str(ci.E),
+            "r": _mor_json(ci.r)}
 
 
 # -------------------------------------------------------------------- equi
@@ -572,27 +530,23 @@ def equi_group():
     """Equivariant lattices, spheres, and collapse certificates."""
 
 
-@equi_group.command("lattice")
+@command(equi_group, "lattice")
 @group_option
-@format_option
-@guarded
-def equi_lattice(group_name, fmt):
+def equi_lattice(group_name):
     """Subgroup-conjugacy classes with subconjugacy order and Weyl
     orders."""
     from . import equivariant as eq
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
     data = poset.to_json()
     data["ok"] = True
-    emit(data, fmt)
+    return data
 
 
-@equi_group.command("weyl")
+@command(equi_group, "weyl")
 @group_option
 @click.option("--class", "class_idx", type=int, default=None,
               help="Class index (default: all classes).")
-@format_option
-@guarded
-def equi_weyl(group_name, class_idx, fmt):
+def equi_weyl(group_name, class_idx):
     """Weyl groups N_G(H)/H per subgroup class."""
     from . import equivariant as eq
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
@@ -607,17 +561,15 @@ def equi_weyl(group_name, class_idx, fmt):
         rows.append({"class": i, "subgroup_order": poset.class_order(i),
                      "weyl_order": order,
                      "representatives": [[p + 1 for p in g] for g in reps]})
-    emit({"ok": True, "group": group_name, "weyl": rows}, fmt)
+    return {"ok": True, "group": group_name, "weyl": rows}
 
 
-@equi_group.command("fixdim")
+@command(equi_group, "fixdim")
 @group_option
 @click.option("--rep", "rep_name",
               type=click.Choice(REP_NAMES),
               default="reduced-regular", show_default=True)
-@format_option
-@guarded
-def equi_fixdim(group_name, rep_name, fmt):
+def equi_fixdim(group_name, rep_name):
     """Fixed-point dimensions per class, cross-checked against the
     averaged-projector rank."""
     from . import equivariant as eq
@@ -633,19 +585,17 @@ def equi_fixdim(group_name, rep_name, fmt):
         ok = ok and d == rk
         rows.append({"class": i, "subgroup_order": len(H),
                      "fixed_dim": d, "projector_rank": rk})
-    emit({"ok": ok, "group": group_name, "rep": rep_name, "dim": rep.dim,
-          "classes": rows}, fmt, code=0 if ok else 1)
+    return {"ok": ok, "group": group_name, "rep": rep_name, "dim": rep.dim,
+            "classes": rows}
 
 
-@equi_group.command("collapse")
+@command(equi_group, "collapse")
 @group_option
 @click.option("--rep", "rep_name",
               type=click.Choice(REP_NAMES),
               default="reduced-regular", show_default=True,
               help="Axiom representation name.")
-@format_option
-@guarded
-def equi_collapse(group_name, rep_name, fmt):
+def equi_collapse(group_name, rep_name):
     """Generate a collapse certificate and re-validate it."""
     from . import equivariant as eq
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
@@ -654,24 +604,21 @@ def equi_collapse(group_name, rep_name, fmt):
     data = cert.to_json()
     data["ok"] = bool(report)
     data["validation"] = report.to_json()
-    emit(data, fmt, code=0 if report else 1)
+    return data
 
 
-@equi_group.command("validate")
+@command(equi_group, "validate")
 @group_option
 @click.option("--cert", "cert_path", required=True,
-              type=click.Path(exists=True), help="Certificate JSON file.")
-@format_option
-@guarded
-def equi_validate(group_name, cert_path, fmt):
+              type=click.Path(exists=True, dir_okay=False),
+              help="Certificate JSON file.")
+def equi_validate(group_name, cert_path):
     """Validate a collapse certificate against the group's lattice."""
     from . import equivariant as eq
     with open(cert_path) as fh:
         cert = eq.CollapseCertificate.from_json(json.load(fh))
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
-    report = eq.validate_collapse_certificate(cert, poset)
-    data = report.to_json()
-    emit(data, fmt, code=0 if report else 1)
+    return eq.validate_collapse_certificate(cert, poset).to_json()
 
 
 if __name__ == "__main__":

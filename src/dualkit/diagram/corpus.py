@@ -22,7 +22,7 @@ def list_traces() -> list:
 def load_trace(name: str) -> RewriteTrace:
     """Load a bundled trace by name, or any trace from a file path."""
     path = Path(name)
-    if path.suffix == ".json" and path.exists():
+    if path.suffix == ".json" and path.is_file():
         return RewriteTrace.from_json(json.loads(path.read_text()))
     blob = (data_root() / f"{name}.json").read_text()
     return RewriteTrace.from_json(json.loads(blob))

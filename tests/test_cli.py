@@ -3,13 +3,18 @@ deterministic JSON output."""
 
 import dataclasses
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from dualkit.cli import main
 from dualkit.diagram import load_trace
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import cli_timings  # noqa: E402
 
 runner = CliRunner()
 
@@ -150,6 +155,20 @@ class TestEvConst:
         data = json.loads(res.output)
         assert data["torsion_part"] == "S/2 + S/3"
 
+    @pytest.mark.parametrize("obj", [
+        "S^257", "S^256+S/2", '{"f": 257}', "Q",
+        pytest.param("S^" + "9" * 5000, id="5000-digits")])
+    def test_object_unparsed_or_above_256_is_usage_error(self, obj):
+        # each dimension stops at 256; S^256 splits in under a second
+        res = run("evconst", "split", "--m", "6", "--object", obj)
+        assert res.exit_code == 2
+
+    def test_split_largest_object(self):
+        res = run("evconst", "split", "--m", "6", "--object", "S^256",
+                  "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["object"] == "S^256"
+
     def test_compose(self):
         f = json.dumps({"free": [[2]], "explicit": {}})
         res = run("evconst", "compose", "--left", f, "--right", f,
@@ -211,8 +230,9 @@ class TestIdem:
         assert c.exit_code == 0
         assert json.loads(c.output)["seed"] == 7
 
-    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    @pytest.mark.parametrize("pairs", ["0", "-3", "1001"])
     def test_split_homs_needs_a_pair(self, pairs):
+        # pairs run from 1 to 1000; 1000 take about a second
         res = run("idem", "split-homs", "--pairs", pairs)
         assert res.exit_code == 2
 
@@ -308,6 +328,14 @@ class TestEqui:
         assert res.exit_code == 1
 
 
+@pytest.fixture(scope="module")
+def readme_inputs(tmp_path_factory):
+    """A directory holding the files the README commands read."""
+    path = tmp_path_factory.mktemp("readme")
+    cli_timings.write_inputs(path)
+    return path
+
+
 class TestContract:
     def test_usage_error_is_exit_2(self):
         assert run("span", "frobble").exit_code == 2
@@ -325,6 +353,21 @@ class TestContract:
         assert a.exit_code == b.exit_code == 0
         assert a.output == b.output
 
+    @pytest.mark.parametrize("args", [
+        *cli_timings.readme_commands(),
+        ["idem", "complement", "--model", "spanfin"],
+        ["equi", "lattice", "--group", "nope"],
+        ["diagrams", "verify", "--trace", "no-such-trace"],
+        ["equi", "validate", "--group", "s3", "--cert", "cert.json"],
+        ["span", "compose", "--left", '{"dom": 1, "cod": 1, "matrix": [[1]]}',
+         "--right", '{"dom": 2, "cod": 2, "matrix": [[1, 0], [0, 1]]}'],
+    ], ids=" ".join)
+    def test_exit_code_is_the_reports_verdict(self, args, readme_inputs,
+                                              monkeypatch):
+        monkeypatch.chdir(readme_inputs)
+        res = run(*args, "--format", "json")
+        assert res.exit_code == (0 if json.loads(res.output)["ok"] else 1)
+
 
 class TestInputShapes:
     SPAN = json.dumps({"dom": 2, "cod": 2, "matrix": [[0, 1], [1, 0]]})
@@ -341,6 +384,11 @@ class TestInputShapes:
         ("span", "cofiber", "--morphism", '{"dom": 1, "cod": "1"}'),
         ("evconst", "biproduct", "--x", '{"f": 1, "exc": [1]}', "--y", "S"),
         ("evconst", "biproduct", "--x", "S", "--y", '{"g": 1}'),
+        # one prime under two spellings
+        ("evconst", "compose", "--left", '{"free": [[1]]}', "--right",
+         '{"free": [[1]], "explicit": {"2": [[1]], "02": [[0]]}}'),
+        ("evconst", "biproduct", "--x", '{"f": 0, "exc": {"2": 1, "02": 3}}',
+         "--y", "S"),
     ])
     def test_malformed_json_is_usage_error(self, args):
         res = run(*args)
@@ -401,6 +449,20 @@ class TestFileShapes:
             assert res.exit_code == 1
             assert json.loads(res.output)["error"].startswith(
                 "MalformedInput: ")
+
+    def test_directory_as_certificate_is_usage_error(self, tmp_path):
+        res = run("equi", "validate", "--group", "s3", "--cert",
+                  str(tmp_path))
+        assert res.exit_code == 2
+
+    def test_directory_named_like_a_trace_is_domain_error(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.mkdir()
+        res = run("diagrams", "verify", "--trace", str(path),
+                  "--format", "json")
+        assert res.exit_code == 1
+        assert json.loads(res.output)["error"].startswith(
+            "FileNotFoundError: ")
 
     def test_cofiber_of_a_large_prime_square_exits_0(self):
         # (10**13 + 37) ** 2: its root is factored instead of running rho
