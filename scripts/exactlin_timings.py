@@ -25,12 +25,19 @@ calls (default 3) in this one interpreter:
   random n x 2 matrix x, plus a random b that the deficient a cannot
   reach.
 
+For n = 8, 16, 32, 64 and 128 it times the two row products of
+``dualkit.introws``, ``mul_rows`` and ``mul_packed``, on n x n times
+n x n integer matrices with entries in [-9, 9], dense and with about 10 %
+of the entries nonzero, and prints the dispatch rule ``Matrix.mul``
+applies between them.
+
 It also prints the largest entry of the transforms U and V of both
 SNFs and of the cofiber's free quotient, in decimal digits, and exits
 with status 1 if the two SNF diagonals differ, U*m*V is not D,
 ``invariant_factors`` differs from the SNF diagonal, the cofiber's free
 rank is not 2, the two solves disagree on whether a system has a
-solution, or a returned X does not satisfy a*X = b.
+solution, a returned X does not satisfy a*X = b, or the two row
+products differ.
 """
 
 from __future__ import annotations
@@ -44,15 +51,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from dualkit.exactlin import (NotInvertible, fp_matrix,  # noqa: E402
+from dualkit.exactlin import (PACKED_NONZEROS,  # noqa: E402
+                              PACKED_ROWS, NotInvertible, fp_matrix,
                               int_matrix, invariant_factors,
                               left_null_basis_fp, smith_normal_form,
                               solve_right_int)
+from dualkit.introws import mul_packed, mul_rows  # noqa: E402
 from dualkit.models import EvConst, ev_morphism, ev_object  # noqa: E402
 from test_exactlin_differential import (oracle_snf,  # noqa: E402
                                         oracle_solve_int)
 
 SIZES = (16, 24, 32, 48)
+PRODUCT_SIZES = (8, 16, 32, 64, 128)
 P = 101
 
 
@@ -135,6 +145,29 @@ def solve_series(repeats) -> bool:
     return ok
 
 
+def product_series(repeats) -> bool:
+    ok = True
+    print(f"\n{'n':>3} {'density':>7} {'mul_rows':>10} {'mul_packed':>10}"
+          f"  ratio")
+    rng = random.Random(4)
+    for n in PRODUCT_SIZES:
+        for density in (1.0, 0.1):
+            a, b = ([[rng.randint(-9, 9) if rng.random() < density else 0
+                      for _ in range(n)] for _ in range(n)]
+                    for _ in range(2))
+            rows, rows_s = timed(lambda: mul_rows(a, b, n), repeats)
+            packed, packed_s = timed(lambda: mul_packed(a, b, n), repeats)
+            same = packed == [list(r) for r in rows]
+            ok = ok and same
+            print(f"{n:>3} {density:>7.0%} {rows_s * 1e3:>8.2f}ms "
+                  f"{packed_s * 1e3:>8.2f}ms  {rows_s / packed_s:>5.2f}"
+                  + ("" if same else "  DIFFER"))
+    print(f"Matrix.mul uses mul_packed when its left factor has at least "
+          f"{PACKED_ROWS} rows and at least {PACKED_NONZEROS} nonzero "
+          f"entries per row on average, and mul_rows otherwise")
+    return ok
+
+
 def main() -> int:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     model = EvConst()
@@ -166,6 +199,9 @@ def main() -> int:
         print("SNF, invariant factors or cofiber free rank WRONG")
     if not solve_series(repeats):
         print("solve_right_int and the SNF solve DISAGREE")
+        ok = False
+    if not product_series(repeats):
+        print("mul_rows and mul_packed DIFFER")
         ok = False
     return 0 if ok else 1
 

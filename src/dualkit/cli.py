@@ -118,8 +118,9 @@ def diagrams_verify(verify_all, trace_name):
 # and never reaches the models.
 
 # A prime as a JSON key is written in canonical decimal, so that two keys
-# such as "2" and "02" cannot name one prime.
-PRIME_KEY = re.compile("0|[1-9][0-9]*").fullmatch
+# such as "2" and "02" cannot name one prime, and has at most 25 digits:
+# is_prime proves primality only below 3.3e24, and int() refuses 4300.
+PRIME_KEY = re.compile("0|[1-9][0-9]{0,24}").fullmatch
 EV_OBJECT = {"f": int, "exc?": {PRIME_KEY: int}}
 
 
@@ -256,8 +257,10 @@ def parse_ev_object(text: str) -> EvObject:
         f, torsion = 0, {}
         for part in re.split(r"\s*\+\s*", text) if text != "0" else ():
             # an exponent of five digits or more is above the bound, and
-            # int() refuses one of 4300, so such a name does not parse
-            m = re.fullmatch(r"S(/(?P<p>\d+))?(\^0*(?P<n>\d{1,4}))?", part)
+            # int() refuses one of 4300, so such a name does not parse;
+            # nor does a prime of more than 25 digits, as in PRIME_KEY
+            m = re.fullmatch(r"S(/(?P<p>\d{1,25}))?(\^0*(?P<n>\d{1,4}))?",
+                             part)
             if not m:
                 raise click.BadParameter(f"cannot parse object {part!r}")
             n = int(m["n"] or 1)
@@ -386,12 +389,18 @@ def idem_group():
 
 
 def _default_clopen(model, model_name, obj_str):
-    """A concrete clopen idempotent to test: S/m machinery on evconst,
-    the unit object elsewhere."""
+    """A concrete clopen idempotent to test: on evconst, S/p for the first
+    prime p of the torsion of --object (S/2 if it is omitted); the unit
+    object elsewhere.  An evconst --object with no torsion selects no
+    idempotent and is a usage error."""
     from . import idem
     if model_name == "evconst":
         primes = parse_ev_object(obj_str or "S/2").exc_primes()
-        return idem.char_clopen(model, primes[0] if primes else 2)
+        if not primes:
+            raise click.BadParameter(f"{obj_str} has no torsion, so it "
+                                     "selects no clopen idempotent",
+                                     param_hint="--object")
+        return idem.char_clopen(model, primes[0])
     r = model.identity(model.unit())
     return idem.ClopenIdempotent(E=model.unit(), r=r, i=r)
 

@@ -25,12 +25,17 @@ from operator import add
 from typing import Sequence, Union
 
 from . import DomainError
-from .introws import echelon, mul_rows
+from .introws import echelon, mul_packed, mul_rows
 
 Domain = Union[str, tuple]
 
 NAT = "nat"
 INT = "int"
+
+# Matrix.mul packs its right factor (introws.mul_packed) when its left
+# factor has at least PACKED_ROWS rows and, on average, at least
+# PACKED_NONZEROS nonzero entries per row; mul_rows is faster below that.
+PACKED_ROWS, PACKED_NONZEROS = 16, 12
 
 
 def fp(p: int) -> Domain:
@@ -311,9 +316,13 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        rows = self.data
+        product = mul_packed if self.rows >= PACKED_ROWS and (
+            self.rows * self.cols - sum(r.count(0) for r in rows)
+            >= PACKED_NONZEROS * self.rows) else mul_rows
         # _trusted reduces the integer product mod p
         return Matrix._trusted(self.domain, self.rows, other.cols,
-                               mul_rows(self.data, other.data, other.cols))
+                               product(rows, other.data, other.cols))
 
     def transpose(self) -> "Matrix":
         return Matrix._trusted(

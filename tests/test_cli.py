@@ -157,11 +157,27 @@ class TestEvConst:
 
     @pytest.mark.parametrize("obj", [
         "S^257", "S^256+S/2", '{"f": 257}', "Q",
-        pytest.param("S^" + "9" * 5000, id="5000-digits")])
+        pytest.param("S^" + "9" * 5000, id="5000-digits"),
+        "S/" + "9" * 26, '{"f": 0, "exc": {"%s": 1}}' % ("9" * 26),
+        pytest.param("S/" + "9" * 5000, id="prime-5000-digits"),
+        pytest.param('{"f": 0, "exc": {"%s": 1}}' % ("9" * 5000),
+                     id="prime-key-5000-digits")])
     def test_object_unparsed_or_above_256_is_usage_error(self, obj):
-        # each dimension stops at 256; S^256 splits in under a second
+        # each dimension stops at 256; S^256 splits in under a second;
+        # a prime has at most 25 digits (is_prime proves primality only
+        # below 3.3e24)
         res = run("evconst", "split", "--m", "6", "--object", obj)
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("obj", [
+        "S/3000000000000000000000007",
+        '{"f": 0, "exc": {"3000000000000000000000007": 1}}'])
+    def test_prime_of_25_digits_parses(self, obj):
+        res = run("evconst", "biproduct", "--x", obj, "--y", "S",
+                  "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["object"] == \
+            "S + S/3000000000000000000000007"
 
     def test_split_largest_object(self):
         res = run("evconst", "split", "--m", "6", "--object", "S^256",
@@ -216,6 +232,20 @@ class TestIdem:
                   "--object", "S/3", "--format", "json")
         assert res.exit_code == 0
         assert json.loads(res.output)["smash_with_complement"] == "0"
+
+    @pytest.mark.parametrize("cmd", ["clopen", "complement", "split-homs"])
+    @pytest.mark.parametrize("obj", ["S", "S^3", "0", '{"f": 2}'])
+    def test_torsion_free_object_is_usage_error(self, cmd, obj):
+        # such an object selects no clopen idempotent; S/2 was used
+        res = run("idem", cmd, "--model", "evconst", "--object", obj)
+        assert res.exit_code == 2
+        assert "no torsion" in res.output
+
+    @pytest.mark.parametrize("cmd", ["clopen", "complement"])
+    def test_omitted_object_selects_s_mod_2(self, cmd):
+        res = run("idem", cmd, "--model", "evconst", "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["E"] == "S/2"
 
     def test_complement_needs_additive_model(self):
         res = run("idem", "complement", "--model", "spanfin")
@@ -389,6 +419,9 @@ class TestInputShapes:
          '{"free": [[1]], "explicit": {"2": [[1]], "02": [[0]]}}'),
         ("evconst", "biproduct", "--x", '{"f": 0, "exc": {"2": 1, "02": 3}}',
          "--y", "S"),
+        # a prime key of more than 25 digits
+        ("evconst", "cofiber", "--morphism",
+         '{"free": [[1]], "explicit": {"%s": [[1]]}}' % ("9" * 5000)),
     ])
     def test_malformed_json_is_usage_error(self, args):
         res = run(*args)

@@ -24,22 +24,34 @@ columns, 0 x n and n x 0) the new code must agree with them:
   check) returns what the validating ``Matrix.from_rows`` builds from the
   same rows, with tuple rows of plain ints, over N, Z, F_2 and F_7, while
   the validating entry points still raise; a ``_trusted`` that does not
-  reduce mod p fails this.
+  reduce mod p fails this;
+- the packed product ``mul_packed`` returns the rows ``mul_rows`` returns,
+  and ``Matrix.mul``, on either side of its dispatch rule, the triple
+  loop of ``tests/test_diagram_differential.py``, on empty shapes, zero
+  rows, mixed signs, 200-digit entries, all-ones matrices, over F_2, F_7
+  and a 12-digit prime, and on hypothesis-drawn shapes and densities; a
+  slot one byte narrower than ``_slot_bytes`` gives a wrong product on
+  cases that reach its bound.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualkit import exactlin, introws
 from dualkit.exactlin import (
-    INT, NAT, DimensionMismatch, Matrix, NotInvertible, apply_factor,
-    commutation, fp, fp_matrix, int_matrix, invariant_factors,
-    invert_or_fail, kronecker, left_kernel_int, left_null_basis_fp,
-    nat_matrix, prime_factors, rank_fp, smith_normal_form, solve_right_fp,
-    solve_right_int,
+    INT, NAT, PACKED_NONZEROS, PACKED_ROWS, DimensionMismatch, Matrix,
+    NotInvertible, apply_factor, commutation, fp, fp_matrix, int_matrix,
+    invariant_factors, invert_or_fail, kronecker, left_kernel_int,
+    left_null_basis_fp, nat_matrix, prime_factors, rank_fp,
+    smith_normal_form, solve_right_fp, solve_right_int,
 )
+from dualkit.introws import mul_packed, mul_rows
 from dualkit.models import EvConst, ev_morphism, ev_object
+from test_diagram_differential import triple_loop_mul
 
 
 # ------------------------------------------------------------------ oracles
@@ -617,6 +629,9 @@ def trusted_results(domain, seed):
                         m.add(Matrix.identity(domain, nr))))))
                 except NotInvertible:
                     pass
+    # one product large and dense enough for the packed path
+    out.append(("mul", seeded_matrix(rng, domain, PACKED_ROWS, 16).mul(
+        seeded_matrix(rng, domain, 16, 3))))
     return out
 
 
@@ -680,3 +695,150 @@ def test_unreduced_trusted_mutant_is_caught(domain, monkeypatch):
     monkeypatch.setattr(Matrix, "_trusted", staticmethod(_unreduced))
     with pytest.raises(AssertionError):
         assert_trusted_results_valid(domain, 20)
+
+
+# ---------------------------------------------------------- packed products
+
+P12 = 999999999989
+
+
+def random_rows(rng, nr, nc, density=1.0, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) if rng.random() < density else 0
+             for _ in range(nc)] for _ in range(nr)]
+
+
+def packed_cases():
+    """(name, a, b, ncols) for mul_packed against mul_rows."""
+    rng = random.Random(13)
+    big = 10 ** 200
+    return [
+        ("0xn", [], random_rows(rng, 3, 4), 4),
+        ("nx0", [[], [], []], [], 5),
+        ("b with no columns", random_rows(rng, 3, 2), [[], []], 0),
+        ("zero rows in a", [[0, 0, 0], [1, -2, 3], [0, 0, 0]],
+         random_rows(rng, 3, 4), 4),
+        ("zero b", random_rows(rng, 4, 3), [[0] * 5] * 3, 5),
+        ("zero a and b", [[0] * 3] * 2, [[0] * 2] * 3, 2),
+        ("mixed signs", random_rows(rng, 20, 20), random_rows(rng, 20, 7), 7),
+        ("negative b only", random_rows(rng, 5, 5, lo=0),
+         random_rows(rng, 5, 4, hi=-1), 4),
+        ("200 digits", random_rows(rng, 6, 5, lo=-big, hi=big),
+         random_rows(rng, 5, 4, lo=-big, hi=big), 4),
+        ("200 digits in a", random_rows(rng, 6, 5, lo=-big, hi=big),
+         random_rows(rng, 5, 4), 4),
+        ("all ones", [[1] * 17] * 18, [[1] * 19] * 17, 19),
+        ("sparse", random_rows(rng, 30, 30, 0.1), random_rows(rng, 30, 30),
+         30),
+        ("12-digit residues", random_rows(rng, 16, 16, lo=0, hi=P12 - 1),
+         random_rows(rng, 16, 9, lo=0, hi=P12 - 1), 9),
+        ("tuples", tuple(map(tuple, random_rows(rng, 4, 3))),
+         tuple(map(tuple, random_rows(rng, 3, 2))), 2),
+    ]
+
+
+@pytest.mark.parametrize("name, a, b, ncols", packed_cases(),
+                         ids=[c[0] for c in packed_cases()])
+def test_mul_packed_matches_mul_rows(name, a, b, ncols):
+    got = mul_packed(a, b, ncols)
+    assert got == [list(r) for r in mul_rows(a, b, ncols)]
+    assert all(type(e) is int for row in got for e in row)
+
+
+MUL_DOMAINS = [NAT, INT, fp(2), fp(7), fp(P12)]
+
+
+@pytest.mark.parametrize("domain", MUL_DOMAINS,
+                         ids=["nat", "int", "f2", "f7", "f12digit"])
+def test_matrix_mul_matches_triple_loop_on_both_paths(domain):
+    p = domain[1] if isinstance(domain, tuple) else None
+    lo, hi = (0, p - 1) if p else (0 if domain == NAT else -9, 9)
+    rng = random.Random(repr(domain))
+    shapes = [(0, 20, 3), (20, 0, 3), (20, 20, 0), (3, 4, 5), (16, 16, 16),
+              (24, 20, 11), (40, 40, 40)]
+    for n, k, m in shapes:
+        for density in (0.0, 0.1, 1.0):
+            a = Matrix.from_rows(domain, random_rows(rng, n, k, density, lo,
+                                                     hi), shape=(n, k))
+            b = Matrix.from_rows(domain, random_rows(rng, k, m, density, lo,
+                                                     hi), shape=(k, m))
+            assert a.mul(b) == triple_loop_mul(a, b)
+    ones = Matrix.from_rows(domain, [[1] * 20] * 20)
+    assert ones.mul(ones) == triple_loop_mul(ones, ones)
+
+
+def _spy_packed(monkeypatch):
+    calls = []
+
+    def spy(a, b, ncols):
+        calls.append(len(a))
+        return mul_packed(a, b, ncols)
+    monkeypatch.setattr(exactlin, "mul_packed", spy)
+    return calls
+
+
+def _with_nonzeros(nr, nc, per_row):
+    return int_matrix([[2 if j < per_row else 0 for j in range(nc)]
+                       for _ in range(nr)])
+
+
+def test_matrix_mul_packs_only_dense_left_factors(monkeypatch):
+    calls = _spy_packed(monkeypatch)
+    b = _with_nonzeros(64, 64, 64)
+    cases = [((PACKED_ROWS, 64, PACKED_NONZEROS), True),
+             ((PACKED_ROWS, 64, PACKED_NONZEROS - 1), False),
+             ((PACKED_ROWS - 1, 64, 64), False),
+             ((64, 64, 7), False),          # about 10 % density
+             ((64, 64, 64), True)]
+    for (nr, nc, per_row), packed in cases:
+        a = _with_nonzeros(nr, nc, per_row)
+        calls.clear()
+        assert a.mul(b) == triple_loop_mul(a, b)
+        assert bool(calls) == packed, (nr, nc, per_row)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 12),
+       st.floats(0, 1), st.sampled_from([1, 9, 10 ** 30]),
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_packed_products_on_drawn_shapes(n, k, m, density, bound, signed,
+                                         seed):
+    rng = random.Random(seed)
+    lo = -bound if signed else 0
+    a = random_rows(rng, n, k, density, lo, bound)
+    b = random_rows(rng, k, m, density, lo, bound)
+    assert mul_packed(a, b, m) == [list(r) for r in mul_rows(a, b, m)]
+    domain = INT if signed else NAT
+    ma = Matrix.from_rows(domain, a, shape=(n, k))
+    mb = Matrix.from_rows(domain, b, shape=(k, m))
+    assert ma.mul(mb) == triple_loop_mul(ma, mb)
+
+
+# (a, b) whose accumulator reaches the bound of _slot_bytes in its low
+# slot, with that bound needing exactly the width _slot_bytes returns: 2
+# bytes, positive and negative; 8 bytes; 85 bytes (about 200 digits)
+SLOT_BOUND_CASES = {
+    "positive": ([[16, 16]], [[16, 0], [16, 0]]),
+    "negative": ([[-15]], [[9, -9]]),
+    "8 bytes": ([[256]], [[2 ** 55, 0]]),
+    "85 bytes": ([[2]], [[256 ** 84 - 1, 0]]),
+}
+
+
+@pytest.mark.parametrize("case", SLOT_BOUND_CASES)
+def test_one_byte_narrower_slot_gives_a_wrong_product(case, monkeypatch):
+    a, b = SLOT_BOUND_CASES[case]
+    bias = max(0, -min(map(min, b)))
+    top = max(map(max, b)) + bias
+    lifted = [[e + bias for e in row] for row in b]
+    bound = max(sum(map(abs, row)) for row in a) * top
+    # the case reaches the bound, and the bound fills the width
+    assert max(map(max, mul_rows([list(map(abs, r)) for r in a], lifted,
+                                 2))) == bound
+    w = introws._slot_bytes(a, top)
+    assert 256 ** (w - 1) <= bound < 256 ** w
+    expected = [list(r) for r in mul_rows(a, b, 2)]
+    assert mul_packed(a, b, 2) == expected
+    narrow = introws._slot_bytes
+    monkeypatch.setattr(introws, "_slot_bytes",
+                        lambda a, top: narrow(a, top) - 1)
+    assert mul_packed(a, b, 2) != expected
