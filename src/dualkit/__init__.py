@@ -12,7 +12,23 @@ class DomainError(Exception):
 
 
 class MalformedInput(DomainError, ValueError):
-    """A JSON input does not have the shape its reader expects."""
+    """An input its reader rejects: a file that cannot be read or is not
+    JSON, a JSON value of the wrong shape, an unknown preset or trace
+    name, or a value out of range (a non-prime modulus, a negative
+    dimension or entry, ...)."""
+
+
+def read_json(path):
+    """The JSON value in the file at path; MalformedInput naming the
+    file when it cannot be read or does not hold JSON."""
+    import json
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:     # JSONDecodeError, UnicodeDecodeError
+        raise MalformedInput(f"{path} is not JSON: {exc}") from None
 
 
 def has_shape(obj, shape) -> bool:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import DomainError, has_shape
+from . import DomainError, has_shape, read_json
 
 if TYPE_CHECKING:
     from .models import EvMorphism, EvObject, SpanMorphism
@@ -59,16 +59,16 @@ def command(group: click.Group, name: str):
     """Register the decorated function as command ``name`` of ``group``,
     with a last option ``--format text|json``.  The function takes the
     parsed options and returns its report, a dict with an "ok" verdict; a
-    domain failure it raises becomes the report {"ok": false, "error":
+    DomainError it raises becomes the report {"ok": false, "error":
     "<Class>: <message>"}.  The command prints the report and exits 0
-    when its "ok" is true, else 1."""
+    when its "ok" is true, else 1.  Any other exception is a defect and
+    propagates."""
     def decorate(fn):
         @functools.wraps(fn)
         def run(fmt, **options):
             try:
                 report = fn(**options)
-            except (DomainError, KeyError, ValueError,
-                    FileNotFoundError) as exc:
+            except DomainError as exc:
                 report = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
             click.echo(json.dumps(report, sort_keys=True, indent=2)
                        if fmt == "json" else "\n".join(_render_text(report)))
@@ -244,6 +244,11 @@ def span_cofiber(morphism, shape, sizes):
 
 # ----------------------------------------------------------------- evconst
 
+def _clip(text: str, limit: int = 40) -> str:
+    """text, cut to its first limit characters and "..." when longer."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def parse_ev_object(text: str) -> EvObject:
     """Accept JSON or compact names: '0', 'S', 'S^2', 'S/2', 'S/2^3',
     and '+'-separated sums of those, of dimension at most 256 at every
@@ -262,7 +267,8 @@ def parse_ev_object(text: str) -> EvObject:
             m = re.fullmatch(r"S(/(?P<p>\d{1,25}))?(\^0*(?P<n>\d{1,4}))?",
                              part)
             if not m:
-                raise click.BadParameter(f"cannot parse object {part!r}")
+                raise click.BadParameter(
+                    f"cannot parse object {_clip(part)!r}")
             n = int(m["n"] or 1)
             if m["p"]:
                 p = int(m["p"])
@@ -271,7 +277,7 @@ def parse_ev_object(text: str) -> EvObject:
                 f += n
         x = ev_object(f, {p: f + d for p, d in torsion.items()})
     if max([x.f, *(d for _, d in x.exc)]) > 256:
-        raise click.BadParameter(f"{x} has a dimension above 256")
+        raise click.BadParameter(f"{_clip(str(x))} has a dimension above 256")
     return x
 
 
@@ -397,8 +403,8 @@ def _default_clopen(model, model_name, obj_str):
     if model_name == "evconst":
         primes = parse_ev_object(obj_str or "S/2").exc_primes()
         if not primes:
-            raise click.BadParameter(f"{obj_str} has no torsion, so it "
-                                     "selects no clopen idempotent",
+            raise click.BadParameter(f"{_clip(obj_str)} has no torsion, so "
+                                     "it selects no clopen idempotent",
                                      param_hint="--object")
         return idem.char_clopen(model, primes[0])
     r = model.identity(model.unit())
@@ -468,9 +474,10 @@ def idem_complement(model_name, obj_str):
     """Complement of a clopen idempotent via the cofiber of its
     inclusion."""
     from . import idem
+    from .models import UnsupportedShape
     model = _get_model(model_name)
     if model_name != "evconst":
-        raise ValueError("complements need the additive evconst model")
+        raise UnsupportedShape("complements need the additive evconst model")
     cl = _default_clopen(model, model_name, obj_str)
     c_obj, comp = idem.complement_of_retract(model, cl.E, cl.r, cl.i)
     smash = model.tensor_obj(cl.E, comp.E)
@@ -500,9 +507,11 @@ def idem_split_homs(model_name, obj_str, pairs):
     """Check hom-set splitting along a clopen idempotent and its
     complement on sampled object pairs."""
     from . import idem
+    from .models import UnsupportedShape
     model = _get_model(model_name)
     if model_name != "evconst":
-        raise ValueError("hom splitting is checked in the evconst model")
+        raise UnsupportedShape("hom splitting is checked in the evconst "
+                               "model")
     cl = _default_clopen(model, model_name, obj_str)
     _, comp = idem.complement_of_retract(model, cl.E, cl.r, cl.i)
     rng = random.Random(get_seed())
@@ -624,8 +633,7 @@ def equi_collapse(group_name, rep_name):
 def equi_validate(group_name, cert_path):
     """Validate a collapse certificate against the group's lattice."""
     from . import equivariant as eq
-    with open(cert_path) as fh:
-        cert = eq.CollapseCertificate.from_json(json.load(fh))
+    cert = eq.CollapseCertificate.from_json(read_json(cert_path))
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
     return eq.validate_collapse_certificate(cert, poset).to_json()
 

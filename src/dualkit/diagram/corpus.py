@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import json
+import os
 from importlib import resources
 from pathlib import Path
 
+from .. import MalformedInput, read_json
 from .rewrite import RewriteTrace, TraceReport, validate_trace
 
 
@@ -20,12 +21,16 @@ def list_traces() -> list:
 
 
 def load_trace(name: str) -> RewriteTrace:
-    """Load a bundled trace by name, or any trace from a file path."""
+    """Load any trace from a .json file path, or a bundled trace by
+    name."""
+    # os.path.isfile, unlike Path.is_file, is False for a name too long
+    # for the file system
     path = Path(name)
-    if path.suffix == ".json" and path.is_file():
-        return RewriteTrace.from_json(json.loads(path.read_text()))
-    blob = (data_root() / f"{name}.json").read_text()
-    return RewriteTrace.from_json(json.loads(blob))
+    if not (path.suffix == ".json" and os.path.isfile(path)):
+        path = data_root() / f"{name}.json"
+        if not os.path.isfile(path):
+            raise MalformedInput(f"no bundled trace or trace file {name!r}")
+    return RewriteTrace.from_json(read_json(path))
 
 
 def load_all() -> list:
@@ -34,10 +39,7 @@ def load_all() -> list:
 
 def validate_corpus() -> list:
     """Validate every bundled trace; returns one TraceReport per trace."""
-    reports = []
-    for trace in load_all():
-        reports.append(validate_trace(trace))
-    return reports
+    return [validate_trace(trace) for trace in load_all()]
 
 
 __all__ = ["data_root", "list_traces", "load_trace", "load_all",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import DomainError
+from .. import DomainError, MalformedInput
 from .signature import (Letter, Signature, dual_letter, word_from_json,
                         word_str, word_to_json)
 
@@ -20,6 +20,9 @@ GEN_INV = "gen-inv"
 BRAID = "braid"
 CUP = "cup"
 CAP = "cap"
+# the JSON field that holds the data of each kind of cell
+_DATA_FIELD = {GEN: "gen", GEN_INV: "gen", BRAID: "sign", CUP: "letter",
+               CAP: "letter"}
 
 
 class TypingError(DomainError):
@@ -40,10 +43,10 @@ class Cell:
     data: object
 
     def __post_init__(self):
-        if self.kind not in (GEN, GEN_INV, BRAID, CUP, CAP):
-            raise ValueError(f"unknown cell kind {self.kind}")
+        if self.kind not in _DATA_FIELD:
+            raise MalformedInput(f"unknown cell kind {self.kind}")
         if self.kind == BRAID and self.data not in (1, -1):
-            raise ValueError("braid sign must be +1 or -1")
+            raise MalformedInput("braid sign must be +1 or -1")
         if self.offset < 0:
             raise TypingError("negative offset")
 
@@ -51,23 +54,21 @@ class Cell:
         return Cell(self.kind, self.offset + delta, self.data)
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind, "offset": self.offset}
-        if self.kind == BRAID:
-            out["sign"] = self.data
-        elif self.kind in (CUP, CAP):
-            out["letter"] = self.data.to_json()
-        else:
-            out["gen"] = self.data
-        return out
+        data = self.data.to_json() if self.kind in (CUP, CAP) else self.data
+        return {"kind": self.kind, "offset": self.offset,
+                _DATA_FIELD[self.kind]: data}
 
     @staticmethod
     def from_json(obj) -> "Cell":
         kind = obj["kind"]
-        if kind == BRAID:
-            return Cell(kind, obj["offset"], obj["sign"])
-        if kind in (CUP, CAP):
-            return Cell(kind, obj["offset"], Letter.from_json(obj["letter"]))
-        return Cell(kind, obj["offset"], obj["gen"])
+        key = _DATA_FIELD.get(kind)
+        if key is None:
+            raise MalformedInput(f"unknown cell kind {kind}")
+        if key not in obj:
+            raise MalformedInput(f"a {kind} cell needs the field {key!r}")
+        data = obj[key]
+        return Cell(kind, obj["offset"],
+                    Letter.from_json(data) if key == "letter" else data)
 
     def __str__(self):
         if self.kind == BRAID:

@@ -50,11 +50,11 @@ class RewriteRule:
 
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
-            raise ValueError(f"unknown rule kind {self.kind}")
+            raise MalformedInput(f"unknown rule kind {self.kind}")
         if self.lhs.sig != self.rhs.sig:
-            raise ValueError("rule sides use different signatures")
+            raise MalformedInput("rule sides use different signatures")
         if self.lhs.dom != self.rhs.dom or self.lhs.cod != self.rhs.cod:
-            raise ValueError("rule sides are not parallel")
+            raise MalformedInput("rule sides are not parallel")
 
     def to_json(self) -> dict:
         return {"id": self.rule_id, "kind": self.kind,
@@ -76,7 +76,7 @@ class Step:
 
     def __post_init__(self):
         if self.direction not in (FWD, BWD):
-            raise ValueError(f"unknown direction {self.direction}")
+            raise MalformedInput(f"unknown direction {self.direction}")
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "dir": self.direction,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import MalformedInput
+
 
 @dataclass(frozen=True, order=True)
 class Letter:
@@ -66,22 +68,22 @@ class Signature:
     def __post_init__(self):
         names = set(self.objects)
         if len(names) != len(self.objects):
-            raise ValueError("duplicate object names")
+            raise MalformedInput("duplicate object names")
         for gname, gt in self.generators:
             for letter in gt.dom + gt.cod:
                 if letter.name not in names:
-                    raise ValueError(
+                    raise MalformedInput(
                         f"generator {gname} uses unknown object {letter.name}")
 
     def gen(self, name: str) -> GenType:
         for gname, gt in self.generators:
             if gname == name:
                 return gt
-        raise KeyError(f"unknown generator {name}")
+        raise MalformedInput(f"unknown generator {name}")
 
     def check_letter(self, letter: Letter):
         if letter.name not in self.objects:
-            raise ValueError(f"unknown object {letter.name}")
+            raise MalformedInput(f"unknown object {letter.name}")
 
     def to_json(self) -> dict:
         return {

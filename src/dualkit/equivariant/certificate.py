@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import MalformedInput, has_shape
-from .groups import ConjugacyPoset, PermGroup, generated_subgroup
+from .groups import GROUP_SHAPE, ConjugacyPoset, PermGroup, _join
 from .spheres import IntervalSphere, down_closure, interval_smash, is_upset
 
 SINGLETON_KILL = "SingletonKill"
@@ -61,7 +61,7 @@ class CertStep:
 
 
 CERTIFICATE_SHAPE = {
-    "group": object, "axioms": [str], "final_fact": str,
+    "group": GROUP_SHAPE, "axioms": [str], "final_fact": str,
     "steps": [{"rule": str, "class": int, "upset": [int], "premises": [str],
                "conclusion": str}]}
 
@@ -142,18 +142,20 @@ class CertReport:
 
 def _group_mismatch(cert_group, G: PermGroup):
     """Why the certificate's group is not G, or None when it has G's
-    degree and generates G's elements (its generators may differ)."""
-    try:
-        degree = cert_group["degree"]
-        gens = [tuple(i - 1 for i in g) for g in cert_group["generators"]]
-    except (KeyError, TypeError) as exc:
-        return f"certificate group is malformed ({type(exc).__name__})"
+    degree and generates G's elements (its generators may differ).  A
+    certificate read by from_json has a group of this shape; one built
+    directly may not."""
+    if not has_shape(cert_group, GROUP_SHAPE):
+        return "certificate group is malformed"
+    degree = cert_group["degree"]
     if degree != G.degree:
         return (f"certificate group has degree {degree}, the poset's group "
                 f"has degree {G.degree}")
-    index = G.table.index
-    if not all(g in index for g in gens) or len(generated_subgroup(
-            G, [G.elements[index[g]] for g in gens])) != G.order:
+    t = G.table
+    gens = [tuple(i - 1 for i in g) for g in cert_group["generators"]]
+    if not all(g in t.index for g in gens) or _join(
+            t.mul, 1 << t.identity, (t.identity,),
+            [t.index[g] for g in gens]) != (1 << G.order) - 1:
         return "certificate group generates a different element set"
     return None
 

@@ -17,13 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .. import DomainError, has_shape
+from .. import DomainError, MalformedInput, has_shape
 
+# The largest group order a PermGroup may have: every consumer builds
+# its Cayley table of |G|^2 entries, and the lattice searches subgroups.
 DEFAULT_ORDER_BOUND = 60
+GROUP_SHAPE = {"degree": int, "generators": [[int]]}
 
 
 class GroupTooLarge(DomainError):
-    """The group order exceeds the configured enumeration bound."""
+    """The group order exceeds DEFAULT_ORDER_BOUND."""
 
 
 def p_identity(n: int) -> tuple:
@@ -43,6 +46,8 @@ def p_inv(p: tuple) -> tuple:
 
 
 def _closure(degree: int, gens) -> frozenset:
+    """The group the permutations gens generate; GroupTooLarge as soon
+    as it has more than DEFAULT_ORDER_BOUND elements."""
     gens = [tuple(g) for g in gens]
     seen = {p_identity(degree)}
     frontier = list(seen)
@@ -52,6 +57,9 @@ def _closure(degree: int, gens) -> frozenset:
             for g in gens:
                 q = p_mul(g, p)
                 if q not in seen:
+                    if len(seen) == DEFAULT_ORDER_BOUND:
+                        raise GroupTooLarge(
+                            f"|G| exceeds the bound {DEFAULT_ORDER_BOUND}")
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -107,10 +115,10 @@ class PermGroup:
 
     @staticmethod
     def from_json(obj) -> "PermGroup":
-        if not (has_shape(obj, {"degree": int, "generators": [[int]]})
-                and obj["degree"] >= 0):
-            raise ValueError('expected a group {"degree": n, "generators": '
-                             '[[image of 1, ..., image of n], ...]}')
+        if not (has_shape(obj, GROUP_SHAPE) and obj["degree"] >= 0):
+            raise MalformedInput('expected a group {"degree": n, '
+                                 '"generators": [[image of 1, ..., image '
+                                 'of n], ...]}')
         gens = [tuple(i - 1 for i in g) for g in obj["generators"]]
         return perm_group(obj["degree"], gens)
 
@@ -118,7 +126,7 @@ class PermGroup:
 def _check_permutations(degree: int, generators):
     for g in generators:
         if sorted(g) != list(range(degree)):
-            raise ValueError(f"{g} is not a permutation of the degree")
+            raise MalformedInput(f"{g} is not a permutation of the degree")
 
 
 def perm_group(degree: int, generators) -> PermGroup:
@@ -275,11 +283,7 @@ class ConjugacyPoset:
         }
 
 
-def enumerate_subgroup_classes(G: PermGroup,
-                               bound: int = DEFAULT_ORDER_BOUND
-                               ) -> ConjugacyPoset:
-    if G.order > bound:
-        raise GroupTooLarge(f"|G| = {G.order} exceeds the bound {bound}")
+def enumerate_subgroup_classes(G: PermGroup) -> ConjugacyPoset:
     classes = sorted((sorted((_members(m), m) for m in orbit)
                       for orbit in _subgroup_classes(G)),
                      key=lambda cl: (len(cl[0][0]), cl[0][0]))

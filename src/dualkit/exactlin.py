@@ -24,7 +24,7 @@ from math import gcd, isqrt
 from operator import add
 from typing import Sequence, Union
 
-from . import DomainError
+from . import DomainError, MalformedInput
 from .introws import echelon, mul_packed, mul_rows
 
 Domain = Union[str, tuple]
@@ -41,7 +41,7 @@ PACKED_ROWS, PACKED_NONZEROS = 16, 12
 def fp(p: int) -> Domain:
     """The scalar domain F_p."""
     if not is_prime(p):
-        raise ValueError(f"F_p requires a prime, got {p}")
+        raise MalformedInput(f"F_p requires a prime, got {p}")
     return ("fp", p)
 
 
@@ -223,7 +223,7 @@ class Matrix:
                 if not isinstance(e, int):
                     raise TypeError(f"non-integer entry {e!r}")
                 if self.domain == NAT and e < 0:
-                    raise ValueError("nat matrix entry must be >= 0")
+                    raise MalformedInput("nat matrix entry must be >= 0")
                 if p is not None and not (0 <= e < p):
                     raise ValueError(f"F_{p} entry {e} not reduced")
 
@@ -346,10 +346,12 @@ class Matrix:
 
     @staticmethod
     def from_json(obj: dict) -> "Matrix":
+        """The inverse of to_json, as strict as direct construction: an
+        unreduced F_p entry or a non-prime modulus raises."""
         tag = obj["domain"]
-        domain: Domain = ("fp", tag["fp"]) if isinstance(tag, dict) else tag
-        return Matrix.from_rows(domain, obj["entries"],
-                                shape=(obj["rows"], obj["cols"]))
+        domain: Domain = fp(tag["fp"]) if isinstance(tag, dict) else tag
+        return Matrix(domain, obj["rows"], obj["cols"],
+                      tuple(map(tuple, obj["entries"])))
 
 
 def nat_matrix(rows: Sequence[Sequence[int]], shape=None) -> Matrix:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .. import MalformedInput
 from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
                         apply_factor, commutation, fp, int_matrix,
                         invert_or_fail, kronecker, left_kernel_int,
@@ -38,7 +39,7 @@ class EvObject:
 
     def __post_init__(self):
         if self.f < 0 or any(d < 0 for _, d in self.exc):
-            raise ValueError("negative dimension")
+            raise MalformedInput("negative dimension")
         if any(d == self.f for _, d in self.exc):
             raise ValueError("non-canonical object: exceptional dim equals f")
         if list(self.exc) != sorted(self.exc):
@@ -100,7 +101,8 @@ class EvMorphism:
             raise ValueError("explicit primes not sorted")
         for p in set(self.dom.exc_primes()) | set(self.cod.exc_primes()):
             if p not in keys:
-                raise ValueError(f"missing explicit component at prime {p}")
+                raise MalformedInput(
+                    f"missing explicit component at prime {p}")
         for p, m in self.explicit:
             if m.domain != fp(p) or \
                     (m.rows, m.cols) != (self.cod.dim(p), self.dom.dim(p)):

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from dualkit import DomainError, MalformedInput
 from dualkit.cli import main
 from dualkit.diagram import load_trace
+from dualkit.models import UnsupportedShape
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import cli_timings  # noqa: E402
@@ -168,6 +170,16 @@ class TestEvConst:
         # below 3.3e24)
         res = run("evconst", "split", "--m", "6", "--object", obj)
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("obj", [
+        pytest.param("S^" + "9" * 5000, id="5000-digits"),
+        pytest.param("S/" + "9" * 5000, id="prime-5000-digits")])
+    def test_unparsed_object_echo_is_cut(self, obj):
+        res = run("evconst", "biproduct", "--x", obj, "--y", "S")
+        assert res.exit_code == 2
+        message = res.output.splitlines()[-1]
+        assert message.startswith("Error: ")
+        assert len(message.encode()) < 200
 
     @pytest.mark.parametrize("obj", [
         "S/3000000000000000000000007",
@@ -495,7 +507,7 @@ class TestFileShapes:
                   "--format", "json")
         assert res.exit_code == 1
         assert json.loads(res.output)["error"].startswith(
-            "FileNotFoundError: ")
+            "MalformedInput: ")
 
     def test_cofiber_of_a_large_prime_square_exits_0(self):
         # (10**13 + 37) ** 2: its root is factored instead of running rho
@@ -517,3 +529,95 @@ class TestFileShapes:
         assert json.loads(res.output)["error"].startswith(
             "FactorBudgetExceeded: no factor of the composite "
             "100000000000000001380000000000000004437 ")
+
+
+# a trace whose braid slice has no "sign"
+BRAID_WITHOUT_SIGN = {
+    "name": "t", "signature": {"objects": ["T"]}, "rules": [],
+    "start": {"dom": ["T", "T"], "slices": [{"kind": "braid", "offset": 0}]},
+    "end": {"dom": ["T", "T"], "slices": []}, "steps": []}
+ONE = '{"dom": 1, "cod": 1, "matrix": [[1]]}'
+
+
+class TestDomainErrors:
+    """Inputs that a bare KeyError, ValueError or FileNotFoundError once
+    rejected: each is now a DomainError subclass, with the same exit
+    code 1, and any other exception propagates."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "text.json").write_text("not json")
+        (tmp_path / "latin1.json").write_bytes(b"\xff{")
+        (tmp_path / "braid.json").write_text(json.dumps(BRAID_WITHOUT_SIGN))
+        return tmp_path
+
+    @pytest.mark.parametrize("args, error", [
+        pytest.param(("equi", "lattice", "--group", "nope"), MalformedInput,
+                     id="unknown-group"),
+        pytest.param(("diagrams", "verify", "--trace", "nosuch"),
+                     MalformedInput, id="unknown-trace"),
+        pytest.param(("equi", "lattice", "--group", "{dir}/text.json"),
+                     MalformedInput, id="group-file-not-json"),
+        pytest.param(("equi", "lattice", "--group", "{dir}/latin1.json"),
+                     MalformedInput, id="group-file-not-utf8"),
+        pytest.param(("diagrams", "verify", "--trace", "{dir}/text.json"),
+                     MalformedInput, id="trace-file-not-json"),
+        pytest.param(("equi", "validate", "--group", "s3", "--cert",
+                      "{dir}/text.json"),
+                     MalformedInput, id="cert-file-not-json"),
+        pytest.param(("span", "compose", "--left",
+                      '{"dom": 1, "cod": 1, "matrix": [[-1]]}',
+                      "--right", ONE),
+                     MalformedInput, id="negative-span-entry"),
+        pytest.param(("evconst", "cofiber", "--morphism",
+                      '{"free": [[1]], "explicit": {"4": [[1]]}}'),
+                     MalformedInput, id="explicit-key-4"),
+        pytest.param(("evconst", "biproduct", "--x", '{"f": -1}',
+                      "--y", "S"),
+                     MalformedInput, id="negative-dimension"),
+        pytest.param(("evconst", "cofiber", "--morphism",
+                      '{"free": [[1]], "dom": {"f": 1, "exc": {"2": 2}}, '
+                      '"cod": {"f": 1}}'),
+                     MalformedInput, id="missing-explicit-component"),
+        pytest.param(("idem", "complement", "--model", "spanfin"),
+                     UnsupportedShape, id="complement-spanfin"),
+        pytest.param(("idem", "split-homs", "--model", "spanfin"),
+                     UnsupportedShape, id="split-homs-spanfin"),
+        pytest.param(("diagrams", "verify", "--trace", "{dir}/braid.json"),
+                     MalformedInput, id="braid-without-sign"),
+    ])
+    def test_rejected_input_is_a_domain_error(self, files, args, error):
+        res = run(*(a.replace("{dir}", str(files)) for a in args),
+                  "--format", "json")
+        assert res.exit_code == 1
+        report = json.loads(res.output)
+        assert report["ok"] is False
+        assert report["error"].startswith(f"{error.__name__}: ")
+        assert issubclass(error, DomainError)
+
+    @pytest.mark.parametrize("args", [
+        ("equi", "lattice", "--group", "a" * 300),
+        ("diagrams", "verify", "--trace", "a" * 300),
+        ("diagrams", "verify", "--trace", "a" * 300 + ".json")],
+        ids=["group", "trace", "trace-file"])
+    def test_name_too_long_for_a_file_is_a_domain_error(self, args):
+        # Path.is_file raises OSError on a name above 255 bytes
+        res = run(*args, "--format", "json")
+        assert res.exit_code == 1
+        assert json.loads(res.output)["error"].startswith("MalformedInput: ")
+
+    def test_unknown_trace_report_holds_no_path(self):
+        res = run("diagrams", "verify", "--trace", "nosuch", "--format",
+                  "json")
+        assert json.loads(res.output)["error"] == (
+            "MalformedInput: no bundled trace or trace file 'nosuch'")
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        import dualkit.equivariant as eq
+
+        def broken(name):
+            raise KeyError(name)
+        monkeypatch.setattr(eq, "get_group", broken)
+        res = runner.invoke(main, ["equi", "lattice", "--format", "json"])
+        assert isinstance(res.exception, KeyError)
+        assert '"ok"' not in res.output

@@ -1,5 +1,5 @@
-"""The CLI loads only the layer a command runs, and domain failures are
-one exception family.
+"""The CLI loads only the layer a command runs, and every exception
+dualkit defines is a domain failure of one family.
 
 Each README command runs here as a fresh ``python -m dualkit.cli``
 process under ``-X importtime``; its standard output must equal the
@@ -8,6 +8,7 @@ imported must be exactly the ones the command needs.
 """
 
 import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -67,17 +68,39 @@ def test_fresh_process_matches_in_process(argv, inputs, monkeypatch):
     assert layers == expected_layers(argv)
 
 
-@pytest.mark.parametrize("module, name", [
-    ("exactlin", "DimensionMismatch"), ("exactlin", "NotInvertible"),
-    ("exactlin", "PrimalityUnproven"), ("models", "UnsupportedShape"),
-    ("idem", "NotTwistedTrivial"), ("equivariant", "GroupTooLarge"),
-    ("equivariant", "InvalidAction"), ("equivariant", "NotADownset"),
-    ("equivariant", "NotConvex"), ("equivariant", "NonIntegralAverage"),
-    ("equivariant", "RepresentationError"), ("diagram", "RewriteError"),
-    ("diagram", "TypingError"), ("diagram", "EvaluationError"),
-])
-def test_domain_exceptions_share_one_base(module, name):
-    exc = getattr(importlib.import_module(f"dualkit.{module}"), name)
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def defined_exceptions() -> dict:
+    """Every Exception subclass that a dualkit module defines, keyed by
+    "<layer>-<name>", where the layer is the module's name below dualkit
+    ("dualkit" for the package itself)."""
+    for info in pkgutil.walk_packages(dualkit.__path__, "dualkit."):
+        importlib.import_module(info.name)
+    found = {}
+    for exc in _subclasses(Exception):
+        package, *below = exc.__module__.split(".")
+        if package == "dualkit":
+            layer = below[0] if below else package
+            found[f"{layer}-{exc.__name__}"] = exc
+    return dict(sorted(found.items()))
+
+
+EXCEPTIONS = defined_exceptions()
+
+
+def test_the_walk_reaches_every_layer():
+    assert {"dualkit-MalformedInput", "exactlin-FactorBudgetExceeded",
+            "models-UnsupportedShape", "idem-NotTwistedTrivial",
+            "diagram-RewriteError", "equivariant-GroupTooLarge"} <= set(
+                EXCEPTIONS)
+
+
+@pytest.mark.parametrize("exc", EXCEPTIONS.values(), ids=EXCEPTIONS.keys())
+def test_domain_exceptions_share_one_base(exc):
     assert issubclass(exc, dualkit.DomainError)
 
 

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from dualkit import MalformedInput
 from dualkit.exactlin import (
     INT, NAT, RHO_STEPS, DimensionMismatch, FactorBudgetExceeded, Matrix,
     NotInvertible, PrimalityUnproven, cokernel_decomposition, commutation, fp, fp_matrix, int_matrix,
@@ -127,6 +128,18 @@ def test_json_roundtrip():
     for m in (int_matrix([[1, -2], [0, 5]]), nat_matrix([[3]]),
               fp_matrix(5, [[2, 4]])):
         assert Matrix.from_json(m.to_json()) == m
+
+
+def test_json_reading_is_strict():
+    one = {"rows": 1, "cols": 1}
+    with pytest.raises(MalformedInput):         # 4 is not prime
+        Matrix.from_json({**one, "domain": {"fp": 4}, "entries": [[1]]})
+    with pytest.raises(ValueError):             # 9 is not reduced mod 7
+        Matrix.from_json({**one, "domain": {"fp": 7}, "entries": [[9]]})
+    with pytest.raises(MalformedInput):
+        Matrix.from_json({**one, "domain": "nat", "entries": [[-1]]})
+    m = Matrix.zeros(fp(7), 0, 3)
+    assert Matrix.from_json(m.to_json()) == m
 
 
 # ----------------------------------------------------------------- kronecker

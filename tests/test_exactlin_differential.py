@@ -666,10 +666,10 @@ def test_entry_points_still_validate():
         Matrix(fp(7), 1, 1, ((7,),))
     with pytest.raises(ValueError):
         Matrix(NAT, 1, 1, ((-1,),))
-    # from_json reads through from_rows, which reduces an F_p entry and
-    # checks everything else
+    # from_json is direct construction, which checks every entry
     fp_json = {"domain": {"fp": 7}, "rows": 1, "cols": 1}
-    assert Matrix.from_json({**fp_json, "entries": [[9]]}).data == ((2,),)
+    with pytest.raises(ValueError):
+        Matrix.from_json({**fp_json, "entries": [[9]]})
     with pytest.raises(TypeError):
         Matrix.from_json({**fp_json, "entries": [[1.5]]})
     with pytest.raises(ValueError):
