@@ -18,9 +18,15 @@ class MalformedInput(DomainError, ValueError):
     dimension or entry, ...)."""
 
 
+def clip(text: str, limit: int = 40) -> str:
+    """text, cut to its first limit characters and "..." when longer."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def read_json(path):
     """The JSON value in the file at path; MalformedInput naming the
-    file when it cannot be read or does not hold JSON."""
+    file when it cannot be read, does not hold JSON or nests too deeply
+    to parse."""
     import json
     try:
         with open(path, encoding="utf-8") as fh:
@@ -29,6 +35,8 @@ def read_json(path):
         raise MalformedInput(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:     # JSONDecodeError, UnicodeDecodeError
         raise MalformedInput(f"{path} is not JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedInput(f"{path} nests too deeply") from None
 
 
 def has_shape(obj, shape) -> bool:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import DomainError, has_shape, read_json
+from . import DomainError, clip, has_shape, read_json
 
 if TYPE_CHECKING:
     from .models import EvMorphism, EvObject, SpanMorphism
@@ -136,6 +136,9 @@ def _json_option(blob: str, param: str | None, shape, expected: str):
     except ValueError:
         raise click.BadParameter(f"not JSON; expected {expected}",
                                  param_hint=param) from None
+    except RecursionError:
+        raise click.BadParameter(f"nests too deeply; expected {expected}",
+                                 param_hint=param) from None
     if not has_shape(obj, shape):
         raise click.BadParameter(f"expected {expected}", param_hint=param)
     return obj
@@ -244,11 +247,6 @@ def span_cofiber(morphism, shape, sizes):
 
 # ----------------------------------------------------------------- evconst
 
-def _clip(text: str, limit: int = 40) -> str:
-    """text, cut to its first limit characters and "..." when longer."""
-    return text if len(text) <= limit else text[:limit] + "..."
-
-
 def parse_ev_object(text: str) -> EvObject:
     """Accept JSON or compact names: '0', 'S', 'S^2', 'S/2', 'S/2^3',
     and '+'-separated sums of those, of dimension at most 256 at every
@@ -268,7 +266,7 @@ def parse_ev_object(text: str) -> EvObject:
                              part)
             if not m:
                 raise click.BadParameter(
-                    f"cannot parse object {_clip(part)!r}")
+                    f"cannot parse object {clip(part)!r}")
             n = int(m["n"] or 1)
             if m["p"]:
                 p = int(m["p"])
@@ -277,7 +275,7 @@ def parse_ev_object(text: str) -> EvObject:
                 f += n
         x = ev_object(f, {p: f + d for p, d in torsion.items()})
     if max([x.f, *(d for _, d in x.exc)]) > 256:
-        raise click.BadParameter(f"{_clip(str(x))} has a dimension above 256")
+        raise click.BadParameter(f"{clip(str(x))} has a dimension above 256")
     return x
 
 
@@ -403,7 +401,7 @@ def _default_clopen(model, model_name, obj_str):
     if model_name == "evconst":
         primes = parse_ev_object(obj_str or "S/2").exc_primes()
         if not primes:
-            raise click.BadParameter(f"{_clip(obj_str)} has no torsion, so "
+            raise click.BadParameter(f"{clip(obj_str)} has no torsion, so "
                                      "it selects no clopen idempotent",
                                      param_hint="--object")
         return idem.char_clopen(model, primes[0])

@@ -6,7 +6,7 @@ from .evaluate import EvaluationError, Interpretation, evaluate
 from .graph import (NormalForm, OpenGraph, diagram_to_open_graph,
                     normalize_symmetric)
 from .rewrite import (BUILTIN_RULES, BWD, FWD, RewriteError, RewriteRule,
-                      RewriteTrace, Step, TraceReport, apply_rule, step,
+                      RewriteTrace, Step, TraceReport, apply_rule,
                       validate_trace)
 from .signature import (GenType, Letter, Signature, dual_letter, signature,
                         word, word_str)
@@ -18,8 +18,7 @@ __all__ = [
     "EvaluationError", "Interpretation", "evaluate",
     "NormalForm", "OpenGraph", "diagram_to_open_graph", "normalize_symmetric",
     "BUILTIN_RULES", "BWD", "FWD", "RewriteError", "RewriteRule",
-    "RewriteTrace", "Step", "TraceReport", "apply_rule", "step",
-    "validate_trace",
+    "RewriteTrace", "Step", "TraceReport", "apply_rule", "validate_trace",
     "GenType", "Letter", "Signature", "dual_letter", "signature", "word",
     "word_str",
 ]

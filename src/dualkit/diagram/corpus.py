@@ -6,7 +6,7 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .. import MalformedInput, read_json
+from .. import MalformedInput, clip, read_json
 from .rewrite import RewriteTrace, TraceReport, validate_trace
 
 
@@ -29,7 +29,8 @@ def load_trace(name: str) -> RewriteTrace:
     if not (path.suffix == ".json" and os.path.isfile(path)):
         path = data_root() / f"{name}.json"
         if not os.path.isfile(path):
-            raise MalformedInput(f"no bundled trace or trace file {name!r}")
+            raise MalformedInput(
+                f"no bundled trace or trace file {clip(name)!r}")
     return RewriteTrace.from_json(read_json(path))
 
 

@@ -3,11 +3,12 @@ and machine-checkable rewrite traces.
 
 A trace is a start diagram, an end diagram, and a list of steps.  Each
 step names a rule (a declared hypothesis/lemma/definition rule matched
-by an exact window, or one of the built-in move schemas below), a
-direction, a slice index, and a horizontal offset.  Validation replays
-every step and compares the result with the end diagram syntactically.
+by an exact window, or one of the built-in moves below), a direction, a
+slice index, and a horizontal offset w.  Validation replays every step
+and compares the result with the end diagram syntactically.
 
-Built-in schemas (each is its own inverse or has an explicit direction):
+Built-in moves (forward, then backward, unless the move is its own
+inverse):
 
 - ``interchange``       swap two adjacent slices acting on disjoint wires
 - ``braid-nat``         slide a 1-in/1-out box through an elementary braid
@@ -18,7 +19,8 @@ Built-in schemas (each is its own inverse or has an explicit direction):
 - ``braid-cancel-rev``  the (-, +) variant
 - ``inv-cancel:g``      delete/insert a (g, g-inverse) pair
 - ``inv-cancel-rev:g``  the (g-inverse, g) variant
-- ``triangle-A``/``-B`` the two snake identities for cups and caps
+- ``triangle-A``/``-B`` delete/insert a cup-cap snake on strand w: the two
+                        snake identities for cups and caps
 """
 
 from __future__ import annotations
@@ -87,136 +89,124 @@ class Step:
         return Step(obj["rule"], obj["dir"], obj["slice"], obj["offset"])
 
 
-def step(rule: str, direction: str, slice_idx: int, offset: int) -> Step:
-    return Step(rule, direction, slice_idx, offset)
-
-
 # ----------------------------------------------------------- declared rules
+
+def _window(diagram: Diagram, k: int, n: int) -> tuple:
+    """The n slices from slice k (none, for an insertion point)."""
+    if k + n > len(diagram.slices):
+        raise RewriteError(f"slices [{k}, {k + n}) out of range")
+    return diagram.slices[k:k + n]
+
+
+def _splice(diagram: Diagram, k: int, n: int, new) -> Diagram:
+    return Diagram(diagram.sig, diagram.dom,
+                   diagram.slices[:k] + tuple(new) + diagram.slices[k + n:])
+
 
 def _apply_declared(diagram: Diagram, rule: RewriteRule, direction: str,
                     k: int, w: int) -> Diagram:
     lhs, rhs = (rule.lhs, rule.rhs) if direction == FWD else \
         (rule.rhs, rule.lhs)
-    n = len(lhs.slices)
-    if not 0 <= k <= len(diagram.slices) - n:
-        raise RewriteError(f"window [{k}, {k + n}) out of range")
+    found = _window(diagram, k, len(lhs.slices))
     for j, cell in enumerate(lhs.slices):
-        if diagram.slices[k + j] != cell.shifted(w):
+        if found[j] != cell.shifted(w):
             raise RewriteError(
-                f"slice {k + j} is {diagram.slices[k + j]}, rule "
+                f"slice {k + j} is {found[j]}, rule "
                 f"{rule.rule_id} expects {cell.shifted(w)}")
     here = diagram.boundaries()[k]
     if here[w:w + len(lhs.dom)] != lhs.dom or w + len(lhs.dom) > len(here):
         raise RewriteError(
             f"rule {rule.rule_id} expects context {word_str(lhs.dom)} at "
             f"offset {w} in {word_str(here)}")
-    new = diagram.slices[:k] + tuple(c.shifted(w) for c in rhs.slices) + \
-        diagram.slices[k + n:]
-    return Diagram(diagram.sig, diagram.dom, new)
+    return _splice(diagram, k, len(lhs.slices),
+                   (c.shifted(w) for c in rhs.slices))
 
 
 # ----------------------------------------------------------- builtin moves
+# A move is move(diagram, direction, k, w, arg): the diagram after the
+# step at slice k and offset w, both at least 0, where arg is the
+# generator named after the colon of inv-cancel:g and empty otherwise.
+# A move raises RewriteError where the step does not apply; apply_rule
+# turns an ill-typed result into one.
 
-def _need_slices(diagram, k, n):
-    if not 0 <= k <= len(diagram.slices) - n:
-        raise RewriteError(f"slices [{k}, {k + n}) out of range")
-
-
-def _arity_lens(sig, cell, current):
-    consumed, produced = cell_arity(sig, cell, current)
+def _lens(sig, cell) -> tuple:
+    """How many strands the cell consumes and how many it produces."""
+    if cell.kind == BRAID:
+        return 2, 2
+    consumed, produced = cell_arity(sig, cell)
     return len(consumed), len(produced)
 
 
-def _interchange(diagram: Diagram, direction: str, k: int, w: int) -> Diagram:
-    _need_slices(diagram, k, 2)
-    words = diagram.boundaries()
-    a, b = diagram.slices[k], diagram.slices[k + 1]
+def _interchange(diagram: Diagram, direction: str, k: int, w: int,
+                 arg: str) -> Diagram:
+    a, b = _window(diagram, k, 2)
     if a.offset != w:
         raise RewriteError(f"offset {w} does not match first cell {a}")
-    a_in, a_out = _arity_lens(diagram.sig, a, words[k])
-    b_in, b_out = _arity_lens(diagram.sig, b, words[k + 1])
-    wa, wb = a.offset, b.offset
-    if wb + b_in <= wa:
+    a_in, a_out = _lens(diagram.sig, a)
+    b_in, b_out = _lens(diagram.sig, b)
+    if b.offset + b_in <= a.offset:
         # b acts entirely to the left of a's output
-        new = (b, Cell(a.kind, wa - b_in + b_out, a.data))
-    elif wb >= wa + a_out:
-        new = (Cell(b.kind, wb - a_out + a_in, b.data), a)
+        new = (b, Cell(a.kind, a.offset - b_in + b_out, a.data))
+    elif b.offset >= a.offset + a_out:
+        new = (Cell(b.kind, b.offset - a_out + a_in, b.data), a)
     else:
         raise RewriteError(f"cells {a} and {b} overlap; cannot interchange")
     return _splice(diagram, k, 2, new)
 
 
-def _is_box(sig, cell, n_in, n_out):
-    if cell.kind not in (GEN, GEN_INV):
-        return False
-    consumed, produced = cell_arity(sig, cell)
-    return (len(consumed), len(produced)) == (n_in, n_out)
-
-
-def _braid_nat(diagram: Diagram, direction: str, k: int, w: int) -> Diagram:
-    _need_slices(diagram, k, 2)
-    a, b = diagram.slices[k], diagram.slices[k + 1]
-    if direction == FWD:
-        box, braid, box_first = a, b, True
-    else:
-        braid, box, box_first = a, b, False
-    if braid.kind != BRAID or braid.offset != w:
-        raise RewriteError(f"no braid at offset {w}")
-    if not _is_box(diagram.sig, box, 1, 1):
-        raise RewriteError(f"{box} is not a 1-in/1-out box")
-    if box.offset not in (w, w + 1):
-        raise RewriteError(f"box {box} not adjacent to braid at {w}")
-    moved = Cell(box.kind, 2 * w + 1 - box.offset, box.data)
-    new = (braid, moved) if box_first else (moved, braid)
-    return _splice(diagram, k, 2, new)
-
-
-def _unit_slide(diagram: Diagram, sign: int, direction: str, k: int,
-                w: int) -> Diagram:
-    if direction == FWD:
-        _need_slices(diagram, k, 2)
-        a, b = diagram.slices[k], diagram.slices[k + 1]
-        if a.kind == BRAID:
-            braid, box = a, b
-            shape = (1, 0)
-        else:
-            box, braid = a, b
-            shape = (0, 1)
-        if braid.kind != BRAID or braid.offset != w or braid.data != sign:
-            raise RewriteError(f"no sign-{sign} braid at offset {w}")
-        if not _is_box(diagram.sig, box, *shape):
-            raise RewriteError(f"{box} is not a {shape[0]}-in/{shape[1]}-out box")
-        if box.offset not in (w, w + 1):
-            raise RewriteError(f"box {box} not on a braid strand at {w}")
-        moved = Cell(box.kind, 2 * w + 1 - box.offset, box.data)
-        return _splice(diagram, k, 2, (moved,))
-    # backward: re-insert the braid next to the lone box
-    _need_slices(diagram, k, 1)
-    box = diagram.slices[k]
+def _across(sig, box: Cell, w: int) -> tuple:
+    """(box moved to the other strand of a braid at offset w, its lens);
+    the box must be a generator on strand w or w + 1."""
     if box.kind not in (GEN, GEN_INV):
         raise RewriteError(f"{box} is not a box")
-    consumed, produced = cell_arity(diagram.sig, box)
-    if (len(consumed), len(produced)) == (0, 1):
-        after_braid = True
-    elif (len(consumed), len(produced)) == (1, 0):
-        after_braid = False
-    else:
-        raise RewriteError(f"{box} is not a unit/counit-shaped box")
     if box.offset not in (w, w + 1):
         raise RewriteError(f"box {box} not on a braid strand at {w}")
-    moved = Cell(box.kind, 2 * w + 1 - box.offset, box.data)
-    braid = Cell(BRAID, w, sign)
-    new = (moved, braid) if after_braid else (braid, moved)
-    return _splice(diagram, k, 1, new)
+    return Cell(box.kind, 2 * w + 1 - box.offset, box.data), _lens(sig, box)
 
 
-def _cupcap_slide(diagram: Diagram, direction: str, k: int, w: int) -> Diagram:
+def _braid_nat(diagram: Diagram, direction: str, k: int, w: int,
+               arg: str) -> Diagram:
+    a, b = _window(diagram, k, 2)
+    box, braid = (a, b) if direction == FWD else (b, a)
+    if braid.kind != BRAID or braid.offset != w:
+        raise RewriteError(f"no braid at offset {w}")
+    moved, lens = _across(diagram.sig, box, w)
+    if lens != (1, 1):
+        raise RewriteError(f"{box} is not a 1-in/1-out box")
+    return _splice(diagram, k, 2,
+                   (braid, moved) if direction == FWD else (moved, braid))
+
+
+def _unit_slide(sign: int):
+    """The move that takes a unit box then a braid of this sign, or the
+    braid then a counit box, to the box alone on the braid's other
+    strand (forward), and back."""
+    def move(diagram: Diagram, direction: str, k: int, w: int,
+             arg: str) -> Diagram:
+        braid = Cell(BRAID, w, sign)
+        found = _window(diagram, k, 2 if direction == FWD else 1)
+        box = found[-1] if found[0].kind == BRAID else found[0]
+        moved, lens = _across(diagram.sig, box, w)
+        if lens not in ((0, 1), (1, 0)):
+            raise RewriteError(f"{box} is not a unit/counit-shaped box")
+        unit = lens == (0, 1)
+        if direction == BWD:
+            return _splice(diagram, k, 1,
+                           (moved, braid) if unit else (braid, moved))
+        if found != ((box, braid) if unit else (braid, box)):
+            raise RewriteError(f"no sign-{sign} braid at offset {w} "
+                               f"beside {box}")
+        return _splice(diagram, k, 2, (moved,))
+    return move
+
+
+def _cupcap_slide(diagram: Diagram, direction: str, k: int, w: int,
+                  arg: str) -> Diagram:
     """A cup followed by a braid, or a braid followed by a cap, on
     adjacent strands: the cup or cap takes the braid's offset, and the
-    braid takes the cup's or cap's offset with its sign flipped."""
-    del direction  # the move is its own inverse
-    _need_slices(diagram, k, 2)
-    a, b = diagram.slices[k], diagram.slices[k + 1]
+    braid takes the cup's or cap's offset with its sign flipped.  The
+    move is its own inverse."""
+    a, b = _window(diagram, k, 2)
     if a.offset != w:
         raise RewriteError(f"offset {w} does not match first cell {a}")
     if (a.kind, b.kind) not in ((CUP, BRAID), (BRAID, CAP)):
@@ -228,102 +218,77 @@ def _cupcap_slide(diagram: Diagram, direction: str, k: int, w: int) -> Diagram:
     return _splice(diagram, k, 2, new)
 
 
-def _pair_cancel(diagram: Diagram, first: Cell, second: Cell, direction: str,
-                 k: int) -> Diagram:
-    if direction == FWD:
-        _need_slices(diagram, k, 2)
-        if diagram.slices[k] != first or diagram.slices[k + 1] != second:
-            raise RewriteError(
-                f"expected [{first}; {second}] at slice {k}, found "
-                f"[{diagram.slices[k]}; {diagram.slices[k + 1]}]")
-        return _splice(diagram, k, 2, ())
-    if not 0 <= k <= len(diagram.slices):
-        raise RewriteError(f"insertion point {k} out of range")
-    return _splice(diagram, k, 0, (first, second))
-
-
-def _triangle(diagram: Diagram, variant: str, direction: str, k: int,
-              w: int) -> Diagram:
-    if direction == FWD:
-        _need_slices(diagram, k, 2)
-        a, b = diagram.slices[k], diagram.slices[k + 1]
-        if variant == "A":
-            good = a.kind == CUP and b.kind == CAP and a.data == b.data and \
-                a.offset == w + 1 and b.offset == w
-        else:
-            good = a.kind == CUP and b.kind == CAP and a.data == b.data and \
-                a.offset == w and b.offset == w + 1
-        if not good:
-            raise RewriteError(
-                f"no triangle-{variant} redex [{a}; {b}] at offset {w}")
-        return _splice(diagram, k, 2, ())
-    if not 0 <= k <= len(diagram.slices):
-        raise RewriteError(f"insertion point {k} out of range")
+def _strand(diagram: Diagram, k: int, w: int):
+    """The letter of strand w before slice k."""
     here = diagram.boundaries()[k]
     if w >= len(here):
         raise RewriteError(f"no strand at offset {w}")
-    if variant == "A":
-        letter = here[w]
-        new = (Cell(CUP, w + 1, letter), Cell(CAP, w, letter))
-    else:
-        letter = dual_letter(here[w])
-        new = (Cell(CUP, w, letter), Cell(CAP, w + 1, letter))
-    return _splice(diagram, k, 0, new)
+    return here[w]
 
 
-def _splice(diagram: Diagram, k: int, n: int, new) -> Diagram:
-    slices = diagram.slices[:k] + tuple(new) + diagram.slices[k + n:]
-    try:
-        return Diagram(diagram.sig, diagram.dom, slices)
-    except TypingError as exc:
-        raise RewriteError(f"rewrite produced an ill-typed diagram: {exc}")
+def _cancel(pair, strand: bool = False):
+    """The move that deletes the cells pair(w, x) at slice k going
+    forward and inserts them there going backward, where x is the letter
+    of strand w before slice k if strand is set, else the rule's arg."""
+    def move(diagram: Diagram, direction: str, k: int, w: int,
+             arg: str) -> Diagram:
+        found = _window(diagram, k, 2 if direction == FWD else 0)
+        cells = pair(w, _strand(diagram, k, w) if strand else arg)
+        if direction == BWD:
+            return _splice(diagram, k, 0, cells)
+        if found != cells:
+            raise RewriteError(
+                f"expected [{cells[0]}; {cells[1]}] at slice {k}, found "
+                f"[{found[0]}; {found[1]}]")
+        return _splice(diagram, k, 2, ())
+    return move
+
+
+# rule name -> move; a name ending in ":" takes a generator after it
+_MOVES = {
+    "interchange": _interchange,
+    "braid-nat": _braid_nat,
+    "unit-slide+": _unit_slide(1),
+    "unit-slide-": _unit_slide(-1),
+    "cupcap-slide": _cupcap_slide,
+    "braid-cancel": _cancel(
+        lambda w, _: (Cell(BRAID, w, 1), Cell(BRAID, w, -1))),
+    "braid-cancel-rev": _cancel(
+        lambda w, _: (Cell(BRAID, w, -1), Cell(BRAID, w, 1))),
+    "inv-cancel:": _cancel(
+        lambda w, g: (Cell(GEN, w, g), Cell(GEN_INV, w, g))),
+    "inv-cancel-rev:": _cancel(
+        lambda w, g: (Cell(GEN_INV, w, g), Cell(GEN, w, g))),
+    "triangle-A": _cancel(
+        lambda w, x: (Cell(CUP, w + 1, x), Cell(CAP, w, x)), strand=True),
+    "triangle-B": _cancel(
+        lambda w, x: (Cell(CUP, w, dual_letter(x)),
+                      Cell(CAP, w + 1, dual_letter(x))), strand=True),
+}
+BUILTIN_RULES = tuple(_MOVES)
 
 
 # -------------------------------------------------------------- dispatcher
 
 def apply_rule(diagram: Diagram, rule: str, direction: str, slice_idx: int,
                offset: int, rules: dict | None = None) -> Diagram:
-    """Apply one rewrite step and return the new diagram (or raise
-    RewriteError)."""
-    rules = rules or {}
-    if rule in rules:
-        return _apply_declared(diagram, rules[rule], direction, slice_idx,
-                               offset)
+    """The diagram after one rewrite step: a declared rule from rules, or
+    a built-in move.  RewriteError when the step does not apply: a
+    negative slice index or offset, an unknown rule, no redex at the
+    location, or an ill-typed result (an unknown generator among them)."""
     k, w = slice_idx, offset
-    if rule == "interchange":
-        return _interchange(diagram, direction, k, w)
-    if rule == "braid-nat":
-        return _braid_nat(diagram, direction, k, w)
-    if rule == "unit-slide+":
-        return _unit_slide(diagram, 1, direction, k, w)
-    if rule == "unit-slide-":
-        return _unit_slide(diagram, -1, direction, k, w)
-    if rule == "cupcap-slide":
-        return _cupcap_slide(diagram, direction, k, w)
-    if rule == "braid-cancel":
-        return _pair_cancel(diagram, Cell(BRAID, w, 1), Cell(BRAID, w, -1),
-                            direction, k)
-    if rule == "braid-cancel-rev":
-        return _pair_cancel(diagram, Cell(BRAID, w, -1), Cell(BRAID, w, 1),
-                            direction, k)
-    if rule.startswith("inv-cancel-rev:"):
-        g = rule.split(":", 1)[1]
-        return _pair_cancel(diagram, Cell(GEN_INV, w, g), Cell(GEN, w, g),
-                            direction, k)
-    if rule.startswith("inv-cancel:"):
-        g = rule.split(":", 1)[1]
-        return _pair_cancel(diagram, Cell(GEN, w, g), Cell(GEN_INV, w, g),
-                            direction, k)
-    if rule == "triangle-A":
-        return _triangle(diagram, "A", direction, k, w)
-    if rule == "triangle-B":
-        return _triangle(diagram, "B", direction, k, w)
-    raise RewriteError(f"unknown rule {rule}")
-
-
-BUILTIN_RULES = ("interchange", "braid-nat", "unit-slide+", "unit-slide-",
-                 "cupcap-slide", "braid-cancel", "braid-cancel-rev",
-                 "triangle-A", "triangle-B")
+    if k < 0 or w < 0:
+        raise RewriteError(f"slice {k} or offset {w} is negative")
+    try:
+        if rules and rule in rules:
+            return _apply_declared(diagram, rules[rule], direction, k, w)
+        name, colon, arg = rule.partition(":")
+        if name + colon not in _MOVES:
+            raise RewriteError(f"unknown rule {rule}")
+        return _MOVES[name + colon](diagram, direction, k, w, arg)
+    except (TypingError, MalformedInput) as exc:
+        raise RewriteError(
+            f"rewrite produced an ill-typed diagram: {exc}") from None
 
 
 # ------------------------------------------------------------------ traces
@@ -349,9 +314,6 @@ class RewriteTrace:
     start: Diagram
     end: Diagram
     steps: tuple          # of Step
-
-    def rules_by_id(self) -> dict:
-        return {r.rule_id: r for r in self.rules}
 
     def to_json(self) -> dict:
         return {"name": self.name,
@@ -390,7 +352,7 @@ class TraceReport:
 def validate_trace(trace: RewriteTrace) -> TraceReport:
     """Replay every step of the trace; ok iff all steps apply and the
     final diagram equals the declared end diagram syntactically."""
-    rules = trace.rules_by_id()
+    rules = {r.rule_id: r for r in trace.rules}
     current = trace.start
     for n, s in enumerate(trace.steps):
         try:

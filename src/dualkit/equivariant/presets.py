@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from .. import MalformedInput, read_json
+from .. import MalformedInput, clip, read_json
 from .groups import PermGroup, perm_group
 
 # name -> (degree, generators)
@@ -26,4 +26,4 @@ def get_group(name: str) -> PermGroup:
         return perm_group(*GROUP_PRESETS[name])
     if os.path.isfile(name):        # False, not OSError, for a long name
         return PermGroup.from_json(read_json(name))
-    raise MalformedInput(f"unknown group preset or file: {name}")
+    raise MalformedInput(f"unknown group preset or file: {clip(name)}")

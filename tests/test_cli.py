@@ -606,6 +606,51 @@ class TestDomainErrors:
         assert res.exit_code == 1
         assert json.loads(res.output)["error"].startswith("MalformedInput: ")
 
+    @pytest.mark.parametrize("args", [
+        ("equi", "lattice", "--group", "a" * 5000),
+        ("diagrams", "verify", "--trace", "a" * 5000)],
+        ids=["group", "trace"])
+    def test_long_name_is_clipped_in_the_report(self, args):
+        res = run(*args, "--format", "json")
+        assert res.exit_code == 1
+        assert len(res.output) < 300
+
+    @pytest.mark.parametrize("args", [
+        ("equi", "lattice", "--group", "{deep}"),
+        ("diagrams", "verify", "--trace", "{deep}"),
+        ("equi", "validate", "--group", "s3", "--cert", "{deep}")],
+        ids=["group", "trace", "cert"])
+    def test_deeply_nested_file_is_a_domain_error(self, tmp_path, args):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        res = run(*(a.replace("{deep}", str(deep)) for a in args),
+                  "--format", "json")
+        assert res.exit_code == 1
+        assert json.loads(res.output)["error"] == (
+            f"MalformedInput: {deep} nests too deeply")
+
+    def test_deeply_nested_option_is_a_usage_error(self):
+        res = run("span", "compose", "--left", "[" * 3000 + "]" * 3000,
+                  "--right", ONE)
+        assert res.exit_code == 2
+        assert "nests too deeply" in res.output
+
+    @pytest.mark.parametrize("step", [
+        {"offset": -1},
+        {"rule": "inv-cancel:nosuch", "dir": "bwd"}],
+        ids=["negative-offset", "unknown-generator"])
+    def test_failing_first_step_is_a_trace_report(self, tmp_path, step):
+        trace = load_trace("crossings-collapse").to_json()
+        trace["steps"][0].update(step)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace))
+        res = run("diagrams", "verify", "--trace", str(path),
+                  "--format", "json")
+        assert res.exit_code == 1
+        [report] = json.loads(res.output)["traces"]
+        assert report["ok"] is False and report["steps_applied"] == 0
+        assert report["message"].startswith("step 0 ")
+
     def test_unknown_trace_report_holds_no_path(self):
         res = run("diagrams", "verify", "--trace", "nosuch", "--format",
                   "json")

@@ -1,13 +1,18 @@
-"""The bundled rewrite-trace corpus: every trace validates quickly, and
-every single-step mutation is rejected."""
+"""The bundled rewrite-trace corpus: every trace validates quickly,
+every single-step mutation is rejected, and the build script still
+writes the bundled files."""
 
 import dataclasses
+import importlib.util
+import json
 import time
+from pathlib import Path
 
 import pytest
 
 from dualkit.diagram import (RewriteTrace, Step, list_traces, load_all,
                              load_trace, validate_corpus, validate_trace)
+from dualkit.diagram.corpus import data_root
 
 # moves whose effect ignores the recorded direction; flipping it is not a
 # detectable corruption
@@ -45,6 +50,19 @@ def test_load_by_name_and_roundtrip():
         trace = load_trace(name)
         assert trace.name == name
         assert RewriteTrace.from_json(trace.to_json()) == trace
+
+
+def test_build_script_writes_the_bundled_files():
+    # import the script without running main(), which rewrites the files
+    path = Path(__file__).resolve().parent.parent / "scripts" / \
+        "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert sorted(tr.name for tr in script.TRACES) == list_traces()
+    for tr in script.TRACES:
+        text = json.dumps(tr.to_json(), indent=2, sort_keys=True) + "\n"
+        assert (data_root() / f"{tr.name}.json").read_text() == text, tr.name
 
 
 def _mutants(trace):

@@ -258,9 +258,28 @@ def isotopic_variant(rng, diagram):
         try:
             diagram = apply_rule(diagram, rule, rng.choice(("fwd", "bwd")),
                                  rng.randrange(n + 1), rng.randrange(4))
-        except (RewriteError, TypingError):
+        except RewriteError:
             pass
     return diagram
+
+
+STEP_POOL = [random_diagram(random.Random(seed)) for seed in range(40)]
+
+
+@pytest.mark.parametrize("rule", [*BUILTIN_RULES, "inv-cancel:f",
+                                  "inv-cancel-rev:f", "inv-cancel:nosuch"])
+def test_a_step_gives_a_diagram_or_a_rewrite_error(rule):
+    """Every location, negative ones included, and both directions: a
+    step that does not apply raises RewriteError and nothing else."""
+    for diagram in STEP_POOL:
+        for direction in ("fwd", "bwd"):
+            for k in range(-1, len(diagram.slices) + 2):
+                for w in range(-1, 6):
+                    try:
+                        out = apply_rule(diagram, rule, direction, k, w)
+                    except RewriteError:
+                        continue
+                    assert isinstance(out, Diagram)
 
 
 def chain_loop(label, k):
