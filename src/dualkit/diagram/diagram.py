@@ -66,6 +66,8 @@ class Cell:
             raise MalformedInput(f"unknown cell kind {kind}")
         if key not in obj:
             raise MalformedInput(f"a {kind} cell needs the field {key!r}")
+        if obj["offset"] < 0:
+            raise MalformedInput("negative offset")
         data = obj[key]
         return Cell(kind, obj["offset"],
                     Letter.from_json(data) if key == "letter" else data)

@@ -34,10 +34,8 @@ class Interpretation:
     def obj(self, letter: Letter):
         if letter.name not in self.objects:
             raise EvaluationError(f"no object assigned to {letter.name}")
-        base = self.objects[letter.name]
-        if letter.dual:
-            return self.model.duality(base).dual
-        return base
+        # a dual letter too: __init__ checked every object strictly self-dual
+        return self.objects[letter.name]
 
     def word_obj(self, w):
         out = self.model.unit()

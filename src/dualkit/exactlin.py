@@ -5,7 +5,7 @@ matrix to one tensor factor without building one; the Smith normal form
 with unimodular transforms, invariant factors, saturated left kernels
 and integral solutions, all from one row echelon over Z
 (``dualkit.introws``); one forward elimination over F_p; and exact
-inversion.
+inverses, as the solutions of m*X = I over the matrix's own domain.
 All arithmetic uses Python's arbitrary-precision integers; there are no
 floats and no tolerances anywhere.
 
@@ -560,19 +560,6 @@ def _forward_fp(a: list, ncols: int, p: int) -> list:
     return pivots
 
 
-def _backward(a: list, pivots, start: int, p: int = 0) -> None:
-    """Back-substitution after a forward elimination with unit pivots
-    (over F_p when p, else Z), in the columns from ``start`` only: a later
-    pivot row is zero in every earlier pivot column, so they need none."""
-    for r in range(len(pivots) - 1, 0, -1):
-        col, tail = pivots[r], a[r][start:]
-        for i in range(r):
-            c = a[i][col]
-            if c:
-                row = [x - c * y for x, y in zip(a[i][start:], tail)]
-                a[i][start:] = [x % p for x in row] if p else row
-
-
 def _fp_prime(*ms: Matrix) -> int:
     p = _domain_prime(ms[0].domain)
     if p is None or any(m.domain != ms[0].domain for m in ms):
@@ -610,47 +597,22 @@ def solve_right_fp(a: Matrix, b: Matrix) -> Matrix:
     pivots = _forward_fp(aug, a.cols, p)
     if any(any(r[a.cols:]) for r in aug[len(pivots):]):
         raise NotInvertible("inconsistent linear system over F_p")
-    _backward(aug, pivots, a.cols, p)
+    # back-substitution in the b-part only: a later pivot row is zero in
+    # every earlier pivot column, so the a-part needs none
+    for r in range(len(pivots) - 1, 0, -1):
+        col, tail = pivots[r], aug[r][a.cols:]
+        for row in aug[:r]:
+            c = row[col]
+            if c:
+                row[a.cols:] = [(x - c * y) % p
+                                for x, y in zip(row[a.cols:], tail)]
     x = [[0] * b.cols for _ in range(a.cols)]
     for r, col in enumerate(pivots):
         x[col] = aug[r][a.cols:]
     return Matrix._trusted(a.domain, a.cols, b.cols, x)
 
 
-# ------------------------------------------------------------------ inversion
-
-def _invert(m: Matrix) -> Matrix:
-    """Gauss-Jordan on [m | I]: forward elimination over F_p, or the row
-    echelon over Z (or nat, as Z), then back-substitution."""
-    p, n = _domain_prime(m.domain), m.rows
-    a = _with_identity(m)
-    if (len(_forward_fp(a, n, p)) if p else echelon(a, n)) < n:
-        raise NotInvertible(f"singular over F_{p}" if p else "singular over Z")
-    if not p:
-        # U*m is upper triangular, with unit pivots iff m is unimodular
-        if any(abs(a[i][i]) != 1 for i in range(n)):
-            raise NotInvertible("inverse is not integral")
-        a = [[x * row[i] for x in row] for i, row in enumerate(a)]
-    _backward(a, range(n), n, p)
-    return Matrix._trusted(m.domain if p else INT, n, n, [r[n:] for r in a])
-
-
-def invert_or_fail(m: Matrix) -> Matrix:
-    """Two-sided inverse over the matrix's own scalar domain.
-
-    Over Z (or nat, reinterpreted as Z... nat matrices invert only when
-    they are permutation matrices) the inverse must be integral; over F_p
-    ordinary Gaussian elimination applies.  Raises NotInvertible.
-    """
-    if m.rows != m.cols:
-        raise NotInvertible("not square")
-    inv = _invert(m)
-    if m.domain == NAT:
-        if any(e < 0 for r in inv.data for e in r):
-            raise NotInvertible("inverse has negative entries over nat")
-        return inv.retag(NAT)
-    return inv
-
+# ------------------------------------------------- integral solve, inversion
 
 def solve_right_int(a: Matrix, b: Matrix) -> Matrix:
     """One integral solution X of a*X = b, or NotInvertible if none
@@ -676,3 +638,21 @@ def solve_right_int(a: Matrix, b: Matrix) -> Matrix:
         raise NotInvertible("no integral solution")
     vt = Matrix._trusted(INT, r, m, [h[n:] for h in w[:r]])
     return vt.transpose().mul(Matrix._trusted(INT, r, b.cols, y))
+
+
+def invert_or_fail(m: Matrix) -> Matrix:
+    """Two-sided inverse over the matrix's own scalar domain: the solution
+    X of m*X = I, by ``solve_right_fp`` over F_p and ``solve_right_int``
+    over Z and nat.  Over nat the inverse must also have no negative
+    entry, so only permutation matrices invert.  Raises NotInvertible."""
+    if m.rows != m.cols:
+        raise NotInvertible("not square")
+    eye = Matrix.identity(m.domain, m.rows)
+    if _domain_prime(m.domain):
+        return solve_right_fp(m, eye)
+    inv = solve_right_int(m, eye)
+    if m.domain == NAT:
+        if any(e < 0 for r in inv.data for e in r):
+            raise NotInvertible("inverse has negative entries over nat")
+        return inv.retag(NAT)
+    return inv

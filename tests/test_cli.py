@@ -651,6 +651,17 @@ class TestDomainErrors:
         assert report["ok"] is False and report["steps_applied"] == 0
         assert report["message"].startswith("step 0 ")
 
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_negative_offset_in_a_diagram_is_malformed(self, tmp_path, end):
+        trace = load_trace("crossings-collapse").to_json()
+        trace[end]["slices"] = [{"kind": "braid", "offset": -1, "sign": 1}]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace))
+        res = run("diagrams", "verify", "--trace", str(path),
+                  "--format", "json")
+        assert res.exit_code == 1
+        assert json.loads(res.output)["error"].startswith("MalformedInput: ")
+
     def test_unknown_trace_report_holds_no_path(self):
         res = run("diagrams", "verify", "--trace", "nosuch", "--format",
                   "json")

@@ -183,14 +183,14 @@ def oracle_invert(m):
         p = m.domain[1]
         a = [list(r) + e for r, e in zip(m.data, _eye(n))]
         if len(_gauss_jordan_fp(a, n, p)) < n:
-            raise NotInvertible(f"singular over F_{p}")
+            raise NotInvertible("inconsistent linear system over F_p")
         return Matrix.from_rows(m.domain, [r[n:] for r in a], shape=(n, n))
     a = [[Fraction(x) for x in r] + [Fraction(x) for x in e]
          for r, e in zip(m.data, _eye(n))]
     for col in range(n):
         piv = next((i for i in range(col, n) if a[i][col]), None)
         if piv is None:
-            raise NotInvertible("singular over Z")
+            raise NotInvertible("no integral solution")
         a[col], a[piv] = a[piv], a[col]
         a[col] = [x / a[col][col] for x in a[col]]
         for i in range(n):
@@ -199,7 +199,7 @@ def oracle_invert(m):
                 a[i] = [x - c * y for x, y in zip(a[i], a[col])]
     ent = [r[n:] for r in a]
     if any(x.denominator != 1 for r in ent for x in r):
-        raise NotInvertible("inverse is not integral")
+        raise NotInvertible("no integral solution")
     inv = int_matrix([[int(x) for x in r] for r in ent], shape=(n, n))
     if m.domain == NAT:
         if any(e < 0 for r in inv.data for e in r):
@@ -313,7 +313,7 @@ def fp_cases(seed, count, max_dim=7):
 
 
 INT_CASES = int_cases(11, 250)
-FP_CASES = fp_cases(12, 60)
+FP_CASES = fp_cases(12, 60) + [fp_matrix(7, [], shape=(0, 0))]
 
 
 # -------------------------------------------------------------------- tests
@@ -501,6 +501,10 @@ def test_integer_inverse_matches_the_fraction_oracle():
         cases.append(nat_matrix([[rng.randint(0, 2) for _ in range(n)]
                                  for _ in range(n)]))
     cases.append(int_matrix([[1, 2], [3, 4]]))
+    # unimodular over N, but its inverse has a -1
+    cases.append(nat_matrix([[1, 1], [0, 1]]))
+    cases += [nat_matrix([], shape=(0, 0)), nat_matrix([[1, 0, 0], [0, 1, 0]]),
+              int_matrix([[1], [0]])]
     for m in cases:
         assert outcome(invert_or_fail, m) == outcome(oracle_invert, m), \
             m.tolist()
