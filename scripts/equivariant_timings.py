@@ -9,9 +9,18 @@ conjugacy classes).  The script times its subgroup-conjugacy lattice and
 its regular representation (extension over the Cayley graph with every
 edge verified), each with a cold Cayley table, then generating and
 validating the collapse certificate on that lattice.  It prints the
-times with the lattice's size and the certificate's length, and exits
-with status 1 if any step takes a second or more or the certificate
-fails validation.
+times with the lattice's size and the certificate's length.
+
+It then prints a scaling series for ``untwisting_check``, which tests
+the action axiom and equivariance on generators only: for D4 (8), S4
+(24), S4 x C2 (48) and A5 (60), the total time over every transitive
+G-set plus the left translation action, beside the exhaustive check over
+all pairs (``oracle_untwisting_check`` in
+``tests/test_equivariant_differential.py``) on the same tables.
+
+It exits with status 1 if any of the first four steps takes a second or
+more, the certificate fails validation, or ``untwisting_check`` and the
+oracle disagree on any table.
 """
 
 from __future__ import annotations
@@ -20,14 +29,25 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from dualkit.equivariant import (enumerate_subgroup_classes,  # noqa: E402
-                                 generate_collapse_certificate, perm_group,
-                                 regular_representation,
+                                 generate_collapse_certificate, get_group,
+                                 left_translation_action, perm_group,
+                                 regular_representation, transitive_actions,
+                                 untwisting_check,
                                  validate_collapse_certificate)
+from test_equivariant_differential import (  # noqa: E402
+    oracle_untwisting_check)
 
 S4_X_C2 = (6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)])
+UNTWIST_SERIES = {
+    "D4": None,
+    "S4": (4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+    "S4 x C2": S4_X_C2,
+    "A5": (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),
+}
 
 
 def timed(fn):
@@ -52,7 +72,26 @@ def main() -> int:
           f"generated in {generate_s:.3f} s, validated in {validate_s:.3f} s"
           f" ({'ok' if report.ok else report.message})")
     slowest = max(lattice_s, rep_s, generate_s, validate_s)
-    return 0 if slowest < 1.0 and report.ok else 1
+    return 0 if slowest < 1.0 and report.ok and untwist_series() else 1
+
+
+def untwist_series() -> bool:
+    """Print the untwisting series; True iff every verdict agrees."""
+    agree = True
+    print("untwisting check, all transitive G-sets plus left translation:")
+    for name, spec in UNTWIST_SERIES.items():
+        G = get_group("d4") if spec is None else perm_group(*spec)
+        actions = transitive_actions(G, enumerate_subgroup_classes(G))
+        actions.append(left_translation_action(G))
+        fast, fast_s = timed(lambda: [untwisting_check(G, a)
+                                      for a in actions])
+        slow, slow_s = timed(lambda: [oracle_untwisting_check(G, a)
+                                      for a in actions])
+        agree = agree and fast == slow
+        print(f"  {name:8} |G| = {G.order:2}, {len(actions):2} tables: "
+              f"{fast_s * 1e3:8.2f} ms generators, {slow_s * 1e3:8.1f} ms "
+              f"exhaustive oracle{'' if fast == slow else ', VERDICTS DIFFER'}")
+    return agree
 
 
 if __name__ == "__main__":

@@ -7,7 +7,15 @@ the diagonal action on G x X, with inverse psi(g, x) = (g, g^-1 x).
 
 The checks run on the group's Cayley table (``PermGroup.table``): the
 rows of an action are listed by element index, so g h, g^-1 and the
-identity are table lookups, and each pair (g, h) compares whole rows.
+identity are table lookups, and each check compares whole rows.
+
+A map from a finite group is fixed by its values on generators (Holt,
+Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, 2.1), so
+the action axiom rho(g s) = rho(g) rho(s) is checked for every g but for
+the generators s only: every h is a product s_1 ... s_k of generators
+(``PermGroup.table`` checks that the elements are their closure), and
+induction on k with rho(1) = 1 gives rho(g h) = rho(g) rho(h).  That is
+|G|·|S| row compositions instead of |G|^2.
 """
 
 from __future__ import annotations
@@ -34,36 +42,54 @@ def _action_rows(G: PermGroup, action: dict) -> tuple:
     after[h] mapping the row of g to the row of g h."""
     if set(action) != set(G.elements):
         raise InvalidAction("table does not cover the group exactly")
-    rows = [action[g] for g in G.elements]
+    rows = [tuple(v) if isinstance(v, list) else v
+            for v in map(action.__getitem__, G.elements)]
     if len({len(v) for v in rows}) != 1:
         raise InvalidAction("rows have different lengths")
     points = list(range(len(rows[0])))
-    for v in rows:
+    for g, v in zip(G.elements, rows):
         if sorted(v) != points:
-            raise InvalidAction(f"row {v} is not a permutation of the points")
+            raise InvalidAction(
+                f"row {action[g]} is not a permutation of the points")
     t = G.table
     if rows[t.identity] != tuple(points):
         raise InvalidAction("identity does not act trivially")
+    # rho(1) rho(h) is a tuple, so a row of any other type (a dict or a
+    # set, say) fails the axiom at (1, h); a list row was read as a tuple
+    if not all(isinstance(v, tuple) for v in rows):
+        raise InvalidAction("table is not associative with the group law")
     after = [_after(r) for r in rows]
-    for g, row in enumerate(t.mul):
-        rg = rows[g]
-        for h, gh in enumerate(row):
-            if after[h](rg) != rows[gh]:
+    for s in _generator_indices(G):
+        step = after[s]
+        for g, row in enumerate(t.mul):
+            if step(rows[g]) != rows[row[s]]:
                 raise InvalidAction(
                     "table is not associative with the group law")
     return rows, after
 
 
+def _generator_indices(G: PermGroup) -> list:
+    index = G.table.index
+    return [index[s] for s in G.generators]
+
+
 def validate_action(G: PermGroup, action: dict) -> int:
-    """Check the action table (element -> image tuple) for every pair of
-    group elements; returns the number of points."""
+    """Check the action table (element -> image tuple) on every element
+    and every generator, which fixes it on every pair of elements;
+    returns the number of points."""
     return len(_action_rows(G, action)[0][0])
 
 
 def untwisting_check(G: PermGroup, action: dict) -> bool:
     """True iff phi(g,x) = (g, g.x) is an equivariant bijection from the
     left-on-first-factor action to the diagonal action, with
-    psi(g,x) = (g, g^-1 x) a two-sided inverse (checked exhaustively)."""
+    psi(g,x) = (g, g^-1 x) a two-sided inverse.
+
+    The inverse is checked at every g.  Equivariance is checked for h
+    ranging over the generators: the source and the target are both
+    validated G-actions, so the h with phi(h.y) = h.phi(y) for every y
+    are closed under products, hence a subgroup of the finite group G,
+    and that subgroup is G once it holds the generators."""
     rows, after = _action_rows(G, action)
     t = G.table
     points = tuple(range(len(rows[0])))
@@ -75,9 +101,9 @@ def untwisting_check(G: PermGroup, action: dict) -> bool:
     # equivariance: phi(h.(g,x)) = h.phi(g,x) with the source acting on
     # the first factor only and the target acting diagonally; both have
     # first factor h g, and the second factors are (h g).x and h.(g.x)
-    for h, row in enumerate(t.mul):
+    for h in _generator_indices(G):
         rh = rows[h]
-        for g, hg in enumerate(row):
+        for g, hg in enumerate(t.mul[h]):
             if rows[hg] != after[g](rh):
                 return False
     return True

@@ -106,7 +106,18 @@ class PermGroup:
 
     @cached_property
     def table(self) -> CayleyTable:
-        """The Cayley table on element indices, built on first use."""
+        """The Cayley table on element indices, built on first use.
+
+        The action checks and ``Representation`` test products with the
+        generators only, which needs every element to be a product of
+        generators.  So ``elements`` must be the sorted closure of
+        ``generators``, as ``perm_group`` builds it, else MalformedInput;
+        the closure is a walk from the identity along the generators
+        (|G|·|S| products)."""
+        if tuple(sorted(_closure(self.degree, self.generators))) != \
+                self.elements:
+            raise MalformedInput(
+                "elements are not the sorted closure of the generators")
         return CayleyTable(self.degree, self.elements)
 
     def to_json(self) -> dict:

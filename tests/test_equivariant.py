@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from dualkit import MalformedInput
 from dualkit.equivariant import (COFIBER_LOCAL, SINGLETON_KILL, SMASH_REMOVE,
                                  CertStep, CollapseCertificate,
                                  GroupTooLarge, IntervalSphere, InvalidAction,
@@ -27,6 +28,7 @@ from dualkit.equivariant import (COFIBER_LOCAL, SINGLETON_KILL, SMASH_REMOVE,
                                  reduced_regular_representation,
                                  regular_representation, transitive_actions,
                                  trivial_representation, untwisting_check,
+                                 validate_action,
                                  validate_collapse_certificate, weyl_group)
 
 PRESETS = ["c2", "c4", "s3", "d4", "q8", "a4"]
@@ -107,6 +109,20 @@ class TestSubgroupLattice:
     def test_json_roundtrip(self):
         G = get_group("s3")
         assert PermGroup.from_json(G.to_json()) == G
+
+    @pytest.mark.parametrize("generators, elements", [
+        ((), ((0, 1, 2), (1, 0, 2))),               # a generator missing
+        (((1, 0, 2),), ((0, 1, 2),)),               # an element missing
+        (((1, 0, 2),), ((1, 0, 2), (0, 1, 2))),     # not sorted
+        (((1, 0, 2),), ((1, 0, 2),)),               # no identity
+    ])
+    def test_elements_must_be_the_closure(self, generators, elements):
+        # the action checks and Representation test generators only
+        G = PermGroup(3, generators, elements)
+        with pytest.raises(MalformedInput, match="sorted closure"):
+            G.table
+        with pytest.raises(MalformedInput, match="sorted closure"):
+            regular_representation(G)
 
 
 class TestRepresentations:
@@ -247,6 +263,22 @@ class TestUntwisting:
                                .values())))
                  for i in range(poset.n)]
         assert sizes == [6, 3, 2, 1]
+
+    def test_list_rows(self):
+        G = get_group("s3")
+        rows = {g: list(v) for g, v in natural_action(G).items()}
+        assert validate_action(G, rows) == 3
+        assert untwisting_check(G, rows)
+        rows[sorted(rows)[1]] = [0, 0, 1]
+        with pytest.raises(InvalidAction,
+                           match=r"^row \[0, 0, 1\] is not a permutation"):
+            validate_action(G, rows)
+        # rows that are neither tuples nor lists are not read as tuples
+        for row in ({0: 1, 1: 0, 2: 2}, {1, 0, 2}):
+            rows[sorted(rows)[1]] = row
+            for check in (validate_action, untwisting_check):
+                with pytest.raises(InvalidAction, match="not associative"):
+                    check(G, rows)
 
     def test_invalid_action_rejected(self):
         G = get_group("s3")

@@ -9,11 +9,14 @@ compared after a seeded relabelling of its points, which changes every
 permutation (and so the element order) but none of the structure.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from dualkit import MalformedInput
 from dualkit.equivariant import (REP_PRESETS, InvalidAction, Representation,
                                  all_subgroups, coset_action,
                                  enumerate_subgroup_classes, fixed_dim,
@@ -235,6 +238,80 @@ def test_corrupted_action_table_rejected():
                   validate_action, oracle_validate_action):
         with pytest.raises(InvalidAction):
             check(G, action)
+
+
+def corrupted(action, rng):
+    """Seeded corruptions of an action table that keep every row a
+    permutation: two rows swapped, and one row with two points
+    transposed, four times each."""
+    keys = sorted(action)
+    m = len(action[keys[0]])
+    out = []
+    for _ in range(4):
+        bad = dict(action)
+        a, b = rng.sample(keys, 2)
+        bad[a], bad[b] = bad[b], bad[a]
+        out.append(bad)
+        bad = dict(action)
+        g = rng.choice(keys)
+        x, y = rng.sample(range(m), 2)
+        row = list(bad[g])
+        row[x], row[y] = row[y], row[x]
+        bad[g] = tuple(row)
+        out.append(bad)
+    return out
+
+
+def outcome(check, G, action):
+    try:
+        return check(G, action)
+    except InvalidAction:
+        return InvalidAction
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_corrupted_tables_match_the_oracles(name):
+    G = relabelled(name)
+    actions = transitive_actions(G, enumerate_subgroup_classes(G))
+    actions.append(left_translation_action(G))
+    rng = random.Random(f"corrupt-{name}")
+    verdicts = set()
+    for action in actions:
+        if len(action[G.elements[0]]) < 2:
+            continue        # one point: nothing to swap or transpose
+        for bad in corrupted(action, rng):
+            want = outcome(oracle_validate_action, G, bad)
+            assert outcome(validate_action, G, bad) == want
+            want = outcome(oracle_untwisting_check, G, bad)
+            assert outcome(untwisting_check, G, bad) == want
+            verdicts.add(want)
+    assert InvalidAction in verdicts
+
+
+def test_skipping_the_last_generator_misses_a_corruption():
+    """Mutant check: the generator checks see a corruption only through
+    every generator.  In the left translation action of S4, swapping the
+    rows of a and a s, with s the first generator (a transposition), is
+    consistent with s, since (a s) s = a.  Only the last generator, a
+    4-cycle, exposes it."""
+    G = relabelled("s4")
+    s, _ = G.generators
+    a = next(g for g in G.elements if g not in (p_identity(4), s))
+    bad = left_translation_action(G)
+    b = p_mul(a, s)
+    bad[a], bad[b] = bad[b], bad[a]
+    for check in (oracle_validate_action, oracle_untwisting_check,
+                  validate_action, untwisting_check):
+        with pytest.raises(InvalidAction):
+            check(G, bad)
+    # a PermGroup with the last generator dropped fails its closure check,
+    # so the mutant bypasses it with the same elements and table
+    with pytest.raises(MalformedInput):
+        dataclasses.replace(G, generators=(s,)).table
+    mutant = SimpleNamespace(elements=G.elements, generators=(s,),
+                             table=G.table)
+    assert validate_action(mutant, bad) == 24
+    assert untwisting_check(mutant, bad) is True
 
 
 @pytest.mark.parametrize("name", GROUPS)
