@@ -11,8 +11,9 @@ edge verified), each with a cold Cayley table, then generating and
 validating the collapse certificate on that lattice.  It prints the
 times with the lattice's size and the certificate's length.
 
-It then prints a scaling series for ``untwisting_check``, which tests
-the action axiom and equivariance on generators only: for D4 (8), S4
+It then prints a scaling series for ``untwisting_check``, which checks
+the action axiom on generators only (the bijection and its equivariance
+follow from the axiom): for D4 (8), S4
 (24), S4 x C2 (48) and A5 (60), the total time over every transitive
 G-set plus the left translation action, beside the exhaustive check over
 all pairs (``oracle_untwisting_check`` in

@@ -25,6 +25,15 @@ calls (default 3) in this one interpreter:
   random n x 2 matrix x, plus a random b that the deficient a cannot
   reach.
 
+For the same n it times the integer row echelon ``introws.echelon``
+beside the list loop it replaced (``oracle_echelon`` in
+``tests/test_exactlin_differential.py``) on the two inputs where it
+packs its rows: the cofiber's [F | I] for the free part F above, and the
+Smith form's first [M | I] for the matrix M above.  It then sweeps the
+switch point ``introws.PACKED_UPDATES`` over 4, 8, 16, 32 and 64 row
+updates per row and prints the time of the cofibers and of the Smith
+forms of all four sizes against the list loop alone.
+
 For n = 8, 16, 32, 64 and 128 it times the two row products of
 ``dualkit.introws``, ``mul_rows`` and ``mul_packed``, on n x n times
 n x n integer matrices with entries in [-9, 9], dense and with about 10 %
@@ -36,8 +45,9 @@ SNFs and of the cofiber's free quotient, in decimal digits, and exits
 with status 1 if the two SNF diagonals differ, U*m*V is not D,
 ``invariant_factors`` differs from the SNF diagonal, the cofiber's free
 rank is not 2, the two solves disagree on whether a system has a
-solution, a returned X does not satisfy a*X = b, or the two row
-products differ.
+solution, a returned X does not satisfy a*X = b, the two row
+products differ, the two echelons differ in a row or in the rank, or a
+switch point changes a Smith form or a cofiber.
 """
 
 from __future__ import annotations
@@ -56,12 +66,15 @@ from dualkit.exactlin import (PACKED_NONZEROS,  # noqa: E402
                               int_matrix, invariant_factors,
                               left_null_basis_fp, smith_normal_form,
                               solve_right_int)
-from dualkit.introws import mul_packed, mul_rows  # noqa: E402
+from dualkit import introws  # noqa: E402
+from dualkit.introws import echelon, mul_packed, mul_rows  # noqa: E402
 from dualkit.models import EvConst, ev_morphism, ev_object  # noqa: E402
-from test_exactlin_differential import (oracle_snf,  # noqa: E402
-                                        oracle_solve_int)
+from test_exactlin_differential import (oracle_echelon,  # noqa: E402
+                                        oracle_snf, oracle_solve_int,
+                                        run_echelon, with_identity)
 
 SIZES = (16, 24, 32, 48)
+SWITCHES = (4, 8, 16, 32, 64)
 PRODUCT_SIZES = (8, 16, 32, 64, 128)
 P = 101
 
@@ -121,6 +134,66 @@ def solve_inputs(rng, n):
             ("unreachable", deficient, x)]
 
 
+def snf_and_cofiber_inputs(n):
+    """(M, the cofiber's morphism, the generator that drew them) for the
+    series at n."""
+    rng = random.Random(2)
+    m = int_matrix([[rng.randint(-9, 9) for _ in range(n)]
+                    for _ in range(n)])
+    return m, cofiber_input(rng, n), rng
+
+
+def echelon_series(repeats) -> bool:
+    ok = True
+    print(f"\n{'n':>3} {'echelon of':>15} {'list loop':>10} {'packed':>10}"
+          f"  ratio")
+    for n in SIZES:
+        m, f, _ = snf_and_cofiber_inputs(n)
+        for name, rows in (("cofiber [F | I]", with_identity(f.free.data)),
+                           ("snf [M | I]", with_identity(m.data))):
+            want, list_s = timed(
+                lambda: run_echelon(oracle_echelon, rows, n), repeats)
+            got, packed_s = timed(lambda: run_echelon(echelon, rows, n),
+                                  repeats)
+            ok = ok and got == want
+            print(f"{n:>3} {name:>15} {list_s * 1e3:>8.1f}ms "
+                  f"{packed_s * 1e3:>8.1f}ms  {list_s / packed_s:>5.2f}"
+                  + ("" if got == want else "  DIFFER"))
+    return ok
+
+
+def switch_sweep(repeats) -> bool:
+    """The cofibers and Smith forms of the series with the echelon's
+    switch at each point of SWITCHES, against the list loop alone."""
+    model = EvConst()
+    inputs = [snf_and_cofiber_inputs(n) for n in SIZES]
+
+    def run(kind):
+        if kind == "snf":
+            return [smith_normal_form(m) for m, _, _ in inputs]
+        return [model.cofiber(f) for _, f, _ in inputs]
+    default, ok = introws.PACKED_UPDATES, True
+    print(f"\nswitch point (row updates per row), n = "
+          f"{', '.join(map(str, SIZES))} together; list loop / packed")
+    try:
+        for kind in ("cofiber", "snf"):
+            introws.PACKED_UPDATES = float("inf")
+            want, list_s = timed(lambda: run(kind), repeats)
+            cells = []
+            for k in SWITCHES:
+                introws.PACKED_UPDATES = k
+                got, packed_s = timed(lambda: run(kind), repeats)
+                ok = ok and got == want
+                cells.append(f"{k}: x{list_s / packed_s:.2f}"
+                             + ("" if got == want else " DIFFER"))
+            print(f"{kind:>8} (list loop {list_s * 1e3:.0f}ms)  "
+                  + "  ".join(cells))
+    finally:
+        introws.PACKED_UPDATES = default
+    print(f"echelon switches at {default} row updates per row")
+    return ok
+
+
 def outcome(fn, a, b):
     try:
         return fn(a, b)
@@ -176,13 +249,10 @@ def main() -> int:
           f"{'cofiber':>9} {'null_fp':>9}   U/V digits (oracle)  "
           f"quotient digits")
     for n in SIZES:
-        rng = random.Random(2)
-        m = int_matrix([[rng.randint(-9, 9) for _ in range(n)]
-                        for _ in range(n)])
+        m, f, rng = snf_and_cofiber_inputs(n)
         (u, d, v), snf_s = timed(lambda: smith_normal_form(m), repeats)
         (ou, od, ov), oracle_s = timed(lambda: oracle_snf(m), repeats)
         factors, inv_s = timed(lambda: invariant_factors(m), repeats)
-        f = cofiber_input(rng, n)
         cof, cof_s = timed(lambda: model.cofiber(f), repeats)
         a = fp_input(rng, n)
         _, null_s = timed(lambda: left_null_basis_fp(a), repeats)
@@ -197,6 +267,12 @@ def main() -> int:
               + ("" if snf_ok else "  SNF WRONG"))
     if not ok:
         print("SNF, invariant factors or cofiber free rank WRONG")
+    if not echelon_series(repeats):
+        print("the packed echelon and the list loop DIFFER")
+        ok = False
+    if not switch_sweep(repeats):
+        print("a switch point CHANGES a Smith form or a cofiber")
+        ok = False
     if not solve_series(repeats):
         print("solve_right_int and the SNF solve DISAGREE")
         ok = False

@@ -25,17 +25,13 @@ from operator import add
 from typing import Sequence, Union
 
 from . import DomainError, MalformedInput
-from .introws import echelon, mul_packed, mul_rows
+from .introws import (PACKED_NONZEROS, PACKED_ROWS, echelon, mul_packed,
+                      mul_rows)
 
 Domain = Union[str, tuple]
 
 NAT = "nat"
 INT = "int"
-
-# Matrix.mul packs its right factor (introws.mul_packed) when its left
-# factor has at least PACKED_ROWS rows and, on average, at least
-# PACKED_NONZEROS nonzero entries per row; mul_rows is faster below that.
-PACKED_ROWS, PACKED_NONZEROS = 16, 12
 
 
 def fp(p: int) -> Domain:

@@ -2,6 +2,40 @@
 Python ints) that ``dualkit.exactlin`` and ``dualkit.equivariant.rep``
 share.
 
+``echelon`` is the one integer row echelon under the Smith form,
+``invariant_factors``, ``left_kernel_int``, ``solve_right_int`` and
+``rep.mat_rank``.  It starts on lists, one Python operation per entry of
+each row update, and once it has made ``PACKED_UPDATES`` (16) row
+updates per row it packs each row not yet final into one signed big
+integer (``_echelon_packed``), so that a row update is one big-integer
+multiply-subtract, as in the packed product below:
+
+- the slots have s bits, a whole number of bytes, with column 0 in the
+  highest slot and every slot a signed digit; the entry of a live row in
+  its first live column is a rounded shift, and the rows are unpacked
+  once at the end with ``to_bytes``;
+- every slot stays in a guard band [-2**t, 2**t).  Before each round s
+  is at least t + bits(max |q|) + 2, so an update leaves every slot
+  exact, and one add and one and, ``(v + band) & mask``, tell whether it
+  left the band.  Only then are the rows unpacked and repacked, at
+  t = 2 * bits + 16 for the largest entry's bits.
+
+The rows and the rank are those of the list loop (kept as
+``oracle_echelon`` in ``tests/test_exactlin_differential.py``), so every
+Smith form, kernel, solve and cofiber is unchanged.  In one pass of the
+benchmark's ``exact-models`` workload at seed 1, 30 of 344 echelons
+switch: the first echelon of each Smith form and of each cofiber's
+[F | I], and the second alternation of 3 of the 17 cofibers' invariant
+factors.  Unit triangular solves, the small echelons of the idempotent
+constructions and most later alternations stop before it.  On that
+pass's cofibers and Smith forms, against the list loop alone, a switch
+at 4 / 8 / 16 / 32 / 64 updates per row ran the cofibers x1.72 / 1.94 /
+2.05 / 1.82 / 1.58 and the Smith forms x1.37 / 1.55 / 1.82 / 1.70 /
+1.31 (the best of three in one process on a shared 2-vCPU machine).  On
+the random 48 x 48 Smith form of ``scripts/exactlin_timings.py`` the
+second alternation also switches, with entries of over 2000 bits and
+few rounds left, and runs slower packed than on lists.
+
 There are two products, with the same result.  ``mul_rows`` does one
 Python operation per entry: it adds up the rows of b that the nonzero
 entries of a row of a pick out.  ``mul_packed`` packs each row of b into
@@ -9,13 +43,13 @@ one big integer and does one big-integer multiply-add per nonzero entry
 of a (Kronecker substitution), so its cost per product is the packing of
 b and the unpacking of the result.  ``Matrix.mul`` uses ``mul_packed``
 when its left factor has at least 16 rows and on average at least 12
-nonzero entries per row (``exactlin.PACKED_ROWS`` and
-``PACKED_NONZEROS``), where packing is 2-16x faster, and ``mul_rows``
-otherwise: on a 64 x 64 left factor with 10 % of its entries nonzero the
-two take about as long, and a sparser or smaller one is faster on
-``mul_rows``.  ``apply_factor`` and ``rep.mat_mul`` always use
-``mul_rows``: their left factors are small and sparse.
-``scripts/exactlin_timings.py`` prints both products' timings.
+nonzero entries per row (``PACKED_ROWS`` and ``PACKED_NONZEROS``), where
+packing is 2-16x faster, and ``mul_rows`` otherwise: on a 64 x 64 left
+factor with 10 % of its entries nonzero the two take about as long, and
+a sparser or smaller one is faster on ``mul_rows``.  ``apply_factor``
+and ``rep.mat_mul`` always use ``mul_rows``: their left factors are
+small and sparse.  ``scripts/exactlin_timings.py`` prints the timings of
+both products, of both echelons and of the switch points.
 
 ``exactlin.Matrix`` wraps these rows with a scalar domain and a shape;
 the representation layer keeps its own ``(rows, den)`` matrices, one
@@ -30,6 +64,16 @@ from itertools import repeat
 from operator import add, sub
 from sys import byteorder
 
+# The switch points of the packed kernels.  Matrix.mul (exactlin) packs
+# its right factor with mul_packed when its left factor has at least
+# PACKED_ROWS rows and, on average, at least PACKED_NONZEROS nonzero
+# entries per row; mul_rows is faster below that.  echelon packs its rows
+# once it has made PACKED_UPDATES row updates per row: a switch at 4 or 8
+# packs echelons with little work left and at 32 or 64 leaves work on the
+# lists, and both gained less on the benchmark's cofibers and Smith forms
+# (module docstring).
+PACKED_ROWS, PACKED_NONZEROS, PACKED_UPDATES = 16, 12, 16
+
 # the memoryview format of each width in bytes that a machine integer has
 _FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}
 
@@ -37,12 +81,20 @@ _FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}
 def echelon(rows: list, ncols: int) -> int:
     """Row echelon form over Z of the first ncols columns of rows, in
     place; returns the rank.  Euclid down each column: the smallest
-    nonzero |entry| is the pivot, and the nearest multiple of it is
-    subtracted from each row below until none is left.  On [m | I] the
-    I-part records a unimodular U with U*m = echelon."""
-    r = 0
+    nonzero |entry| is the pivot (the first such row on a tie), and the
+    nearest multiple of it is subtracted from each row below until none
+    is left.  On [m | I] the I-part records a unimodular U with
+    U*m = echelon.  The rows must have equal lengths; a row that changes
+    comes back as a list.
+
+    The loop runs on plain lists until it has made PACKED_UPDATES row
+    updates per row, and then hands the rest of the elimination to
+    ``_echelon_packed``, which gives the same rows."""
+    r = updates = 0
     for j in range(ncols):
         while r < len(rows):
+            if updates >= PACKED_UPDATES * len(rows):
+                return _echelon_packed(rows, ncols, r, j)
             piv = min((i for i in range(r, len(rows)) if rows[i][j]),
                       key=lambda i: abs(rows[i][j]), default=None)
             if piv is None:
@@ -54,10 +106,124 @@ def echelon(rows: list, ncols: int) -> int:
                 if rows[i][j]:
                     q = (2 * rows[i][j] + d) // (2 * d)
                     rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+                    updates += 1
                     left = left or rows[i][j] != 0
             if not left:
                 r += 1
                 break
+    return r
+
+
+def _slot_bits(t: int, qbits: int) -> int:
+    """A slot width of whole bytes for entries in [-2**t, 2**t) and
+    multipliers of qbits bits, with room for multipliers of 2 * qbits
+    bits, so that a multiplier that keeps growing repacks the rows only
+    about log(bits) times."""
+    return (t + 2 * qbits + 9) // 8 * 8
+
+
+def _slots(width: int, s: int, x: int) -> int:
+    """x in each of width slots of s bits."""
+    return int.from_bytes(x.to_bytes(s // 8, "big") * width, "big")
+
+
+def _band(width: int, s: int, t: int) -> tuple:
+    """(band, mask) for the guard-band test on width slots of s bits:
+    2**t in each slot, and the bits t+1..s-1 of each slot."""
+    return _slots(width, s, 1 << t), _slots(width, s, (1 << s) - (2 << t))
+
+
+def _pack(rows: list, s: int) -> list:
+    """Each row as one integer sum(x_c * 2**(s*(width-1-c))): column 0 in
+    the highest slot, every slot a signed digit."""
+    w, width = s // 8, len(rows[0])
+    half = 1 << (s - 1)
+    lift = _slots(width, s, half)
+    return [int.from_bytes(b"".join(map(
+        int.to_bytes, map(add, row, repeat(half)), repeat(w),
+        repeat("big"))), "big") - lift for row in rows]
+
+
+def _unpack(packed: list, s: int, width: int) -> list:
+    """The rows of ``_pack(rows, s)``, for digits in [-2**(s-1), 2**(s-1))."""
+    w = s // 8
+    half = 1 << (s - 1)
+    lift = _slots(width, s, half)
+    size = w * width
+    out = []
+    for v in packed:
+        raw = (v + lift).to_bytes(size, "big")
+        out.append([int.from_bytes(raw[k:k + w], "big") - half
+                    for k in range(0, size, w)])
+    return out
+
+
+def _max_bits(rows) -> int:
+    return max((abs(x).bit_length() for row in rows for x in row), default=0)
+
+
+def _echelon_packed(rows: list, ncols: int, r: int, j0: int) -> int:
+    """``echelon`` from column j0 on, with rows r.. not yet final, on
+    rows packed as integers of s-bit slots (``_pack``).
+
+    Every slot of a live row is kept in the band [-2**t, 2**t), which
+    holds at the start (t = 2 * bits + 16 for the largest entry's bits).
+    A row update is one big-integer v_i -= q * v_r: before a round, s is
+    at least t + bits(max |q|) + 2 (else the rows are repacked wider), so
+    every slot of the result is a digit of at most 2**(s-2) in absolute
+    value and the integer still holds the row exactly.  After each update one
+    test, (v_i + band) & mask == 0 with 2**t added to each slot and mask
+    the bits t+1..s-1 of each slot, is true iff every slot is back in
+    [-2**t, 2**t): the lowest slot out of the band, negative or at least
+    2**(t+1) after the lift, has a bit of the mask set, since no slot
+    below it borrows or carries.  Only when it fails are the live rows
+    unpacked and repacked, at t = 2 * bits + 16.  A live row at column j
+    is zero in the slots of the columns before j, so its entry in column
+    j is the rounded quotient of v by 2**(s*(width-1-j)): the lower slots
+    add up to less than half of that power."""
+    n, width = len(rows), len(rows[0])
+    t = 2 * _max_bits(rows[r:]) + 16
+    s = _slot_bits(t, 0)
+    v = [None] * r + _pack(rows[r:], s)
+    for j in range(j0, ncols):
+        sh = s * (width - 1 - j)
+        e = [0] * r + ([((x >> (sh - 1)) + 1) >> 1 for x in v[r:]]
+                       if sh else v[r:])
+        while r < n:
+            size = list(map(abs, e[r:]))
+            d = min(filter(None, size), default=0)
+            if not d:
+                break
+            piv = r + size.index(d)
+            v[r], v[piv] = v[piv], v[r]
+            e[r], e[piv] = e[piv], e[r]
+            d = e[r]
+            qs = [(i, (2 * e[i] + d) // (2 * d))
+                  for i in range(r + 1, n) if e[i]]
+            qbits = max((abs(q).bit_length() for _, q in qs), default=0)
+            if s < t + qbits + 2:
+                live = _unpack(v[r:], s, width)
+                s = _slot_bits(t, qbits)
+                v[r:] = _pack(live, s)
+            band, mask = _band(width - j, s, t)
+            prow = v[r]
+            left = False
+            for i, q in qs:
+                x = v[i] = v[i] - q * prow
+                e[i] -= q * d
+                left = left or e[i] != 0
+                if (x + band) & mask:
+                    live = _unpack(v[r:], s, width)
+                    t = 2 * _max_bits(live) + 16
+                    s = _slot_bits(t, qbits)
+                    v[r:] = _pack(live, s)
+                    band, mask = _band(width - j, s, t)
+                    prow = v[r]
+            if not left:
+                rows[r] = _unpack([v[r]], s, width)[0]
+                r += 1
+                break
+    rows[r:] = _unpack(v[r:], s, width)
     return r
 
 

@@ -1,13 +1,14 @@
 """Differential tests for the exact linear algebra's fast paths.
 
 The oracles below are the previous implementations, kept verbatim in
-substance: the min-pivot Smith normal form that updated U and V on every
-operation, the four Gauss-Jordan copies over F_p (inverse, rank, left
-null basis, solve), the Fraction Gauss-Jordan inverse over Z, the
-four-loop Kronecker product, the SNF-based EvConst cofiber, and the
-integer solve through the Smith transforms.  On
-seeded matrices (square, non-square, rank-deficient, with zero rows and
-columns, 0 x n and n x 0) the new code must agree with them:
+substance: the integer echelon on lists, the min-pivot Smith normal form
+that updated U and V on every operation, the four Gauss-Jordan copies
+over F_p (inverse, rank, left null basis, solve), the Fraction
+Gauss-Jordan inverse over Z, the four-loop Kronecker product, the
+SNF-based EvConst cofiber, and the integer solve through the Smith
+transforms.  On seeded matrices (square, non-square, rank-deficient,
+with zero rows and columns, 0 x n and n x 0) the new code must agree
+with them:
 
 - ``smith_normal_form`` returns the oracle's D with unimodular U and V
   (|det| = 1 by Bareiss) such that U*m*V = D, and on 28 x 28 inputs
@@ -31,7 +32,16 @@ columns, 0 x n and n x 0) the new code must agree with them:
   rows, mixed signs, 200-digit entries, all-ones matrices, over F_2, F_7
   and a 12-digit prime, and on hypothesis-drawn shapes and densities; a
   slot one byte narrower than ``_slot_bytes`` gives a wrong product on
-  cases that reach its bound.
+  cases that reach its bound;
+- ``introws.echelon`` returns the rows and the rank of the list loop
+  (``oracle_echelon``) with its switch to packed rows forced at the
+  first update and at its default, on seeded [M | I] cases (0 x 0, zero
+  columns, ncols below the width, rank-deficient, 30-digit entries,
+  tuples, U*D*V) and 300 seeded small shapes; the cases make both kinds
+  of repack happen; the cheap echelons stay on lists; the Smith form,
+  left kernel, integer solve and cofiber do not depend on the switch;
+  and without the guard-band test the echelon of ``GUARD_CASE`` comes
+  back wrong.
 """
 
 import random
@@ -55,6 +65,31 @@ from test_diagram_differential import triple_loop_mul
 
 
 # ------------------------------------------------------------------ oracles
+
+def oracle_echelon(rows, ncols):
+    """The integer row echelon on plain lists, one Python operation per
+    entry of every row update: ``introws.echelon`` as it was before it
+    packed its rows."""
+    r = 0
+    for j in range(ncols):
+        while r < len(rows):
+            piv = min((i for i in range(r, len(rows)) if rows[i][j]),
+                      key=lambda i: abs(rows[i][j]), default=None)
+            if piv is None:
+                break
+            rows[r], rows[piv] = rows[piv], rows[r]
+            prow, d = rows[r], rows[r][j]
+            left = False
+            for i in range(r + 1, len(rows)):
+                if rows[i][j]:
+                    q = (2 * rows[i][j] + d) // (2 * d)
+                    rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+                    left = left or rows[i][j] != 0
+            if not left:
+                r += 1
+                break
+    return r
+
 
 def oracle_snf(m):
     """The min-pivot SNF with U and V updated on every operation."""
@@ -846,3 +881,184 @@ def test_one_byte_narrower_slot_gives_a_wrong_product(case, monkeypatch):
     monkeypatch.setattr(introws, "_slot_bytes",
                         lambda a, top: narrow(a, top) - 1)
     assert mul_packed(a, b, 2) != expected
+
+
+# ---------------------------------------------------------- packed echelon
+
+def with_identity(rows):
+    n = len(rows)
+    return [list(r) + [int(i == j) for j in range(n)]
+            for i, r in enumerate(rows)]
+
+
+def udv_rows(rng, n, bound):
+    """U*D*V with U and V unit lower times unit upper triangular matrices
+    with entries in [-bound, bound], and D the diagonal 1, ..., 1, 2, 6,
+    30, 210 followed by two zeros."""
+    def unimodular():
+        lower = [[rng.randint(-bound, bound) if j < i else int(i == j)
+                  for j in range(n)] for i in range(n)]
+        upper = [[rng.randint(-bound, bound) if j > i else int(i == j)
+                  for j in range(n)] for i in range(n)]
+        return int_matrix(lower).mul(int_matrix(upper))
+    diag = [1] * (n - 6) + [2, 6, 30, 210, 0, 0]
+    d = int_matrix([[diag[i] if i == j else 0 for j in range(n)]
+                    for i in range(n)])
+    return [list(r) for r in unimodular().mul(d).mul(unimodular()).data]
+
+
+# the mutant check's case: with the guard-band test skipped, the echelon
+# of [M | I] for this M comes back wrong with the switch at its default
+GUARD_CASE = ("U*D*V 20 x 20, factors in [-30, 30]",
+              lambda: with_identity(udv_rows(random.Random(1), 20, 30)))
+
+
+def echelon_cases():
+    """(name, rows, ncols) for echelon against oracle_echelon: mostly
+    [M | I], as the Smith form and the left kernel build it."""
+    rng = random.Random(18)
+    big = 10 ** 30
+    deficient = int_matrix(random_rows(rng, 9, 5)).mul(
+        int_matrix(random_rows(rng, 5, 9)))
+    zero_cols = random_rows(rng, 8, 8)
+    for r in zero_cols:
+        r[0] = r[5] = 0
+    wide = random_rows(rng, 6, 12)
+    return [
+        ("0x0", [], 0),
+        ("rows with no columns", [[], [], []], 0),
+        ("zero [M | I]", with_identity([[0] * 4] * 5), 4),
+        ("zero columns", with_identity(zero_cols), 8),
+        ("ncols below M's columns", with_identity(wide), 7),
+        ("ncols 0", with_identity(random_rows(rng, 5, 5)), 0),
+        ("rank-deficient", with_identity(
+            [list(r) for r in deficient.data]), 9),
+        ("tall", with_identity(random_rows(rng, 14, 5)), 5),
+        ("30 digits", with_identity(random_rows(rng, 10, 10, lo=-big,
+                                                hi=big)), 10),
+        ("30 digits, no identity", random_rows(rng, 12, 9, lo=-big, hi=big),
+         9),
+        ("tuples", [tuple(r) for r in random_rows(rng, 8, 8)], 8),
+        ("U*D*V 16 x 16", with_identity(udv_rows(rng, 16, 3)), 16),
+        ("U*D*V 12 x 12, factors in [-99, 99]",
+         with_identity(udv_rows(rng, 12, 99)), 12),
+        (GUARD_CASE[0], GUARD_CASE[1](), 20),
+    ]
+
+
+def run_echelon(fn, rows, ncols):
+    rows = list(rows)
+    rank = fn(rows, ncols)
+    return rank, [list(r) for r in rows]
+
+
+SWITCHES = {"switch at the first update": 0,
+            "switch at the default": introws.PACKED_UPDATES}
+
+
+@pytest.mark.parametrize("switch", SWITCHES.values(), ids=SWITCHES)
+@pytest.mark.parametrize("name, rows, ncols", echelon_cases(),
+                         ids=[c[0] for c in echelon_cases()])
+def test_echelon_matches_the_list_oracle(name, rows, ncols, switch,
+                                         monkeypatch):
+    monkeypatch.setattr(introws, "PACKED_UPDATES", switch)
+    assert run_echelon(introws.echelon, rows, ncols) == \
+        run_echelon(oracle_echelon, rows, ncols)
+
+
+@pytest.mark.parametrize("switch", SWITCHES.values(), ids=SWITCHES)
+def test_echelon_matches_the_list_oracle_on_seeded_shapes(switch,
+                                                          monkeypatch):
+    monkeypatch.setattr(introws, "PACKED_UPDATES", switch)
+    rng = random.Random(21)
+    for _ in range(300):
+        nr, nc = rng.randint(0, 9), rng.randint(0, 9)
+        bound = rng.choice((1, 9, 10 ** 6, 10 ** 30))
+        rows = random_rows(rng, nr, nc, rng.random(), -bound, bound)
+        if rng.random() < 0.5:
+            rows = with_identity(rows)
+        ncols = rng.randint(0, nc)
+        assert run_echelon(introws.echelon, rows, ncols) == \
+            run_echelon(oracle_echelon, rows, ncols), (rows, ncols)
+
+
+def _count_packs(monkeypatch):
+    """Counters of the packings and of the guard-band repacks (the only
+    callers of _max_bits after the first packing)."""
+    counts = {"pack": 0, "max_bits": 0}
+    for name in counts:
+        real = getattr(introws, "_" + name)
+
+        def spy(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(introws, "_" + name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("switch", SWITCHES.values(), ids=SWITCHES)
+def test_the_cases_force_both_kinds_of_repack(switch, monkeypatch):
+    monkeypatch.setattr(introws, "PACKED_UPDATES", switch)
+    counts = _count_packs(monkeypatch)
+    guard = wider = 0
+    for _, rows, ncols in echelon_cases():
+        counts.update(pack=0, max_bits=0)
+        run_echelon(introws.echelon, rows, ncols)
+        if counts["pack"]:
+            # one first packing, then a repack per guard failure (one
+            # _max_bits each) and per width check that failed
+            guard += counts["max_bits"] - 1
+            wider += counts["pack"] - counts["max_bits"]
+    assert guard > 0 and wider > 0
+
+
+def test_cheap_echelons_stay_on_lists(monkeypatch):
+    counts = _count_packs(monkeypatch)
+    rng = random.Random(19)
+    m = int_matrix(udv_rows(rng, 16, 3))
+    # the first echelon of [M | I] packs; invariant_factors of the
+    # echelon form, the later alternations of the Smith form and a
+    # unit-triangular solve do not
+    rows = with_identity([list(r) for r in m.data])
+    introws.echelon(rows, 16)
+    assert counts["pack"] > 0
+    counts.update(pack=0)
+    invariant_factors(int_matrix([r[:16] for r in rows]))
+    lower = int_matrix([[rng.randint(-3, 3) if j < i else int(i == j)
+                         for j in range(16)] for i in range(16)])
+    solve_right_int(lower, lower.mul(int_matrix(random_rows(rng, 16, 2))))
+    assert counts["pack"] == 0
+
+
+def test_callers_do_not_depend_on_the_switch(monkeypatch):
+    rng = random.Random(20)
+    ms = [int_matrix(udv_rows(rng, n, 3)) for n in (8, 16)]
+    ms.append(int_matrix(random_rows(rng, 12, 9, lo=-10 ** 30,
+                                     hi=10 ** 30)))
+    xs = [int_matrix(random_rows(rng, m.cols, 2)) for m in ms]
+    model = EvConst()
+
+    def results():
+        return [(smith_normal_form(m), left_kernel_int(m),
+                 outcome(solve_right_int, m, m.mul(x)),
+                 model.cofiber(ev_morphism(ev_object(m.rows),
+                                           ev_object(m.cols), m)))
+                if m.rows == m.cols else
+                (smith_normal_form(m), left_kernel_int(m),
+                 outcome(solve_right_int, m, m.mul(x)))
+                for m, x in zip(ms, xs)]
+    monkeypatch.setattr(introws, "PACKED_UPDATES", 10 ** 9)
+    on_lists = results()
+    monkeypatch.setattr(introws, "PACKED_UPDATES", 0)
+    assert results() == on_lists
+
+
+def test_skipping_the_guard_band_test_gives_a_wrong_echelon(monkeypatch):
+    name, build = GUARD_CASE
+    rows = build()
+    expected = run_echelon(oracle_echelon, rows, 20)
+    assert run_echelon(introws.echelon, rows, 20) == expected
+    band = introws._band
+    monkeypatch.setattr(introws, "_band",
+                        lambda width, s, t: (band(width, s, t)[0], 0))
+    assert run_echelon(introws.echelon, rows, 20) != expected
