@@ -34,6 +34,13 @@ switch point ``introws.PACKED_UPDATES`` over 4, 8, 16, 32 and 64 row
 updates per row and prints the time of the cofibers and of the Smith
 forms of all four sizes against the list loop alone.
 
+For n = 32, 64 and 128 and p = 2, 7, 1000003 and 999999999989 it
+times ``rank_fp`` and ``left_null_basis_fp`` on an n x n matrix over
+F_p whose last quarter of rows are sums of two earlier rows, once with
+the packed F_p elimination ``exactlin._forward_fp`` and once with the
+list loop it replaced (``oracle_forward_fp`` in
+``tests/test_exactlin_differential.py``) in its place.
+
 For n = 8, 16, 32, 64 and 128 it times the two row products of
 ``dualkit.introws``, ``mul_rows`` and ``mul_packed``, on n x n times
 n x n integer matrices with entries in [-9, 9], dense and with about 10 %
@@ -46,8 +53,9 @@ with status 1 if the two SNF diagonals differ, U*m*V is not D,
 ``invariant_factors`` differs from the SNF diagonal, the cofiber's free
 rank is not 2, the two solves disagree on whether a system has a
 solution, a returned X does not satisfy a*X = b, the two row
-products differ, the two echelons differ in a row or in the rank, or a
-switch point changes a Smith form or a cofiber.
+products differ, the two echelons differ in a row or in the rank, a
+switch point changes a Smith form or a cofiber, or the two F_p
+eliminations differ in a row, a pivot or a result.
 """
 
 from __future__ import annotations
@@ -64,19 +72,22 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from dualkit.exactlin import (PACKED_NONZEROS,  # noqa: E402
                               PACKED_ROWS, NotInvertible, fp_matrix,
                               int_matrix, invariant_factors,
-                              left_null_basis_fp, smith_normal_form,
-                              solve_right_int)
-from dualkit import introws  # noqa: E402
+                              left_null_basis_fp, rank_fp,
+                              smith_normal_form, solve_right_int)
+from dualkit import exactlin, introws  # noqa: E402
 from dualkit.introws import echelon, mul_packed, mul_rows  # noqa: E402
 from dualkit.models import EvConst, ev_morphism, ev_object  # noqa: E402
 from test_exactlin_differential import (oracle_echelon,  # noqa: E402
-                                        oracle_snf, oracle_solve_int,
-                                        run_echelon, with_identity)
+                                        oracle_forward_fp, oracle_snf,
+                                        oracle_solve_int, run_echelon,
+                                        run_forward, with_identity)
 
 SIZES = (16, 24, 32, 48)
 SWITCHES = (4, 8, 16, 32, 64)
 PRODUCT_SIZES = (8, 16, 32, 64, 128)
 P = 101
+FP_SIZES = (32, 64, 128)
+FP_PRIMES = (2, 7, 1000003, 999999999989)
 
 
 def timed(fn, repeats):
@@ -111,12 +122,12 @@ def cofiber_input(rng, n):
     return ev_morphism(ev_object(n), ev_object(n), free)
 
 
-def fp_input(rng, n):
-    rows = [[rng.randrange(P) for _ in range(n)] for _ in range(n - n // 4)]
+def fp_input(rng, n, p=P):
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n - n // 4)]
     while len(rows) < n:
         a, b = rng.sample(rows, 2)
-        rows.append([(x + y) % P for x, y in zip(a, b)])
-    return fp_matrix(P, rows)
+        rows.append([(x + y) % p for x, y in zip(a, b)])
+    return fp_matrix(p, rows)
 
 
 def solve_inputs(rng, n):
@@ -191,6 +202,34 @@ def switch_sweep(repeats) -> bool:
     finally:
         introws.PACKED_UPDATES = default
     print(f"echelon switches at {default} row updates per row")
+    return ok
+
+
+def fp_series(repeats) -> bool:
+    """rank_fp and left_null_basis_fp with the list loop in place of the
+    packed F_p elimination, and with the packed one."""
+    ok, packed = True, exactlin._forward_fp
+    print(f"\n{'n':>4} {'p':>13} {'call':>18} {'list loop':>10} {'packed':>10}"
+          f"  ratio")
+    for n in FP_SIZES:
+        for p in FP_PRIMES:
+            m = fp_input(random.Random(5), n, p)
+            for fn, rows in ((rank_fp, m.data),
+                             (left_null_basis_fp, with_identity(m.data))):
+                try:
+                    exactlin._forward_fp = oracle_forward_fp
+                    want, list_s = timed(lambda: fn(m), repeats)
+                finally:
+                    exactlin._forward_fp = packed
+                got, packed_s = timed(lambda: fn(m), repeats)
+                same = got == want and (
+                    run_forward(packed, rows, n, p)
+                    == run_forward(oracle_forward_fp, rows, n, p))
+                ok = ok and same
+                print(f"{n:>4} {p:>13} {fn.__name__:>18} "
+                      f"{list_s * 1e3:>8.2f}ms {packed_s * 1e3:>8.2f}ms  "
+                      f"{list_s / packed_s:>5.2f}"
+                      + ("" if same else "  DIFFER"))
     return ok
 
 
@@ -272,6 +311,9 @@ def main() -> int:
         ok = False
     if not switch_sweep(repeats):
         print("a switch point CHANGES a Smith form or a cofiber")
+        ok = False
+    if not fp_series(repeats):
+        print("the packed F_p elimination and the list loop DIFFER")
         ok = False
     if not solve_series(repeats):
         print("solve_right_int and the SNF solve DISAGREE")

@@ -49,7 +49,9 @@ factor with 10 % of its entries nonzero the two take about as long, and
 a sparser or smaller one is faster on ``mul_rows``.  ``apply_factor``
 and ``rep.mat_mul`` always use ``mul_rows``: their left factors are
 small and sparse.  ``scripts/exactlin_timings.py`` prints the timings of
-both products, of both echelons and of the switch points.
+both products, of both echelons and of the switch points.  The slot
+width rule (``slot_width``) and the machine formats (``_FORMATS``) also
+size the slots of the packed F_p elimination in ``exactlin``.
 
 ``exactlin.Matrix`` wraps these rows with a scalar domain and a shape;
 the representation layer keeps its own ``(rows, den)`` matrices, one
@@ -247,16 +249,20 @@ def mul_rows(a, b, ncols: int) -> list:
     return out
 
 
+def slot_width(bound: int) -> int:
+    """The bytes per slot that hold every value in [0, bound], at least
+    one.  A width of 3, 5, 6 or 7 bytes is rounded up to 4 or 8, the
+    width of a machine integer, which ``memoryview`` and ``struct``
+    unpack without a Python call per slot (``_FORMATS``)."""
+    w = (bound.bit_length() + 7) // 8 or 1
+    return w if w < 3 or w > 8 else 4 if w == 3 else 8
+
+
 def _slot_bytes(a, top: int) -> int:
     """The bytes per slot that hold top, the largest packed entry, and
     sum(|x| for x in arow) * top for every row arow of a: the largest
-    sum a packed row product can put in one slot of an accumulator.  A
-    width of 3, 5, 6 or 7 bytes is rounded up to 4 or 8, the width of a
-    machine integer, which ``memoryview`` unpacks without a Python call
-    per slot."""
-    bound = max([1, *(sum(map(abs, arow)) for arow in a)]) * top
-    w = (bound.bit_length() + 7) // 8 or 1
-    return w if w < 3 or w > 8 else 4 if w == 3 else 8
+    sum a packed row product can put in one slot of an accumulator."""
+    return slot_width(max([1, *(sum(map(abs, arow)) for arow in a)]) * top)
 
 
 def mul_packed(a, b, ncols: int) -> list:

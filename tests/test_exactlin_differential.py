@@ -41,7 +41,15 @@ with them:
   of repack happen; the cheap echelons stay on lists; the Smith form,
   left kernel, integer solve and cofiber do not depend on the switch;
   and without the guard-band test the echelon of ``GUARD_CASE`` comes
-  back wrong.
+  back wrong;
+- the packed F_p elimination ``exactlin._forward_fp`` returns the pivots
+  and the in-place rows of the list loop (``oracle_forward_fp``) over
+  F_2, F_3, F_7, F_101 and a 7-digit and a 12-digit prime, on [M | I] up
+  to 64 x 128, zero columns, rank-deficient inputs, rows never updated,
+  300 seeded small shapes and two explicit pivot swaps that move a row
+  zero in the pivot column down; no case exceeds its static slot bound;
+  and a slot one byte narrower than ``_fp_slot_bytes`` gives wrong rows
+  on worst cases that reach the bound.
 """
 
 import random
@@ -1062,3 +1070,181 @@ def test_skipping_the_guard_band_test_gives_a_wrong_echelon(monkeypatch):
     monkeypatch.setattr(introws, "_band",
                         lambda width, s, t: (band(width, s, t)[0], 0))
     assert run_echelon(introws.echelon, rows, 20) != expected
+
+
+# ---------------------------------------------------- packed F_p elimination
+
+def oracle_forward_fp(a, ncols, p):
+    """The forward elimination over F_p on plain lists, one Python
+    operation per entry of every row update: ``exactlin._forward_fp`` as
+    it was before it packed its rows."""
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = pow(a[row][col], -1, p)
+        prow = a[row] = [x * inv % p for x in a[row]]
+        for i in range(row + 1, len(a)):
+            c = a[i][col]
+            if c:
+                a[i] = [(x - c * y) % p for x, y in zip(a[i], prow)]
+        pivots.append(col)
+    return pivots
+
+
+def run_forward(fn, rows, ncols, p):
+    """(pivots, rows) after fn eliminates a list of list copies of rows
+    in place; every row must still be a list."""
+    a = [list(r) for r in rows]
+    pivots = fn(a, ncols, p)
+    assert all(type(r) is list for r in a)
+    return pivots, a
+
+
+def delayed_peak(rows, ncols, p):
+    """The largest entry that the delayed reduction of ``_forward_fp``
+    holds: the list loop with v_i += (p - c) * pivot row for the updates
+    and only the pivot rows reduced."""
+    a = [list(r) for r in rows]
+    peak = max((x for r in a for x in r), default=0)
+    row = 0
+    for col in range(ncols):
+        piv = next((i for i in range(row, len(a)) if a[i][col] % p), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = pow(a[row][col], -1, p)
+        prow = a[row] = [x * inv % p for x in a[row]]
+        for i in range(row + 1, len(a)):
+            c = a[i][col] % p
+            if c:
+                a[i] = [x + (p - c) * y for x, y in zip(a[i], prow)]
+                peak = max(peak, *a[i])
+        row += 1
+    return peak
+
+
+def slot_bound(p, nrows, ncols):
+    """The static bound of ``_forward_fp``'s slots."""
+    return (p - 1) + min(nrows, ncols) * (p - 1) ** 2
+
+
+P7 = 1000003
+FP_PRIMES = (2, 3, 7, 101, P7, P12)
+
+
+def fp_rows(rng, nr, nc, p, density=1.0):
+    return random_rows(rng, nr, nc, density, 0, p - 1)
+
+
+def forward_cases(p):
+    """(name, rows, ncols) for _forward_fp against oracle_forward_fp over
+    F_p: mostly [M | I], as left_null_basis_fp builds it."""
+    rng = random.Random(p)
+    left, right = fp_rows(rng, 12, 5, p), fp_rows(rng, 5, 12, p)
+    deficient = [[sum(x * y for x, y in zip(r, c)) % p for c in zip(*right)]
+                 for r in left]
+    zero_cols = fp_rows(rng, 10, 10, p)
+    for r in zero_cols:
+        r[0] = r[3] = r[9] = 0
+    # upper triangular with a nonzero diagonal: no row is ever updated
+    upper = [[rng.randrange(1, p) if j == i else
+              rng.randrange(p) if j > i else 0 for j in range(8)]
+             for i in range(8)]
+    # 48 rows and 16 sums of two of them
+    base = fp_rows(rng, 48, 128, p)
+    sums = [[(x + y) % p for x, y in zip(*rng.sample(base, 2))]
+            for _ in range(16)]
+    return [
+        ("0x0", [], 0),
+        ("rows with no columns", [[], [], []], 0),
+        ("ncols 0", with_identity(fp_rows(rng, 4, 4, p)), 0),
+        ("zero [M | I]", with_identity([[0] * 5] * 6), 5),
+        ("zero columns", with_identity(zero_cols), 10),
+        ("rank-deficient", with_identity(deficient), 12),
+        ("never updated", with_identity(upper), 8),
+        ("zero rows below the pivots", with_identity(
+            fp_rows(rng, 4, 6, p) + [[0] * 6] * 3), 6),
+        ("ncols below M's columns", fp_rows(rng, 9, 14, p), 6),
+        ("tall", with_identity(fp_rows(rng, 20, 6, p)), 6),
+        ("wide, no identity", fp_rows(rng, 6, 30, p), 30),
+        ("sparse [M | I]", with_identity(fp_rows(rng, 24, 24, p, 0.15)), 24),
+        ("[M | I] 64 x 128", with_identity(fp_rows(rng, 64, 64, p)), 64),
+        ("rank-deficient 64 x 128", base + sums, 128),
+    ]
+
+
+@pytest.mark.parametrize("p", FP_PRIMES)
+def test_forward_fp_matches_the_list_oracle(p):
+    for name, rows, ncols in forward_cases(p):
+        got = run_forward(exactlin._forward_fp, rows, ncols, p)
+        assert got == run_forward(oracle_forward_fp, rows, ncols, p), name
+        if rows:
+            # the static bound holds for the delayed reduction
+            assert delayed_peak(rows, ncols, p) <= \
+                slot_bound(p, len(rows), ncols), name
+
+
+def test_forward_fp_matches_the_list_oracle_on_seeded_shapes():
+    rng = random.Random(22)
+    for _ in range(300):
+        p = rng.choice(FP_PRIMES)
+        nr, nc = rng.randint(0, 9), rng.randint(0, 9)
+        rows = fp_rows(rng, nr, nc, p, rng.random())
+        if rng.random() < 0.5:
+            rows = with_identity(rows)
+        ncols = rng.randint(0, nc)
+        assert run_forward(exactlin._forward_fp, rows, ncols, p) == \
+            run_forward(oracle_forward_fp, rows, ncols, p), (rows, ncols, p)
+
+
+def test_the_pivot_swap_moves_a_row_zero_in_the_pivot_column_down():
+    # row 0 is zero in column 0, so the swap for the pivot of column 0
+    # (row 1) moves it down; the swap for column 1 (pivot in row 2)
+    # moves it down again, and no update ever touches it
+    rows = [[0, 0, 1, 2], [2, 1, 0, 1], [0, 2, 2, 0]]
+    expected = ([0, 1, 2], [[1, 2, 0, 2], [0, 1, 1, 0], [0, 0, 1, 2]])
+    assert run_forward(oracle_forward_fp, rows, 3, 3) == expected
+    assert run_forward(exactlin._forward_fp, rows, 3, 3) == expected
+    # row 0 moves to the bottom (pivot of column 0 in row 2), and the
+    # pivot of column 1 then updates it
+    rows = [[0, 1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]]
+    expected = ([0, 1, 2], [[1, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 2]])
+    assert run_forward(oracle_forward_fp, rows, 3, 3) == expected
+    assert run_forward(exactlin._forward_fp, rows, 3, 3) == expected
+
+
+def worst_case(p, k):
+    """k pivot rows e_j + (p - 1) * e_k and a last row with 1 in each of
+    the k pivot columns and p - 1 in column k, then a zero column: every
+    pivot updates the last row with c = 1 and adds (p - 1)**2 to its slot
+    k, which ends at (p - 1) + k * (p - 1)**2, the static bound."""
+    rows = [[int(i == j) for j in range(k)] + [p - 1, 0] for i in range(k)]
+    return rows + [[1] * k + [p - 1, 0]]
+
+
+# (p, pivots) whose worst case needs every byte of the slot width that
+# _fp_slot_bytes returns: 2 bytes (one struct format) for p = 3 and 64
+# pivots, 11 bytes (one slot at a time) for a 12-digit prime and 2
+WORST_CASES = {"p = 3, 64 pivots": (3, 64), "12-digit p, 2 pivots": (P12, 2)}
+
+
+@pytest.mark.parametrize("case", WORST_CASES)
+def test_one_byte_narrower_fp_slot_gives_a_wrong_elimination(case,
+                                                             monkeypatch):
+    p, k = WORST_CASES[case]
+    rows = worst_case(p, k)
+    bound = slot_bound(p, len(rows), k)
+    w = exactlin._fp_slot_bytes(p, k)
+    # the case reaches the bound, and the bound fills the width
+    assert delayed_peak(rows, k, p) == bound
+    assert 256 ** (w - 1) <= bound < 256 ** w
+    expected = run_forward(oracle_forward_fp, rows, k, p)
+    assert run_forward(exactlin._forward_fp, rows, k, p) == expected
+    narrow = exactlin._fp_slot_bytes
+    monkeypatch.setattr(exactlin, "_fp_slot_bytes",
+                        lambda p, pivots: narrow(p, pivots) - 1)
+    assert run_forward(exactlin._forward_fp, rows, k, p) != expected
