@@ -4,12 +4,24 @@ A representation is given by one square rational matrix per group
 generator.  Internally every matrix is a pair ``(rows, den)``: a tuple
 of integer row tuples and one positive denominator, reduced so that the
 denominator and all entries have no common factor, which makes equal
-matrices equal pairs.  The homomorphism property is verified while the
-assignment is extended over the Cayley graph (``PermGroup.table``): each
-edge e -> g e either defines the matrix of g e or is compared with it.
-``fixed_dim`` computes dim V^H as the exact character average over H,
-with the averaged-projector rank, by the integer row echelon of
-``dualkit.introws``, available as an independent route.
+matrices equal pairs.  A generator of integer entries is its own rows
+over den 1; only other entries go through ``Fraction``, and
+``gen_matrices`` is a view of the pairs as Fractions.
+
+The homomorphism property is verified while the assignment is extended
+over the Cayley graph (``PermGroup.table``): each edge e -> g e either
+defines the matrix of g e or is compared with it.  The (column, entry)
+pairs of the nonzero entries of each generator are found once, and each
+product M(g) M(e) visits only those pairs (``introws.mul_pairs``); a row
+of M(g) that is a single entry 1 is a row of M(e) itself, so a
+permutation matrix costs one step per row.
+
+Each element keeps its character as an integer trace over its den.
+``fixed_dim`` computes dim V^H as the character average over H in
+integers, over the lcm of the dens with one exact division.
+``fixed_projector_rank`` computes it on its own route, never reading the
+character: the rank of the sum of the matrices of H, by the integer row
+echelon of ``dualkit.introws``; it cross-checks ``fixed_dim``.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .. import DomainError
-from ..introws import echelon, mul_rows
+from ..introws import echelon, mul_pairs, nonzero_pairs
 from .groups import PermGroup
 
 
@@ -41,22 +53,26 @@ def _reduced(rows, den: int) -> tuple:
 
 
 def from_fractions(rows) -> tuple:
-    """The (rows, den) form of a matrix of Fractions."""
+    """The (rows, den) form of a matrix of ints and Fractions."""
     den = lcm(1, *(v.denominator for row in rows for v in row))
     return _reduced(tuple(tuple(v.numerator * (den // v.denominator)
                                 for v in row) for row in rows), den)
 
 
+def _exact(m) -> tuple:
+    """The (rows, den) form of a matrix whose entries are ints or
+    anything ``Fraction`` takes; a matrix of ints is its own rows over
+    den 1."""
+    rows = tuple(map(tuple, m))
+    if all(type(v) is int for row in rows for v in row):
+        return rows, 1
+    return from_fractions(tuple(tuple(v if type(v) is int else Fraction(v)
+                                      for v in row) for row in rows))
+
+
 def to_fractions(a) -> tuple:
     rows, den = a
     return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
-
-
-def mat_mul(a, b):
-    """The product of two square matrices, skipping zero entries of the
-    left factor."""
-    (ra, da), (rb, db) = a, b
-    return _reduced(tuple(map(tuple, mul_rows(ra, rb, len(rb)))), da * db)
 
 
 def mat_sum(mats):
@@ -65,17 +81,12 @@ def mat_sum(mats):
     scaled = [rows if d == den else
               tuple(tuple(v * (den // d) for v in row) for row in rows)
               for rows, d in mats]
-    return _reduced(tuple(tuple(map(sum, zip(*(m[i] for m in scaled))))
-                          for i in range(len(scaled[0]))), den)
+    return _reduced(tuple(tuple(map(sum, zip(*rows)))
+                          for rows in zip(*scaled)), den)
 
 
 def mat_identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
-
-
-def mat_trace(a) -> Fraction:
-    rows, den = a
-    return Fraction(sum(rows[i][i] for i in range(len(rows))), den)
 
 
 def mat_rank(a) -> int:
@@ -86,35 +97,44 @@ def mat_rank(a) -> int:
 
 class Representation:
     def __init__(self, group: PermGroup, dim: int, gen_matrices):
+        if dim < 0:
+            raise RepresentationError(f"dimension {dim} is negative")
         self.group = group
         self.dim = dim
-        self.gen_matrices = tuple(
-            tuple(tuple(Fraction(v) for v in row) for row in m)
-            for m in gen_matrices)
-        if len(self.gen_matrices) != len(group.generators):
+        self._gens = tuple(map(_exact, gen_matrices))
+        if len(self._gens) != len(group.generators):
             raise RepresentationError("one matrix per generator required")
-        for m in self.gen_matrices:
-            if len(m) != dim or any(len(r) != dim for r in m):
+        for rows, _ in self._gens:
+            if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise RepresentationError("matrices must be dim x dim")
         self._matrices = self._extend()
-        self._character = [mat_trace(m) for m in self._matrices]
+        # the character of each element as (integer trace, den)
+        self._character = [(sum(rows[i][i] for i in range(dim)), den)
+                           for rows, den in self._matrices]
+
+    @property
+    def gen_matrices(self) -> tuple:
+        """The generator matrices, with Fraction entries."""
+        return tuple(map(to_fractions, self._gens))
 
     def _extend(self) -> list:
         """Matrices by element index, from a breadth-first walk of the
         Cayley graph checking every edge e -> g e against M(g) M(e)."""
         t = self.group.table
-        index, mul = t.index, t.mul
-        pairs = [(index[g], from_fractions(m))
-                 for g, m in zip(self.group.generators, self.gen_matrices)]
+        index, mul, dim = t.index, t.mul, self.dim
+        gens = [(index[g], nonzero_pairs(rows), den)
+                for g, (rows, den) in zip(self.group.generators, self._gens)]
         out = [None] * self.group.order
-        out[t.identity] = mat_identity(self.dim)
+        out[t.identity] = mat_identity(dim)
         frontier = [t.identity]
         while frontier:
             nxt = []
             for e in frontier:
-                for g, mg in pairs:
+                rows, den = out[e]
+                for g, pairs, gden in gens:
                     f = mul[g][e]
-                    m = mat_mul(mg, out[e])
+                    m = _reduced(tuple(map(tuple, mul_pairs(pairs, rows,
+                                                            dim))), gden * den)
                     if out[f] is None:
                         out[f] = m
                         nxt.append(f)
@@ -129,7 +149,8 @@ class Representation:
             tuple(element)]])
 
     def character(self, element) -> Fraction:
-        return self._character[self.group.table.index[tuple(element)]]
+        return Fraction(*self._character[self.group.table.index[
+            tuple(element)]])
 
     def to_json(self) -> dict:
         return {"dim": self.dim,
@@ -138,9 +159,7 @@ class Representation:
 
     @staticmethod
     def from_json(group: PermGroup, obj) -> "Representation":
-        mats = [[[Fraction(v) for v in row] for row in m]
-                for m in obj["matrices"]]
-        return Representation(group, obj["dim"], mats)
+        return Representation(group, obj["dim"], obj["matrices"])
 
 
 def _indices(rep: Representation, H) -> list:
@@ -149,13 +168,17 @@ def _indices(rep: Representation, H) -> list:
 
 
 def fixed_dim(rep: Representation, H) -> int:
-    """dim V^H as the exact character average (1/|H|) sum_{h in H} chi(h)."""
-    H = _indices(rep, H)
-    avg = sum((rep._character[h] for h in H), Fraction(0)) / len(H)
-    if avg.denominator != 1 or avg < 0:
-        raise NonIntegralAverage(f"character average {avg} is not a "
-                                 "nonnegative integer")
-    return int(avg)
+    """dim V^H as the exact character average (1/|H|) sum_{h in H} chi(h),
+    in integers: the traces over the lcm of their dens, divided once."""
+    chars = [rep._character[h] for h in _indices(rep, H)]
+    den = lcm(*(d for _, d in chars))
+    total = sum(t if d == den else t * (den // d) for t, d in chars)
+    avg, rem = divmod(total, den * len(chars))
+    if rem or avg < 0:
+        raise NonIntegralAverage(
+            f"character average {Fraction(total, den * len(chars))} is not "
+            "a nonnegative integer")
+    return avg
 
 
 def fixed_projector_rank(rep: Representation, H) -> int:
@@ -217,8 +240,9 @@ def reduced_regular_representation(G: PermGroup) -> Representation:
 def reduced_permutation_representation(G: PermGroup) -> Representation:
     """The natural permutation representation restricted to the sum-zero
     subspace; for a transitive degree-n action this is the standard
-    (n-1)-dimensional representation."""
-    return Representation(G, G.degree - 1,
+    (n-1)-dimensional representation.  Of degree 0 it is 0-dimensional:
+    the sum-zero subspace of Q^0 is {0}."""
+    return Representation(G, max(G.degree - 1, 0),
                           [_reduced_matrix(g) for g in G.generators])
 
 

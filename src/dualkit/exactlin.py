@@ -30,7 +30,8 @@ from typing import Sequence, Union
 
 from . import DomainError, MalformedInput
 from .introws import (_FORMATS, PACKED_NONZEROS, PACKED_ROWS, echelon,
-                      mul_packed, mul_rows, slot_width)
+                      mul_packed, mul_pairs, mul_rows, nonzero_pairs,
+                      slot_width)
 
 Domain = Union[str, tuple]
 
@@ -382,7 +383,8 @@ def apply_factor(f: Matrix, m: Matrix, left: int, right: int) -> Matrix:
     """(I_left (x) f (x) I_right) * m without building the Kronecker
     product: row (l, i, r) of m, at index (l*a + i)*right + r with
     a = f.cols, is the i-th input of block (l, r), and row (l, j, r) of
-    the result is row j of f times that block's a rows."""
+    the result is row j of f times that block's a rows.  The nonzero
+    entries of f are found once for all left * right blocks."""
     if f.domain != m.domain:
         raise DimensionMismatch("domain mismatch in apply_factor")
     a, b = f.cols, f.rows
@@ -390,12 +392,13 @@ def apply_factor(f: Matrix, m: Matrix, left: int, right: int) -> Matrix:
         raise DimensionMismatch(
             f"cannot apply a {b}x{a} factor between {left} and {right} "
             f"to {m.rows} rows")
+    pairs = nonzero_pairs(f.data)
     out = []
     for l in range(left):
         start = l * a * right
         # per offset r, the b rows f * (rows (l, 0, r), ..., (l, a-1, r))
-        blocks = [mul_rows(f.data, m.data[start + r:start + a * right:right],
-                           m.cols) for r in range(right)]
+        blocks = [mul_pairs(pairs, m.data[start + r:start + a * right:right],
+                            m.cols) for r in range(right)]
         out += [blk[j] for j in range(b) for blk in blocks]
     # _trusted reduces the integer combinations mod p
     return Matrix._trusted(m.domain, left * b * right, m.cols, out)

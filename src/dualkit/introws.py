@@ -36,22 +36,29 @@ the random 48 x 48 Smith form of ``scripts/exactlin_timings.py`` the
 second alternation also switches, with entries of over 2000 bits and
 few rounds left, and runs slower packed than on lists.
 
-There are two products, with the same result.  ``mul_rows`` does one
-Python operation per entry: it adds up the rows of b that the nonzero
-entries of a row of a pick out.  ``mul_packed`` packs each row of b into
-one big integer and does one big-integer multiply-add per nonzero entry
-of a (Kronecker substitution), so its cost per product is the packing of
-b and the unpacking of the result.  ``Matrix.mul`` uses ``mul_packed``
-when its left factor has at least 16 rows and on average at least 12
-nonzero entries per row (``PACKED_ROWS`` and ``PACKED_NONZEROS``), where
-packing is 2-16x faster, and ``mul_rows`` otherwise: on a 64 x 64 left
-factor with 10 % of its entries nonzero the two take about as long, and
-a sparser or smaller one is faster on ``mul_rows``.  ``apply_factor``
-and ``rep.mat_mul`` always use ``mul_rows``: their left factors are
-small and sparse.  ``scripts/exactlin_timings.py`` prints the timings of
-both products, of both echelons and of the switch points.  The slot
-width rule (``slot_width``) and the machine formats (``_FORMATS``) also
-size the slots of the packed F_p elimination in ``exactlin``.
+There are two products, with the same result.  The list product is
+``mul_pairs``: it takes the left factor as the (column, entry) pairs of
+the nonzero entries of each row (``nonzero_pairs``) and adds up the rows
+of b those pairs pick out, one Python operation per entry of each row
+added; a row that is a single entry 1 is that row of b itself.
+``mul_rows`` is ``mul_pairs`` on pairs found while it runs.
+``mul_packed`` packs each row of b into one big integer and does one
+big-integer multiply-add per nonzero entry of a (Kronecker
+substitution), so its cost per product is the packing of b and the
+unpacking of the result.  ``Matrix.mul`` uses ``mul_packed`` when its
+left factor has at least 16 rows and on average at least 12 nonzero
+entries per row (``PACKED_ROWS`` and ``PACKED_NONZEROS``), where packing
+is 2-16x faster, and ``mul_rows`` otherwise: on a 64 x 64 left factor
+with 10 % of its entries nonzero the two take about as long, and a
+sparser or smaller one is faster on ``mul_rows``.  Every list product
+runs on ``mul_pairs``, and no other list product is written beside it;
+a caller that multiplies by one left factor many times finds its pairs
+once with ``nonzero_pairs``: ``apply_factor`` for its ``left x right``
+blocks, and ``rep`` for each generator over every edge of the Cayley
+graph.  ``scripts/exactlin_timings.py`` prints the timings of both
+products, of both echelons and of the switch points.  The slot width
+rule (``slot_width``) and the machine formats (``_FORMATS``) also size
+the slots of the packed F_p elimination in ``exactlin``.
 
 ``exactlin.Matrix`` wraps these rows with a scalar domain and a shape;
 the representation layer keeps its own ``(rows, den)`` matrices, one
@@ -62,7 +69,7 @@ about 24 ms in ``setup_s``.  This module imports only modules built into
 the interpreter, so neither side pays for the other.
 """
 
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, sub
 from sys import byteorder
 
@@ -229,24 +236,38 @@ def _echelon_packed(rows: list, ncols: int, r: int, j0: int) -> int:
     return r
 
 
-def mul_rows(a, b, ncols: int) -> list:
-    """The rows of the product a*b, where b has ncols columns: each row
-    sums the rows of b picked out by the nonzero entries of a row of a.
-    A row equal to a row of b may be that row itself."""
+def nonzero_pairs(a) -> list:
+    """The (column, entry) pairs of the nonzero entries of each row of a,
+    for ``mul_pairs``."""
+    return [list(compress(enumerate(row), row)) for row in a]
+
+
+def mul_pairs(pairs, b, ncols: int) -> list:
+    """The rows of a*b, where b has ncols columns and pairs holds, for
+    each row of a, the (column, entry) pairs of its nonzero entries
+    (``nonzero_pairs``): each row sums the rows of b its pairs pick out.
+    A row that is a single entry 1 is that row of b itself."""
     out = []
-    for arow in a:
+    for prow in pairs:
         acc = None
-        for x, brow in zip(arow, b):
-            if not x:
-                continue
+        for j, x in prow:
             if acc is None:
-                acc = brow if x == 1 else [x * e for e in brow]
+                acc = b[j] if x == 1 else [x * e for e in b[j]]
             elif x == 1:
-                acc = list(map(add, acc, brow))
+                acc = list(map(add, acc, b[j]))
+            elif x == -1:
+                acc = list(map(sub, acc, b[j]))
             else:
-                acc = [s + x * e for s, e in zip(acc, brow)]
+                acc = [s + x * e for s, e in zip(acc, b[j])]
         out.append([0] * ncols if acc is None else acc)
     return out
+
+
+def mul_rows(a, b, ncols: int) -> list:
+    """The rows of the product a*b, where b has ncols columns, by
+    ``mul_pairs`` on the nonzero entries of each row of a.  A row equal
+    to a row of b may be that row itself."""
+    return mul_pairs(map(compress, map(enumerate, a), a), b, ncols)
 
 
 def slot_width(bound: int) -> int:

@@ -369,6 +369,20 @@ class TestEqui:
         res = run("equi", "lattice", "--group", "nope")
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("rep, dim", [
+        ("trivial", 1), ("permutation", 0), ("regular", 1),
+        ("reduced-regular", 0), ("standard", 0)])
+    def test_fixdim_of_a_degree_zero_group(self, rep, dim, tmp_path):
+        # the sum-zero subspace of Q^0 is {0}: no dimension is negative
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"degree": 0, "generators": []}))
+        res = run("equi", "fixdim", "--group", str(path), "--rep", rep,
+                  "--format", "json")
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert data["ok"] and data["dim"] == dim
+        assert [c["fixed_dim"] for c in data["classes"]] == [dim]
+
 
 @pytest.fixture(scope="module")
 def readme_inputs(tmp_path_factory):

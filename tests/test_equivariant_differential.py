@@ -17,7 +17,10 @@ from types import SimpleNamespace
 import pytest
 
 from dualkit import MalformedInput
-from dualkit.equivariant import (REP_PRESETS, InvalidAction, Representation,
+from dualkit.equivariant import rep as rep_module
+from dualkit.equivariant import (REP_PRESETS, InvalidAction,
+                                 NonIntegralAverage, Representation,
+                                 RepresentationError,
                                  all_subgroups, coset_action,
                                  enumerate_subgroup_classes, fixed_dim,
                                  fixed_projector_rank, generated_subgroup,
@@ -27,6 +30,7 @@ from dualkit.equivariant import (REP_PRESETS, InvalidAction, Representation,
                                  transitive_actions, untwisting_check,
                                  validate_action, weyl_group)
 from dualkit.equivariant.rep import from_fractions, mat_rank
+from dualkit.introws import mul_pairs
 
 PRESETS = ["c2", "c4", "s3", "d4", "q8", "a4"]
 EXTRA = {
@@ -186,6 +190,71 @@ def oracle_rank(rows) -> int:
     return rank
 
 
+def frac_product(a, b) -> tuple:
+    """a*b for square matrices over Fractions, row by row, skipping the
+    zero entries of a and of b."""
+    out = []
+    for arow in a:
+        acc = [Fraction(0)] * len(arow)
+        for x, brow in zip(arow, b):
+            if x:
+                acc = [s + x * e if e else s for s, e in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def frac_inverse(m) -> list:
+    """The inverse of an invertible square Fraction matrix, or None for a
+    singular one, by Gauss-Jordan elimination."""
+    n = len(m)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)]
+            for i, r in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [v - c * p for v, p in zip(rows[r], rows[col])]
+    return [r[n:] for r in rows]
+
+
+def oracle_representation(G, dim, gen_matrices) -> tuple:
+    """(generators, matrices by element) as the earlier Representation
+    found them: every entry a Fraction, and the matrices by a
+    breadth-first walk from the identity along the generators on
+    permutation tuples, one Fraction product per edge e -> g e, each
+    compared with the matrix already found for g e."""
+    gens = tuple(tuple(tuple(Fraction(v) for v in row) for row in m)
+                 for m in gen_matrices)
+    identity = p_identity(G.degree)
+    mats = {identity: tuple(tuple(Fraction(int(i == j)) for j in range(dim))
+                            for i in range(dim))}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g, mg in zip(G.generators, gens):
+                f, m = p_mul(g, e), frac_product(mg, mats[e])
+                if f not in mats:
+                    mats[f] = m
+                    nxt.append(f)
+                else:
+                    assert mats[f] == m, "not a homomorphism"
+        frontier = nxt
+    return gens, mats
+
+
+def oracle_fixed_dim(mats, H) -> Fraction:
+    """The character average over H, as a Fraction."""
+    return sum((sum(mats[tuple(h)][i][i] for i in range(len(mats[tuple(h)])))
+                for h in H), Fraction(0)) / len(H)
+
+
 def cauchy_frobenius(perms) -> int:
     """Orbits of a permutation group given by its elements: the average
     number of fixed points."""
@@ -334,10 +403,14 @@ def test_fixed_dims_match_orbit_counts(name):
             assert fixed_dim(rep, H) == fixed_projector_rank(rep, H) == want
 
 
+ROUNDTRIP_P = [[Fraction(1, 2), Fraction(1, 3)],
+               [Fraction(-2, 5), Fraction(3)]]
+
+
 def test_non_integral_representation_json_roundtrip():
     G = get_group("s3")
     std = reduced_permutation_representation(G)
-    P = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(-2, 5), Fraction(3)]]
+    P = ROUNDTRIP_P
     det = P[0][0] * P[1][1] - P[0][1] * P[1][0]
     P_inv = [[P[1][1] / det, -P[0][1] / det], [-P[1][0] / det, P[0][0] / det]]
 
@@ -382,3 +455,183 @@ def test_zero_dimensional_representation():
     rep = reduced_permutation_representation(perm_group(1, [(0,)]))
     assert rep.dim == 0
     assert fixed_dim(rep, [(0,)]) == fixed_projector_rank(rep, [(0,)]) == 0
+
+
+def test_negative_dimension_is_rejected():
+    with pytest.raises(RepresentationError, match="negative"):
+        Representation(perm_group(0, []), -1, [])
+    # of degree 0 the standard representation is 0-dimensional
+    G = perm_group(0, [])
+    rep = reduced_permutation_representation(G)
+    assert rep.dim == 0
+    assert fixed_dim(rep, G.elements) == \
+        fixed_projector_rank(rep, G.elements) == 0
+
+
+@pytest.mark.parametrize("character, shown", [((1, 2), "1/2"), ((-2, 1), "-2"),
+                                              ((-3, 2), "-3/2")])
+def test_non_integral_average_names_the_average(character, shown):
+    # no homomorphism has such a character, so it is set by hand
+    G = get_group("c2")
+    rep = REP_PRESETS["trivial"](G)
+    rep._character = [character] * G.order
+    with pytest.raises(NonIntegralAverage, match=(
+            f"^character average {shown} is not a nonnegative integer$")):
+        fixed_dim(rep, G.elements)
+
+
+def test_projector_rank_never_reads_the_character():
+    G = relabelled("s4")
+    poset = enumerate_subgroup_classes(G)
+    subgroups = [poset.representative(i) for i in range(poset.n)]
+    rep = REP_PRESETS["reduced-regular"](G)
+    want = [fixed_dim(rep, H) for H in subgroups]
+    rep._character = None
+    assert [fixed_projector_rank(rep, H) for H in subgroups] == want
+
+
+# ------------------------------------------ representations against the oracle
+
+def oracle_mismatches(G, dim, gen_matrices) -> list:
+    """Where Representation(G, dim, gen_matrices) differs from
+    ``oracle_representation``: its Fraction view of the generators, the
+    matrix and character of each element, and ``rep.fixed_dim`` against
+    the Fraction average on a representative of each class."""
+    gens, mats = oracle_representation(G, dim, gen_matrices)
+    try:
+        rep = Representation(G, dim, gen_matrices)
+    except RepresentationError as exc:
+        return [f"rejected: {exc}"]
+    bad = []
+    view = rep.gen_matrices
+    if view != gens or any(type(v) is not Fraction
+                           for m in view for row in m for v in row):
+        bad.append("gen_matrices")
+    for g, m in mats.items():
+        if rep.matrix(g) != m:
+            bad.append(("matrix", g))
+        chi = rep.character(g)
+        if type(chi) is not Fraction or chi != sum(m[i][i]
+                                                   for i in range(dim)):
+            bad.append(("character", g))
+    poset = enumerate_subgroup_classes(G)
+    for i in range(poset.n):
+        H = poset.representative(i)
+        try:
+            got = rep_module.fixed_dim(rep, H)
+        except NonIntegralAverage:
+            got = None
+        if type(got) is not int or got != oracle_fixed_dim(mats, H):
+            bad.append(("fixed_dim", i))
+    return bad
+
+
+def preset_input(G, make) -> tuple:
+    """(dim, generator matrices of ints) of a preset representation."""
+    rep = make(G)
+    assert all(v.denominator == 1 for m in rep.gen_matrices for row in m
+               for v in row)
+    return rep.dim, [[[int(v) for v in row] for row in m]
+                     for m in rep.gen_matrices]
+
+
+def conjugated(mats, P) -> list:
+    """P m P^-1 for each matrix m, over Fractions."""
+    P_inv = frac_inverse(P)
+    return [frac_product(frac_product(P, m), P_inv) for m in mats]
+
+
+def rational_conjugates(count: int, seed: int) -> list:
+    """count cases (G, dim, matrices): a preset representation of
+    dimension 2 to 6 of a group of GROUPS, conjugated by a seeded
+    rational matrix so that some generator has den != 1."""
+    rng = random.Random(seed)
+    pool = []
+    for name in GROUPS:
+        G = relabelled(name)
+        for make in REP_PRESETS.values():
+            dim, mats = preset_input(G, make)
+            if 2 <= dim <= 6:
+                pool.append((G, dim, mats))
+    cases = []
+    while len(cases) < count:
+        G, dim, mats = rng.choice(pool)
+        P = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+              for _ in range(dim)] for _ in range(dim)]
+        if frac_inverse(P) is None:
+            continue
+        out = conjugated(mats, P)
+        if any(v.denominator != 1 for m in out for row in m for v in row):
+            cases.append((G, dim, out))
+    return cases
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_presets_match_the_fraction_oracle(name):
+    G = relabelled(name)
+    for make in REP_PRESETS.values():
+        dim, mats = preset_input(G, make)
+        assert oracle_mismatches(G, dim, mats) == []
+
+
+def test_roundtrip_conjugate_matches_the_fraction_oracle():
+    G = get_group("s3")
+    _, mats = preset_input(G, reduced_permutation_representation)
+    mats = conjugated(mats, ROUNDTRIP_P)
+    assert any(v.denominator != 1 for m in mats for row in m for v in row)
+    assert oracle_mismatches(G, 2, mats) == []
+
+
+def test_rational_conjugates_match_the_fraction_oracle():
+    for G, dim, mats in rational_conjugates(50, seed=20):
+        assert oracle_mismatches(G, dim, mats) == []
+
+
+def mixed_entries(mats, rng) -> list:
+    """Each entry as an int where it is integral, a Fraction or a string,
+    chosen by rng."""
+    def mix(v):
+        v = Fraction(v)
+        k = rng.randrange(3)
+        if k == 0 and v.denominator == 1:
+            return int(v)
+        return str(v) if k == 1 else v
+    return [[[mix(v) for v in row] for row in m] for m in mats]
+
+
+def test_mixed_entry_types_match_the_fraction_oracle():
+    rng = random.Random(5)
+    cases = rational_conjugates(10, seed=21)
+    cases += [(G, *preset_input(G, make)) for G in (relabelled("s4"),)
+              for make in REP_PRESETS.values()]
+    kinds = set()
+    for G, dim, mats in cases:
+        mixed = mixed_entries(mats, rng)
+        kinds |= {type(v) for m in mixed for row in m for v in row}
+        assert oracle_mismatches(G, dim, mixed) == []
+    assert kinds == {int, Fraction, str}
+
+
+def drop_last_pair(pairs, b, ncols):
+    """Mutant product: each row of the left factor loses its last
+    nonzero entry."""
+    return mul_pairs([p[:-1] for p in pairs], b, ncols)
+
+
+def fixed_dim_ignoring_den(rep, H):
+    """Mutant fixed_dim: the integer traces averaged as if every den
+    were 1."""
+    index = rep.group.table.index
+    total = sum(rep._character[index[tuple(h)]][0] for h in H)
+    avg, rem = divmod(total, len(H))
+    if rem or avg < 0:
+        raise NonIntegralAverage(f"character average {total}/{len(H)}")
+    return avg
+
+
+@pytest.mark.parametrize("target, mutant", [
+    ("mul_pairs", drop_last_pair), ("fixed_dim", fixed_dim_ignoring_den)])
+def test_mutants_fail_the_fraction_oracle(target, mutant, monkeypatch):
+    cases = rational_conjugates(50, seed=20)
+    monkeypatch.setattr(rep_module, target, mutant)
+    assert any(oracle_mismatches(*case) for case in cases)

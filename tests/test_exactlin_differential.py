@@ -27,12 +27,14 @@ with them:
   the validating entry points still raise; a ``_trusted`` that does not
   reduce mod p fails this;
 - the packed product ``mul_packed`` returns the rows ``mul_rows`` returns,
-  and ``Matrix.mul``, on either side of its dispatch rule, the triple
-  loop of ``tests/test_diagram_differential.py``, on empty shapes, zero
-  rows, mixed signs, 200-digit entries, all-ones matrices, over F_2, F_7
-  and a 12-digit prime, and on hypothesis-drawn shapes and densities; a
-  slot one byte narrower than ``_slot_bytes`` gives a wrong product on
-  cases that reach its bound;
+  the list kernel ``mul_pairs`` on pairs found once by ``nonzero_pairs``
+  returns the rows of a triple loop, and ``Matrix.mul``, on either side
+  of its dispatch rule, and ``apply_factor`` return the triple loop of
+  ``tests/test_diagram_differential.py``, on empty shapes, zero rows, a
+  single 1, negative entries, 200-digit entries, all-ones matrices, over
+  F_2, F_7 and a 12-digit prime, and on hypothesis-drawn shapes and
+  densities; a slot one byte narrower than ``_slot_bytes`` gives a wrong
+  product on cases that reach its bound;
 - ``introws.echelon`` returns the rows and the rank of the list loop
   (``oracle_echelon``) with its switch to packed rows forced at the
   first update and at its default, on seeded [M | I] cases (0 x 0, zero
@@ -67,7 +69,7 @@ from dualkit.exactlin import (
     left_null_basis_fp, nat_matrix, prime_factors, rank_fp,
     smith_normal_form, solve_right_fp, solve_right_int,
 )
-from dualkit.introws import mul_packed, mul_rows
+from dualkit.introws import mul_packed, mul_pairs, mul_rows, nonzero_pairs
 from dualkit.models import EvConst, ev_morphism, ev_object
 from test_diagram_differential import triple_loop_mul
 
@@ -780,7 +782,18 @@ def packed_cases():
          random_rows(rng, 16, 9, lo=0, hi=P12 - 1), 9),
         ("tuples", tuple(map(tuple, random_rows(rng, 4, 3))),
          tuple(map(tuple, random_rows(rng, 3, 2))), 2),
+        ("a single 1", [[0, 1, 0], [0, 0, 0], [1, 0, 0]],
+         tuple(map(tuple, random_rows(rng, 3, 4))), 4),
+        ("negative entries", random_rows(rng, 8, 8, 0.5, lo=-9, hi=-1),
+         random_rows(rng, 8, 5), 5),
+        ("entries of -1, 0 and 1", random_rows(rng, 12, 12, lo=-1, hi=1),
+         random_rows(rng, 12, 6), 6),
     ]
+
+
+def list_triple_loop(a, b, ncols) -> list:
+    return [[sum(arow[k] * b[k][j] for k in range(len(b)))
+             for j in range(ncols)] for arow in a]
 
 
 @pytest.mark.parametrize("name, a, b, ncols", packed_cases(),
@@ -789,6 +802,23 @@ def test_mul_packed_matches_mul_rows(name, a, b, ncols):
     got = mul_packed(a, b, ncols)
     assert got == [list(r) for r in mul_rows(a, b, ncols)]
     assert all(type(e) is int for row in got for e in row)
+
+
+@pytest.mark.parametrize("name, a, b, ncols", packed_cases(),
+                         ids=[c[0] for c in packed_cases()])
+def test_pair_kernel_matches_the_triple_loop(name, a, b, ncols):
+    pairs = nonzero_pairs(a)
+    want = list_triple_loop(a, b, ncols)
+    # the pairs are found once and serve any number of products
+    for _ in range(2):
+        assert [list(r) for r in mul_pairs(pairs, b, ncols)] == want
+
+
+def test_pair_kernel_keeps_a_row_of_b_for_a_single_one():
+    b = [(1, -2), (3, 4)]
+    out = mul_pairs(nonzero_pairs([[0, 1], [1, 0], [0, 0], [-1, 0]]), b, 2)
+    assert out[0] is b[1] and out[1] is b[0]
+    assert out[2:] == [[0, 0], [-1, 2]]
 
 
 MUL_DOMAINS = [NAT, INT, fp(2), fp(7), fp(P12)]
@@ -811,6 +841,36 @@ def test_matrix_mul_matches_triple_loop_on_both_paths(domain):
             assert a.mul(b) == triple_loop_mul(a, b)
     ones = Matrix.from_rows(domain, [[1] * 20] * 20)
     assert ones.mul(ones) == triple_loop_mul(ones, ones)
+
+
+def whiskered(f: Matrix, left: int, right: int) -> Matrix:
+    """I_left (x) f (x) I_right, entry by entry."""
+    b, a = f.rows, f.cols
+    return Matrix.from_rows(f.domain, [
+        [f.data[j][i] if (l, r) == (l2, r2) else 0
+         for l2 in range(left) for i in range(a) for r2 in range(right)]
+        for l in range(left) for j in range(b) for r in range(right)],
+        shape=(left * b * right, left * a * right))
+
+
+@pytest.mark.parametrize("domain", MUL_DOMAINS,
+                         ids=["nat", "int", "f2", "f7", "f12digit"])
+def test_apply_factor_matches_triple_loop(domain):
+    p = domain[1] if isinstance(domain, tuple) else None
+    lo, hi = (0, p - 1) if p else (0 if domain == NAT else -1, 2)
+    rng = random.Random(f"apply-{domain!r}")
+    for left in range(3):
+        for right in range(3):
+            for b, a, n in ((2, 3, 2), (3, 1, 4), (0, 2, 3), (2, 0, 1),
+                            (1, 1, 0), (4, 4, 3)):
+                for density in (0.0, 0.5, 1.0):
+                    f = Matrix.from_rows(domain, random_rows(
+                        rng, b, a, density, lo, hi), shape=(b, a))
+                    m = Matrix.from_rows(domain, random_rows(
+                        rng, left * a * right, n, 1.0, lo, hi),
+                        shape=(left * a * right, n))
+                    assert apply_factor(f, m, left, right) == \
+                        triple_loop_mul(whiskered(f, left, right), m)
 
 
 def _spy_packed(monkeypatch):
