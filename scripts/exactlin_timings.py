@@ -37,9 +37,10 @@ forms of all four sizes against the list loop alone.
 For n = 32, 64 and 128 and p = 2, 7, 1000003 and 999999999989 it
 times ``rank_fp`` and ``left_null_basis_fp`` on an n x n matrix over
 F_p whose last quarter of rows are sums of two earlier rows, once with
-the packed F_p elimination ``exactlin._forward_fp`` and once with the
+the packed F_p elimination ``introws._forward_fp`` and once with the
 list loop it replaced (``oracle_forward_fp`` in
-``tests/test_exactlin_differential.py``) in its place.
+``tests/test_exactlin_differential.py``) in its place, under the name
+``exactlin`` calls it by.
 
 For n = 8, 16, 32, 64 and 128 it times the two row products of
 ``dualkit.introws``, ``mul_rows`` and ``mul_packed``, on n x n times
@@ -208,7 +209,7 @@ def switch_sweep(repeats) -> bool:
 def fp_series(repeats) -> bool:
     """rank_fp and left_null_basis_fp with the list loop in place of the
     packed F_p elimination, and with the packed one."""
-    ok, packed = True, exactlin._forward_fp
+    ok, packed = True, introws._forward_fp
     print(f"\n{'n':>4} {'p':>13} {'call':>18} {'list loop':>10} {'packed':>10}"
           f"  ratio")
     for n in FP_SIZES:

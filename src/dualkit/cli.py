@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import DomainError, clip, has_shape, read_json
+from . import DomainError, MalformedInput, clip, has_shape, read_json
 
 if TYPE_CHECKING:
     from .models import EvMorphism, EvObject, SpanMorphism
@@ -250,7 +250,9 @@ def span_cofiber(morphism, shape, sizes):
 def parse_ev_object(text: str) -> EvObject:
     """Accept JSON or compact names: '0', 'S', 'S^2', 'S/2', 'S/2^3',
     and '+'-separated sums of those, of dimension at most 256 at every
-    prime; any other text is a usage error."""
+    prime; any other text is a usage error.  A torsion index that is not
+    a prime (S/4, or "4" as a JSON key) is MalformedInput."""
+    from .exactlin import is_prime
     from .models import EvObject, ev_object
     text = text.strip()
     if text.startswith("{"):
@@ -276,6 +278,10 @@ def parse_ev_object(text: str) -> EvObject:
         x = ev_object(f, {p: f + d for p, d in torsion.items()})
     if max([x.f, *(d for _, d in x.exc)]) > 256:
         raise click.BadParameter(f"{clip(str(x))} has a dimension above 256")
+    for p in x.exc_primes():
+        if not is_prime(p):
+            raise MalformedInput(f"the torsion index {p} of {clip(str(x))} "
+                                 "is not a prime")
     return x
 
 

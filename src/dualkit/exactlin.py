@@ -3,11 +3,14 @@
 Provides Kronecker products and ``apply_factor``, which applies a
 matrix to one tensor factor without building one; the Smith normal form
 with unimodular transforms, invariant factors, saturated left kernels
-and integral solutions, all from one row echelon over Z
-(``dualkit.introws``); one forward elimination over F_p, which packs
-each row it updates into one big integer and reduces mod p only the
-pivot rows and, once, the rows it returns (``_forward_fp``); and exact
-inverses, as the solutions of m*X = I over the matrix's own domain.
+and integral solutions, all from one row echelon over Z; the rank, left
+null basis and solutions over F_p, all from one forward elimination,
+which packs each row it updates into one big integer and reduces mod p
+only the pivot rows and, once, the rows it returns; and exact inverses,
+as the solutions of m*X = I over the matrix's own domain.  The echelon,
+the F_p elimination and the products run on plain rows in
+``dualkit.introws`` (``echelon``, ``_forward_fp``, ``mul_rows`` and
+``mul_packed``), whose packed kernels share one row format.
 All arithmetic uses Python's arbitrary-precision integers; there are no
 floats and no tolerances anywhere.
 
@@ -22,16 +25,13 @@ which checks no entry and only reduces mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from math import gcd, isqrt
 from operator import add
-from struct import Struct
 from typing import Sequence, Union
 
 from . import DomainError, MalformedInput
-from .introws import (_FORMATS, PACKED_NONZEROS, PACKED_ROWS, echelon,
-                      mul_packed, mul_pairs, mul_rows, nonzero_pairs,
-                      slot_width)
+from .introws import (PACKED_NONZEROS, PACKED_ROWS, _forward_fp, echelon,
+                      mul_packed, mul_pairs, mul_rows, nonzero_pairs)
 
 Domain = Union[str, tuple]
 
@@ -541,113 +541,6 @@ def cokernel_decomposition(m: Matrix) -> tuple:
 
 
 # ------------------------------------------------------- elimination over F_p
-
-def _fp_slot_bytes(p: int, pivots: int) -> int:
-    """The bytes per slot of ``_forward_fp`` over F_p with at most pivots
-    pivots: the fewest that hold (p - 1) + pivots * (p - 1)**2, rounded
-    up to a machine width where one fits (``introws.slot_width``)."""
-    return slot_width((p - 1) + pivots * (p - 1) ** 2)
-
-
-def _fp_slots(p: int, pivots: int, width: int) -> tuple:
-    """(bits, pack, unpack) for rows of width entries in slots of
-    ``_fp_slot_bytes(p, pivots)`` bytes: pack makes one nonnegative
-    integer of a row, column j in bits * j and up, and unpack gives back
-    its slots, unreduced.  Slots of 1, 2, 4 or 8 bytes go through one
-    ``struct.Struct`` in little-endian order, wider ones (a 12-digit
-    prime needs 11 bytes) one slot at a time."""
-    w = _fp_slot_bytes(p, pivots)
-    size = w * width
-    if w in _FORMATS:
-        slots = Struct(f"<{width}{_FORMATS[w]}")
-
-        def pack(row):
-            return int.from_bytes(slots.pack(*row), "little")
-
-        def unpack(x):
-            return slots.unpack(x.to_bytes(size, "little"))
-    else:
-        def pack(row):
-            return int.from_bytes(b"".join(map(
-                int.to_bytes, row, repeat(w), repeat("little"))), "little")
-
-        def unpack(x):
-            raw = x.to_bytes(size, "little")
-            return [int.from_bytes(raw[k:k + w], "little")
-                    for k in range(0, size, w)]
-    return 8 * w, pack, unpack
-
-
-def _forward_fp(a: list, ncols: int, p: int) -> list:
-    """Forward elimination over F_p of the first ncols columns of the
-    rows a (lists of equal length, entries in [0, p)), in place: each
-    pivot is scaled to 1 and only the rows below it are cleared.
-    Returns the pivot columns.
-
-    A row that is updated becomes one nonnegative big integer v of
-    w-byte slots (``_fp_slots``, made at the first update), column j in
-    bits 8*w*j and up, and a row update is v_i += (p - c) * v_pivot, with
-    c the row's entry in the pivot column mod p and no reduction: the
-    entry of column j is ((v >> 8*w*j) & (256**w - 1)) % p.  Only a
-    pivot row is unpacked, reduced and scaled by the pivot's inverse
-    (and packed if a row below needs it), and each row updated but never
-    a pivot is unpacked and reduced once at the end; a row never updated
-    is left as it is.
-
-    No slot overflows.  Let k = min(rows, ncols); w is the fewest bytes,
-    rounded up to a machine width where one fits, with
-    (p - 1) + k * (p - 1)**2 < 256**w (``_fp_slot_bytes``), and every
-    slot stays at most that bound:
-    - a slot starts in [0, p - 1];
-    - a pivot row is reduced before it is used, so each of its slots is
-      in [0, p - 1], and p - c is in [1, p - 1]: an update adds to every
-      slot a value in [0, (p - 1)**2] and subtracts nothing;
-    - a row is updated at most once per pivot, and there are at most k
-      pivots.
-    So no slot carries into the next or borrows from it, every slot
-    holds its exact value, and that value is congruent mod p to the
-    entry the list loop (kept as ``oracle_forward_fp`` in
-    ``tests/test_exactlin_differential.py``) holds there: the pivots and
-    the rows are the list loop's."""
-    n = len(a)
-    # v[i]: row i packed, once it has been updated; None while a[i] holds it
-    v = [None] * n
-    # bits, mask, pack and unpack are made at the first update: no row is
-    # packed before it, and an elimination that updates no row (one row,
-    # or rows already in echelon form) needs none of them
-    pack = None
-    pivots = []
-    for col in range(ncols):
-        row = len(pivots)
-        e = [a[i][col] if x is None else ((x >> bits * col) & mask) % p
-             for i, x in enumerate(v[row:], row)]
-        d = next(filter(None, e), 0)
-        if not d:
-            continue
-        piv = e.index(d)
-        e[0], e[piv] = d, e[0]
-        piv += row
-        a[row], a[piv] = a[piv], a[row]
-        v[row], v[piv] = v[piv], v[row]
-        inv = pow(d, -1, p)
-        prow = a[row] = [x * inv % p for x in
-                         (a[row] if v[row] is None else unpack(v[row]))]
-        v[row] = y = None
-        for i, c in enumerate(e[1:], row + 1):
-            if c:
-                if pack is None:
-                    bits, pack, unpack = _fp_slots(p, min(n, ncols),
-                                                   len(prow))
-                    mask = (1 << bits) - 1
-                if y is None:
-                    y = pack(prow)
-                v[i] = (pack(a[i]) if v[i] is None else v[i]) + (p - c) * y
-        pivots.append(col)
-    for i in range(len(pivots), n):
-        if v[i] is not None:
-            a[i] = [x % p for x in unpack(v[i])]
-    return pivots
-
 
 def _fp_prime(*ms: Matrix) -> int:
     p = _domain_prime(ms[0].domain)

@@ -593,6 +593,21 @@ class TestDomainErrors:
                       '{"free": [[1]], "dom": {"f": 1, "exc": {"2": 2}}, '
                       '"cod": {"f": 1}}'),
                      MalformedInput, id="missing-explicit-component"),
+        # a torsion index that is not a prime, which once selected the
+        # idempotent of its cofiber (S/2 for S/4) in the idem commands
+        pytest.param(("idem", "clopen", "--object", "S/4"), MalformedInput,
+                     id="clopen-torsion-4"),
+        pytest.param(("idem", "complement", "--object", "S/4"),
+                     MalformedInput, id="complement-torsion-4"),
+        pytest.param(("idem", "split-homs", "--object", "S/4"),
+                     MalformedInput, id="split-homs-torsion-4"),
+        pytest.param(("evconst", "split", "--m", "6", "--object", "S/6"),
+                     MalformedInput, id="split-torsion-6"),
+        pytest.param(("evconst", "biproduct", "--x", "S/4", "--y", "S"),
+                     MalformedInput, id="biproduct-torsion-4"),
+        pytest.param(("idem", "clopen", "--object",
+                      '{"f": 0, "exc": {"4": 1}}'),
+                     MalformedInput, id="clopen-json-torsion-4"),
         pytest.param(("idem", "complement", "--model", "spanfin"),
                      UnsupportedShape, id="complement-spanfin"),
         pytest.param(("idem", "split-homs", "--model", "spanfin"),
@@ -608,6 +623,16 @@ class TestDomainErrors:
         assert report["ok"] is False
         assert report["error"].startswith(f"{error.__name__}: ")
         assert issubclass(error, DomainError)
+
+    @pytest.mark.parametrize("command", ["clopen", "complement",
+                                         "split-homs"])
+    @pytest.mark.parametrize("obj", ["S/4", "S + S/3 + S/4^2",
+                                     '{"f": 0, "exc": {"4": 1}}'])
+    def test_non_prime_torsion_index_is_named(self, command, obj):
+        res = run("idem", command, "--object", obj, "--format", "json")
+        assert res.exit_code == 1
+        error = json.loads(res.output)["error"]
+        assert error.startswith("MalformedInput: the torsion index 4 of ")
 
     @pytest.mark.parametrize("args", [
         ("equi", "lattice", "--group", "a" * 300),

@@ -34,7 +34,8 @@ with them:
   single 1, negative entries, 200-digit entries, all-ones matrices, over
   F_2, F_7 and a 12-digit prime, and on hypothesis-drawn shapes and
   densities; a slot one byte narrower than ``_slot_bytes`` gives a wrong
-  product on cases that reach its bound;
+  product, or an integer too large for its byte length to unpack, on
+  cases that reach its signed bound;
 - ``introws.echelon`` returns the rows and the rank of the list loop
   (``oracle_echelon``) with its switch to packed rows forced at the
   first update and at its default, on seeded [M | I] cases (0 x 0, zero
@@ -44,7 +45,7 @@ with them:
   left kernel, integer solve and cofiber do not depend on the switch;
   and without the guard-band test the echelon of ``GUARD_CASE`` comes
   back wrong;
-- the packed F_p elimination ``exactlin._forward_fp`` returns the pivots
+- the packed F_p elimination ``introws._forward_fp`` returns the pivots
   and the in-place rows of the list loop (``oracle_forward_fp``) over
   F_2, F_3, F_7, F_101 and a 7-digit and a 12-digit prime, on [M | I] up
   to 64 x 128, zero columns, rank-deficient inputs, rows never updated,
@@ -52,6 +53,11 @@ with them:
   zero in the pivot column down; no case exceeds its static slot bound;
   and a slot one byte narrower than ``_fp_slot_bytes`` gives wrong rows
   on worst cases that reach the bound.
+
+The three packed kernels share one row format, ``introws._codec``
+(column 0 in the highest slot; signed digits for the echelon and the
+product, plain slots over F_p), whose round trips
+``tests/test_introws_codec.py`` checks on its own.
 """
 
 import random
@@ -920,35 +926,40 @@ def test_packed_products_on_drawn_shapes(n, k, m, density, bound, signed,
     assert ma.mul(mb) == triple_loop_mul(ma, mb)
 
 
-# (a, b) whose accumulator reaches the bound of _slot_bytes in its low
-# slot, with that bound needing exactly the width _slot_bytes returns: 2
-# bytes, positive and negative; 8 bytes; 85 bytes (about 200 digits)
+# (a, b) with an entry of a*b at M, the bound of _slot_bytes, and 2*M + 1
+# needing exactly the width _slot_bytes returns: 2 bytes, positive and
+# negative; 8 bytes; 85 bytes (about 200 digits).  One byte narrower, M in
+# the low slot carries into the top one, and the rows come back wrong;
+# M in the top slot ("negative") leaves the integer too large or below
+# zero for its byte length, and unpacking it raises OverflowError.
 SLOT_BOUND_CASES = {
-    "positive": ([[16, 16]], [[16, 0], [16, 0]]),
+    "positive": ([[16, 16]], [[0, 16], [0, 16]]),
     "negative": ([[-15]], [[9, -9]]),
-    "8 bytes": ([[256]], [[2 ** 55, 0]]),
-    "85 bytes": ([[2]], [[256 ** 84 - 1, 0]]),
+    "8 bytes": ([[256]], [[0, 2 ** 54]]),
+    "85 bytes": ([[2]], [[0, 2 ** 671 - 1]]),
 }
 
 
 @pytest.mark.parametrize("case", SLOT_BOUND_CASES)
 def test_one_byte_narrower_slot_gives_a_wrong_product(case, monkeypatch):
     a, b = SLOT_BOUND_CASES[case]
-    bias = max(0, -min(map(min, b)))
-    top = max(map(max, b)) + bias
-    lifted = [[e + bias for e in row] for row in b]
+    top = max(abs(e) for row in b for e in row)
     bound = max(sum(map(abs, row)) for row in a) * top
-    # the case reaches the bound, and the bound fills the width
-    assert max(map(max, mul_rows([list(map(abs, r)) for r in a], lifted,
-                                 2))) == bound
-    w = introws._slot_bytes(a, top)
-    assert 256 ** (w - 1) <= bound < 256 ** w
     expected = [list(r) for r in mul_rows(a, b, 2)]
+    # the case reaches the bound, and 2 * bound + 1 fills the width
+    assert max(abs(e) for row in expected for e in row) == bound
+    w = introws._slot_bytes(a, top)
+    assert 256 ** (w - 1) <= 2 * bound + 1 < 256 ** w
     assert mul_packed(a, b, 2) == expected
     narrow = introws._slot_bytes
     monkeypatch.setattr(introws, "_slot_bytes",
                         lambda a, top: narrow(a, top) - 1)
-    assert mul_packed(a, b, 2) != expected
+    try:
+        got = mul_packed(a, b, 2)
+    except OverflowError:
+        got = None
+    assert got != expected
+    assert (got is None) == (case == "negative")
 
 
 # ---------------------------------------------------------- packed echelon
@@ -1051,9 +1062,9 @@ def test_echelon_matches_the_list_oracle_on_seeded_shapes(switch,
 
 
 def _count_packs(monkeypatch):
-    """Counters of the packings and of the guard-band repacks (the only
-    callers of _max_bits after the first packing)."""
-    counts = {"pack": 0, "max_bits": 0}
+    """Counters of the packings (``_packed``) and of the guard-band
+    repacks (the only callers of _max_bits after the first packing)."""
+    counts = {"packed": 0, "max_bits": 0}
     for name in counts:
         real = getattr(introws, "_" + name)
 
@@ -1070,13 +1081,13 @@ def test_the_cases_force_both_kinds_of_repack(switch, monkeypatch):
     counts = _count_packs(monkeypatch)
     guard = wider = 0
     for _, rows, ncols in echelon_cases():
-        counts.update(pack=0, max_bits=0)
+        counts.update(packed=0, max_bits=0)
         run_echelon(introws.echelon, rows, ncols)
-        if counts["pack"]:
+        if counts["packed"]:
             # one first packing, then a repack per guard failure (one
             # _max_bits each) and per width check that failed
             guard += counts["max_bits"] - 1
-            wider += counts["pack"] - counts["max_bits"]
+            wider += counts["packed"] - counts["max_bits"]
     assert guard > 0 and wider > 0
 
 
@@ -1089,13 +1100,13 @@ def test_cheap_echelons_stay_on_lists(monkeypatch):
     # unit-triangular solve do not
     rows = with_identity([list(r) for r in m.data])
     introws.echelon(rows, 16)
-    assert counts["pack"] > 0
-    counts.update(pack=0)
+    assert counts["packed"] > 0
+    counts.update(packed=0)
     invariant_factors(int_matrix([r[:16] for r in rows]))
     lower = int_matrix([[rng.randint(-3, 3) if j < i else int(i == j)
                          for j in range(16)] for i in range(16)])
     solve_right_int(lower, lower.mul(int_matrix(random_rows(rng, 16, 2))))
-    assert counts["pack"] == 0
+    assert counts["packed"] == 0
 
 
 def test_callers_do_not_depend_on_the_switch(monkeypatch):
@@ -1136,7 +1147,7 @@ def test_skipping_the_guard_band_test_gives_a_wrong_echelon(monkeypatch):
 
 def oracle_forward_fp(a, ncols, p):
     """The forward elimination over F_p on plain lists, one Python
-    operation per entry of every row update: ``exactlin._forward_fp`` as
+    operation per entry of every row update: ``introws._forward_fp`` as
     it was before it packed its rows."""
     pivots = []
     for col in range(ncols):
@@ -1240,7 +1251,7 @@ def forward_cases(p):
 @pytest.mark.parametrize("p", FP_PRIMES)
 def test_forward_fp_matches_the_list_oracle(p):
     for name, rows, ncols in forward_cases(p):
-        got = run_forward(exactlin._forward_fp, rows, ncols, p)
+        got = run_forward(introws._forward_fp, rows, ncols, p)
         assert got == run_forward(oracle_forward_fp, rows, ncols, p), name
         if rows:
             # the static bound holds for the delayed reduction
@@ -1257,7 +1268,7 @@ def test_forward_fp_matches_the_list_oracle_on_seeded_shapes():
         if rng.random() < 0.5:
             rows = with_identity(rows)
         ncols = rng.randint(0, nc)
-        assert run_forward(exactlin._forward_fp, rows, ncols, p) == \
+        assert run_forward(introws._forward_fp, rows, ncols, p) == \
             run_forward(oracle_forward_fp, rows, ncols, p), (rows, ncols, p)
 
 
@@ -1268,13 +1279,13 @@ def test_the_pivot_swap_moves_a_row_zero_in_the_pivot_column_down():
     rows = [[0, 0, 1, 2], [2, 1, 0, 1], [0, 2, 2, 0]]
     expected = ([0, 1, 2], [[1, 2, 0, 2], [0, 1, 1, 0], [0, 0, 1, 2]])
     assert run_forward(oracle_forward_fp, rows, 3, 3) == expected
-    assert run_forward(exactlin._forward_fp, rows, 3, 3) == expected
+    assert run_forward(introws._forward_fp, rows, 3, 3) == expected
     # row 0 moves to the bottom (pivot of column 0 in row 2), and the
     # pivot of column 1 then updates it
     rows = [[0, 1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]]
     expected = ([0, 1, 2], [[1, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 2]])
     assert run_forward(oracle_forward_fp, rows, 3, 3) == expected
-    assert run_forward(exactlin._forward_fp, rows, 3, 3) == expected
+    assert run_forward(introws._forward_fp, rows, 3, 3) == expected
 
 
 def worst_case(p, k):
@@ -1298,13 +1309,13 @@ def test_one_byte_narrower_fp_slot_gives_a_wrong_elimination(case,
     p, k = WORST_CASES[case]
     rows = worst_case(p, k)
     bound = slot_bound(p, len(rows), k)
-    w = exactlin._fp_slot_bytes(p, k)
+    w = introws._fp_slot_bytes(p, k)
     # the case reaches the bound, and the bound fills the width
     assert delayed_peak(rows, k, p) == bound
     assert 256 ** (w - 1) <= bound < 256 ** w
     expected = run_forward(oracle_forward_fp, rows, k, p)
-    assert run_forward(exactlin._forward_fp, rows, k, p) == expected
-    narrow = exactlin._fp_slot_bytes
-    monkeypatch.setattr(exactlin, "_fp_slot_bytes",
+    assert run_forward(introws._forward_fp, rows, k, p) == expected
+    narrow = introws._fp_slot_bytes
+    monkeypatch.setattr(introws, "_fp_slot_bytes",
                         lambda p, pivots: narrow(p, pivots) - 1)
-    assert run_forward(exactlin._forward_fp, rows, k, p) != expected
+    assert run_forward(introws._forward_fp, rows, k, p) != expected
