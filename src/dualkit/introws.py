@@ -68,15 +68,13 @@ in [-9, 9], packing ran x4.2 / 8.7-9.1 / 16.5-16.9 / 23-25 faster at
 n = 16 / 32 / 64 / 128; with 10 % of the entries nonzero the two took
 about as long at n = 32, and packing ran x1.8-1.95 faster at n = 64
 (two runs, median of five calls each, on a shared 2-vCPU machine).
-The switch points were set before the product packed signed digits,
-when the two took about as long at n = 64.  Every list product
-runs on ``mul_pairs``, and no other list product is written beside it;
-a caller that multiplies by one left factor many times finds its pairs
-once with ``nonzero_pairs``: ``apply_factor`` for its ``left x right``
-blocks, and ``rep`` for each generator over every edge of the Cayley
-graph.  ``scripts/exactlin_timings.py`` prints the timings of both
-products, of both echelons, of both F_p eliminations and of the switch
-points.
+Every list product runs on ``mul_pairs``, and no other list product is
+written beside it; a caller that multiplies by one left factor many
+times finds its pairs once with ``nonzero_pairs``: ``apply_factor`` for
+its ``left x right`` blocks, and ``rep`` for each generator over every
+edge of the Cayley graph.  ``scripts/exactlin_timings.py`` prints the
+timings of both products, of both echelons, of both F_p eliminations
+and of the switch points.
 
 ``exactlin.Matrix`` wraps these rows with a scalar domain and a shape;
 the representation layer keeps its own ``(rows, den)`` matrices, one

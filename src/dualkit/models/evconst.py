@@ -7,9 +7,23 @@ store the free rank f and only the exceptional dimensions d_p != f.
 
 A morphism carries an integer matrix between the free parts and, at an
 explicit finite set of primes, F_p matrices; at every other prime the
-component is the reduction of the free part.  Canonical form drops
-explicit primes where both endpoints are non-exceptional and the stored
-matrix equals that reduction.
+component is the reduction of the free part.  The free part is the
+component at no prime: ``dim(None)`` is f and ``component(None)`` is the
+integer matrix.  Canonical form drops explicit primes where both
+endpoints are non-exceptional and the stored matrix equals that
+reduction (one predicate, ``_redundant``, for the constructor and the
+check).
+
+Every structure map is one call of ``_build``: one ``part(domain, p)``
+gives the free part at p = None over Z and the component at each prime
+of ``_primes`` over F_p, and ``ev_morphism`` canonicalises the result
+once.  ``_primes`` is the one prime rule: each explicit prime of an input
+morphism and each exceptional prime of an input object; at any other
+prime every input, and so the map, is the reduction of its free part.
+It reads the input objects, not only the endpoints of the result: the
+braiding of S^2 (dimension 3 at 5) with S^3 (dimension 2 at 5) goes
+S^6 -> S^6, yet at 5 it swaps 3 (x) 2 and is not the reduction of the
+free swap of 2 (x) 3.
 
 Cofibers are computed from one integer row echelon of the free part:
 its rank gives the new free rank, its invariant factors the relevant
@@ -45,7 +59,8 @@ class EvObject:
         if list(self.exc) != sorted(self.exc):
             raise ValueError("exceptional primes not sorted")
 
-    def dim(self, p: int) -> int:
+    def dim(self, p: int | None) -> int:
+        """The dimension at the prime p; at p = None, the free rank."""
         for q, d in self.exc:
             if q == p:
                 return d
@@ -97,9 +112,9 @@ class EvMorphism:
                 (self.free.rows, self.free.cols) != (self.cod.f, self.dom.f):
             raise DimensionMismatch("free part shape mismatch")
         keys = [p for p, _ in self.explicit]
-        if list(self.explicit) != sorted(self.explicit, key=lambda t: t[0]):
+        if keys != sorted(keys):
             raise ValueError("explicit primes not sorted")
-        for p in set(self.dom.exc_primes()) | set(self.cod.exc_primes()):
+        for p in _primes(self.dom, self.cod):
             if p not in keys:
                 raise MalformedInput(
                     f"missing explicit component at prime {p}")
@@ -107,11 +122,13 @@ class EvMorphism:
             if m.domain != fp(p) or \
                     (m.rows, m.cols) != (self.cod.dim(p), self.dom.dim(p)):
                 raise DimensionMismatch(f"component at {p} has wrong shape")
-            if self.dom.dim(p) == self.dom.f and self.cod.dim(p) == self.cod.f \
-                    and m == self.free.mod(p):
+            if _redundant(self.dom, self.cod, self.free, p, m):
                 raise ValueError(f"non-canonical: redundant explicit prime {p}")
 
-    def component(self, p: int) -> Matrix:
+    def component(self, p: int | None) -> Matrix:
+        """The F_p matrix at the prime p; at p = None, the free part."""
+        if p is None:
+            return self.free
         for q, m in self.explicit:
             if q == p:
                 return m
@@ -137,23 +154,39 @@ class EvMorphism:
 def ev_morphism(dom: EvObject, cod: EvObject, free: Matrix,
                 explicit: dict | None = None) -> EvMorphism:
     """Smart constructor: accepts raw row lists, canonicalizes."""
-    explicit = dict(explicit or {})
     if not isinstance(free, Matrix):
         free = int_matrix(free, shape=(cod.f, dom.f))
     comps = {}
-    for p, m in explicit.items():
+    for p, m in (explicit or {}).items():
         if not isinstance(m, Matrix):
             m = Matrix.from_rows(fp(p), m, shape=(cod.dim(p), dom.dim(p)))
         elif m.domain != fp(p):
             m = m.mod(p)
         comps[p] = m
-    keep = []
-    for p in sorted(comps):
-        m = comps[p]
-        if dom.dim(p) == dom.f and cod.dim(p) == cod.f and m == free.mod(p):
-            continue
-        keep.append((p, m))
-    return EvMorphism(dom, cod, free, tuple(keep))
+    return EvMorphism(dom, cod, free, tuple(
+        (p, comps[p]) for p in sorted(comps)
+        if not _redundant(dom, cod, free, p, comps[p])))
+
+
+def _redundant(dom: EvObject, cod: EvObject, free: Matrix, p: int,
+               m: Matrix) -> bool:
+    """Whether the component m at p is implied: both endpoints are
+    non-exceptional at p and m is the reduction of the free part."""
+    return dom.dim(p) == dom.f and cod.dim(p) == cod.f and m == free.mod(p)
+
+
+def _primes(*inputs) -> list:
+    """The one prime rule: the sorted primes at which a map built from
+    these objects and morphisms needs its own component."""
+    return sorted({p for x in inputs for p, _ in
+                   (x.exc if isinstance(x, EvObject) else x.explicit)})
+
+
+def _build(dom: EvObject, cod: EvObject, part, *inputs) -> EvMorphism:
+    """The morphism dom -> cod with free part part(INT, None) and the
+    component part(fp(p), p) at each prime p of _primes(*inputs)."""
+    return ev_morphism(dom, cod, part(INT, None),
+                       {p: part(fp(p), p) for p in _primes(*inputs)})
 
 
 class EvConst(ModelCategory):
@@ -172,85 +205,70 @@ class EvConst(ModelCategory):
         return f.cod
 
     def identity(self, x: EvObject) -> EvMorphism:
-        expl = {p: Matrix.identity(fp(p), x.dim(p)) for p in x.exc_primes()}
-        return ev_morphism(x, x, Matrix.identity(INT, x.f), expl)
+        return _build(x, x, lambda d, p: Matrix.identity(d, x.dim(p)), x)
 
     def compose(self, g: EvMorphism, f: EvMorphism) -> EvMorphism:
         if f.cod != g.dom:
             raise DimensionMismatch("evconst composition boundary mismatch")
-        primes = sorted(set(f.explicit_primes()) | set(g.explicit_primes()))
-        expl = {p: g.component(p).mul(f.component(p)) for p in primes}
-        return ev_morphism(f.dom, g.cod, g.free.mul(f.free), expl)
+        return _build(f.dom, g.cod,
+                      lambda d, p: g.component(p).mul(f.component(p)), f, g)
 
     def tensor_obj(self, x: EvObject, y: EvObject) -> EvObject:
-        primes = set(x.exc_primes()) | set(y.exc_primes())
-        return ev_object(x.f * y.f, {p: x.dim(p) * y.dim(p) for p in primes})
+        return ev_object(x.f * y.f,
+                         {p: x.dim(p) * y.dim(p) for p in _primes(x, y)})
 
     def tensor_mor(self, f: EvMorphism, g: EvMorphism) -> EvMorphism:
-        dom = self.tensor_obj(f.dom, g.dom)
-        cod = self.tensor_obj(f.cod, g.cod)
-        primes = sorted(set(f.explicit_primes()) | set(g.explicit_primes()))
-        expl = {p: kronecker(f.component(p), g.component(p)) for p in primes}
-        return ev_morphism(dom, cod, kronecker(f.free, g.free), expl)
+        return _build(self.tensor_obj(f.dom, g.dom),
+                      self.tensor_obj(f.cod, g.cod),
+                      lambda d, p: kronecker(f.component(p), g.component(p)),
+                      f, g)
 
     def act(self, out: EvMorphism, left: EvObject, mor: EvMorphism,
             right: EvObject) -> EvMorphism:
         tensor = self.tensor_obj
         if out.cod != tensor(tensor(left, mor.dom), right):
             raise DimensionMismatch("evconst action boundary mismatch")
-        # at any other prime every part is the reduction of the free one
-        primes = (set(out.explicit_primes()) | set(mor.explicit_primes())
-                  | set(left.exc_primes()) | set(right.exc_primes()))
-        expl = {p: apply_factor(mor.component(p), out.component(p),
-                                left.dim(p), right.dim(p)) for p in primes}
-        return ev_morphism(out.dom, tensor(tensor(left, mor.cod), right),
-                           apply_factor(mor.free, out.free, left.f, right.f),
-                           expl)
+        return _build(out.dom, tensor(tensor(left, mor.cod), right),
+                      lambda d, p: apply_factor(
+                          mor.component(p), out.component(p),
+                          left.dim(p), right.dim(p)),
+                      out, mor, left, right)
 
     def braiding(self, x: EvObject, y: EvObject) -> EvMorphism:
-        dom = self.tensor_obj(x, y)
-        cod = self.tensor_obj(y, x)
-        primes = set(x.exc_primes()) | set(y.exc_primes())
-        expl = {p: commutation(fp(p), x.dim(p), y.dim(p)) for p in primes}
-        return ev_morphism(dom, cod, commutation(INT, x.f, y.f), expl)
+        return _build(self.tensor_obj(x, y), self.tensor_obj(y, x),
+                      lambda d, p: commutation(d, x.dim(p), y.dim(p)), x, y)
 
     def zero_mor(self, x: EvObject, y: EvObject) -> EvMorphism:
-        primes = set(x.exc_primes()) | set(y.exc_primes())
-        expl = {p: Matrix.zeros(fp(p), y.dim(p), x.dim(p)) for p in primes}
-        return ev_morphism(x, y, Matrix.zeros(INT, y.f, x.f), expl)
+        return _build(x, y, lambda d, p: Matrix.zeros(d, y.dim(p), x.dim(p)),
+                      x, y)
 
     def add_mor(self, f: EvMorphism, g: EvMorphism) -> EvMorphism:
         if (f.dom, f.cod) != (g.dom, g.cod):
             raise DimensionMismatch("evconst addition boundary mismatch")
-        primes = sorted(set(f.explicit_primes()) | set(g.explicit_primes()))
-        expl = {p: f.component(p).add(g.component(p)) for p in primes}
-        return ev_morphism(f.dom, f.cod, f.free.add(g.free), expl)
+        return _build(f.dom, f.cod,
+                      lambda d, p: f.component(p).add(g.component(p)), f, g)
 
     def negate(self, f: EvMorphism) -> EvMorphism:
-        expl = {p: m.scale(-1) for p, m in f.explicit}
-        return ev_morphism(f.dom, f.cod, f.free.scale(-1), expl)
+        return _build(f.dom, f.cod, lambda d, p: f.component(p).scale(-1), f)
 
     def sub_mor(self, f: EvMorphism, g: EvMorphism) -> EvMorphism:
         return self.add_mor(f, self.negate(g))
 
     def biproduct(self, x: EvObject, y: EvObject) -> Biproduct:
-        primes = set(x.exc_primes()) | set(y.exc_primes())
-        obj = ev_object(x.f + y.f, {p: x.dim(p) + y.dim(p) for p in primes})
-
-        def block(domain, rows, cols, k):
-            return Matrix.from_rows(
-                domain, [[int(i == j + k) for j in range(cols)]
-                         for i in range(rows)], shape=(rows, cols))
+        obj = ev_object(x.f + y.f,
+                        {p: x.dim(p) + y.dim(p) for p in _primes(x, y)})
 
         def injection(src, second):
             # the identity onto the coordinates of the first or second
             # summand; its transpose is the projection
-            free = block(INT, obj.f, src.f, second * x.f)
-            i = ev_morphism(src, obj, free, {
-                p: block(fp(p), obj.dim(p), src.dim(p), second * x.dim(p))
-                for p in primes})
-            return i, ev_morphism(obj, src, i.free.transpose(),
-                                  {p: m.transpose() for p, m in i.explicit})
+            def part(domain, p):
+                rows, cols, k = obj.dim(p), src.dim(p), second * x.dim(p)
+                return Matrix.from_rows(
+                    domain, [[int(i == j + k) for j in range(cols)]
+                             for i in range(rows)], shape=(rows, cols))
+            i = _build(src, obj, part, x, y)
+            return i, _build(obj, src,
+                             lambda d, p: i.component(p).transpose(), i)
 
         (i1, p1), (i2, p2) = injection(x, 0), injection(y, 1)
         return Biproduct(obj=obj, inj1=i1, inj2=i2, proj1=p1, proj2=p2)
@@ -258,40 +276,36 @@ class EvConst(ModelCategory):
     def duality(self, x: EvObject) -> DualityDatum:
         xx = self.tensor_obj(x, x)
 
-        def pairing(domain, n, transposed):
+        def pairing(domain, p):
+            # the row with a 1 at each diagonal index i*n + i of x (x) x
+            n = x.dim(p)
             diag = {i * n + i for i in range(n)}
-            col = [[1 if k in diag else 0] for k in range(n * n)]
-            m = Matrix.from_rows(domain, col, shape=(n * n, 1))
-            return m.transpose() if transposed else m
+            return Matrix.from_rows(domain, [[int(k in diag)
+                                              for k in range(n * n)]],
+                                    shape=(1, n * n))
 
-        primes = x.exc_primes()
-        eta = ev_morphism(UNIT, xx, pairing(INT, x.f, False),
-                          {p: pairing(fp(p), x.dim(p), False)
-                           for p in primes})
-        eps = ev_morphism(xx, UNIT, pairing(INT, x.f, True),
-                          {p: pairing(fp(p), x.dim(p), True)
-                           for p in primes})
-        return DualityDatum(obj=x, dual=x, eta=eta, eps=eps)
+        return DualityDatum(
+            obj=x, dual=x,
+            eta=_build(UNIT, xx, lambda d, p: pairing(d, p).transpose(), x),
+            eps=_build(xx, UNIT, pairing, x))
 
     def invert(self, f: EvMorphism) -> EvMorphism:
-        if f.dom.f != f.cod.f or any(
-                f.dom.dim(p) != f.cod.dim(p)
-                for p in set(f.dom.exc_primes()) | set(f.cod.exc_primes())):
+        # canonical objects are equal exactly when their free ranks and
+        # their dimensions at every prime agree
+        if f.dom != f.cod:
             raise NotInvertible("objects have different dimensions")
-        free_inv = invert_or_fail(f.free)
-        expl = {p: invert_or_fail(m) for p, m in f.explicit}
-        return ev_morphism(f.cod, f.dom, free_inv, expl)
+        return _build(f.cod, f.dom,
+                      lambda d, p: invert_or_fail(f.component(p)), f)
 
     # ------------------------------------------------ solving and counting
 
     def _solve(self, a, b, dom, cod, t):
         """X: dom -> cod with t(a) * t(X) = t(b) at the free part and at
         each explicit prime of a or b; t is the identity or the transpose."""
-        primes = sorted(set(a.explicit_primes()) | set(b.explicit_primes()))
-        free = t(solve_right_int(t(a.free), t(b.free)))
-        return ev_morphism(dom, cod, free, {
-            p: t(solve_right_fp(t(a.component(p)), t(b.component(p))))
-            for p in primes})
+        def part(domain, p):
+            solve = solve_right_int if p is None else solve_right_fp
+            return t(solve(t(a.component(p)), t(b.component(p))))
+        return _build(dom, cod, part, a, b)
 
     def lift(self, a: EvMorphism, b: EvMorphism) -> EvMorphism:
         return self._solve(a, b, b.dom, a.dom, lambda m: m)
@@ -331,7 +345,7 @@ def enumerate_homs(x: EvObject, y: EvObject):
     the components in lexicographic order, the smallest prime slowest."""
     if x.f * y.f != 0:
         raise ValueError("infinite hom-set: free parts are nonzero")
-    primes = sorted(set(x.exc_primes()) | set(y.exc_primes()))
+    primes = _primes(x, y)
     free = Matrix.zeros(INT, y.f, x.f)
     choices = [[Matrix.from_rows(fp(p), [e[i * c:(i + 1) * c]
                                          for i in range(r)], shape=(r, c))
@@ -347,10 +361,5 @@ def hom_group_structure(x: EvObject, y: EvObject) -> dict:
     Hom = Z^(x.f*y.f) + sum over exceptional primes p of
     Mat_{y.d_p x x.d_p}(F_p); returns {"free": rank, "torsion": {p: dim}}.
     """
-    primes = sorted(set(x.exc_primes()) | set(y.exc_primes()))
-    torsion = {}
-    for p in primes:
-        n = x.dim(p) * y.dim(p)
-        if n:
-            torsion[p] = n
+    torsion = {p: n for p in _primes(x, y) if (n := x.dim(p) * y.dim(p))}
     return {"free": x.f * y.f, "torsion": torsion}

@@ -12,8 +12,11 @@ import time
 
 import pytest
 
-from dualkit.exactlin import (Matrix, NotInvertible, fp, int_matrix,
-                              is_prime, smith_normal_form)
+from dualkit import MalformedInput
+from dualkit.exactlin import (INT, Matrix, NotInvertible, apply_factor,
+                              commutation, fp, int_matrix, invert_or_fail,
+                              is_prime, kronecker, smith_normal_form,
+                              solve_right_fp)
 from dualkit.models import (EvConst, EvMorphism, UNIT, ZERO,
                             biproduct_equations_hold, enumerate_homs,
                             ev_morphism, ev_object, hom_group_structure,
@@ -311,3 +314,206 @@ def test_json_roundtrip():
         a, b = rand_object(rng), rand_object(rng)
         f = rand_morphism(rng, a, b)
         assert EvMorphism.from_json(f.to_json()) == f
+
+
+# ------------------------------------------- structure maps, prime by prime
+#
+# Every structure map is checked against its definition one component at
+# a time: the free part over Z and the F_p part at each prime of CHECKED,
+# which holds every exceptional prime the inputs can have (a 12-digit
+# one among them) and three primes at which every input is the reduction
+# of its free part.  The references read the inputs only through `free`, `f`,
+# `component` and `dim`, so they do not depend on which primes a map
+# chooses to store.
+
+BIG = 999999999989                   # the largest 12-digit prime
+EXCEPTIONAL = (2, 3, 5, BIG)
+CHECKED = (2, 3, 5, 7, 11, 13, BIG)
+
+
+def dim_at(x, p):
+    return x.f if p is None else x.dim(p)
+
+
+def part_at(f, p):
+    return f.free if p is None else f.component(p)
+
+
+def domain_at(p):
+    return INT if p is None else fp(p)
+
+
+def assert_canonical(m):
+    """m stores exactly the primes at which its component differs from
+    the reduction of its free part or an endpoint is exceptional."""
+    every = {p: m.component(p) for p in {*CHECKED, *m.explicit_primes()}}
+    assert ev_morphism(m.dom, m.cod, m.free, every) == m
+    assert list(m.explicit_primes()) == sorted(m.explicit_primes())
+
+
+def assert_parts(m, ref):
+    """m's free part is ref(None) and its component at p is ref(p)."""
+    assert_canonical(m)
+    assert m.free == ref(None)
+    for p in CHECKED:
+        assert m.component(p) == ref(p), p
+
+
+def rand_wide_object(rng, maxdim=2):
+    return rand_object(rng, primes=EXCEPTIONAL, maxdim=maxdim)
+
+
+def rand_wide_morphism(rng, dom, cod, bound=5):
+    return rand_morphism(rng, dom, cod, bound, primes=EXCEPTIONAL)
+
+
+def rand_invertible(rng, x):
+    """An automorphism of x: a unimodular free part and, at each explicit
+    prime, an invertible F_p matrix (lower times upper unitriangular)."""
+    def unitriangular(domain, n):
+        lower = Matrix.from_rows(domain, [
+            [rng.randint(-3, 3) if j < i else int(i == j) for j in range(n)]
+            for i in range(n)], shape=(n, n))
+        upper = Matrix.from_rows(domain, [
+            [rng.randint(-3, 3) if j > i else int(i == j) for j in range(n)]
+            for i in range(n)], shape=(n, n))
+        return lower.mul(upper)
+    primes = {*x.exc_primes(), *(p for p in EXCEPTIONAL
+                                 if rng.random() < 0.3)}
+    return ev_morphism(x, x, unitriangular(INT, x.f),
+                       {p: unitriangular(fp(p), x.dim(p)) for p in primes})
+
+
+def test_structure_maps_match_the_components_prime_by_prime():
+    rng = random.Random(22)
+    for _ in range(40):
+        x, y, z, w = (rand_wide_object(rng) for _ in range(4))
+        f, f2 = rand_wide_morphism(rng, x, y), rand_wide_morphism(rng, x, y)
+        g = rand_wide_morphism(rng, y, z)
+        h = rand_wide_morphism(rng, z, w)
+
+        assert_parts(C.identity(x),
+                     lambda p: Matrix.identity(domain_at(p), dim_at(x, p)))
+        assert_parts(C.compose(g, f),
+                     lambda p: part_at(g, p).mul(part_at(f, p)))
+        assert_parts(C.tensor_mor(f, h),
+                     lambda p: kronecker(part_at(f, p), part_at(h, p)))
+        assert_parts(C.braiding(x, z),
+                     lambda p: commutation(domain_at(p), dim_at(x, p),
+                                           dim_at(z, p)))
+        assert_parts(C.zero_mor(x, z),
+                     lambda p: Matrix.zeros(domain_at(p), dim_at(z, p),
+                                            dim_at(x, p)))
+        assert_parts(C.add_mor(f, f2),
+                     lambda p: part_at(f, p).add(part_at(f2, p)))
+        assert_parts(C.negate(f), lambda p: part_at(f, p).scale(-1))
+        assert_parts(C.sub_mor(f, f2),
+                     lambda p: part_at(f, p).sub(part_at(f2, p)))
+
+        xz = C.tensor_obj(x, z)
+        for p in (None,) + CHECKED:
+            assert dim_at(xz, p) == dim_at(x, p) * dim_at(z, p)
+
+        # act(out, left, mor, right) = (id_left (x) mor (x) id_right) o out
+        out = rand_wide_morphism(rng, w, C.tensor_obj(C.tensor_obj(z, x), y))
+        acted = C.act(out, z, f, y)
+        assert acted.cod == C.tensor_obj(C.tensor_obj(z, y), y)
+        assert_parts(acted, lambda p: apply_factor(
+            part_at(f, p), part_at(out, p), dim_at(z, p), dim_at(y, p)))
+
+
+def test_biproduct_and_duality_match_the_components_prime_by_prime():
+    rng = random.Random(23)
+
+    def block(p, rows, cols, offset):
+        return Matrix.from_rows(
+            domain_at(p), [[int(i == j + offset) for j in range(cols)]
+                           for i in range(rows)], shape=(rows, cols))
+
+    for _ in range(40):
+        x, y = rand_wide_object(rng), rand_wide_object(rng)
+        bp = C.biproduct(x, y)
+        for p in (None,) + CHECKED:
+            assert dim_at(bp.obj, p) == dim_at(x, p) + dim_at(y, p)
+        for inj, proj, src, k in ((bp.inj1, bp.proj1, x, 0),
+                                  (bp.inj2, bp.proj2, y, 1)):
+            def ref(p, src=src, k=k):
+                return block(p, dim_at(bp.obj, p), dim_at(src, p),
+                             k * dim_at(x, p))
+            assert_parts(inj, ref)
+            assert_parts(proj, lambda p, ref=ref: ref(p).transpose())
+
+        dd = C.duality(x)
+        assert dd.dual == x
+
+        def pairing(p):
+            n = dim_at(x, p)
+            return Matrix.from_rows(
+                domain_at(p), [[int(k % (n + 1) == 0) for k in range(n * n)]],
+                shape=(1, n * n))
+        assert_parts(dd.eps, pairing)
+        assert_parts(dd.eta, lambda p: pairing(p).transpose())
+
+
+def test_invert_lift_and_extend_prime_by_prime():
+    rng = random.Random(24)
+    for _ in range(40):
+        x, y, z = (rand_wide_object(rng) for _ in range(3))
+        u = rand_invertible(rng, x)
+        assert_parts(C.invert(u), lambda p: invert_or_fail(part_at(u, p)))
+
+        # a lift of b = a o t along a, and an extension of c = t o a
+        a, t = rand_wide_morphism(rng, y, z), rand_wide_morphism(rng, x, y)
+        b = C.compose(a, t)
+        lifted = C.lift(a, b)
+        assert (lifted.dom, lifted.cod) == (x, y)
+        assert_canonical(lifted)
+        assert C.compose(a, lifted) == b
+        for p in (None,) + CHECKED:
+            assert part_at(a, p).mul(part_at(lifted, p)) == part_at(b, p)
+        for p in {*a.explicit_primes(), *b.explicit_primes()}:
+            assert lifted.component(p) == \
+                solve_right_fp(a.component(p), b.component(p))
+
+        a, t = rand_wide_morphism(rng, x, y), rand_wide_morphism(rng, y, z)
+        c = C.compose(t, a)
+        extended = C.extend(a, c)
+        assert (extended.dom, extended.cod) == (y, z)
+        assert_canonical(extended)
+        assert C.compose(extended, a) == c
+        for p in {*a.explicit_primes(), *c.explicit_primes()}:
+            assert extended.component(p) == solve_right_fp(
+                a.component(p).transpose(),
+                c.component(p).transpose()).transpose()
+
+
+def test_braiding_keeps_a_component_where_neither_endpoint_is_exceptional():
+    x, y = ev_object(2, {5: 3}), ev_object(3, {5: 2})
+    b = C.braiding(x, y)
+    # both endpoints are S^6, yet at 5 the swap is of 3 (x) 2, not 2 (x) 3
+    assert b.dom == b.cod == ev_object(6)
+    assert b.explicit_primes() == (5,)
+    assert b.component(5) == commutation(fp(5), 3, 2)
+    assert b.component(5) != b.free.mod(5)
+    assert C.compose(C.braiding(y, x), b) == C.identity(b.dom)
+
+
+def test_the_free_part_is_the_component_at_no_prime():
+    rng = random.Random(25)
+    for _ in range(30):
+        x, y = rand_wide_object(rng), rand_wide_object(rng)
+        assert x.dim(None) == x.f
+        f = rand_wide_morphism(rng, x, y)
+        assert f.component(None) is f.free
+        for p in CHECKED:
+            assert f.component(p) == dict(f.explicit).get(p, f.free.mod(p))
+    x = ev_object(2, {3: 0})
+    assert (x.dim(None), x.dim(3), x.dim(5)) == (2, 0, 2)
+
+
+def test_a_missing_component_names_the_smallest_prime():
+    dom = ev_object(1, {5: 0, 11: 0})
+    with pytest.raises(MalformedInput, match="at prime 5$"):
+        EvMorphism(dom, S, int_matrix([[1]]))
+    with pytest.raises(MalformedInput, match="at prime 11$"):
+        ev_morphism(dom, S, [[1]], {5: [[]]})
