@@ -8,9 +8,10 @@ The commands are read from the CLI block of README.md.  Each runs as
 ``python3 -m dualkit.cli ...`` with ``src`` on the path, in a temporary
 directory holding the ``cert.json`` that ``equi validate`` reads.  The
 script prints the median wall time of ``repeats`` runs (default 5) of
-``import dualkit.cli`` and of each command, with the dualkit layers the
-process loaded (read from ``python -X importtime``).  It exits with
-status 1 if ``import dualkit.cli`` alone loads a layer.
+``import dualkit.cli`` and of each command, with the dualkit layers and
+the dualkit submodules the process loaded (read from ``python -X
+importtime``).  It exits with status 1 if ``import dualkit.cli`` alone
+loads a layer.
 """
 
 from __future__ import annotations
@@ -58,14 +59,27 @@ def run(python_args: list, cwd: Path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def layers_loaded(python_args: list, cwd: Path) -> tuple:
-    """(completed process, sorted dualkit layers it imported) for one run
-    under ``-X importtime``."""
+def modules_loaded(python_args: list, cwd: Path) -> tuple:
+    """(completed process, sorted names below ``dualkit`` of the dualkit
+    modules it imported, such as "models.spanfin") for one run under
+    ``-X importtime``."""
     out = run(["-X", "importtime", *python_args], cwd)
     names = {m.group(1) for m in map(_IMPORT_LINE.match,
                                      out.stderr.splitlines()) if m}
-    return out, tuple(layer for layer in sorted(LAYERS)
-                      if f"dualkit.{layer}" in names)
+    return out, tuple(sorted(name.removeprefix("dualkit.") for name in names
+                             if name.startswith("dualkit.")))
+
+
+def layers_of(modules: tuple) -> tuple:
+    """The sorted dualkit layers among modules."""
+    return tuple(layer for layer in sorted(LAYERS) if layer in modules)
+
+
+def layers_loaded(python_args: list, cwd: Path) -> tuple:
+    """(completed process, sorted dualkit layers it imported) for one run
+    under ``-X importtime``."""
+    out, modules = modules_loaded(python_args, cwd)
+    return out, layers_of(modules)
 
 
 def median_s(python_args: list, cwd: Path, repeats: int) -> float:
@@ -87,11 +101,13 @@ def main() -> int:
             for argv in readme_commands()]
         bare_layers = ()
         for i, (name, args) in enumerate(cases):
-            _, layers = layers_loaded(args, cwd)
+            _, modules = modules_loaded(args, cwd)
+            layers = layers_of(modules)
             if i == 0:
                 bare_layers = layers
             print(f"{name:40s} {median_s(args, cwd, repeats) * 1e3:7.1f} ms"
-                  f"  layers: {', '.join(layers) or '-'}")
+                  f"  layers: {', '.join(layers) or '-'}\n{'':53s}"
+                  f"modules: {', '.join(modules) or '-'}")
     return 1 if bare_layers else 0
 
 

@@ -63,3 +63,27 @@ def has_shape(obj, shape) -> bool:
         return has_shape(obj[name], s) if name in obj else key.endswith("?")
     return isinstance(obj, dict) and all(field_ok(key, s)
                                          for key, s in shape.items())
+
+
+def _lazy_exports(namespace: dict, exports: dict) -> tuple:
+    """(__getattr__, __dir__) for the package whose globals are
+    namespace and whose public names are listed per home submodule in
+    exports ({submodule: names}).  A name is imported from its home on
+    first access and then kept in namespace, so importing the package
+    loads no submodule.  The submodule is loaded by the import
+    statement's machinery, so that ``python -X importtime`` lists it."""
+    package = namespace["__name__"]
+    home = {name: sub for sub, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        if name not in home:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(__import__(f"{package}.{home[name]}",
+                                   fromlist=[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | home.keys())
+    return __getattr__, __dir__

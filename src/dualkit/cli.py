@@ -9,9 +9,11 @@ Exit codes: 0 success / verdict true, 1 verdict false or domain error
 deterministic (sorted keys).  The environment variable DUALKIT_SEED
 (default 0) seeds all sampling.
 
-Importing this module loads no dualkit layer: each command imports the
-layer it runs inside its body, so a command pays only for its own layer
-at start-up.
+Importing this module loads no dualkit layer: each command imports
+what it runs inside its body, and ``dualkit.models`` and
+``dualkit.equivariant`` load a submodule only when one of its names is
+first used, so a command pays at start-up only for the submodules it
+runs.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def diagrams_verify(verify_all, trace_name):
 # ------------------------------------------------------------ JSON inputs
 # Spans, EvConst objects and EvConst morphisms given as JSON are checked
 # for shape here, so that a malformed value is a usage error (exit 2)
-# and never reaches the models.
+# and never reaches the models, which are imported only after the check.
 
 # A prime as a JSON key is written in canonical decimal, so that two keys
 # such as "2" and "02" cannot name one prime, and has at most 25 digits:
@@ -147,10 +149,11 @@ def _json_option(blob: str, param: str | None, shape, expected: str):
 # -------------------------------------------------------------------- span
 
 def _span_from_json(blob: str, param: str) -> SpanMorphism:
-    from .models import SpanMorphism
-    return SpanMorphism.from_json(_json_option(
+    obj = _json_option(
         blob, param, {"dom": int, "cod": int, "matrix": [[int]]},
-        'a span {"dom": m, "cod": n, "matrix": [[int, ...], ...]}'))
+        'a span {"dom": m, "cod": n, "matrix": [[int, ...], ...]}')
+    from .models import SpanMorphism
+    return SpanMorphism.from_json(obj)
 
 
 @main.group("span")
@@ -163,10 +166,9 @@ def span_group():
 @click.option("--right", required=True, help="Inner span as JSON.")
 def span_compose(left, right):
     """Compose two spans (left after right)."""
+    f, g = _span_from_json(left, "--left"), _span_from_json(right, "--right")
     from .models import SpanFin
-    model = SpanFin()
-    out = model.compose(_span_from_json(left, "--left"),
-                        _span_from_json(right, "--right"))
+    out = SpanFin().compose(f, g)
     return {"ok": True, "result": out.to_json()}
 
 
@@ -175,10 +177,9 @@ def span_compose(left, right):
 @click.option("--right", required=True, help="Second span as JSON.")
 def span_tensor(left, right):
     """Tensor (cartesian product) of two spans."""
+    f, g = _span_from_json(left, "--left"), _span_from_json(right, "--right")
     from .models import SpanFin
-    model = SpanFin()
-    out = model.tensor_mor(_span_from_json(left, "--left"),
-                           _span_from_json(right, "--right"))
+    out = SpanFin().tensor_mor(f, g)
     return {"ok": True, "result": out.to_json()}
 
 
@@ -232,13 +233,13 @@ def _parse_sizes(ctx, param, value: str) -> tuple:
               help="dom,cod sizes for --shape, each at most 256.")
 def span_cofiber(morphism, shape, sizes):
     """Shape-classified cofiber of a span."""
-    from .models import SpanFin
     if (morphism is None) == (shape is None):
         raise click.UsageError("give exactly one of --morphism / --shape")
     if morphism is not None:
         f = _span_from_json(morphism, "--morphism")
     else:
         f = _span_shape(shape, sizes)
+    from .models import SpanFin
     cof = SpanFin().cofiber(f)
     return {"ok": True, "input": f.to_json(),
             "cofiber": {"obj": cof.obj, "quotient": cof.quotient.to_json(),
@@ -286,11 +287,11 @@ def parse_ev_object(text: str) -> EvObject:
 
 
 def _ev_morphism_from_json(blob: str, param: str) -> EvMorphism:
-    from .models import EvMorphism, ev_morphism, ev_object
     obj = _json_option(
         blob, param, _is_ev_morphism,
         'a morphism {"free": [[int, ...], ...]}, optionally with '
         '"explicit": {p: rows} and "dom"/"cod": {"f": int, "exc": {p: int}}')
+    from .models import EvMorphism, ev_morphism, ev_object
     if "dom" not in obj:
         # free-only shorthand: infer free objects from the matrix shape
         rows = obj["free"]
@@ -312,10 +313,10 @@ def evconst_group():
 @click.option("--right", required=True, help="Inner morphism as JSON.")
 def evconst_compose(left, right):
     """Compose two morphisms (left after right)."""
+    f = _ev_morphism_from_json(left, "--left")
+    g = _ev_morphism_from_json(right, "--right")
     from .models import EvConst
-    model = EvConst()
-    out = model.compose(_ev_morphism_from_json(left, "--left"),
-                        _ev_morphism_from_json(right, "--right"))
+    out = EvConst().compose(f, g)
     return {"ok": True, "result": out.to_json()}
 
 
@@ -336,8 +337,8 @@ def evconst_biproduct(x_str, y_str):
 @click.option("--morphism", required=True, help="Morphism as JSON.")
 def evconst_cofiber(morphism):
     """Cofiber (exact cokernel) of a morphism."""
-    from .models import EvConst
     f = _ev_morphism_from_json(morphism, "--morphism")
+    from .models import EvConst
     cof = EvConst().cofiber(f)
     return {"ok": True, "input": f.to_json(),
             "cofiber": {"obj": str(cof.obj), "json": cof.obj.to_json(),
@@ -365,11 +366,14 @@ def evconst_split(modulus, obj_str):
 # -------------------------------------------------------------------- idem
 
 def _get_model(name: str):
-    from .models import EvConst, SpanFin, product_category
+    """The model named name, importing only the submodules it needs."""
     if name == "spanfin":
+        from .models import SpanFin
         return SpanFin()
+    from .models import EvConst
     if name == "evconst":
         return EvConst()
+    from .models import SpanFin, product_category
     return product_category(EvConst(), SpanFin())     # "product"
 
 

@@ -90,8 +90,9 @@ def mat_identity(n):
 
 
 def mat_rank(a) -> int:
-    """Rank over the rationals: the rank of the integer rows' echelon."""
-    rows = list(a[0])
+    """Rank over the rationals: the rank of the echelon of the distinct
+    integer rows (a repeated row does not change the rank)."""
+    rows = list(dict.fromkeys(a[0]))
     return echelon(rows, len(rows[0]) if rows else 0)
 
 

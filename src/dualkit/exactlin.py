@@ -25,6 +25,7 @@ which checks no entry and only reduces mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import add
 from typing import Sequence, Union
@@ -39,8 +40,12 @@ NAT = "nat"
 INT = "int"
 
 
+@lru_cache(maxsize=256, typed=True)
 def fp(p: int) -> Domain:
-    """The scalar domain F_p."""
+    """The scalar domain F_p.  A prime is proven once: the domains of
+    the last 256 primes asked for are kept, while a refusal (not a prime,
+    or PrimalityUnproven) is an exception, which is not kept, so it is
+    raised again on every call."""
     if not is_prime(p):
         raise MalformedInput(f"F_p requires a prime, got {p}")
     return ("fp", p)

@@ -4,7 +4,9 @@ dualkit defines is a domain failure of one family.
 Each README command runs here as a fresh ``python -m dualkit.cli``
 process under ``-X importtime``; its standard output must equal the
 in-process output through click's test runner, and the dualkit layers it
-imported must be exactly the ones the command needs.
+imported must be exactly the ones the command needs.  Within
+``dualkit.models`` and ``dualkit.equivariant``, a command must load the
+submodules it runs and none of those it does not.
 """
 
 import importlib
@@ -30,6 +32,28 @@ LAYERS_OF = {
     "equi": ("equivariant",),
 }
 README = cli_timings.readme_commands()
+
+# Per command: dualkit submodules it must load and submodules it must
+# not, since the command does not run them.
+EQUI_GROUPS = (("equivariant.groups", "equivariant.presets"),
+               ("equivariant.rep", "equivariant.actions",
+                "equivariant.certificate", "equivariant.spheres", "introws"))
+SUBMODULES_OF = {
+    "span": (("models.spanfin",), ("models.evconst", "models.product")),
+    "evconst": (("models.evconst",), ("models.spanfin", "models.product")),
+    "equi lattice": EQUI_GROUPS,
+    "equi weyl": EQUI_GROUPS,
+}
+
+
+def submodules_of(argv):
+    """(must load, must not load) for argv, or None if it is unmapped."""
+    return SUBMODULES_OF.get(" ".join(argv[:2]), SUBMODULES_OF.get(argv[0]))
+
+
+SUBMODULE_COMMANDS = [argv for argv in README if submodules_of(argv)] + [
+    ["equi", "weyl", "--group", "s3"],
+    ["equi", "weyl", "--group", "d4", "--class", "2"]]
 
 
 def expected_layers(argv):
@@ -66,6 +90,36 @@ def test_fresh_process_matches_in_process(argv, inputs, monkeypatch):
     assert out.returncode == res.exit_code == 0
     assert out.stdout == res.stdout
     assert layers == expected_layers(argv)
+
+
+@pytest.mark.parametrize("argv", SUBMODULE_COMMANDS,
+                         ids=[" ".join(a[:3]) for a in SUBMODULE_COMMANDS])
+def test_fresh_process_loads_only_the_submodules_it_runs(argv, inputs):
+    out, modules = cli_timings.modules_loaded(["-m", "dualkit.cli", *argv],
+                                              inputs)
+    assert out.returncode == 0
+    loaded, unused = submodules_of(argv)
+    assert set(loaded) <= set(modules)
+    assert set(unused).isdisjoint(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ["span", "compose", "--left", '{"dom":2,"cod":2}', "--right", "{}"],
+    ["span", "cofiber", "--morphism", "[[1]]"],
+    ["evconst", "cofiber", "--morphism", "[1]"],
+    ["evconst", "compose", "--left", "{", "--right", '{"free": [[1]]}'],
+], ids=["span-compose", "span-cofiber", "evconst-cofiber", "evconst-compose"])
+def test_a_malformed_json_option_loads_no_layer(argv, inputs):
+    out, layers = cli_timings.layers_loaded(["-m", "dualkit.cli", *argv],
+                                            inputs)
+    assert out.returncode == 2
+    assert layers == ()
+
+
+def test_submodule_map_covers_the_readme():
+    assert {" ".join(a[:2]) for a in SUBMODULE_COMMANDS} == {
+        "span compose", "span dual-check", "span cofiber", "evconst cofiber",
+        "evconst split", "equi lattice", "equi weyl"}
 
 
 def _subclasses(cls):

@@ -30,7 +30,7 @@ from dualkit.equivariant import (REP_PRESETS, InvalidAction,
                                  transitive_actions, untwisting_check,
                                  validate_action, weyl_group)
 from dualkit.equivariant.rep import from_fractions, mat_rank
-from dualkit.introws import mul_pairs
+from dualkit.introws import echelon, mul_pairs
 
 PRESETS = ["c2", "c4", "s3", "d4", "q8", "a4"]
 EXTRA = {
@@ -448,6 +448,47 @@ def test_mat_rank_matches_fraction_elimination():
         if not m:
             continue
         assert mat_rank(from_fractions(m)) == oracle_rank(m)
+
+
+def repeated_row_cases() -> list:
+    """Matrices whose rows repeat: seeded rows of Fractions drawn with
+    repetition, and the projector sums over the elements of H of the
+    permutation matrices of a group's nontrivial subgroups H, whose rows
+    repeat once per H-orbit."""
+    rng = random.Random(4)
+    cases = []
+    for _ in range(200):
+        cols = rng.randint(1, 6)
+        pool = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+        cases.append([list(rng.choice(pool))
+                      for _ in range(len(pool) + rng.randint(1, 4))])
+    for name in ("s3", "d4", "a4", "s4"):
+        G = relabelled(name)
+        cases += [[[sum(h[j] == i for h in H) for j in range(G.degree)]
+                   for i in range(G.degree)]
+                  for H in all_subgroups(G) if len(H) > 1]
+    return cases
+
+
+def rank_mismatches(rank) -> list:
+    """The repeated-row cases on which rank (of a (rows, den) matrix)
+    and the Fraction elimination disagree."""
+    return [m for m in repeated_row_cases()
+            if rank(from_fractions(m)) != oracle_rank(m)]
+
+
+def test_mat_rank_on_repeated_rows():
+    cases = repeated_row_cases()
+    assert all(len(set(map(tuple, m))) < len(m) for m in cases)
+    assert rank_mismatches(mat_rank) == []
+
+
+def test_mat_rank_dropping_a_distinct_row_fails():
+    def mutant(a):
+        rows = list(dict.fromkeys(a[0]))[:-1]
+        return echelon(rows, len(a[0][0]))
+    assert rank_mismatches(mutant) != []
 
 
 def test_zero_dimensional_representation():

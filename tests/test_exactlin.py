@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import dualkit.exactlin as exactlin
 from dualkit import MalformedInput
 from dualkit.exactlin import (
     INT, NAT, RHO_STEPS, DimensionMismatch, FactorBudgetExceeded, Matrix,
@@ -319,6 +320,27 @@ def test_is_prime_refuses_an_unproven_probable_prime_at_once():
     # above the proven bound a witness still settles composites
     assert not is_prime(2 ** 101 - 1)
     assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
+
+
+def test_fp_proves_each_prime_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+    monkeypatch.setattr(exactlin, "is_prime", counting_is_prime)
+    fp.cache_clear()
+    for _ in range(3):
+        assert fp(999999999989) == ("fp", 999999999989)
+        assert fp(5) == ("fp", 5)
+    assert calls == [999999999989, 5]
+    # a refusal is not kept: the test runs and raises on every call
+    for _ in range(2):
+        with pytest.raises(MalformedInput, match="got 4"):
+            fp(4)
+        with pytest.raises(PrimalityUnproven):
+            fp(2 ** 89 - 1)
+    assert calls[2:] == [4, 2 ** 89 - 1] * 2
 
 
 # ---------------------------------------------------------------- commutation
