@@ -482,10 +482,7 @@ def idem_complement(model_name, obj_str):
     """Complement of a clopen idempotent via the cofiber of its
     inclusion."""
     from . import idem
-    from .models import UnsupportedShape
     model = _get_model(model_name)
-    if model_name != "evconst":
-        raise UnsupportedShape("complements need the additive evconst model")
     cl = _default_clopen(model, model_name, obj_str)
     c_obj, comp = idem.complement_of_retract(model, cl.E, cl.r, cl.i)
     smash = model.tensor_obj(cl.E, comp.E)
@@ -515,11 +512,7 @@ def idem_split_homs(model_name, obj_str, pairs):
     """Check hom-set splitting along a clopen idempotent and its
     complement on sampled object pairs."""
     from . import idem
-    from .models import UnsupportedShape
     model = _get_model(model_name)
-    if model_name != "evconst":
-        raise UnsupportedShape("hom splitting is checked in the evconst "
-                               "model")
     cl = _default_clopen(model, model_name, obj_str)
     _, comp = idem.complement_of_retract(model, cl.E, cl.r, cl.i)
     rng = random.Random(get_seed())

@@ -13,7 +13,7 @@ A map from a finite group is fixed by its values on generators (Holt,
 Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, 2.1), so
 the action axiom rho(g s) = rho(g) rho(s) is checked for every g but for
 the generators s only: every h is a product s_1 ... s_k of generators
-(``PermGroup.table`` checks that the elements are their closure), and
+(a ``PermGroup`` computes its elements as their closure), and
 induction on k with rho(1) = 1 gives rho(g h) = rho(g) rho(h).  That is
 |G|·|S| row compositions instead of |G|^2.
 """

@@ -14,7 +14,7 @@ orders subgroups exactly as comparing their sorted permutations does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .. import DomainError, MalformedInput, has_shape
@@ -93,12 +93,21 @@ class CayleyTable:
 
 @dataclass(frozen=True)
 class PermGroup:
+    """The permutation group of the given degree that the generators
+    generate.  ``elements`` is not an argument: it is the sorted closure
+    of the generators, computed once on construction (after each
+    generator is checked to be a permutation), so every element is a
+    product of generators, as the action checks and ``Representation``,
+    which test products with the generators only, need.  GroupTooLarge
+    if the closure has more than DEFAULT_ORDER_BOUND elements."""
     degree: int
     generators: tuple       # of permutation tuples
-    elements: tuple         # sorted materialized closure
+    elements: tuple = field(init=False)
 
     def __post_init__(self):
         _check_permutations(self.degree, self.generators)
+        object.__setattr__(self, "elements", tuple(sorted(
+            _closure(self.degree, self.generators))))
 
     @property
     def order(self) -> int:
@@ -106,18 +115,7 @@ class PermGroup:
 
     @cached_property
     def table(self) -> CayleyTable:
-        """The Cayley table on element indices, built on first use.
-
-        The action checks and ``Representation`` test products with the
-        generators only, which needs every element to be a product of
-        generators.  So ``elements`` must be the sorted closure of
-        ``generators``, as ``perm_group`` builds it, else MalformedInput;
-        the closure is a walk from the identity along the generators
-        (|G|·|S| products)."""
-        if tuple(sorted(_closure(self.degree, self.generators))) != \
-                self.elements:
-            raise MalformedInput(
-                "elements are not the sorted closure of the generators")
+        """The Cayley table on element indices, built on first use."""
         return CayleyTable(self.degree, self.elements)
 
     def to_json(self) -> dict:
@@ -141,10 +139,7 @@ def _check_permutations(degree: int, generators):
 
 
 def perm_group(degree: int, generators) -> PermGroup:
-    gens = tuple(tuple(g) for g in generators)
-    _check_permutations(degree, gens)  # before the closure indexes them
-    elements = tuple(sorted(_closure(degree, gens)))
-    return PermGroup(degree, gens, elements)
+    return PermGroup(degree, tuple(map(tuple, generators)))
 
 
 # ------------------------------------------------------------ subgroups

@@ -1,10 +1,13 @@
 """Exact matrix arithmetic over N, Z (arbitrary precision), and F_p.
 
 Provides Kronecker products and ``apply_factor``, which applies a
-matrix to one tensor factor without building one; the Smith normal form
-with unimodular transforms, invariant factors, saturated left kernels
-and integral solutions, all from one row echelon over Z; the rank, left
-null basis and solutions over F_p, all from one forward elimination,
+matrix to one tensor factor without building one; the matrices of the
+swap (``commutation``), of a biproduct's summand (``injection``) and
+of the diagonal duality (``pairing``), which fix those basis orders
+for every model; the Smith normal form with unimodular transforms,
+invariant factors, saturated left kernels and integral solutions, all
+from one row echelon over Z; the rank, left null basis and solutions
+over F_p, all from one forward elimination,
 which packs each row it updates into one big integer and reduces mod p
 only the pivot rows and, once, the rows it returns; and exact inverses,
 as the solutions of m*X = I over the matrix's own domain.  The echelon,
@@ -19,7 +22,8 @@ prime.  Matrices are immutable value objects.  Their entries are checked
 where data comes in (direct construction, ``from_rows`` and the readers
 built on it, ``retag``, ``scale``); the kernels, whose results are valid
 whenever their inputs are, build their results with ``Matrix._trusted``,
-which checks no entry and only reduces mod p.
+which checks no entry and only reduces mod p; so do ``commutation``,
+``injection`` and ``pairing``, whose entries are 0 and 1.
 """
 
 from __future__ import annotations
@@ -418,6 +422,27 @@ def commutation(domain: Domain, a: int, b: int) -> Matrix:
         for j in range(b):
             rows[j * a + i][i * b + j] = 1
     return Matrix._trusted(domain, a * b, a * b, rows)
+
+
+def injection(domain: Domain, n: int, s: int, k: int) -> Matrix:
+    """The s x n inclusion of a summand of dimension n into one of
+    dimension s at the coordinates k..k+n-1; its transpose is the
+    projection onto that summand."""
+    if not 0 <= k <= s - n:
+        raise DimensionMismatch(f"no {n} coordinates from {k} in {s}")
+    rows = [[0] * n for _ in range(s)]
+    for j in range(n):
+        rows[k + j][j] = 1
+    return Matrix._trusted(domain, s, n, rows)
+
+
+def pairing(domain: Domain, n: int) -> Matrix:
+    """The 1 x n^2 row of the diagonal pairing A (x) A -> 1 for dim A = n:
+    a 1 at each index i*n + i of the basis (i, j) -> i*n + j."""
+    row = [0] * (n * n)
+    for i in range(n):
+        row[i * n + i] = 1
+    return Matrix._trusted(domain, 1, n * n, [row])
 
 
 def _identity_rows(n: int) -> list:

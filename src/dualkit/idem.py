@@ -99,7 +99,8 @@ def complement_of_retract(model: ModelCategory, E, r, i):
     """Complement of a clopen idempotent: the cofiber of i: E -> S with its
     own clopen structure (s = quotient, j the solved section).
 
-    Requires an additive model that solves extensions (EvConst).
+    Requires an additive model that solves extensions (EvConst); on any
+    other model ``sub_mor`` or ``extend`` raises UnsupportedShape.
     """
     cof = model.cofiber(i)
     c_obj, s = cof.obj, cof.quotient

@@ -3,8 +3,12 @@
 A model category exposes: object canonical form and equality, morphism
 equality, identity, composition, tensor, the action of a morphism on one
 tensor factor, braiding, biproducts, zero objects/morphisms, duality
-data, cofibers, suspension and, optionally, lifts, extensions, scalars
-and hom dimensions.  Everything is exact and deterministic.
+data, cofibers, suspension and, optionally, negatives, differences,
+lifts, extensions, scalars and hom dimensions.  A model without an
+optional operation inherits a method that raises ``UnsupportedShape``
+naming the model (``hom_dims`` returns None instead), so a caller such
+as ``idem.complement_of_retract`` fails with a domain error on it.
+Everything is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -109,8 +113,15 @@ class ModelCategory:
     def invert(self, f):  # pragma: no cover - interface
         raise NotImplementedError
 
-    # solving and counting, for models with matrix hom-groups: lift(a, b)
-    # is the X with a o X = b, and extend(a, b) the X with X o a = b
+    # subtraction, solving and counting, for models with matrix
+    # hom-groups: lift(a, b) is the X with a o X = b, and extend(a, b)
+    # the X with X o a = b
+
+    def negate(self, f):
+        raise UnsupportedShape(f"{self.name} has no negatives")
+
+    def sub_mor(self, f, g):
+        raise UnsupportedShape(f"{self.name} has no subtraction")
 
     def lift(self, a, b):
         raise UnsupportedShape(f"{self.name} solves no lifting problems")

@@ -38,10 +38,10 @@ from itertools import product
 
 from .. import MalformedInput
 from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
-                        apply_factor, commutation, fp, int_matrix,
+                        apply_factor, commutation, fp, injection, int_matrix,
                         invert_or_fail, kronecker, left_kernel_int,
-                        left_null_basis_fp, prime_factors, solve_right_fp,
-                        solve_right_int)
+                        left_null_basis_fp, pairing, prime_factors,
+                        solve_right_fp, solve_right_int)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory
 
 
@@ -189,6 +189,11 @@ def _build(dom: EvObject, cod: EvObject, part, *inputs) -> EvMorphism:
                        {p: part(fp(p), p) for p in _primes(*inputs)})
 
 
+def _transpose(f: EvMorphism) -> EvMorphism:
+    """f.cod -> f.dom with every component transposed."""
+    return _build(f.cod, f.dom, lambda d, p: f.component(p).transpose(), f)
+
+
 class EvConst(ModelCategory):
     name = "evconst"
 
@@ -257,37 +262,17 @@ class EvConst(ModelCategory):
     def biproduct(self, x: EvObject, y: EvObject) -> Biproduct:
         obj = ev_object(x.f + y.f,
                         {p: x.dim(p) + y.dim(p) for p in _primes(x, y)})
-
-        def injection(src, second):
-            # the identity onto the coordinates of the first or second
-            # summand; its transpose is the projection
-            def part(domain, p):
-                rows, cols, k = obj.dim(p), src.dim(p), second * x.dim(p)
-                return Matrix.from_rows(
-                    domain, [[int(i == j + k) for j in range(cols)]
-                             for i in range(rows)], shape=(rows, cols))
-            i = _build(src, obj, part, x, y)
-            return i, _build(obj, src,
-                             lambda d, p: i.component(p).transpose(), i)
-
-        (i1, p1), (i2, p2) = injection(x, 0), injection(y, 1)
-        return Biproduct(obj=obj, inj1=i1, inj2=i2, proj1=p1, proj2=p2)
+        i1 = _build(x, obj, lambda d, p: injection(d, x.dim(p), obj.dim(p), 0),
+                    x, y)
+        i2 = _build(y, obj, lambda d, p: injection(d, y.dim(p), obj.dim(p),
+                                                   x.dim(p)), x, y)
+        return Biproduct(obj=obj, inj1=i1, inj2=i2,
+                         proj1=_transpose(i1), proj2=_transpose(i2))
 
     def duality(self, x: EvObject) -> DualityDatum:
-        xx = self.tensor_obj(x, x)
-
-        def pairing(domain, p):
-            # the row with a 1 at each diagonal index i*n + i of x (x) x
-            n = x.dim(p)
-            diag = {i * n + i for i in range(n)}
-            return Matrix.from_rows(domain, [[int(k in diag)
-                                              for k in range(n * n)]],
-                                    shape=(1, n * n))
-
-        return DualityDatum(
-            obj=x, dual=x,
-            eta=_build(UNIT, xx, lambda d, p: pairing(d, p).transpose(), x),
-            eps=_build(xx, UNIT, pairing, x))
+        eps = _build(self.tensor_obj(x, x), UNIT,
+                     lambda d, p: pairing(d, x.dim(p)), x)
+        return DualityDatum(obj=x, dual=x, eta=_transpose(eps), eps=eps)
 
     def invert(self, f: EvMorphism) -> EvMorphism:
         # canonical objects are equal exactly when their free ranks and

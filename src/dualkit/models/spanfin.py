@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exactlin import (NAT, DimensionMismatch, Matrix, NotInvertible,
-                        apply_factor, commutation, invert_or_fail, kronecker,
-                        nat_matrix)
+                        apply_factor, commutation, injection, invert_or_fail,
+                        kronecker, nat_matrix, pairing)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory, UnsupportedShape
 
 
@@ -47,6 +47,11 @@ class SpanMorphism:
 
 def span(dom: int, cod: int, rows) -> SpanMorphism:
     return SpanMorphism(dom, cod, nat_matrix(rows, shape=(cod, dom)))
+
+
+def _transpose(f: SpanMorphism) -> SpanMorphism:
+    """The opposite span: its legs swapped."""
+    return SpanMorphism(f.cod, f.dom, f.matrix.transpose())
 
 
 class SpanFin(ModelCategory):
@@ -100,19 +105,15 @@ class SpanFin(ModelCategory):
 
     def biproduct(self, x: int, y: int) -> Biproduct:
         s = x + y
-        i1, i2 = (span(n, s, [[int(i == j + k) for j in range(n)]
-                              for i in range(s)]) for n, k in ((x, 0), (y, x)))
+        i1 = SpanMorphism(x, s, injection(NAT, x, s, 0))
+        i2 = SpanMorphism(y, s, injection(NAT, y, s, x))
         return Biproduct(obj=s, inj1=i1, inj2=i2,
-                         proj1=SpanMorphism(s, x, i1.matrix.transpose()),
-                         proj2=SpanMorphism(s, y, i2.matrix.transpose()))
+                         proj1=_transpose(i1), proj2=_transpose(i2))
 
     def duality(self, x: int) -> DualityDatum:
         # self-dual via the diagonal span 1 <- x -> x*x
-        diag = {i * x + i for i in range(x)}
-        eta_rows = [[1 if k in diag else 0] for k in range(x * x)]
-        eta = span(1, x * x, eta_rows)
-        eps = SpanMorphism(x * x, 1, eta.matrix.transpose())
-        return DualityDatum(obj=x, dual=x, eta=eta, eps=eps)
+        eps = SpanMorphism(x * x, 1, pairing(NAT, x))
+        return DualityDatum(obj=x, dual=x, eta=_transpose(eps), eps=eps)
 
     def invert(self, f: SpanMorphism) -> SpanMorphism:
         if f.dom != f.cod:

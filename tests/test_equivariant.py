@@ -9,7 +9,6 @@ from itertools import combinations
 
 import pytest
 
-from dualkit import MalformedInput
 from dualkit.equivariant import (COFIBER_LOCAL, SINGLETON_KILL, SMASH_REMOVE,
                                  CertStep, CollapseCertificate,
                                  GroupTooLarge, IntervalSphere, InvalidAction,
@@ -117,12 +116,15 @@ class TestSubgroupLattice:
         (((1, 0, 2),), ((1, 0, 2),)),               # no identity
     ])
     def test_elements_must_be_the_closure(self, generators, elements):
-        # the action checks and Representation test generators only
-        G = PermGroup(3, generators, elements)
-        with pytest.raises(MalformedInput, match="sorted closure"):
-            G.table
-        with pytest.raises(MalformedInput, match="sorted closure"):
-            regular_representation(G)
+        # the action checks and Representation test generators only, so
+        # elements is never an argument: it is the sorted closure
+        with pytest.raises(TypeError):
+            PermGroup(3, generators, elements)
+        G = PermGroup(3, generators)
+        # each generator here is a transposition, so it and the identity
+        # are the whole closure
+        assert G.elements == tuple(sorted({(0, 1, 2), *generators}))
+        assert G.order == len(G.table.mul) == regular_representation(G).dim
 
 
 class TestRepresentations:

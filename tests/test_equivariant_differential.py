@@ -16,7 +16,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from dualkit import MalformedInput
 from dualkit.equivariant import rep as rep_module
 from dualkit.equivariant import (REP_PRESETS, InvalidAction,
                                  NonIntegralAverage, Representation,
@@ -373,10 +372,10 @@ def test_skipping_the_last_generator_misses_a_corruption():
                   validate_action, untwisting_check):
         with pytest.raises(InvalidAction):
             check(G, bad)
-    # a PermGroup with the last generator dropped fails its closure check,
-    # so the mutant bypasses it with the same elements and table
-    with pytest.raises(MalformedInput):
-        dataclasses.replace(G, generators=(s,)).table
+    # a PermGroup with the last generator dropped is the order-2 group it
+    # generates, so the mutant keeps the elements and table of S4
+    assert dataclasses.replace(G, generators=(s,)).elements == \
+        (p_identity(4), s)
     mutant = SimpleNamespace(elements=G.elements, generators=(s,),
                              table=G.table)
     assert validate_action(mutant, bad) == 24

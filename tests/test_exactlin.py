@@ -17,9 +17,9 @@ from dualkit import MalformedInput
 from dualkit.exactlin import (
     INT, NAT, RHO_STEPS, DimensionMismatch, FactorBudgetExceeded, Matrix,
     NotInvertible, PrimalityUnproven, cokernel_decomposition, commutation, fp, fp_matrix, int_matrix,
-    invert_or_fail, is_prime, kronecker, left_null_basis_fp, nat_matrix,
-    pollard_brent, prime_factors, rank_fp, smith_normal_form, solve_right_fp,
-    solve_right_int,
+    injection, invert_or_fail, is_prime, kronecker, left_null_basis_fp,
+    nat_matrix, pairing, pollard_brent, prime_factors, rank_fp,
+    smith_normal_form, solve_right_fp, solve_right_int,
 )
 
 
@@ -355,6 +355,36 @@ def test_commutation_swaps_kronecker_factors():
             kronecker(y, x).mul(commutation(INT, a, b))
     k = commutation(NAT, 2, 3)
     assert k.mul(commutation(NAT, 3, 2)).is_identity()
+
+
+DOMAINS = [NAT, INT, fp(7)]
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_injection_is_the_hand_built_inclusion(domain, n):
+    for s in (n, n + 2):
+        for k in sorted({0, s - n}):
+            rows = [[0] * n for _ in range(s)]
+            for j in range(n):
+                rows[k + j][j] = 1
+            i = injection(domain, n, s, k)
+            assert i == Matrix.from_rows(domain, rows, shape=(s, n))
+            # its transpose, the projection, is a left inverse
+            assert i.transpose().mul(i) == Matrix.identity(domain, n)
+    with pytest.raises(DimensionMismatch):
+        injection(domain, n, n + 2, 3)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_pairing_is_the_hand_built_diagonal_row(domain, n):
+    row = [int(idx in {i * n + i for i in range(n)}) for idx in range(n * n)]
+    assert pairing(domain, n) == Matrix.from_rows(domain, [row],
+                                                  shape=(1, n * n))
+    # invariant under the swap of the two factors
+    assert pairing(domain, n).mul(commutation(domain, n, n)) == \
+        pairing(domain, n)
 
 
 # ---------------------------------------------------------------- factoring

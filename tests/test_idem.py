@@ -17,8 +17,9 @@ from dualkit.idem import (ClopenIdempotent, NotTwistedTrivial,
                           complement_of_retract, derived_open_structure,
                           euler_twist, gp_idempotent, is_closed_idempotent,
                           is_clopen, split_homs_check, untwist)
-from dualkit.models import (EvConst, SpanFin, UNIT, ZERO, enumerate_homs,
-                            ev_morphism, ev_object, product_category, span)
+from dualkit.models import (EvConst, SpanFin, UNIT, ZERO, UnsupportedShape,
+                            enumerate_homs, ev_morphism, ev_object,
+                            product_category, span)
 
 EV = EvConst()
 SP = SpanFin()
@@ -122,6 +123,16 @@ def test_complement_is_involutive_on_objects():
     _, comp = complement_of_retract(EV, cl.E, cl.r, cl.i)
     back, _ = complement_of_retract(EV, comp.E, comp.r, comp.i)
     assert back == cl.E
+
+
+@pytest.mark.parametrize("model", [SP, product_category(EV, SP)],
+                         ids=["spanfin", "product"])
+def test_complement_needs_subtraction(model):
+    # the unit is a clopen idempotent of itself, and its cofiber exists,
+    # but 1 - i o r needs a subtraction these models do not have
+    r = model.identity(model.unit())
+    with pytest.raises(UnsupportedShape, match="has no subtraction"):
+        complement_of_retract(model, model.unit(), r, r)
 
 
 # ---------------------------------------------------------------- grouplike
