@@ -34,6 +34,12 @@ switch point ``introws.PACKED_UPDATES`` over 4, 8, 16, 32 and 64 row
 updates per row and prints the time of the cofibers and of the Smith
 forms of all four sizes against the list loop alone.
 
+For the same n it times ``left_kernel_int`` on the cofiber's free part
+F above, which echelons F alone, logging its rounds, and replays the
+log for the kernel rows, beside the echelon of [F | I] it replaced
+(``oracle_left_kernel_int`` in ``tests/test_exactlin_differential.py``),
+and prints both times and their ratio.
+
 For n = 32, 64 and 128 and p = 2, 7, 1000003 and 999999999989 it
 times ``rank_fp`` and ``left_null_basis_fp`` on an n x n matrix over
 F_p whose last quarter of rows are sums of two earlier rows, once with
@@ -55,8 +61,9 @@ with status 1 if the two SNF diagonals differ, U*m*V is not D,
 rank is not 2, the two solves disagree on whether a system has a
 solution, a returned X does not satisfy a*X = b, the two row
 products differ, the two echelons differ in a row or in the rank, a
-switch point changes a Smith form or a cofiber, or the two F_p
-eliminations differ in a row, a pivot or a result.
+switch point changes a Smith form or a cofiber, the two left kernels
+differ in q or in the invariant factors, or the two F_p eliminations
+differ in a row, a pivot or a result.
 """
 
 from __future__ import annotations
@@ -73,13 +80,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from dualkit.exactlin import (PACKED_NONZEROS,  # noqa: E402
                               PACKED_ROWS, NotInvertible, fp_matrix,
                               int_matrix, invariant_factors,
-                              left_null_basis_fp, rank_fp,
+                              left_kernel_int, left_null_basis_fp, rank_fp,
                               smith_normal_form, solve_right_int)
 from dualkit import exactlin, introws  # noqa: E402
 from dualkit.introws import echelon, mul_packed, mul_rows  # noqa: E402
 from dualkit.models import EvConst, ev_morphism, ev_object  # noqa: E402
 from test_exactlin_differential import (oracle_echelon,  # noqa: E402
-                                        oracle_forward_fp, oracle_snf,
+                                        oracle_forward_fp,
+                                        oracle_left_kernel_int, oracle_snf,
                                         oracle_solve_int, run_echelon,
                                         run_forward, with_identity)
 
@@ -171,6 +179,23 @@ def echelon_series(repeats) -> bool:
             print(f"{n:>3} {name:>15} {list_s * 1e3:>8.1f}ms "
                   f"{packed_s * 1e3:>8.1f}ms  {list_s / packed_s:>5.2f}"
                   + ("" if got == want else "  DIFFER"))
+    return ok
+
+
+def kernel_series(repeats) -> bool:
+    """left_kernel_int, the echelon of F with the log replayed, against
+    the echelon of [F | I] it replaced, on the cofibers' free parts."""
+    ok = True
+    print(f"\n{'n':>3} {'kernel rows':>11} {'[F | I]':>10} {'F, replay':>10}"
+          f"  ratio")
+    for n in SIZES:
+        free = snf_and_cofiber_inputs(n)[1].free
+        want, old_s = timed(lambda: oracle_left_kernel_int(free), repeats)
+        got, new_s = timed(lambda: left_kernel_int(free), repeats)
+        ok = ok and got == want
+        print(f"{n:>3} {want[1].rows:>11} {old_s * 1e3:>8.1f}ms "
+              f"{new_s * 1e3:>8.1f}ms  {old_s / new_s:>5.2f}"
+              + ("" if got == want else "  DIFFER"))
     return ok
 
 
@@ -309,6 +334,9 @@ def main() -> int:
         print("SNF, invariant factors or cofiber free rank WRONG")
     if not echelon_series(repeats):
         print("the packed echelon and the list loop DIFFER")
+        ok = False
+    if not kernel_series(repeats):
+        print("the replayed left kernel and the [F | I] echelon DIFFER")
         ok = False
     if not switch_sweep(repeats):
         print("a switch point CHANGES a Smith form or a cofiber")

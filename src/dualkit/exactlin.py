@@ -5,8 +5,9 @@ matrix to one tensor factor without building one; the matrices of the
 swap (``commutation``), of a biproduct's summand (``injection``) and
 of the diagonal duality (``pairing``), which fix those basis orders
 for every model; the Smith normal form with unimodular transforms,
-invariant factors, saturated left kernels and integral solutions, all
-from one row echelon over Z; the rank, left null basis and solutions
+invariant factors, saturated left kernels (from an echelon of m alone,
+whose logged row operations are replayed for the kernel rows) and
+integral solutions, all from one row echelon over Z; the rank, left null basis and solutions
 over F_p, all from one forward elimination,
 which packs each row it updates into one big integer and reduces mod p
 only the pivot rows and, once, the rows it returns; and exact inverses,
@@ -36,7 +37,8 @@ from typing import Sequence, Union
 
 from . import DomainError, MalformedInput
 from .introws import (PACKED_NONZEROS, PACKED_ROWS, _forward_fp, echelon,
-                      mul_packed, mul_pairs, mul_rows, nonzero_pairs)
+                      mul_packed, mul_pairs, mul_rows, nonzero_pairs,
+                      transform_row)
 
 Domain = Union[str, tuple]
 
@@ -551,15 +553,18 @@ def _size_reduce(basis: list) -> None:
 
 def left_kernel_int(m: Matrix) -> tuple:
     """(invariant factors of m, q) with q a size-reduced Z-basis of the
-    left kernel, (rows - rank) x rows.  q is the I-part of the echelon
-    rows of [m | I] whose m-part vanished: rows of a unimodular matrix,
-    so q is saturated and is the free quotient of coker m."""
+    left kernel, (rows - rank) x rows.  q is rows r.. of the unimodular
+    U with U*m = echelon, for the rank r, so q is saturated and is the
+    free quotient of coker m.  The echelon runs on m alone and logs its
+    rounds; each kernel row of U comes from replaying the log
+    (``transform_row``), the same integers as the I-part of the echelon
+    of [m | I] without the identity block in every row update."""
     n, c = m.rows, m.cols
-    rows = _with_identity(m)
-    r = echelon(rows, c)
-    kernel = [row[c:] for row in rows[r:]]
+    rows, log = list(m.data), []
+    r = echelon(rows, c, log)
+    kernel = [transform_row(log, n, k) for k in range(r, n)]
     _size_reduce(kernel)
-    h = Matrix._trusted(INT, r, c, [row[:c] for row in rows[:r]])
+    h = Matrix._trusted(INT, r, c, rows[:r])
     return invariant_factors(h), Matrix._trusted(INT, n - r, n, kernel)
 
 

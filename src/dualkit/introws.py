@@ -33,17 +33,35 @@ The rows and the rank are those of the list loop (kept as
 ``oracle_echelon`` in ``tests/test_exactlin_differential.py``), so every
 Smith form, kernel, solve and cofiber is unchanged.  In one pass of the
 benchmark's ``exact-models`` workload at seed 1, 30 of 344 echelons
-switch: the first echelon of each Smith form and of each cofiber's
-[F | I], and the second alternation of 3 of the 17 cofibers' invariant
-factors.  Unit triangular solves, the small echelons of the idempotent
-constructions and most later alternations stop before it.  On that
-pass's cofibers and Smith forms, against the list loop alone, a switch
-at 4 / 8 / 16 / 32 / 64 updates per row ran the cofibers x1.72 / 1.94 /
-2.05 / 1.82 / 1.58 and the Smith forms x1.37 / 1.55 / 1.82 / 1.70 /
-1.31 (the best of three in one process on a shared 2-vCPU machine).  On
-the random 48 x 48 Smith form of ``scripts/exactlin_timings.py`` the
-second alternation also switches, with entries of over 2000 bits and
-few rounds left, and runs slower packed than on lists.
+switch: the first echelon of each Smith form's [M | I] and of each
+cofiber's free part F, and the second alternation of 3 of the 17
+cofibers' invariant factors.  Unit triangular solves, the small
+echelons of the idempotent constructions and most later alternations
+stop before it.  When the cofibers still echelonned [F | I], a switch
+at 4 / 8 / 16 / 32 / 64 updates per row ran that pass's cofibers
+x1.72 / 1.94 / 2.05 / 1.82 / 1.58 and its Smith forms x1.37 / 1.55 /
+1.82 / 1.70 / 1.31 against the list loop alone (the best of three in one
+process on a shared 2-vCPU machine).  On F alone the cofibers gain less
+from packing, x1.38-1.65 at 16 in four sweeps of the best of three or
+five, and no other point beat 16 in all four.  On the random 48 x 48
+Smith form of ``scripts/exactlin_timings.py`` the second alternation
+also switches, with entries of over 2000 bits and few rounds left, and
+runs slower packed than on lists.
+
+An echelon given a ``log`` list appends each Euclid round to it, in the
+list phase and the packed phase alike: (r, piv, the pairs (i, q) of
+each row i it updated and its multiplier q), with the pivots, the
+multipliers, the switch and the repacks unchanged.  ``transform_row`` replays the log backwards from
+e_k to give row k of the unimodular U with U*rows = echelon, the I-part
+that an echelon of [rows | I] would carry in every row update.
+``exactlin.left_kernel_int`` echelons F alone and replays only its
+n - r kernel rows: on the benchmark's 17 cofibers, 16 to 48 rows each
+with 47 kernel rows in all, the echelon of F took 114-128 ms and the
+replay 18-31 ms, against 178 ms for the echelon of [F | I], whose
+identity block, once the early columns are cleared, is about two
+thirds of the big-integer work.  Over F_p the same replay gained
+nothing (the packed F_p rows never grow), so ``left_null_basis_fp``
+keeps [m | I].
 
 ``_forward_fp`` is the one forward elimination over F_p, under
 ``exactlin.rank_fp``, ``left_null_basis_fp`` and ``solve_right_fp``.  It
@@ -159,40 +177,70 @@ def _codec(w: int, width: int, signed: bool = False) -> tuple:
             lambda x: split((x + lift) ^ lift))
 
 
-def echelon(rows: list, ncols: int) -> int:
+def echelon(rows: list, ncols: int, log: list | None = None) -> int:
     """Row echelon form over Z of the first ncols columns of rows, in
     place; returns the rank.  Euclid down each column: the smallest
     nonzero |entry| is the pivot (the first such row on a tie), and the
     nearest multiple of it is subtracted from each row below until none
-    is left.  On [m | I] the I-part records a unimodular U with
-    U*m = echelon.  The rows must have equal lengths; a row that changes
-    comes back as a list.
+    is left.  The rows must have equal lengths; a row that changes comes
+    back as a list.
+
+    Each Euclid round swaps rows r and piv and then subtracts q times
+    the new row r from each row i below it with a nonzero entry.  Given
+    a list ``log``, every round appends (r, piv, its (i, q) pairs) to it,
+    so that ``transform_row`` gives the rows of the unimodular U with
+    U*rows = echelon: what the I-part of [rows | I] would hold, without
+    the identity block in every row update.
 
     The loop runs on plain lists until it has made PACKED_UPDATES row
     updates per row, and then hands the rest of the elimination to
-    ``_echelon_packed``, which gives the same rows."""
+    ``_echelon_packed``, which gives the same rows and logs the same
+    rounds."""
     r = updates = 0
     for j in range(ncols):
         while r < len(rows):
             if updates >= PACKED_UPDATES * len(rows):
-                return _echelon_packed(rows, ncols, r, j)
+                return _echelon_packed(rows, ncols, r, j, log)
             piv = min((i for i in range(r, len(rows)) if rows[i][j]),
                       key=lambda i: abs(rows[i][j]), default=None)
             if piv is None:
                 break
             rows[r], rows[piv] = rows[piv], rows[r]
             prow, d = rows[r], rows[r][j]
-            left = False
+            left, qs = False, []
             for i in range(r + 1, len(rows)):
                 if rows[i][j]:
                     q = (2 * rows[i][j] + d) // (2 * d)
                     rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
                     updates += 1
                     left = left or rows[i][j] != 0
+                    if log is not None:
+                        qs.append((i, q))
+            if log is not None:
+                log.append((r, piv, qs))
             if not left:
                 r += 1
                 break
     return r
+
+
+def transform_row(log: list, n: int, k: int) -> list:
+    """Row k of the unimodular U with U*rows = echelon, for the n rows
+    an ``echelon`` logged its rounds of in log.
+
+    A round is U_t = A_t*P_t: P_t swaps rows r and piv, and A_t subtracts
+    q times row r from each logged row i.  So U = U_K*...*U_1, and its
+    row k is e_k^T*U_K*...*U_1: walking the log backwards from e_k, x*A_t
+    is x[r] -= sum(q * x[i]) (each update reads the one pivot row r, so
+    the order within a round does not matter), and then x*P_t swaps
+    x[r] and x[piv].  These are the integers the I-part of row k of
+    [rows | I] holds after the same echelon."""
+    x = [0] * n
+    x[k] = 1
+    for r, piv, qs in reversed(log):
+        x[r] -= sum([q * x[i] for i, q in qs])
+        x[r], x[piv] = x[piv], x[r]
+    return x
 
 
 def _slot_bits(t: int, qbits: int) -> int:
@@ -220,9 +268,11 @@ def _max_bits(rows) -> int:
     return max((abs(x).bit_length() for row in rows for x in row), default=0)
 
 
-def _echelon_packed(rows: list, ncols: int, r: int, j0: int) -> int:
+def _echelon_packed(rows: list, ncols: int, r: int, j0: int,
+                    log: list | None) -> int:
     """``echelon`` from column j0 on, with rows r.. not yet final, on
-    rows packed as integers of s-bit slots of signed digits (``_codec``).
+    rows packed as integers of s-bit slots of signed digits (``_codec``),
+    appending its rounds to log as ``echelon`` does.
 
     Every slot of a live row is kept in the band [-2**t, 2**t), which
     holds at the start (t = 2 * bits + 16 for the largest entry's bits).
@@ -259,6 +309,8 @@ def _echelon_packed(rows: list, ncols: int, r: int, j0: int) -> int:
             d = e[r]
             qs = [(i, (2 * e[i] + d) // (2 * d))
                   for i in range(r + 1, n) if e[i]]
+            if log is not None:
+                log.append((r, piv, qs))
             qbits = max((abs(q).bit_length() for _, q in qs), default=0)
             if s < t + qbits + 2:
                 live = list(map(unpack, v[r:]))

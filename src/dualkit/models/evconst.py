@@ -25,10 +25,13 @@ braiding of S^2 (dimension 3 at 5) with S^3 (dimension 2 at 5) goes
 S^6 -> S^6, yet at 5 it swaps 3 (x) 2 and is not the reduction of the
 free swap of 2 (x) 3.
 
-Cofibers are computed from one integer row echelon of the free part:
-its rank gives the new free rank, its invariant factors the relevant
-primes, and its saturated left kernel the free part of the quotient; at
-each relevant prime the component dimension is cod_p - rank_p(component).
+Cofibers are computed from one integer row echelon of the free part F
+alone (``left_kernel_int``): its rank gives the new free rank, the
+invariant factors of its rows the relevant primes, and its saturated
+left kernel, replayed from the echelon's logged row operations rather
+than carried as an identity block beside F, the free part of the
+quotient; at each relevant prime the component dimension is
+cod_p - rank_p(component).
 """
 
 from __future__ import annotations

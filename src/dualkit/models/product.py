@@ -7,6 +7,8 @@ arguments and pairs the two results, a tuple in general and a
 ``Biproduct``, ``DualityDatum`` or ``Cofiber`` field by field, with the
 provenance ``"(first;second)"``.  Each operation is its own class
 attribute, so it can be wrapped by name like the factors' methods.
+``scalar(n)`` pairs the factors' scalars, and ``hom_dims`` adds the
+factors' hom-group dimensions.
 """
 
 from __future__ import annotations
@@ -61,6 +63,25 @@ class ProductCategory(ModelCategory):
     duality = _componentwise("duality")
     cofiber = _componentwise("cofiber")
     invert = _componentwise("invert")
+    negate = _componentwise("negate")
+    sub_mor = _componentwise("sub_mor")
+    lift = _componentwise("lift")
+    extend = _componentwise("extend")
+
+    def scalar(self, n: int):
+        return (self.m1.scalar(n), self.m2.scalar(n))
+
+    def hom_dims(self, x, y):
+        """Hom(x, y) is Hom(x1, y1) (+) Hom(x2, y2): the generic ranks
+        add, and so do the dimensions at each prime where either factor
+        differs from its generic rank; None if either factor does not
+        count its hom-groups."""
+        dims = (self.m1.hom_dims(x[0], y[0]), self.m2.hom_dims(x[1], y[1]))
+        if None in dims:
+            return None
+        (g1, at1), (g2, at2) = dims
+        at = {p: at1.get(p, g1) + at2.get(p, g2) for p in sorted({*at1, *at2})}
+        return g1 + g2, {p: d for p, d in at.items() if d != g1 + g2}
 
 
 def product_category(m1: ModelCategory, m2: ModelCategory) -> ProductCategory:

@@ -45,6 +45,15 @@ with them:
   left kernel, integer solve and cofiber do not depend on the switch;
   and without the guard-band test the echelon of ``GUARD_CASE`` comes
   back wrong;
+- ``left_kernel_int``, which echelons m alone and replays the logged
+  rounds, returns the factors and q of the echelon of [m | I]
+  (``oracle_left_kernel_int``) byte for byte, with the switch forced at
+  the first update and at its default, on ``INT_CASES``, 300 seeded
+  small shapes and U*D*V at n = 16, 24, 32 and 48; every row of U that
+  ``introws.transform_row`` replays is the I-part of that row of the
+  echelon of [m | I]; ``EvConst.cofiber`` is the oracle's; and a replay
+  that swaps before the updates, a replay in forward order and a log
+  without the packed rounds each give a wrong kernel;
 - the packed F_p elimination ``introws._forward_fp`` returns the pivots
   and the in-place rows of the list loop (``oracle_forward_fp``) over
   F_2, F_3, F_7, F_101 and a 7-digit and a 12-digit prime, on [M | I] up
@@ -76,7 +85,7 @@ from dualkit.exactlin import (
     smith_normal_form, solve_right_fp, solve_right_int,
 )
 from dualkit.introws import mul_packed, mul_pairs, mul_rows, nonzero_pairs
-from dualkit.models import EvConst, ev_morphism, ev_object
+from dualkit.models import EvConst, ev_morphism, ev_object, evconst
 from test_diagram_differential import triple_loop_mul
 
 
@@ -105,6 +114,19 @@ def oracle_echelon(rows, ncols):
                 r += 1
                 break
     return r
+
+
+def oracle_left_kernel_int(m):
+    """``left_kernel_int`` as it was before it replayed the echelon's log:
+    the echelon of [m | I], whose I-part rows past the rank are the
+    kernel."""
+    n, c = m.rows, m.cols
+    rows = exactlin._with_identity(m)
+    r = introws.echelon(rows, c)
+    kernel = [row[c:] for row in rows[r:]]
+    exactlin._size_reduce(kernel)
+    h = Matrix._trusted(INT, r, c, [row[:c] for row in rows[:r]])
+    return invariant_factors(h), Matrix._trusted(INT, n - r, n, kernel)
 
 
 def oracle_snf(m):
@@ -1141,6 +1163,122 @@ def test_skipping_the_guard_band_test_gives_a_wrong_echelon(monkeypatch):
     monkeypatch.setattr(introws, "_band",
                         lambda width, s, t: (band(width, s, t)[0], 0))
     assert run_echelon(introws.echelon, rows, 20) != expected
+
+
+# ------------------------------------------ left kernel from a replayed log
+
+def kernel_cases():
+    """(name, m) for left_kernel_int against oracle_left_kernel_int:
+    INT_CASES, 300 seeded small shapes (0 x n and n x 0 among them, with
+    entries up to 30 digits) and U*D*V at n = 16, 24, 32 and 48, each
+    with a left kernel of dimension 2."""
+    rng = random.Random(25)
+    cases = [(f"INT_CASES[{i}]", m) for i, m in enumerate(INT_CASES)]
+    for i in range(300):
+        nr, nc = rng.randint(0, 9), rng.randint(0, 9)
+        bound = rng.choice((1, 9, 10 ** 6, 10 ** 30))
+        rows = random_rows(rng, nr, nc, rng.random(), -bound, bound)
+        cases.append((f"seeded {i}", int_matrix(rows, shape=(nr, nc))))
+    cases += [(f"U*D*V {n} x {n}", int_matrix(udv_rows(rng, n, 3)))
+              for n in (16, 24, 32, 48)]
+    return cases
+
+
+KERNEL_CASES = kernel_cases()
+UDV_KERNEL_CASES = [m for name, m in KERNEL_CASES if name.startswith("U*D*V")]
+
+
+def kernel_result(m):
+    """left_kernel_int's (factors, q) as plain values: the factors, and
+    q's domain, shape and rows."""
+    factors, q = left_kernel_int(m)
+    return factors, (q.domain, q.rows, q.cols, q.data)
+
+
+def oracle_kernel_result(m):
+    factors, q = oracle_left_kernel_int(m)
+    return factors, (q.domain, q.rows, q.cols, q.data)
+
+
+@pytest.mark.parametrize("switch", SWITCHES.values(), ids=SWITCHES)
+def test_left_kernel_matches_the_identity_block_oracle(switch, monkeypatch):
+    monkeypatch.setattr(introws, "PACKED_UPDATES", switch)
+    for name, m in KERNEL_CASES:
+        assert kernel_result(m) == oracle_kernel_result(m), name
+
+
+@pytest.mark.parametrize("switch", SWITCHES.values(), ids=SWITCHES)
+def test_every_replayed_row_is_the_identity_block_row(switch, monkeypatch):
+    # not only the kernel rows: every row of U replayed from the log is
+    # the I-part of that row of the echelon of [m | I]
+    monkeypatch.setattr(introws, "PACKED_UPDATES", switch)
+    for name, m in KERNEL_CASES:
+        rows, log = list(m.data), []
+        rank = introws.echelon(rows, m.cols, log)
+        ident = with_identity(m.data)
+        assert introws.echelon(ident, m.cols) == rank, name
+        assert [list(r) for r in rows] == [r[:m.cols] for r in ident], name
+        assert [introws.transform_row(log, m.rows, k)
+                for k in range(m.rows)] == [r[m.cols:] for r in ident], name
+
+
+@pytest.mark.parametrize("switch", SWITCHES.values(), ids=SWITCHES)
+def test_cofiber_matches_the_identity_block_oracle(switch, monkeypatch):
+    # the cofibers of the U*D*V cases, of INT_CASES and of morphisms with
+    # explicit primes; the seeded 30-digit shapes are left out, since
+    # the cofiber factors their invariant factors
+    monkeypatch.setattr(introws, "PACKED_UPDATES", switch)
+    model = EvConst()
+    fs = [ev_morphism(ev_object(m.cols), ev_object(m.rows), m)
+          for m in UDV_KERNEL_CASES + INT_CASES] + _ev_morphisms(25, 100)
+    got = [model.cofiber(f) for f in fs]
+    monkeypatch.setattr(evconst, "left_kernel_int", oracle_left_kernel_int)
+    assert got == [model.cofiber(f) for f in fs]
+
+
+def _swap_first(log, n, k):
+    x = [0] * n
+    x[k] = 1
+    for r, piv, qs in reversed(log):
+        x[r], x[piv] = x[piv], x[r]
+        x[r] -= sum(q * x[i] for i, q in qs)
+    return x
+
+
+def _forward(log, n, k):
+    x = [0] * n
+    x[k] = 1
+    for r, piv, qs in log:
+        x[r] -= sum(q * x[i] for i, q in qs)
+        x[r], x[piv] = x[piv], x[r]
+    return x
+
+
+def _drop_packed_rounds(monkeypatch):
+    packed = introws._echelon_packed
+    monkeypatch.setattr(introws, "_echelon_packed",
+                        lambda rows, ncols, r, j0, log:
+                        packed(rows, ncols, r, j0, None))
+
+
+MUTANTS = {
+    "swap undone before the updates":
+        lambda mp: mp.setattr(exactlin, "transform_row", _swap_first),
+    "log replayed forwards":
+        lambda mp: mp.setattr(exactlin, "transform_row", _forward),
+    "packed rounds not logged": _drop_packed_rounds,
+}
+
+
+@pytest.mark.parametrize("mutate", MUTANTS.values(), ids=MUTANTS)
+def test_a_wrong_replay_gives_a_wrong_kernel(mutate, monkeypatch):
+    # with the switch at the first update every U*D*V echelon packs
+    monkeypatch.setattr(introws, "PACKED_UPDATES", 0)
+    expected = [oracle_kernel_result(m) for m in UDV_KERNEL_CASES]
+    assert [kernel_result(m) for m in UDV_KERNEL_CASES] == expected
+    mutate(monkeypatch)
+    got = [kernel_result(m) for m in UDV_KERNEL_CASES]
+    assert all(g != e for g, e in zip(got, expected))
 
 
 # ---------------------------------------------------- packed F_p elimination

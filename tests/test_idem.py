@@ -129,9 +129,10 @@ def test_complement_is_involutive_on_objects():
                          ids=["spanfin", "product"])
 def test_complement_needs_subtraction(model):
     # the unit is a clopen idempotent of itself, and its cofiber exists,
-    # but 1 - i o r needs a subtraction these models do not have
+    # but 1 - i o r needs a subtraction SpanFin does not have; the
+    # product subtracts in each factor, so it is SpanFin that raises
     r = model.identity(model.unit())
-    with pytest.raises(UnsupportedShape, match="has no subtraction"):
+    with pytest.raises(UnsupportedShape, match="^spanfin has no subtraction"):
         complement_of_retract(model, model.unit(), r, r)
 
 
