@@ -9,9 +9,10 @@ The commands are read from the CLI block of README.md.  Each runs as
 directory holding the ``cert.json`` that ``equi validate`` reads.  The
 script prints the median wall time of ``repeats`` runs (default 5) of
 ``import dualkit.cli`` and of each command, with the dualkit layers and
-the dualkit submodules the process loaded (read from ``python -X
-importtime``).  It exits with status 1 if ``import dualkit.cli`` alone
-loads a layer.
+the dualkit submodules the process loaded and whether it imported
+``click`` (read from ``python -X importtime``).  It exits with status 1
+if ``import dualkit.cli`` alone loads a layer, or if it or any command
+imports ``click``.
 """
 
 from __future__ import annotations
@@ -53,21 +54,39 @@ def write_inputs(directory: Path) -> None:
     (directory / "cert.json").write_text(json.dumps(cert.to_json()))
 
 
-def run(python_args: list, cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def run(python_args: list, cwd: Path, **env) -> subprocess.CompletedProcess:
+    """One run of the interpreter with ``src`` on the path and the
+    variables of env set."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
     return subprocess.run([sys.executable, *python_args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
+def imports(python_args: list, cwd: Path) -> tuple:
+    """(completed process, set of the names of every module it imported)
+    for one run under ``-X importtime``."""
+    out = run(["-X", "importtime", *python_args], cwd)
+    return out, {m.group(1) for m in map(_IMPORT_LINE.match,
+                                         out.stderr.splitlines()) if m}
+
+
+def dualkit_modules(names) -> tuple:
+    """The sorted names below ``dualkit`` of the dualkit modules among
+    names, such as "models.spanfin"."""
+    return tuple(sorted(name.removeprefix("dualkit.") for name in names
+                        if name.startswith("dualkit.")))
+
+
+def imports_click(names) -> bool:
+    """Whether names hold ``click`` or one of its submodules."""
+    return any(name.partition(".")[0] == "click" for name in names)
+
+
 def modules_loaded(python_args: list, cwd: Path) -> tuple:
     """(completed process, sorted names below ``dualkit`` of the dualkit
-    modules it imported, such as "models.spanfin") for one run under
-    ``-X importtime``."""
-    out = run(["-X", "importtime", *python_args], cwd)
-    names = {m.group(1) for m in map(_IMPORT_LINE.match,
-                                     out.stderr.splitlines()) if m}
-    return out, tuple(sorted(name.removeprefix("dualkit.") for name in names
-                             if name.startswith("dualkit.")))
+    modules it imported) for one run under ``-X importtime``."""
+    out, names = imports(python_args, cwd)
+    return out, dualkit_modules(names)
 
 
 def layers_of(modules: tuple) -> tuple:
@@ -99,16 +118,23 @@ def main() -> int:
         cases = [("import dualkit.cli", ["-c", "import dualkit.cli"])] + [
             (shlex.join(argv)[:40], ["-m", "dualkit.cli", *argv])
             for argv in readme_commands()]
-        bare_layers = ()
+        bare_layers, with_click = (), []
         for i, (name, args) in enumerate(cases):
-            _, modules = modules_loaded(args, cwd)
+            _, names = imports(args, cwd)
+            modules = dualkit_modules(names)
             layers = layers_of(modules)
             if i == 0:
                 bare_layers = layers
+            click = imports_click(names)
+            if click:
+                with_click.append(name)
             print(f"{name:40s} {median_s(args, cwd, repeats) * 1e3:7.1f} ms"
                   f"  layers: {', '.join(layers) or '-'}\n{'':53s}"
-                  f"modules: {', '.join(modules) or '-'}")
-    return 1 if bare_layers else 0
+                  f"modules: {', '.join(modules) or '-'}\n{'':53s}"
+                  f"click: {'yes' if click else 'no'}")
+    if with_click:
+        print(f"imported click: {'; '.join(with_click)}")
+    return 1 if bare_layers or with_click else 0
 
 
 if __name__ == "__main__":

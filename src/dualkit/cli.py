@@ -1,16 +1,22 @@
-"""Command-line front end for the workbench.
+"""The command-line front end of the workbench for duals, idempotent
+splittings, and collapse certificates in exact model categories.
 
 Subcommands: ``diagrams`` (trace-corpus verification), ``span`` and
 ``evconst`` (model-category computations), ``idem`` (idempotent
 machinery), ``equi`` (equivariant lattices and collapse certificates).
 
-Exit codes: 0 success / verdict true, 1 verdict false or domain error
-(any ``dualkit.DomainError``), 2 usage error.  JSON output is
-deterministic (sorted keys).  The environment variable DUALKIT_SEED
-(default 0) seeds all sampling.
+One table, ``_TABLE``, holds each group's help and, per command, its
+runner and its options; ``main`` builds the ``argparse`` parsers from it
+when it runs, with ``--format text|json`` on every command.  Options are
+never abbreviated, and a repeated option takes its last value.
 
-Importing this module loads no dualkit layer: each command imports
-what it runs inside its body, and ``dualkit.models`` and
+Exit codes: 0 success / verdict true, 1 verdict false or domain error
+(any ``dualkit.DomainError``), 2 usage error, with nothing on standard
+output.  JSON output is deterministic (sorted keys).  The environment
+variable DUALKIT_SEED (default 0) seeds all sampling.
+
+Importing this module loads no dualkit layer and not ``argparse``: each
+command imports what it runs inside its body, and ``dualkit.models`` and
 ``dualkit.equivariant`` load a submodule only when one of its names is
 first used, so a command pays at start-up only for the submodules it
 runs.
@@ -18,15 +24,12 @@ runs.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import random
 import re
 import sys
 from typing import TYPE_CHECKING
-
-import click
 
 from . import DomainError, MalformedInput, clip, has_shape, read_json
 
@@ -37,6 +40,9 @@ if TYPE_CHECKING:
 # option can be declared without importing the equivariant layer.
 REP_NAMES = ("permutation", "reduced-regular", "regular", "standard",
              "trivial")
+# The largest dimension of an EvConst object at any prime, and of each
+# side of a span built by ``span cofiber --shape``.
+_DIM_MAX = 256
 
 
 def get_seed() -> int:
@@ -57,59 +63,137 @@ def _render_text(data, indent=0):
     return lines
 
 
-def command(group: click.Group, name: str):
-    """Register the decorated function as command ``name`` of ``group``,
-    with a last option ``--format text|json``.  The function takes the
-    parsed options and returns its report, a dict with an "ok" verdict; a
-    DomainError it raises becomes the report {"ok": false, "error":
-    "<Class>: <message>"}.  The command prints the report and exits 0
-    when its "ok" is true, else 1.  Any other exception is a defect and
-    propagates."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        def run(fmt, **options):
-            try:
-                report = fn(**options)
-            except DomainError as exc:
-                report = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            click.echo(json.dumps(report, sort_keys=True, indent=2)
-                       if fmt == "json" else "\n".join(_render_text(report)))
-            sys.exit(0 if report["ok"] else 1)
-        cmd = group.command(name)(run)
-        cmd.params.append(click.Option(
-            ["--format", "fmt"], type=click.Choice(["text", "json"]),
-            default="text", help="Output format."))
-        return cmd
-    return decorate
+class _UsageError(Exception):
+    """A command's input that its options' types cannot reject: it exits
+    2 with the message, as an option that does not parse does."""
 
 
-@click.group()
-def main():
-    """Workbench for duals, idempotent splittings, and collapse
-    certificates in exact model categories."""
+# The command table: per group, its help and its commands; per command,
+# its runner and its options.  An option is a flag and its argparse
+# keywords (dest, type, choices, default, required, help, action,
+# metavar); a bounded option's type is an _in_range.
+_TABLE = {group: (text, {}) for group, text in {
+    "diagrams": "String-diagram rewrite traces.",
+    "span": "Spans of finite sets (matrices over the natural numbers).",
+    "evconst": "Eventually-constant products of prime-field vector spaces.",
+    "idem": "Closed/clopen idempotent machinery.",
+    "equi": "Equivariant lattices, spheres, and collapse certificates.",
+}.items()}
+
+
+def _option(flag: str, **settings) -> tuple:
+    """flag and its argparse keywords, with the flag's name as the
+    metavar of a value that has no choices, and the default, if there is
+    one, at the end of the help."""
+    if "action" not in settings and "choices" not in settings:
+        settings.setdefault("metavar", flag[2:].upper())
+    if settings.get("default") is not None:
+        settings["help"] = f"{settings.get('help', '')} (default: %(default)s)"
+    return flag, settings
+
+
+_FORMAT = _option("--format", dest="fmt", choices=("text", "json"),
+                  default="text", help="Output format.")
+
+
+def command(group: str, name: str, *options):
+    """Enter the decorated function in ``_TABLE`` as command ``name`` of
+    ``group``, taking ``options`` and a last option ``--format
+    text|json``.  The function takes the parsed options by their dest
+    and returns its report, a dict with an "ok" verdict; a DomainError
+    it raises becomes the report {"ok": false, "error": "<Class>:
+    <message>"}, and a _UsageError a usage error."""
+    def enter(fn):
+        _TABLE[group][1][name] = (fn, (*options, _FORMAT))
+        return fn
+    return enter
+
+
+def _in_range(lo: int, hi: int, parse=int, what: str = "an integer"):
+    """An argparse type: parse's value, if it and every integer in it
+    (a tuple's entries) lie in lo..hi; its ``bounds`` are (lo, hi)."""
+    def value(text: str):
+        try:
+            v = parse(text)
+            if all(lo <= x <= hi for x in (v if isinstance(v, tuple) else
+                                           (v,))):
+                return v
+        except ValueError:
+            pass
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(
+            f"expected {what} in {lo}..{hi}, not {clip(text)!r}")
+    value.bounds = (lo, hi)
+    return value
+
+
+def _parser():
+    """The argparse parser of every command in ``_TABLE``: no option is
+    abbreviated, and each parser takes ``--help``."""
+    import argparse
+    helper = argparse.ArgumentParser(add_help=False)
+    helper.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+    common = {"add_help": False, "allow_abbrev": False, "parents": [helper]}
+    listing = {"metavar": "COMMAND", "required": True}
+    top = argparse.ArgumentParser(prog="dualkit", description=(
+        __doc__ or "").partition("\n\n")[0], **common)
+    groups = top.add_subparsers(**listing)
+    for group, (text, commands) in _TABLE.items():
+        names = groups.add_parser(group, help=text, description=text,
+                                  **common).add_subparsers(**listing)
+        for name, (fn, options) in commands.items():
+            parser = names.add_parser(name, help=fn.__doc__,
+                                      description=fn.__doc__, **common)
+            for flag, settings in options:
+                parser.add_argument(flag, **settings)
+            parser.set_defaults(_command=(fn, parser))
+    return top
+
+
+def main(argv=None):
+    """Run the command that argv (default: sys.argv[1:]) names, print
+    its report and exit 0 when the report's "ok" is true, else 1; a
+    usage error exits 2 and prints to standard error only."""
+    options = vars(_parser().parse_args(argv))
+    (fn, parser), fmt = options.pop("_command"), options.pop("fmt")
+    try:
+        report = fn(**options)
+    except DomainError as exc:
+        report = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    except _UsageError as exc:
+        parser.error(str(exc))
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2) if fmt == "json"
+              else "\n".join(_render_text(report)), flush=True)
+    except BrokenPipeError:     # the reader left early, as ``| head`` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)             # its report was not delivered
+    sys.exit(0 if report["ok"] else 1)
+
+
+# perfbench/wl_cli.py runs its in-process pass through click's test
+# runner, which reads ``main.name`` and calls ``main.main(args=...,
+# prog_name=...)``.  This adapter keeps that protocol until the benchmark
+# calls ``main(argv)`` itself; it imports nothing.
+main.name = "dualkit"
+main.main = lambda args, prog_name: main(list(args))
 
 
 # ---------------------------------------------------------------- diagrams
 
-@main.group()
-def diagrams():
-    """String-diagram rewrite traces."""
-
-
-@command(diagrams, "verify")
-@click.option("--all", "verify_all", is_flag=True,
-              help="Verify the whole bundled corpus (default).")
-@click.option("--trace", "trace_name", default=None,
-              help="Verify one bundled trace by name, or a JSON file.")
+@command("diagrams", "verify",
+         _option("--all", dest="verify_all", action="store_true",
+                 help="Verify the whole bundled corpus (default)."),
+         _option("--trace", dest="trace_name",
+                 help="Verify one bundled trace by name, or a JSON file."))
 def diagrams_verify(verify_all, trace_name):
     """Replay rewrite traces and check them step by step."""
     from . import diagram as dg
     if verify_all and trace_name is not None:
-        raise click.UsageError("give at most one of --all / --trace")
-    if trace_name is None:
-        reports = dg.validate_corpus()
-    else:
-        reports = [dg.validate_trace(dg.load_trace(trace_name))]
+        raise _UsageError("give at most one of --all / --trace")
+    reports = dg.validate_corpus() if trace_name is None else [
+        dg.validate_trace(dg.load_trace(trace_name))]
     return {"ok": all(r.ok for r in reports),
             "traces": [r.to_json() for r in reports]}
 
@@ -133,16 +217,15 @@ def _is_ev_morphism(v) -> bool:
 
 
 def _json_option(blob: str, param: str | None, shape, expected: str):
+    hint = f"argument {param}: " if param else ""
     try:
         obj = json.loads(blob)
-    except ValueError:
-        raise click.BadParameter(f"not JSON; expected {expected}",
-                                 param_hint=param) from None
-    except RecursionError:
-        raise click.BadParameter(f"nests too deeply; expected {expected}",
-                                 param_hint=param) from None
+    except (ValueError, RecursionError) as exc:
+        why = "nests too deeply" if isinstance(exc, RecursionError) else \
+            "not JSON"
+        raise _UsageError(f"{hint}{why}; expected {expected}") from None
     if not has_shape(obj, shape):
-        raise click.BadParameter(f"expected {expected}", param_hint=param)
+        raise _UsageError(f"{hint}expected {expected}")
     return obj
 
 
@@ -156,14 +239,9 @@ def _span_from_json(blob: str, param: str) -> SpanMorphism:
     return SpanMorphism.from_json(obj)
 
 
-@main.group("span")
-def span_group():
-    """Spans of finite sets (matrices over the natural numbers)."""
-
-
-@command(span_group, "compose")
-@click.option("--left", required=True, help="Outer span as JSON.")
-@click.option("--right", required=True, help="Inner span as JSON.")
+@command("span", "compose",
+         _option("--left", required=True, help="Outer span as JSON."),
+         _option("--right", required=True, help="Inner span as JSON."))
 def span_compose(left, right):
     """Compose two spans (left after right)."""
     f, g = _span_from_json(left, "--left"), _span_from_json(right, "--right")
@@ -172,9 +250,9 @@ def span_compose(left, right):
     return {"ok": True, "result": out.to_json()}
 
 
-@command(span_group, "tensor")
-@click.option("--left", required=True, help="First span as JSON.")
-@click.option("--right", required=True, help="Second span as JSON.")
+@command("span", "tensor",
+         _option("--left", required=True, help="First span as JSON."),
+         _option("--right", required=True, help="Second span as JSON."))
 def span_tensor(left, right):
     """Tensor (cartesian product) of two spans."""
     f, g = _span_from_json(left, "--left"), _span_from_json(right, "--right")
@@ -183,11 +261,10 @@ def span_tensor(left, right):
     return {"ok": True, "result": out.to_json()}
 
 
-@command(span_group, "dual-check")
-@click.option("--size", type=click.IntRange(0, 32), default=2,
-              show_default=True,
-              help="Cardinality of the self-dual object (the check's "
-                   "memory grows as its fourth power).")
+@command("span", "dual-check",
+         _option("--size", type=_in_range(0, 32), default=2,
+                 help="Cardinality of the self-dual object (the check's "
+                      "memory grows as its fourth power)."))
 def span_dual_check(size):
     """Check both snake identities for the diagonal self-duality."""
     from .models import SpanFin, triangle_equations_hold
@@ -212,33 +289,28 @@ def _span_shape(shape: str, sizes) -> SpanMorphism:
     return span(d, c, [[0] * d for _ in range(c)])     # "zero"
 
 
-def _parse_sizes(ctx, param, value: str) -> tuple:
-    parts = value.split(",")
-    try:
-        sizes = tuple(int(p) for p in parts if p.strip().isdecimal())
-    except ValueError:      # more digits than int() converts
-        sizes = ()
-    if len(parts) != 2 or len(sizes) != 2 or max(sizes) > 256:
-        raise click.BadParameter("expected two integers dom,cod in [0, 256]")
-    return sizes
+def _sizes(text: str) -> tuple:
+    """dom,cod as two naturals; ValueError if text is not two decimals."""
+    parts = text.split(",")
+    if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
+        raise ValueError(text)
+    return tuple(int(p) for p in parts)     # ValueError past 4300 digits
 
 
-@command(span_group, "cofiber")
-@click.option("--morphism", default=None, help="Span as JSON.")
-@click.option("--shape",
-              type=click.Choice(["zero-to-one", "fold", "backward", "zero"]),
-              default=None, help="Build the span from a named shape.")
-@click.option("--sizes", default="2,1", show_default=True,
-              callback=_parse_sizes,
-              help="dom,cod sizes for --shape, each at most 256.")
+@command("span", "cofiber",
+         _option("--morphism", help="Span as JSON."),
+         _option("--shape", choices=("zero-to-one", "fold", "backward",
+                                     "zero"),
+                 help="Build the span from a named shape."),
+         _option("--sizes", metavar="DOM,COD", default="2,1",
+                 type=_in_range(0, _DIM_MAX, _sizes, "dom,cod"),
+                 help=f"Sizes for --shape, each at most {_DIM_MAX}."))
 def span_cofiber(morphism, shape, sizes):
     """Shape-classified cofiber of a span."""
     if (morphism is None) == (shape is None):
-        raise click.UsageError("give exactly one of --morphism / --shape")
-    if morphism is not None:
-        f = _span_from_json(morphism, "--morphism")
-    else:
-        f = _span_shape(shape, sizes)
+        raise _UsageError("give exactly one of --morphism / --shape")
+    f = _span_shape(shape, sizes) if morphism is None else \
+        _span_from_json(morphism, "--morphism")
     from .models import SpanFin
     cof = SpanFin().cofiber(f)
     return {"ok": True, "input": f.to_json(),
@@ -268,8 +340,7 @@ def parse_ev_object(text: str) -> EvObject:
             m = re.fullmatch(r"S(/(?P<p>\d{1,25}))?(\^0*(?P<n>\d{1,4}))?",
                              part)
             if not m:
-                raise click.BadParameter(
-                    f"cannot parse object {clip(part)!r}")
+                raise _UsageError(f"cannot parse object {clip(part)!r}")
             n = int(m["n"] or 1)
             if m["p"]:
                 p = int(m["p"])
@@ -277,8 +348,8 @@ def parse_ev_object(text: str) -> EvObject:
             else:
                 f += n
         x = ev_object(f, {p: f + d for p, d in torsion.items()})
-    if max([x.f, *(d for _, d in x.exc)]) > 256:
-        raise click.BadParameter(f"{clip(str(x))} has a dimension above 256")
+    if max([x.f, *(d for _, d in x.exc)]) > _DIM_MAX:
+        raise _UsageError(f"{clip(str(x))} has a dimension above {_DIM_MAX}")
     for p in x.exc_primes():
         if not is_prime(p):
             raise MalformedInput(f"the torsion index {p} of {clip(str(x))} "
@@ -303,14 +374,9 @@ def _ev_morphism_from_json(blob: str, param: str) -> EvMorphism:
     return EvMorphism.from_json(obj)
 
 
-@main.group("evconst")
-def evconst_group():
-    """Eventually-constant products of prime-field vector spaces."""
-
-
-@command(evconst_group, "compose")
-@click.option("--left", required=True, help="Outer morphism as JSON.")
-@click.option("--right", required=True, help="Inner morphism as JSON.")
+@command("evconst", "compose",
+         _option("--left", required=True, help="Outer morphism as JSON."),
+         _option("--right", required=True, help="Inner morphism as JSON."))
 def evconst_compose(left, right):
     """Compose two morphisms (left after right)."""
     f = _ev_morphism_from_json(left, "--left")
@@ -320,9 +386,9 @@ def evconst_compose(left, right):
     return {"ok": True, "result": out.to_json()}
 
 
-@command(evconst_group, "biproduct")
-@click.option("--x", "x_str", required=True, help="First object.")
-@click.option("--y", "y_str", required=True, help="Second object.")
+@command("evconst", "biproduct",
+         _option("--x", dest="x_str", required=True, help="First object."),
+         _option("--y", dest="y_str", required=True, help="Second object."))
 def evconst_biproduct(x_str, y_str):
     """Biproduct of two objects, with its equations re-checked."""
     from .models import EvConst, biproduct_equations_hold
@@ -333,8 +399,8 @@ def evconst_biproduct(x_str, y_str):
             "object": str(bp.obj), "json": bp.obj.to_json()}
 
 
-@command(evconst_group, "cofiber")
-@click.option("--morphism", required=True, help="Morphism as JSON.")
+@command("evconst", "cofiber",
+         _option("--morphism", required=True, help="Morphism as JSON."))
 def evconst_cofiber(morphism):
     """Cofiber (exact cokernel) of a morphism."""
     f = _ev_morphism_from_json(morphism, "--morphism")
@@ -346,11 +412,11 @@ def evconst_cofiber(morphism):
                         "provenance": cof.provenance}}
 
 
-@command(evconst_group, "split")
-@click.option("--m", "modulus", type=int, required=True,
-              help="Characteristic modulus.")
-@click.option("--object", "obj_str", default="S", show_default=True,
-              help="Object to split.")
+@command("evconst", "split",
+         _option("--m", dest="modulus", type=int, required=True,
+                 help="Characteristic modulus."),
+         _option("--object", dest="obj_str", default="S",
+                 help="Object to split."))
 def evconst_split(modulus, obj_str):
     """Split an object along S/m and its complement S(m)."""
     from . import idem
@@ -391,15 +457,9 @@ def _obj_str(x):
     return str(x)
 
 
-def model_option(fn):
-    return click.option("--model", "model_name",
-                        type=click.Choice(["spanfin", "evconst", "product"]),
-                        default="evconst", show_default=True)(fn)
-
-
-@main.group("idem")
-def idem_group():
-    """Closed/clopen idempotent machinery."""
+_MODEL = _option("--model", dest="model_name",
+                 choices=("spanfin", "evconst", "product"),
+                 default="evconst")
 
 
 def _default_clopen(model, model_name, obj_str):
@@ -411,16 +471,14 @@ def _default_clopen(model, model_name, obj_str):
     if model_name == "evconst":
         primes = parse_ev_object(obj_str or "S/2").exc_primes()
         if not primes:
-            raise click.BadParameter(f"{clip(obj_str)} has no torsion, so "
-                                     "it selects no clopen idempotent",
-                                     param_hint="--object")
+            raise _UsageError(f"argument --object: {clip(obj_str)} has no "
+                              "torsion, so it selects no clopen idempotent")
         return idem.char_clopen(model, primes[0])
     r = model.identity(model.unit())
     return idem.ClopenIdempotent(E=model.unit(), r=r, i=r)
 
 
-@command(idem_group, "closed")
-@model_option
+@command("idem", "closed", _MODEL)
 def idem_closed(model_name):
     """Check that the grouplike idempotent S_gp is closed."""
     from . import idem
@@ -430,10 +488,9 @@ def idem_closed(model_name):
             "model": model_name, "E": _obj_str(ci.E), "r": _mor_json(ci.r)}
 
 
-@command(idem_group, "clopen")
-@model_option
-@click.option("--object", "obj_str", default=None,
-              help="Torsion object selecting the idempotent (evconst).")
+@command("idem", "clopen", _MODEL,
+         _option("--object", dest="obj_str",
+                 help="Torsion object selecting the idempotent (evconst)."))
 def idem_clopen(model_name, obj_str):
     """Check the splitting and stability equations of a clopen
     idempotent."""
@@ -445,8 +502,7 @@ def idem_clopen(model_name, obj_str):
             "r": _mor_json(cl.r), "i": _mor_json(cl.i)}
 
 
-@command(idem_group, "untwist")
-@model_option
+@command("idem", "untwist", _MODEL)
 def idem_untwist(model_name):
     """Untwist the unit object's trivial braiding into a clopen
     idempotent."""
@@ -459,12 +515,10 @@ def idem_untwist(model_name):
             "model": model_name, "E": _obj_str(cl.E)}
 
 
-@command(idem_group, "euler")
-@model_option
-@click.option("--size", type=click.IntRange(0, 32), default=2,
-              show_default=True,
-              help="Object size (spanfin; memory grows as its fourth "
-                   "power).")
+@command("idem", "euler", _MODEL,
+         _option("--size", type=_in_range(0, 32), default=2,
+                 help="Object size (spanfin; memory grows as its fourth "
+                      "power)."))
 def idem_euler(model_name, size):
     """Euler-characteristic twist of a self-dual object."""
     from . import idem
@@ -475,9 +529,8 @@ def idem_euler(model_name, size):
             "twist": _mor_json(t)}
 
 
-@command(idem_group, "complement")
-@model_option
-@click.option("--object", "obj_str", default="S/2", show_default=True)
+@command("idem", "complement", _MODEL,
+         _option("--object", dest="obj_str", default="S/2"))
 def idem_complement(model_name, obj_str):
     """Complement of a clopen idempotent via the cofiber of its
     inclusion."""
@@ -493,21 +546,15 @@ def idem_complement(model_name, obj_str):
 
 def _sample_torsion_objects(rng, k):
     from .models import ev_object
-    out = []
-    for _ in range(k):
-        exc = {}
-        for p in (2, 3):
-            if rng.random() < 0.8:
-                exc[p] = rng.randint(1, 2)
-        out.append(ev_object(0, exc))
-    return out
+    # per object and prime, one draw decides the torsion, a second its
+    # dimension
+    return [ev_object(0, {p: rng.randint(1, 2) for p in (2, 3)
+                          if rng.random() < 0.8}) for _ in range(k)]
 
 
-@command(idem_group, "split-homs")
-@model_option
-@click.option("--object", "obj_str", default="S/2", show_default=True)
-@click.option("--pairs", type=click.IntRange(1, 1000), default=10,
-              show_default=True)
+@command("idem", "split-homs", _MODEL,
+         _option("--object", dest="obj_str", default="S/2"),
+         _option("--pairs", type=_in_range(1, 1000), default=10))
 def idem_split_homs(model_name, obj_str, pairs):
     """Check hom-set splitting along a clopen idempotent and its
     complement on sampled object pairs."""
@@ -519,14 +566,10 @@ def idem_split_homs(model_name, obj_str, pairs):
     xs = _sample_torsion_objects(rng, pairs)
     ys = _sample_torsion_objects(rng, pairs)
     report = idem.split_homs_check(model, cl, comp, list(zip(xs, ys)))
-    data = report.to_json()
-    data["ok"] = report.verdict
-    data["seed"] = get_seed()
-    return data
+    return {**report.to_json(), "ok": report.verdict, "seed": get_seed()}
 
 
-@command(idem_group, "gp")
-@model_option
+@command("idem", "gp", _MODEL)
 def idem_gp(model_name):
     """The grouplike idempotent S_gp (cofiber of the diagonal)."""
     from . import idem
@@ -538,41 +581,29 @@ def idem_gp(model_name):
 
 # -------------------------------------------------------------------- equi
 
-def group_option(fn):
-    return click.option("--group", "group_name", default="s3",
-                        show_default=True,
-                        help="Group preset name or JSON file.")(fn)
+_GROUP = _option("--group", dest="group_name", default="s3",
+                 help="Group preset name or JSON file.")
 
 
-@main.group("equi")
-def equi_group():
-    """Equivariant lattices, spheres, and collapse certificates."""
-
-
-@command(equi_group, "lattice")
-@group_option
+@command("equi", "lattice", _GROUP)
 def equi_lattice(group_name):
     """Subgroup-conjugacy classes with subconjugacy order and Weyl
     orders."""
     from . import equivariant as eq
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
-    data = poset.to_json()
-    data["ok"] = True
-    return data
+    return {**poset.to_json(), "ok": True}
 
 
-@command(equi_group, "weyl")
-@group_option
-@click.option("--class", "class_idx", type=int, default=None,
-              help="Class index (default: all classes).")
+@command("equi", "weyl", _GROUP,
+         _option("--class", dest="class_idx", type=int,
+                 help="Class index (default: all classes)."))
 def equi_weyl(group_name, class_idx):
     """Weyl groups N_G(H)/H per subgroup class."""
     from . import equivariant as eq
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
     if class_idx is not None and class_idx not in range(poset.n):
-        raise click.BadParameter(
-            f"{class_idx} is not a class index 0..{poset.n - 1}",
-            param_hint="'--class'")
+        raise _UsageError(f"argument --class: {class_idx} is not a class "
+                          f"index 0..{poset.n - 1}")
     indices = range(poset.n) if class_idx is None else [class_idx]
     rows = []
     for i in indices:
@@ -583,11 +614,9 @@ def equi_weyl(group_name, class_idx):
     return {"ok": True, "group": group_name, "weyl": rows}
 
 
-@command(equi_group, "fixdim")
-@group_option
-@click.option("--rep", "rep_name",
-              type=click.Choice(REP_NAMES),
-              default="reduced-regular", show_default=True)
+@command("equi", "fixdim", _GROUP,
+         _option("--rep", dest="rep_name", choices=REP_NAMES,
+                 default="reduced-regular"))
 def equi_fixdim(group_name, rep_name):
     """Fixed-point dimensions per class, cross-checked against the
     averaged-projector rank."""
@@ -596,43 +625,37 @@ def equi_fixdim(group_name, rep_name):
     poset = eq.enumerate_subgroup_classes(G)
     rep = eq.REP_PRESETS[rep_name](G)
     rows = []
-    ok = True
     for i in range(poset.n):
         H = poset.representative(i)
-        d = eq.fixed_dim(rep, H)
-        rk = eq.fixed_projector_rank(rep, H)
-        ok = ok and d == rk
         rows.append({"class": i, "subgroup_order": len(H),
-                     "fixed_dim": d, "projector_rank": rk})
-    return {"ok": ok, "group": group_name, "rep": rep_name, "dim": rep.dim,
+                     "fixed_dim": eq.fixed_dim(rep, H),
+                     "projector_rank": eq.fixed_projector_rank(rep, H)})
+    return {"ok": all(r["fixed_dim"] == r["projector_rank"] for r in rows),
+            "group": group_name, "rep": rep_name, "dim": rep.dim,
             "classes": rows}
 
 
-@command(equi_group, "collapse")
-@group_option
-@click.option("--rep", "rep_name",
-              type=click.Choice(REP_NAMES),
-              default="reduced-regular", show_default=True,
-              help="Axiom representation name.")
+@command("equi", "collapse", _GROUP,
+         _option("--rep", dest="rep_name", choices=REP_NAMES,
+                 default="reduced-regular",
+                 help="Axiom representation name."))
 def equi_collapse(group_name, rep_name):
     """Generate a collapse certificate and re-validate it."""
     from . import equivariant as eq
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))
     cert = eq.generate_collapse_certificate(poset, rep_name)
     report = eq.validate_collapse_certificate(cert, poset)
-    data = cert.to_json()
-    data["ok"] = bool(report)
-    data["validation"] = report.to_json()
-    return data
+    return {**cert.to_json(), "ok": bool(report),
+            "validation": report.to_json()}
 
 
-@command(equi_group, "validate")
-@group_option
-@click.option("--cert", "cert_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Certificate JSON file.")
+@command("equi", "validate", _GROUP,
+         _option("--cert", dest="cert_path", required=True,
+                 help="Certificate JSON file."))
 def equi_validate(group_name, cert_path):
     """Validate a collapse certificate against the group's lattice."""
+    if not os.path.exists(cert_path) or os.path.isdir(cert_path):
+        raise _UsageError(f"argument --cert: no file {clip(cert_path)!r}")
     from . import equivariant as eq
     cert = eq.CollapseCertificate.from_json(read_json(cert_path))
     poset = eq.enumerate_subgroup_classes(eq.get_group(group_name))

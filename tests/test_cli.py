@@ -1,14 +1,19 @@
 """Golden tests for the command-line interface: exit-code contract and
-deterministic JSON output."""
+deterministic JSON output.  Commands run in-process through
+``cli_runner.run_cli``, which keeps standard output and standard error
+apart: reports are read from the first, usage-error messages from the
+second."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import run_cli
 
 from dualkit import DomainError, MalformedInput
 from dualkit.cli import main
@@ -18,19 +23,15 @@ from dualkit.models import UnsupportedShape
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import cli_timings  # noqa: E402
 
-runner = CliRunner()
-
-
 def run(*args, env=None):
-    return runner.invoke(main, list(args), env=env or {},
-                         catch_exceptions=False)
+    return run_cli(args, env)
 
 
 class TestDiagrams:
     def test_verify_all(self):
         res = run("diagrams", "verify", "--all", "--format", "json")
         assert res.exit_code == 0
-        data = json.loads(res.output)
+        data = json.loads(res.stdout)
         assert data["ok"] and len(data["traces"]) >= 12
 
     def test_verify_single_bundled(self):
@@ -45,7 +46,7 @@ class TestDiagrams:
         res = run("diagrams", "verify", "--trace", str(path),
                   "--format", "json")
         assert res.exit_code == 1
-        assert not json.loads(res.output)["ok"]
+        assert not json.loads(res.stdout)["ok"]
 
     def test_missing_trace_is_domain_error(self):
         res = run("diagrams", "verify", "--trace", "no-such-trace")
@@ -65,14 +66,14 @@ class TestSpan:
         res = run("span", "compose", "--left", self.A, "--right", self.B,
                   "--format", "json")
         assert res.exit_code == 0
-        out = json.loads(res.output)["result"]
+        out = json.loads(res.stdout)["result"]
         assert out["matrix"] == [[3, 1], [1, 0]]
 
     def test_tensor(self):
         res = run("span", "tensor", "--left", self.A, "--right", self.B,
                   "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["result"]["dom"] == 4
+        assert json.loads(res.stdout)["result"]["dom"] == 4
 
     def test_dual_check(self):
         for n in (1, 2, 3, 4):
@@ -90,7 +91,7 @@ class TestSpan:
     def test_dual_check_largest_size(self):
         res = run("span", "dual-check", "--size", "32", "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["ok"]
+        assert json.loads(res.stdout)["ok"]
 
     def test_cofiber_shapes(self):
         cases = {
@@ -102,7 +103,7 @@ class TestSpan:
             res = run("span", "cofiber", "--shape", shape, "--sizes", sizes,
                       "--format", "json")
             assert res.exit_code == 0
-            assert json.loads(res.output)["cofiber"]["obj"] == expected
+            assert json.loads(res.stdout)["cofiber"]["obj"] == expected
 
     def test_cofiber_requires_exactly_one_source(self):
         res = run("span", "cofiber")
@@ -120,7 +121,7 @@ class TestSpan:
         res = run("span", "cofiber", "--shape", "zero", "--sizes", "256,256",
                   "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["cofiber"]["obj"] == 256
+        assert json.loads(res.stdout)["cofiber"]["obj"] == 256
 
     def test_mismatched_compose_is_domain_error(self):
         small = json.dumps({"dom": 1, "cod": 1, "matrix": [[1]]})
@@ -135,26 +136,26 @@ class TestEvConst:
                   '{"free": [[1000000000000000003]]}', "--format", "json")
         assert time.perf_counter() - start < 1.0
         assert res.exit_code == 0
-        assert json.loads(res.output)["cofiber"]["json"]["exc"] == \
+        assert json.loads(res.stdout)["cofiber"]["json"]["exc"] == \
             {"1000000000000000003": 1}
 
     def test_cofiber_of_six(self):
         res = run("evconst", "cofiber", "--morphism",
                   '{"free": [[6]], "explicit": {}}', "--format", "json")
         assert res.exit_code == 0
-        data = json.loads(res.output)
+        data = json.loads(res.stdout)
         assert data["cofiber"]["obj"] == "S/2 + S/3"
 
     def test_biproduct(self):
         res = run("evconst", "biproduct", "--x", "S/2", "--y", "S",
                   "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["ok"]
+        assert json.loads(res.stdout)["ok"]
 
     def test_split(self):
         res = run("evconst", "split", "--m", "6", "--format", "json")
         assert res.exit_code == 0
-        data = json.loads(res.output)
+        data = json.loads(res.stdout)
         assert data["torsion_part"] == "S/2 + S/3"
 
     @pytest.mark.parametrize("obj", [
@@ -177,8 +178,8 @@ class TestEvConst:
     def test_unparsed_object_echo_is_cut(self, obj):
         res = run("evconst", "biproduct", "--x", obj, "--y", "S")
         assert res.exit_code == 2
-        message = res.output.splitlines()[-1]
-        assert message.startswith("Error: ")
+        message = res.stderr.splitlines()[-1]
+        assert message.startswith("dualkit evconst biproduct: error: ")
         assert len(message.encode()) < 200
 
     @pytest.mark.parametrize("obj", [
@@ -188,21 +189,21 @@ class TestEvConst:
         res = run("evconst", "biproduct", "--x", obj, "--y", "S",
                   "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["object"] == \
+        assert json.loads(res.stdout)["object"] == \
             "S + S/3000000000000000000000007"
 
     def test_split_largest_object(self):
         res = run("evconst", "split", "--m", "6", "--object", "S^256",
                   "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["object"] == "S^256"
+        assert json.loads(res.stdout)["object"] == "S^256"
 
     def test_compose(self):
         f = json.dumps({"free": [[2]], "explicit": {}})
         res = run("evconst", "compose", "--left", f, "--right", f,
                   "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["result"]["free"] == [[4]]
+        assert json.loads(res.stdout)["result"]["free"] == [[4]]
 
 
 class TestIdem:
@@ -210,7 +211,7 @@ class TestIdem:
         res = run("idem", "clopen", "--model", "evconst",
                   "--object", "S/2", "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["ok"]
+        assert json.loads(res.stdout)["ok"]
 
     def test_closed_all_models(self):
         for model in ("spanfin", "evconst", "product"):
@@ -223,7 +224,7 @@ class TestIdem:
                   "--format", "json")
         assert res.exit_code == 0
         # the twist is multiplication by the Euler characteristic |T| = 3
-        twist = json.loads(res.output)["twist"]
+        twist = json.loads(res.stdout)["twist"]
         assert twist["matrix"] == [[3 if i == j else 0 for j in range(3)]
                                    for i in range(3)]
 
@@ -237,13 +238,13 @@ class TestIdem:
         res = run("idem", "euler", "--model", "spanfin", "--size", "32",
                   "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["twist"]["matrix"][31][31] == 32
+        assert json.loads(res.stdout)["twist"]["matrix"][31][31] == 32
 
     def test_complement(self):
         res = run("idem", "complement", "--model", "evconst",
                   "--object", "S/3", "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["smash_with_complement"] == "0"
+        assert json.loads(res.stdout)["smash_with_complement"] == "0"
 
     @pytest.mark.parametrize("cmd", ["clopen", "complement", "split-homs"])
     @pytest.mark.parametrize("obj", ["S", "S^3", "0", '{"f": 2}'])
@@ -251,13 +252,13 @@ class TestIdem:
         # such an object selects no clopen idempotent; S/2 was used
         res = run("idem", cmd, "--model", "evconst", "--object", obj)
         assert res.exit_code == 2
-        assert "no torsion" in res.output
+        assert "no torsion" in res.stderr
 
     @pytest.mark.parametrize("cmd", ["clopen", "complement"])
     def test_omitted_object_selects_s_mod_2(self, cmd):
         res = run("idem", cmd, "--model", "evconst", "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["E"] == "S/2"
+        assert json.loads(res.stdout)["E"] == "S/2"
 
     def test_complement_needs_additive_model(self):
         res = run("idem", "complement", "--model", "spanfin")
@@ -266,11 +267,11 @@ class TestIdem:
     def test_split_homs_seeded(self):
         a = run("idem", "split-homs", "--pairs", "6", "--format", "json")
         b = run("idem", "split-homs", "--pairs", "6", "--format", "json")
-        assert a.exit_code == 0 and a.output == b.output
+        assert a.exit_code == 0 and a.stdout == b.stdout
         c = run("idem", "split-homs", "--pairs", "6", "--format", "json",
                 env={"DUALKIT_SEED": "7"})
         assert c.exit_code == 0
-        assert json.loads(c.output)["seed"] == 7
+        assert json.loads(c.stdout)["seed"] == 7
 
     @pytest.mark.parametrize("pairs", ["0", "-3", "1001"])
     def test_split_homs_needs_a_pair(self, pairs):
@@ -281,33 +282,33 @@ class TestIdem:
     def test_gp(self):
         res = run("idem", "gp", "--model", "spanfin", "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["E"] == "0"
+        assert json.loads(res.stdout)["E"] == "0"
 
 
 class TestEqui:
     def test_lattice(self):
         res = run("equi", "lattice", "--group", "s3", "--format", "json")
         assert res.exit_code == 0
-        data = json.loads(res.output)
+        data = json.loads(res.stdout)
         assert [c["subgroup_order"] for c in data["classes"]] == [1, 2, 3, 6]
 
     def test_weyl(self):
         res = run("equi", "weyl", "--group", "s3", "--format", "json")
         assert res.exit_code == 0
-        data = json.loads(res.output)
+        data = json.loads(res.stdout)
         assert [r["weyl_order"] for r in data["weyl"]] == [6, 1, 2, 1]
 
     def test_fixdim(self):
         res = run("equi", "fixdim", "--group", "s3", "--rep", "standard",
                   "--format", "json")
         assert res.exit_code == 0
-        data = json.loads(res.output)
+        data = json.loads(res.stdout)
         assert [c["fixed_dim"] for c in data["classes"]] == [2, 1, 0, 0]
 
     def test_collapse_and_validate_roundtrip(self, tmp_path):
         res = run("equi", "collapse", "--group", "c4", "--format", "json")
         assert res.exit_code == 0
-        cert = json.loads(res.output)
+        cert = json.loads(res.stdout)
         cert.pop("ok")
         cert.pop("validation")
         path = tmp_path / "cert.json"
@@ -321,7 +322,7 @@ class TestEqui:
     def test_certificate_bound_to_its_group(self, tmp_path):
         res = run("equi", "collapse", "--group", "c4", "--format", "json")
         cert = tmp_path / "c4-cert.json"
-        cert.write_text(res.output)
+        cert.write_text(res.stdout)
         # C9 has as many classes as C4, so only the group binding can
         # tell the certificate is not about it
         c9 = tmp_path / "c9.json"
@@ -330,7 +331,7 @@ class TestEqui:
         bad = run("equi", "validate", "--group", str(c9), "--cert",
                   str(cert), "--format", "json")
         assert bad.exit_code == 1
-        report = json.loads(bad.output)
+        report = json.loads(bad.stdout)
         assert report["ok"] is False and "degree" in report["message"]
         # the same group presented by another generator still validates
         c4 = tmp_path / "c4.json"
@@ -344,13 +345,13 @@ class TestEqui:
     def test_weyl_class_out_of_range_is_usage_error(self, idx):
         res = run("equi", "weyl", "--group", "s3", "--class", idx)
         assert res.exit_code == 2
-        assert "class index 0..3" in res.output
+        assert "class index 0..3" in res.stderr
 
     def test_weyl_single_class(self):
         res = run("equi", "weyl", "--group", "s3", "--class", "3",
                   "--format", "json")
         assert res.exit_code == 0
-        assert [r["class"] for r in json.loads(res.output)["weyl"]] == [3]
+        assert [r["class"] for r in json.loads(res.stdout)["weyl"]] == [3]
 
     def test_collapse_unknown_rep_is_usage_error(self):
         res = run("equi", "collapse", "--rep", "totally-bogus")
@@ -363,7 +364,7 @@ class TestEqui:
         res = run("equi", "lattice", "--group", str(path), "--format",
                   "json")
         assert res.exit_code == 0
-        assert len(json.loads(res.output)["classes"]) == 2
+        assert len(json.loads(res.stdout)["classes"]) == 2
 
     def test_unknown_group_is_domain_error(self):
         res = run("equi", "lattice", "--group", "nope")
@@ -379,7 +380,7 @@ class TestEqui:
         res = run("equi", "fixdim", "--group", str(path), "--rep", rep,
                   "--format", "json")
         assert res.exit_code == 0
-        data = json.loads(res.output)
+        data = json.loads(res.stdout)
         assert data["ok"] and data["dim"] == dim
         assert [c["fixed_dim"] for c in data["classes"]] == [dim]
 
@@ -397,6 +398,37 @@ class TestContract:
         assert run("span", "frobble").exit_code == 2
         assert run("equi", "validate", "--group", "s3").exit_code == 2
 
+    @pytest.mark.parametrize("args, code", [
+        (("span", "dual-check", "--siz", "3"), 2),     # no option prefixes
+        (("span", "dual-check", "--size=3"), 0),
+        ((), 2), (("span",), 2), (("span", "frobble"), 2),
+        (("equi", "validate", "--group", "s3", "--cert", "{dir}"), 2),
+        (("equi", "validate", "--group", "s3", "--cert", "{dir}/none"), 2),
+        (("equi", "weyl", "--group", "s3", "--class", "-1"), 2),
+        (("evconst", "split", "--m", "-1"), 0),         # -1 is a value
+        (("span", "dual-check", "extra"), 2),
+        (("diagrams", "verify", "--all=1"), 2),
+        (("-h",), 2),                                   # only --help
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+    def test_contract_probe(self, args, code, tmp_path):
+        res = run(*(a.replace("{dir}", str(tmp_path)) for a in args))
+        assert res.exit_code == code
+        assert (res.stdout == "") == (code == 2)
+        assert "Traceback" not in res.stderr
+
+    def test_a_repeated_option_takes_its_last_value(self):
+        res = run("span", "dual-check", "--size", "2", "--size", "3",
+                  "--format", "text", "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["object"] == 3
+
+    def test_help_exits_0_on_standard_output(self):
+        for args in ((), ("span",), ("span", "cofiber")):
+            res = run(*args, "--help")
+            assert res.exit_code == 0 and res.stderr == ""
+            prog = " ".join(("dualkit", *args))
+            assert res.stdout.startswith(f"usage: {prog} [--help]")
+
     @pytest.mark.parametrize("args", [
         ("diagrams", "verify", "--all"),
         ("equi", "collapse", "--group", "d4"),
@@ -407,7 +439,7 @@ class TestContract:
         a = run(*args, "--format", "json")
         b = run(*args, "--format", "json")
         assert a.exit_code == b.exit_code == 0
-        assert a.output == b.output
+        assert a.stdout == b.stdout
 
     @pytest.mark.parametrize("args", [
         *cli_timings.readme_commands(),
@@ -422,7 +454,7 @@ class TestContract:
                                               monkeypatch):
         monkeypatch.chdir(readme_inputs)
         res = run(*args, "--format", "json")
-        assert res.exit_code == (0 if json.loads(res.output)["ok"] else 1)
+        assert res.exit_code == (0 if json.loads(res.stdout)["ok"] else 1)
 
 
 class TestInputShapes:
@@ -452,7 +484,7 @@ class TestInputShapes:
     def test_malformed_json_is_usage_error(self, args):
         res = run(*args)
         assert res.exit_code == 2
-        assert "Traceback" not in res.output
+        assert "Traceback" not in res.stdout + res.stderr
 
     @pytest.mark.parametrize("args", [
         ("evconst", "cofiber", "--morphism", '{"free": [[true, false]]}'),
@@ -465,14 +497,14 @@ class TestInputShapes:
     def test_json_booleans_are_not_integers(self, args):
         res = run(*args, "--format", "json")
         assert res.exit_code == 2
-        assert "Traceback" not in res.output
+        assert "Traceback" not in res.stdout + res.stderr
 
     def test_group_file_booleans_are_not_integers(self, tmp_path):
         path = tmp_path / "group.json"
         path.write_text('{"degree": 2, "generators": [[1, true]]}')
         res = run("equi", "lattice", "--group", str(path), "--format", "json")
         assert res.exit_code == 1
-        assert "expected a group" in json.loads(res.output)["error"]
+        assert "expected a group" in json.loads(res.stdout)["error"]
 
     def test_unproven_prime_is_domain_error(self):
         start = time.perf_counter()
@@ -481,7 +513,7 @@ class TestInputShapes:
                   "--format", "json")
         assert time.perf_counter() - start < 1.0
         assert res.exit_code == 1
-        assert json.loads(res.output)["error"].startswith(
+        assert json.loads(res.stdout)["error"].startswith(
             "PrimalityUnproven: ")
 
     def test_cofiber_of_two_large_primes(self):
@@ -491,7 +523,7 @@ class TestInputShapes:
                   '{"free": [[999999999948000000000451]]}', "--format", "json")
         assert time.perf_counter() - start < 5.0
         assert res.exit_code == 0
-        assert json.loads(res.output)["cofiber"]["json"] == {
+        assert json.loads(res.stdout)["cofiber"]["json"] == {
             "f": 0, "exc": {"999999999959": 1, "999999999989": 1}}
 
 
@@ -506,7 +538,7 @@ class TestFileShapes:
                       str(path))):
             res = run(*args, "--format", "json")
             assert res.exit_code == 1
-            assert json.loads(res.output)["error"].startswith(
+            assert json.loads(res.stdout)["error"].startswith(
                 "MalformedInput: ")
 
     def test_directory_as_certificate_is_usage_error(self, tmp_path):
@@ -520,7 +552,7 @@ class TestFileShapes:
         res = run("diagrams", "verify", "--trace", str(path),
                   "--format", "json")
         assert res.exit_code == 1
-        assert json.loads(res.output)["error"].startswith(
+        assert json.loads(res.stdout)["error"].startswith(
             "MalformedInput: ")
 
     def test_cofiber_of_a_large_prime_square_exits_0(self):
@@ -529,7 +561,7 @@ class TestFileShapes:
                   '{"free": [[100000000000740000000001369]]}',
                   "--format", "json")
         assert res.exit_code == 0
-        assert json.loads(res.output)["cofiber"]["json"] == {
+        assert json.loads(res.stdout)["cofiber"]["json"] == {
             "f": 0, "exc": {"10000000000037": 1}}
 
     def test_factor_budget_is_a_domain_error(self):
@@ -540,7 +572,7 @@ class TestFileShapes:
                   "--format", "json")
         assert time.perf_counter() - start < 20.0   # a hang guard
         assert res.exit_code == 1
-        assert json.loads(res.output)["error"].startswith(
+        assert json.loads(res.stdout)["error"].startswith(
             "FactorBudgetExceeded: no factor of the composite "
             "100000000000000001380000000000000004437 ")
 
@@ -619,7 +651,7 @@ class TestDomainErrors:
         res = run(*(a.replace("{dir}", str(files)) for a in args),
                   "--format", "json")
         assert res.exit_code == 1
-        report = json.loads(res.output)
+        report = json.loads(res.stdout)
         assert report["ok"] is False
         assert report["error"].startswith(f"{error.__name__}: ")
         assert issubclass(error, DomainError)
@@ -631,7 +663,7 @@ class TestDomainErrors:
     def test_non_prime_torsion_index_is_named(self, command, obj):
         res = run("idem", command, "--object", obj, "--format", "json")
         assert res.exit_code == 1
-        error = json.loads(res.output)["error"]
+        error = json.loads(res.stdout)["error"]
         assert error.startswith("MalformedInput: the torsion index 4 of ")
 
     @pytest.mark.parametrize("args", [
@@ -643,7 +675,7 @@ class TestDomainErrors:
         # Path.is_file raises OSError on a name above 255 bytes
         res = run(*args, "--format", "json")
         assert res.exit_code == 1
-        assert json.loads(res.output)["error"].startswith("MalformedInput: ")
+        assert json.loads(res.stdout)["error"].startswith("MalformedInput: ")
 
     @pytest.mark.parametrize("args", [
         ("equi", "lattice", "--group", "a" * 5000),
@@ -652,7 +684,7 @@ class TestDomainErrors:
     def test_long_name_is_clipped_in_the_report(self, args):
         res = run(*args, "--format", "json")
         assert res.exit_code == 1
-        assert len(res.output) < 300
+        assert len(res.stdout) < 300
 
     @pytest.mark.parametrize("args", [
         ("equi", "lattice", "--group", "{deep}"),
@@ -665,14 +697,14 @@ class TestDomainErrors:
         res = run(*(a.replace("{deep}", str(deep)) for a in args),
                   "--format", "json")
         assert res.exit_code == 1
-        assert json.loads(res.output)["error"] == (
+        assert json.loads(res.stdout)["error"] == (
             f"MalformedInput: {deep} nests too deeply")
 
     def test_deeply_nested_option_is_a_usage_error(self):
         res = run("span", "compose", "--left", "[" * 3000 + "]" * 3000,
                   "--right", ONE)
         assert res.exit_code == 2
-        assert "nests too deeply" in res.output
+        assert "nests too deeply" in res.stderr
 
     @pytest.mark.parametrize("step", [
         {"offset": -1},
@@ -686,7 +718,7 @@ class TestDomainErrors:
         res = run("diagrams", "verify", "--trace", str(path),
                   "--format", "json")
         assert res.exit_code == 1
-        [report] = json.loads(res.output)["traces"]
+        [report] = json.loads(res.stdout)["traces"]
         assert report["ok"] is False and report["steps_applied"] == 0
         assert report["message"].startswith("step 0 ")
 
@@ -699,12 +731,12 @@ class TestDomainErrors:
         res = run("diagrams", "verify", "--trace", str(path),
                   "--format", "json")
         assert res.exit_code == 1
-        assert json.loads(res.output)["error"].startswith("MalformedInput: ")
+        assert json.loads(res.stdout)["error"].startswith("MalformedInput: ")
 
     def test_unknown_trace_report_holds_no_path(self):
         res = run("diagrams", "verify", "--trace", "nosuch", "--format",
                   "json")
-        assert json.loads(res.output)["error"] == (
+        assert json.loads(res.stdout)["error"] == (
             "MalformedInput: no bundled trace or trace file 'nosuch'")
 
     def test_other_exceptions_propagate(self, monkeypatch):
@@ -713,6 +745,7 @@ class TestDomainErrors:
         def broken(name):
             raise KeyError(name)
         monkeypatch.setattr(eq, "get_group", broken)
-        res = runner.invoke(main, ["equi", "lattice", "--format", "json"])
-        assert isinstance(res.exception, KeyError)
-        assert '"ok"' not in res.output
+        out = io.StringIO()
+        with pytest.raises(KeyError), contextlib.redirect_stdout(out):
+            main(["equi", "lattice", "--format", "json"])
+        assert '"ok"' not in out.getvalue()

@@ -9,21 +9,26 @@ files: arbitrary JSON, or a valid document with one node replaced by
 arbitrary JSON or removed.  Runs are derandomized, so the suite is
 deterministic, and each example has a deadline, so a call that runs
 away fails the suite instead of stalling it.
+
+The bounds and choices under test are read from the CLI's command table:
+each bounded integer option and each choice list gets a value just
+outside it, which must exit 2 with nothing on standard output, and the
+README's list of usage errors must name the table's bounds.
 """
 
 import json
+import re
 import tempfile
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import run_cli
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dualkit.cli import main
+from dualkit import cli
 
-runner = CliRunner()
 FUZZ = settings(derandomize=True, database=None, max_examples=100,
                 deadline=timedelta(seconds=5),
                 suppress_health_check=[HealthCheck.too_slow])
@@ -103,10 +108,10 @@ GROUP_JSON = st.one_of(
 
 
 def check(*args):
-    res = runner.invoke(main, [*args, "--format", "json"])
-    if res.exception is not None:
-        assert isinstance(res.exception, SystemExit), \
-            f"{args}: {type(res.exception).__name__}: {res.exception}"
+    try:
+        res = run_cli([*args, "--format", "json"])
+    except Exception as exc:
+        raise AssertionError(f"{args}: {type(exc).__name__}: {exc}") from exc
     assert res.exit_code in (0, 1, 2), args
     if res.exit_code != 2:
         assert isinstance(json.loads(res.stdout), dict), args
@@ -229,3 +234,69 @@ def test_equi_validate_cert_file(scratch, doc):
     path = scratch / "cert.json"
     path.write_text(json.dumps(doc))
     check("equi", "validate", "--group", "s3", "--cert", str(path))
+
+
+# --------------------------------------------------- bounds from the table
+
+def _table_options():
+    """(group, command, flag, argparse settings) for every option."""
+    return [(group, name, flag, opts)
+            for group, (_, commands) in cli._TABLE.items()
+            for name, (_, options) in commands.items()
+            for flag, opts in options]
+
+
+OPTIONS = _table_options()
+BOUNDED = [o for o in OPTIONS if hasattr(o[3].get("type"), "bounds")]
+CHOICES = [o for o in OPTIONS if "choices" in o[3]]
+
+
+def _spell(opts, value):
+    """value as the option's text: one integer per name of its metavar."""
+    return ",".join([str(value)] * len(opts["metavar"].split(",")))
+
+
+def test_the_table_has_every_bounded_option_and_choice_list():
+    assert {(g, c, f) for g, c, f, _ in BOUNDED} == {
+        ("span", "dual-check", "--size"), ("span", "cofiber", "--sizes"),
+        ("idem", "euler", "--size"), ("idem", "split-homs", "--pairs")}
+    assert {f for _, _, f, _ in CHOICES} == {"--format", "--shape",
+                                              "--model", "--rep"}
+    assert len([o for o in CHOICES if o[2] == "--format"]) == 21
+
+
+@pytest.mark.parametrize("group, name, flag, opts", BOUNDED,
+                         ids=[" ".join(o[:3]) for o in BOUNDED])
+def test_a_value_just_outside_the_bounds_is_a_usage_error(group, name, flag,
+                                                         opts):
+    lo, hi = opts["type"].bounds
+    for value in (lo - 1, hi + 1):
+        res = run_cli([group, name, flag, _spell(opts, value)])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert f"argument {flag}: " in res.stderr
+    # the bounds themselves parse
+    for value in (lo, hi):
+        assert opts["type"](_spell(opts, value)) in (value, (value, value))
+
+
+@pytest.mark.parametrize("group, name, flag, opts", CHOICES,
+                         ids=[" ".join(o[:3]) for o in CHOICES])
+def test_a_value_just_outside_the_choices_is_a_usage_error(group, name, flag,
+                                                          opts):
+    # a prefix, another case and an extension of each choice
+    for choice in opts["choices"]:
+        for value in (choice[:-1], choice.upper(), choice + "x"):
+            res = run_cli([group, name, flag, value])
+            assert res.exit_code == 2 and res.stdout == ""
+            assert f"argument {flag}: invalid choice" in res.stderr
+
+
+def test_the_readme_names_the_tables_bounds():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = " ".join(readme.split())
+    said = re.compile(r"outside (\d+)–(\d+)|side above (\d+)")
+    for group, name, flag, opts in BOUNDED:
+        m = said.search(text, text.index(f"`{group} {name} {flag}`"))
+        written = (0, int(m[3])) if m[3] else (int(m[1]), int(m[2]))
+        assert written == opts["type"].bounds, (group, name, flag)
+    assert f"has a dimension above {cli._DIM_MAX} at some prime" in text

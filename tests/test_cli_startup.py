@@ -3,25 +3,32 @@ dualkit defines is a domain failure of one family.
 
 Each README command runs here as a fresh ``python -m dualkit.cli``
 process under ``-X importtime``; its standard output must equal the
-in-process output through click's test runner, and the dualkit layers it
-imported must be exactly the ones the command needs.  Within
-``dualkit.models`` and ``dualkit.equivariant``, a command must load the
-submodules it runs and none of those it does not.
+in-process output through ``cli_runner.run_cli``, the dualkit layers it
+imported must be exactly the ones the command needs, and it must not
+import ``click``.  Within ``dualkit.models`` and ``dualkit.equivariant``,
+a command must load the submodules it runs and none of those it does
+not.  Three README commands must print the same JSON bytes under two
+hash seeds, and a reader that closes standard output early gets no
+traceback.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import run_cli
 
 import dualkit
 from dualkit import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import cli_timings  # noqa: E402
+
+SRC = cli_timings.SRC
 
 MODELS = ("exactlin", "models")
 LAYERS_OF = {
@@ -75,21 +82,36 @@ def test_readme_lists_every_command_group():
 
 
 def test_importing_the_cli_loads_no_layer(inputs):
-    out, layers = cli_timings.layers_loaded(["-c", "import dualkit.cli"],
-                                            inputs)
+    out, names = cli_timings.imports(["-c", "import dualkit.cli"], inputs)
     assert out.returncode == 0
-    assert layers == ()
+    assert cli_timings.layers_of(cli_timings.dualkit_modules(names)) == ()
+    assert not cli_timings.imports_click(names)
+    assert "argparse" not in names
 
 
 @pytest.mark.parametrize("argv", README, ids=[" ".join(a[:3]) for a in README])
 def test_fresh_process_matches_in_process(argv, inputs, monkeypatch):
-    out, layers = cli_timings.layers_loaded(["-m", "dualkit.cli", *argv],
-                                            inputs)
+    out, names = cli_timings.imports(["-m", "dualkit.cli", *argv], inputs)
     monkeypatch.chdir(inputs)
-    res = CliRunner().invoke(cli.main, argv)
+    res = run_cli(argv)
     assert out.returncode == res.exit_code == 0
     assert out.stdout == res.stdout
-    assert layers == expected_layers(argv)
+    assert cli_timings.layers_of(cli_timings.dualkit_modules(names)) == \
+        expected_layers(argv)
+    assert not cli_timings.imports_click(names)
+
+
+@pytest.mark.parametrize("argv", [
+    ["equi", "collapse", "--group", "d4"],
+    ["evconst", "split", "--m", "12"],
+    ["span", "cofiber", "--shape", "backward", "--sizes", "2,1"],
+], ids=" ".join)
+def test_json_is_byte_identical_across_hash_seeds(argv, inputs):
+    outs = [cli_timings.run(["-m", "dualkit.cli", *argv, "--format", "json"],
+                            inputs, PYTHONHASHSEED=seed) for seed in "01"]
+    assert outs[0].returncode == outs[1].returncode == 0
+    assert outs[0].stdout.encode() == outs[1].stdout.encode()
+    assert outs[0].stdout.startswith("{")
 
 
 @pytest.mark.parametrize("argv", SUBMODULE_COMMANDS,
@@ -114,6 +136,19 @@ def test_a_malformed_json_option_loads_no_layer(argv, inputs):
                                             inputs)
     assert out.returncode == 2
     assert layers == ()
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback(inputs):
+    # standard output closes before the command prints, as under | head;
+    # the report is not delivered, so the command exits 1
+    proc = subprocess.Popen([sys.executable, "-m", "dualkit.cli", "diagrams",
+                             "verify", "--all"], cwd=inputs,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=str(SRC)))
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b""
 
 
 def test_submodule_map_covers_the_readme():
@@ -143,7 +178,12 @@ def defined_exceptions() -> dict:
     return dict(sorted(found.items()))
 
 
-EXCEPTIONS = defined_exceptions()
+# The CLI's usage error is the one exception outside the family: a
+# command body raises it for an input its options' types cannot reject,
+# and it exits 2 where a domain failure exits 1.
+USAGE_ERRORS = {"cli-_UsageError": cli._UsageError}
+EXCEPTIONS = {key: exc for key, exc in defined_exceptions().items()
+              if key not in USAGE_ERRORS}
 
 
 def test_the_walk_reaches_every_layer():
@@ -151,11 +191,16 @@ def test_the_walk_reaches_every_layer():
             "models-UnsupportedShape", "idem-NotTwistedTrivial",
             "diagram-RewriteError", "equivariant-GroupTooLarge"} <= set(
                 EXCEPTIONS)
+    assert {**EXCEPTIONS, **USAGE_ERRORS} == defined_exceptions()
 
 
 @pytest.mark.parametrize("exc", EXCEPTIONS.values(), ids=EXCEPTIONS.keys())
 def test_domain_exceptions_share_one_base(exc):
     assert issubclass(exc, dualkit.DomainError)
+
+
+def test_the_usage_error_is_not_a_domain_error():
+    assert not issubclass(cli._UsageError, dualkit.DomainError)
 
 
 def test_rep_names_match_the_presets():
