@@ -3,30 +3,43 @@ functor F vanishing on one representation sphere vanishes on S^0.
 
 The derivation walks the subgroup-class poset from the bottom: while
 the current upset U is nonempty, pick its minimal class H (deterministic
-(order, lexicographic) tie-break) and record three steps:
+(order, lexicographic) tie-break) and record three steps, each the one
+its rule makes at H and U (``_step``):
 
-- SingletonKill(H):   F(S^{class H}) = 0 (from the axiom, by stability)
-- CofiberLocal(H, U): since downset(H) smashed with U is exactly {H},
-                      locality of S^0 -> S^U passes to U minus {H}
-- SmashRemove(H):     replace U by U minus {H}
+- SingletonKill(H):   F(S^{class H}) = 0, citing the axiom F(S^V) = 0
+                      (by stability)
+- CofiberLocal(H, U): since H is minimal in U, downset(H) smashed with U
+                      is exactly {H}, so locality of S^0 -> S^U passes
+                      to U minus {H}: it cites the kill fact and
+                      local(U), and concludes local(U minus {H})
+- SmashRemove(H):     cites and concludes local(U minus {H}), and
+                      replaces U by U minus {H}
 
-The final fact, once U is empty, is F(S^0) = 0.  Validation first checks
-that the certificate's group has the poset's degree and generates the
-poset's elements, then replays the steps re-checking every lattice side
-condition from the poset alone.
+The final fact, once U is empty, is F(S^0) = 0.
+
+Validation replays the same rule.  The certificate's group must have
+the poset's degree and generate the poset's elements, and its axioms
+must be exactly F(S^<name>) = 0 and local(S^0 -> S^{all classes}).
+From U = all classes, each step must name a known rule and class, the
+class of a CofiberLocal or SmashRemove step must be minimal in U, and
+the step must equal the one its rule makes at U (its recorded upset, its
+premises in order and its conclusion) and cite only facts derived
+before it.  At the end U must be empty and the final fact F(S^0) = 0.
+Only a minimal class leaves U, so every replayed U is an upset, and the
+last SmashRemove has concluded local(S^0 -> S^{}).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .. import MalformedInput, has_shape
 from .groups import GROUP_SHAPE, ConjugacyPoset, PermGroup, _join
-from .spheres import down_closure, is_upset
 
 SINGLETON_KILL = "SingletonKill"
 COFIBER_LOCAL = "CofiberLocal"
 SMASH_REMOVE = "SmashRemove"
+_RULES = (SINGLETON_KILL, COFIBER_LOCAL, SMASH_REMOVE)
 
 FINAL_FACT = "F(S^0) = 0"
 
@@ -99,27 +112,32 @@ def minimal_classes(poset: ConjugacyPoset, upset) -> list:
                   if not any(j != i and poset.leq[j][i] for j in u))
 
 
+def _step(rule: str, h: int, u: frozenset, axiom: str) -> tuple:
+    """The step that rule (one of ``_RULES``) makes at class h and upset
+    u, with axiom the vanishing axiom, and the upset after it."""
+    upset, rest = tuple(sorted(u)), u - {h}
+    if rule == SINGLETON_KILL:
+        return CertStep(rule, h, upset, (axiom,), kill_fact(h)), u
+    shrunk = local_fact(rest)
+    if rule == COFIBER_LOCAL:
+        return CertStep(rule, h, upset, (kill_fact(h), local_fact(u)),
+                        shrunk), u
+    return CertStep(rule, h, upset, (shrunk,), shrunk), rest
+
+
 def generate_collapse_certificate(poset: ConjugacyPoset,
                                   axiom_name: str = "V"
                                   ) -> CollapseCertificate:
     axiom = f"F(S^{axiom_name}) = 0"
-    everything = frozenset(range(poset.n))
+    u = frozenset(range(poset.n))
     # S^{all classes} is S^0 itself, so the initial locality is free
-    axioms = (axiom, local_fact(everything))
+    axioms = (axiom, local_fact(u))
     steps = []
-    u = everything
     while u:
-        upset = tuple(sorted(u))
         h = minimal_classes(poset, u)[0]
-        steps.append(CertStep(SINGLETON_KILL, h, upset, (axiom,),
-                              kill_fact(h)))
-        steps.append(CertStep(COFIBER_LOCAL, h, upset,
-                              (kill_fact(h), local_fact(u)),
-                              local_fact(u - {h})))
-        steps.append(CertStep(SMASH_REMOVE, h, upset,
-                              (local_fact(u - {h}),),
-                              local_fact(u - {h})))
-        u = u - {h}
+        for rule in _RULES:
+            step, u = _step(rule, h, u, axiom)
+            steps.append(step)
     return CollapseCertificate(poset.group.to_json(), axioms, tuple(steps),
                                FINAL_FACT)
 
@@ -135,9 +153,7 @@ class CertReport:
         return self.ok
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "message": self.message,
-                "step_index": self.step_index,
-                "checked_steps": self.checked_steps}
+        return asdict(self)
 
 
 def _group_mismatch(cert_group, G: PermGroup):
@@ -162,70 +178,43 @@ def _group_mismatch(cert_group, G: PermGroup):
 
 def validate_collapse_certificate(cert: CollapseCertificate,
                                   poset: ConjugacyPoset) -> CertReport:
-    """Replay the certificate, re-deriving every side condition from the
-    poset: the certificate's group is the poset's group, premises were
-    previously derived, classes are minimal in the current upset, upsets
-    are closed, and the interval smash is right."""
+    """Replay the certificate against the poset, step by step, with the
+    rule that generates it (see the module docstring)."""
     mismatch = _group_mismatch(cert.group, poset.group)
     if mismatch:
         return CertReport(False, mismatch, -1, 0)
+    u = frozenset(range(poset.n))
+    name = cert.axioms[0][4:-5] if cert.axioms else ""
+    if not name or tuple(cert.axioms) != (f"F(S^{name}) = 0", local_fact(u)):
+        return CertReport(False, "the axioms are not exactly F(S^<name>) = 0 "
+                          f"and {local_fact(u)}", -1, 0)
     derived = set(cert.axioms)
-    everything = frozenset(range(poset.n))
-    if local_fact(everything) not in derived:
-        return CertReport(False, "missing the trivial initial locality "
-                          "axiom", -1, 0)
-    u = everything
 
     def fail(n, msg):
         return CertReport(False, f"step {n}: {msg}", n, n)
 
     for n, s in enumerate(cert.steps):
+        if s.rule not in _RULES:
+            return fail(n, f"unknown rule {s.rule}")
         if s.cls not in range(poset.n):
             return fail(n, f"unknown class {s.cls}")
-        if tuple(sorted(u)) != s.upset:
-            return fail(n, f"recorded upset {s.upset} differs from the "
-                        f"replayed upset {tuple(sorted(u))}")
-        if not is_upset(poset, u):
-            return fail(n, "current class set is not an upset")
+        if s.rule != SINGLETON_KILL and (s.cls not in u or any(
+                poset.leq[j][s.cls] for j in u - {s.cls})):
+            return fail(n, f"class {s.cls} is not minimal in the current "
+                        "upset")
+        want, after = _step(s.rule, s.cls, u, cert.axioms[0])
+        for part in ("upset", "premises", "conclusion"):
+            got, replayed = getattr(s, part), getattr(want, part)
+            if got != replayed:
+                return fail(n, f"recorded {part} {got} differs from the "
+                            f"replayed {part} {replayed}")
         for p in s.premises:
             if p not in derived:
                 return fail(n, f"premise not derived: {p}")
-        if s.rule == SINGLETON_KILL:
-            if cert.axioms[0] not in s.premises:
-                return fail(n, "kill step must cite the vanishing axiom")
-            if s.conclusion != kill_fact(s.cls):
-                return fail(n, f"conclusion should be {kill_fact(s.cls)}")
-        elif s.rule == COFIBER_LOCAL:
-            if s.cls not in u:
-                return fail(n, f"class {s.cls} not in the current upset")
-            if s.cls not in minimal_classes(poset, u):
-                return fail(n, f"class {s.cls} is not minimal in the "
-                            "current upset")
-            if down_closure(poset, s.cls) & u != {s.cls}:
-                return fail(n, "downset smashed with the upset is not the "
-                            "singleton class")
-            if kill_fact(s.cls) not in s.premises or \
-                    local_fact(u) not in s.premises:
-                return fail(n, "locality step must cite the kill fact and "
-                            "the current locality")
-            if s.conclusion != local_fact(u - {s.cls}):
-                return fail(n, "wrong locality conclusion")
-        elif s.rule == SMASH_REMOVE:
-            if s.cls not in u:
-                return fail(n, f"class {s.cls} not in the current upset")
-            if local_fact(u - {s.cls}) not in s.premises:
-                return fail(n, "removal must cite the shrunken locality")
-            u = u - {s.cls}
-        else:
-            return fail(n, f"unknown rule {s.rule}")
         derived.add(s.conclusion)
-    if u:
-        return CertReport(False, f"upset not exhausted: {sorted(u)}",
-                          len(cert.steps), len(cert.steps))
-    if local_fact(frozenset()) not in derived:
-        return CertReport(False, "final locality never derived",
-                          len(cert.steps), len(cert.steps))
-    if cert.final_fact != FINAL_FACT:
-        return CertReport(False, f"final fact is not {FINAL_FACT!r}",
-                          len(cert.steps), len(cert.steps))
-    return CertReport(True, "", -1, len(cert.steps))
+        u = after
+    end = len(cert.steps)
+    if u or cert.final_fact != FINAL_FACT:
+        return CertReport(False, f"upset not exhausted: {sorted(u)}" if u
+                          else f"final fact is not {FINAL_FACT!r}", end, end)
+    return CertReport(True, "", -1, end)

@@ -341,6 +341,21 @@ class TestEqui:
                  str(cert))
         assert ok.exit_code == 0
 
+    def test_smash_removals_alone_are_no_certificate(self, tmp_path):
+        # the SmashRemove steps alone, with their own conclusions added
+        # as axioms so that every premise they cite is "derived"
+        res = run("equi", "collapse", "--group", "s3", "--format", "json")
+        cert = json.loads(res.stdout)
+        removals = [s for s in cert["steps"] if s["rule"] == "SmashRemove"]
+        cert["axioms"] += [s["conclusion"] for s in removals]
+        cert["steps"] = removals
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(cert))
+        bad = run("equi", "validate", "--group", "s3", "--cert", str(path),
+                  "--format", "json")
+        assert bad.exit_code == 1
+        assert json.loads(bad.stdout)["ok"] is False
+
     @pytest.mark.parametrize("idx", ["4", "99", "-1"])
     def test_weyl_class_out_of_range_is_usage_error(self, idx):
         res = run("equi", "weyl", "--group", "s3", "--class", idx)

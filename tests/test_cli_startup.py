@@ -45,11 +45,17 @@ README = cli_timings.readme_commands()
 EQUI_GROUPS = (("equivariant.groups", "equivariant.presets"),
                ("equivariant.rep", "equivariant.actions",
                 "equivariant.certificate", "equivariant.spheres", "introws"))
+EQUI_CERTIFICATE = (("equivariant.certificate", "equivariant.groups",
+                     "equivariant.presets"),
+                    ("equivariant.rep", "equivariant.actions",
+                     "equivariant.spheres", "introws"))
 SUBMODULES_OF = {
     "span": (("models.spanfin",), ("models.evconst", "models.product")),
     "evconst": (("models.evconst",), ("models.spanfin", "models.product")),
     "equi lattice": EQUI_GROUPS,
     "equi weyl": EQUI_GROUPS,
+    "equi collapse": EQUI_CERTIFICATE,
+    "equi validate": EQUI_CERTIFICATE,
 }
 
 
@@ -154,7 +160,8 @@ def test_a_reader_that_leaves_early_gets_no_traceback(inputs):
 def test_submodule_map_covers_the_readme():
     assert {" ".join(a[:2]) for a in SUBMODULE_COMMANDS} == {
         "span compose", "span dual-check", "span cofiber", "evconst cofiber",
-        "evconst split", "equi lattice", "equi weyl"}
+        "evconst split", "equi lattice", "equi weyl", "equi collapse",
+        "equi validate"}
 
 
 def _subclasses(cls):

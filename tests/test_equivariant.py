@@ -9,8 +9,8 @@ from itertools import combinations
 
 import pytest
 
-from dualkit.equivariant import (COFIBER_LOCAL, SINGLETON_KILL, SMASH_REMOVE,
-                                 CertStep, CollapseCertificate,
+from dualkit.equivariant import (COFIBER_LOCAL, FINAL_FACT, SINGLETON_KILL,
+                                 SMASH_REMOVE, CertStep, CollapseCertificate,
                                  GroupTooLarge, IntervalSphere, InvalidAction,
                                  NonIntegralAverage, NotADownset, NotConvex,
                                  PermGroup, Representation,
@@ -21,7 +21,8 @@ from dualkit.equivariant import (COFIBER_LOCAL, SINGLETON_KILL, SMASH_REMOVE,
                                  generate_collapse_certificate,
                                  generated_subgroup, get_group,
                                  interval_smash, is_downset, is_subconjugate,
-                                 is_upset, local_fact, natural_action,
+                                 is_upset, kill_fact, local_fact,
+                                 natural_action,
                                  perm_group, permutation_representation,
                                  reduced_permutation_representation,
                                  reduced_regular_representation,
@@ -370,3 +371,84 @@ class TestCollapseCertificates:
         c1 = generate_collapse_certificate(poset)
         c2 = generate_collapse_certificate(poset)
         assert c1.to_json() == c2.to_json()
+
+    def test_smash_removals_alone_with_their_conclusions_as_axioms(self):
+        # the certificate's locality facts listed as extra axioms would
+        # let its SmashRemove steps alone cite only "derived" facts
+        poset = enumerate_subgroup_classes(get_group("s3"))
+        report = validate_collapse_certificate(
+            smash_removals_only(generate_collapse_certificate(poset)), poset)
+        assert not report.ok and report.step_index == -1
+        assert "axioms" in report.message
+
+    def test_smash_remove_conclusion_is_checked(self):
+        poset = enumerate_subgroup_classes(get_group("s3"))
+        cert = generate_collapse_certificate(poset)
+        everything = frozenset(range(poset.n))
+        for n, s in enumerate(cert.steps):
+            if s.rule != SMASH_REMOVE:
+                continue
+            u = frozenset(s.upset)
+            others = {local_fact(u), local_fact(frozenset()),
+                      local_fact(everything), kill_fact(s.cls), FINAL_FACT,
+                      "anything"} - {s.conclusion}
+            for other in others:
+                steps = list(cert.steps)
+                steps[n] = dataclasses.replace(s, conclusion=other)
+                report = validate_collapse_certificate(
+                    dataclasses.replace(cert, steps=tuple(steps)), poset)
+                assert not report.ok and report.step_index == n, other
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_every_single_step_mutant_is_rejected(self, name):
+        poset = enumerate_subgroup_classes(get_group(name))
+        cert = generate_collapse_certificate(poset, "reduced-regular")
+        assert validate_collapse_certificate(cert, poset)
+        assert validate_collapse_certificate(
+            CollapseCertificate.from_json(cert.to_json()), poset)
+        mutants = list(certificate_mutants(cert, poset.n))
+        # 3n steps: 3n deletions, 3n - 1 swaps, two other rules and n - 1
+        # other classes for each step, and four field edits per step
+        n = poset.n
+        assert len(mutants) == 3 * n * (n + 7) - 1
+        for what, steps in mutants:
+            bad = dataclasses.replace(cert, steps=steps)
+            assert not validate_collapse_certificate(bad, poset), \
+                f"{name}: {what} still validates"
+
+
+def smash_removals_only(cert):
+    """cert with its SmashRemove conclusions appended to the axioms and
+    only its SmashRemove steps kept."""
+    removals = tuple(s for s in cert.steps if s.rule == SMASH_REMOVE)
+    return dataclasses.replace(
+        cert, axioms=cert.axioms + tuple(s.conclusion for s in removals),
+        steps=removals)
+
+
+def certificate_mutants(cert, n_classes):
+    """(what, steps) for every single-step corruption of cert: a step
+    deleted or swapped with the next; its rule or class replaced by each
+    other one; its first upset entry or first premise dropped; an axiom
+    appended to its premises; its conclusion set to the final fact."""
+    steps = cert.steps
+    rules = (SINGLETON_KILL, COFIBER_LOCAL, SMASH_REMOVE)
+    for n, s in enumerate(steps):
+        def at(**change):
+            return steps[:n] + (dataclasses.replace(s, **change),) + \
+                steps[n + 1:]
+        yield f"step {n} deleted", steps[:n] + steps[n + 1:]
+        if n + 1 < len(steps):
+            yield f"steps {n}, {n + 1} swapped", \
+                steps[:n] + (steps[n + 1], s) + steps[n + 2:]
+        for rule in rules:
+            if rule != s.rule:
+                yield f"step {n} rule {rule}", at(rule=rule)
+        for c in range(n_classes):
+            if c != s.cls:
+                yield f"step {n} class {c}", at(cls=c)
+        yield f"step {n} upset cut", at(upset=s.upset[1:])
+        yield f"step {n} premise cut", at(premises=s.premises[1:])
+        yield f"step {n} axiom cited", at(
+            premises=s.premises + (cert.axioms[1],))
+        yield f"step {n} final conclusion", at(conclusion=FINAL_FACT)

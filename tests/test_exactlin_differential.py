@@ -984,6 +984,29 @@ def test_one_byte_narrower_slot_gives_a_wrong_product(case, monkeypatch):
     assert (got is None) == (case == "negative")
 
 
+# M, the bound of _slot_bytes, on each side of the byte boundaries of
+# 2 * M + 1 at 256 and 65536, and the bytes per slot it needs (3 round
+# up to 4).  A wider slot gives the same product, so only the width
+# itself shows that the bound grew.
+SLOT_WIDTHS = {127: 1, 128: 2, 32767: 2, 32768: 4}
+
+
+@pytest.mark.parametrize("M", SLOT_WIDTHS)
+def test_slot_width_at_byte_boundaries(M):
+    a, b = [[1], [-1]], [[M, -M, 1]]
+    assert introws._slot_bytes(a, M) == SLOT_WIDTHS[M]
+    # the product reaches M in both signs, in the top slot and below it
+    expected = [list(r) for r in mul_rows(a, b, 3)]
+    assert expected == [[M, -M, 1], [-M, M, -1]]
+    assert mul_packed(a, b, 3) == expected
+
+
+@pytest.mark.parametrize("pivots, width", [(254, 1), (255, 2)])
+def test_fp_slot_width_at_a_byte_boundary(pivots, width):
+    # over F_2 the bound (p - 1) + pivots * (p - 1)**2 is pivots + 1
+    assert introws._fp_slot_bytes(2, pivots) == width
+
+
 # ---------------------------------------------------------- packed echelon
 
 def with_identity(rows):
