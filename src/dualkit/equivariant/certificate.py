@@ -17,6 +17,10 @@ its rule makes at H and U (``_step``):
 
 The final fact, once U is empty, is F(S^0) = 0.
 
+The vanishing axiom may not state a fact the derivation concludes:
+F(S^0) = 0 itself or F(S^{class i}) = 0 for a class i of the poset.
+The generator refuses such an axiom name, and the checker such an axiom.
+
 Validation replays the same rule.  The certificate's group must have
 the poset's degree and generate the poset's elements, and its axioms
 must be exactly F(S^<name>) = 0 and local(S^0 -> S^{all classes}).
@@ -106,10 +110,19 @@ class CollapseCertificate:
         return sum(1 for s in self.steps if s.rule == SMASH_REMOVE)
 
 
+def _is_minimal(poset: ConjugacyPoset, h: int, u: frozenset) -> bool:
+    """h is in u and no other class of u lies below it."""
+    return h in u and not any(j != h and poset.leq[j][h] for j in u)
+
+
 def minimal_classes(poset: ConjugacyPoset, upset) -> list:
     u = frozenset(upset)
-    return sorted(i for i in u
-                  if not any(j != i and poset.leq[j][i] for j in u))
+    return sorted(i for i in u if _is_minimal(poset, i, u))
+
+
+def _is_forged(poset: ConjugacyPoset, axiom: str) -> bool:
+    """The vanishing axiom states the final fact, or a class's kill fact."""
+    return axiom in (FINAL_FACT, *map(kill_fact, range(poset.n)))
 
 
 def _step(rule: str, h: int, u: frozenset, axiom: str) -> tuple:
@@ -129,12 +142,17 @@ def generate_collapse_certificate(poset: ConjugacyPoset,
                                   axiom_name: str = "V"
                                   ) -> CollapseCertificate:
     axiom = f"F(S^{axiom_name}) = 0"
+    if _is_forged(poset, axiom):
+        raise MalformedInput(f"the vanishing axiom {axiom!r} states a fact "
+                             "the certificate derives")
     u = frozenset(range(poset.n))
     # S^{all classes} is S^0 itself, so the initial locality is free
     axioms = (axiom, local_fact(u))
     steps = []
     while u:
-        h = minimal_classes(poset, u)[0]
+        # classes are numbered in order of size, so the least class of u
+        # is minimal and passes at once
+        h = next(i for i in sorted(u) if _is_minimal(poset, i, u))
         for rule in _RULES:
             step, u = _step(rule, h, u, axiom)
             steps.append(step)
@@ -188,6 +206,9 @@ def validate_collapse_certificate(cert: CollapseCertificate,
     if not name or tuple(cert.axioms) != (f"F(S^{name}) = 0", local_fact(u)):
         return CertReport(False, "the axioms are not exactly F(S^<name>) = 0 "
                           f"and {local_fact(u)}", -1, 0)
+    if _is_forged(poset, cert.axioms[0]):
+        return CertReport(False, f"the vanishing axiom {cert.axioms[0]!r} "
+                          "states a fact the certificate derives", -1, 0)
     derived = set(cert.axioms)
 
     def fail(n, msg):
@@ -198,8 +219,7 @@ def validate_collapse_certificate(cert: CollapseCertificate,
             return fail(n, f"unknown rule {s.rule}")
         if s.cls not in range(poset.n):
             return fail(n, f"unknown class {s.cls}")
-        if s.rule != SINGLETON_KILL and (s.cls not in u or any(
-                poset.leq[j][s.cls] for j in u - {s.cls})):
+        if s.rule != SINGLETON_KILL and not _is_minimal(poset, s.cls, u):
             return fail(n, f"class {s.cls} is not minimal in the current "
                         "upset")
         want, after = _step(s.rule, s.cls, u, cert.axioms[0])

@@ -1,14 +1,20 @@
 """Uniform computable-category interface shared by the concrete models.
 
-A model category exposes: object canonical form and equality, morphism
-equality, identity, composition, tensor, the action of a morphism on one
-tensor factor, braiding, biproducts, zero objects/morphisms, duality
-data, cofibers, suspension and, optionally, negatives, differences,
-lifts, extensions, scalars and hom dimensions.  A model without an
-optional operation inherits a method that raises ``UnsupportedShape``
-naming the model (``hom_dims`` returns None instead), so a caller such
-as ``idem.complement_of_retract`` fails with a domain error on it.
-Everything is exact and deterministic.
+``OPERATIONS`` names, once, the operations every model implements:
+unit and zero objects, domain and codomain, identity, composition,
+tensor of objects and of morphisms, the action of a morphism on one
+tensor factor, braiding, zero morphisms and sums, biproducts, duality
+data, cofibers and inverses.  ``ModelCategory`` defines none of them, so
+a model that lacks one raises an ``AttributeError`` naming it; the
+product of two models makes each of them from this list.
+
+``ModelCategory`` itself defines object and morphism equality, the
+derived suspension, invertibility test and iterated composition, and
+the optional negatives, differences, lifts, extensions, scalars and hom
+dimensions.  A model without an optional operation inherits a method
+that raises ``UnsupportedShape`` naming the model (``hom_dims`` returns
+None instead), so a caller such as ``idem.complement_of_retract`` fails
+with a domain error on it.  Everything is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -50,68 +56,27 @@ class Cofiber:
     provenance: str = ""
 
 
+# The operations every model implements, each a method of the model's
+# own class.
+OPERATIONS = ("unit", "zero_obj", "dom", "cod", "identity", "compose",
+              "tensor_obj", "tensor_mor", "act", "braiding", "zero_mor",
+              "add_mor", "biproduct", "duality", "cofiber", "invert")
+
+
 class ModelCategory:
-    """Abstract surface; concrete models implement every method below."""
+    """Abstract surface.  A concrete model implements every operation of
+    ``OPERATIONS``; ``act(out, left, mor, right)`` is
+    (id_left (x) mor (x) id_right) o out, computed without the identities
+    or their tensor products.  Equality, the optional operations below
+    and the derived ones are defined here."""
 
     name: str = "abstract"
-
-    # objects
-    def unit(self):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def zero_obj(self):  # pragma: no cover - interface
-        raise NotImplementedError
 
     def obj_eq(self, x, y) -> bool:
         return x == y
 
-    # morphisms
-    def dom(self, f):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def cod(self, f):  # pragma: no cover - interface
-        raise NotImplementedError
-
     def mor_eq(self, f, g) -> bool:
         return f == g
-
-    def identity(self, x):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def compose(self, g, f):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def tensor_obj(self, x, y):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def tensor_mor(self, f, g):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def act(self, out, left, mor, right):  # pragma: no cover - interface
-        """(id_left (x) mor (x) id_right) o out, computed without the
-        identities or their tensor products."""
-        raise NotImplementedError
-
-    def braiding(self, x, y):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def zero_mor(self, x, y):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def add_mor(self, f, g):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def biproduct(self, x, y) -> Biproduct:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def duality(self, x) -> DualityDatum:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def cofiber(self, f) -> Cofiber:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def invert(self, f):  # pragma: no cover - interface
-        raise NotImplementedError
 
     # subtraction, solving and counting, for models with matrix
     # hom-groups: lift(a, b) is the X with a o X = b, and extend(a, b)

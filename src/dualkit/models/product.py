@@ -5,17 +5,21 @@ with all structure computed componentwise by one rule.
 calls ``name`` on each factor with the matching components of its
 arguments and pairs the two results, a tuple in general and a
 ``Biproduct``, ``DualityDatum`` or ``Cofiber`` field by field, with the
-provenance ``"(first;second)"``.  Each operation is its own class
-attribute, so it can be wrapped by name like the factors' methods.
-``scalar(n)`` pairs the factors' scalars, and ``hom_dims`` adds the
-factors' hom-group dimensions.
+provenance ``"(first;second)"``.  One loop after the class sets this
+operation for each name of ``base.OPERATIONS`` and for the four optional
+matrix operations (negate, sub_mor, lift, extend), so an operation added
+to the interface reaches the product without a second edit.  Each is
+its own class attribute, so it can be wrapped by name like the factors'
+methods.  ``scalar(n)`` pairs the factors' scalars, and ``hom_dims``
+adds the factors' hom-group dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 
-from .base import Biproduct, Cofiber, DualityDatum, ModelCategory
+from .base import (OPERATIONS, Biproduct, Cofiber, DualityDatum,
+                   ModelCategory)
 
 
 def _pair(a, b):
@@ -47,27 +51,6 @@ class ProductCategory(ModelCategory):
     def mor_eq(self, f, g):
         return self.m1.mor_eq(f[0], g[0]) and self.m2.mor_eq(f[1], g[1])
 
-    unit = _componentwise("unit")
-    zero_obj = _componentwise("zero_obj")
-    dom = _componentwise("dom")
-    cod = _componentwise("cod")
-    identity = _componentwise("identity")
-    compose = _componentwise("compose")
-    tensor_obj = _componentwise("tensor_obj")
-    tensor_mor = _componentwise("tensor_mor")
-    act = _componentwise("act")
-    braiding = _componentwise("braiding")
-    zero_mor = _componentwise("zero_mor")
-    add_mor = _componentwise("add_mor")
-    biproduct = _componentwise("biproduct")
-    duality = _componentwise("duality")
-    cofiber = _componentwise("cofiber")
-    invert = _componentwise("invert")
-    negate = _componentwise("negate")
-    sub_mor = _componentwise("sub_mor")
-    lift = _componentwise("lift")
-    extend = _componentwise("extend")
-
     def scalar(self, n: int):
         return (self.m1.scalar(n), self.m2.scalar(n))
 
@@ -82,6 +65,10 @@ class ProductCategory(ModelCategory):
         (g1, at1), (g2, at2) = dims
         at = {p: at1.get(p, g1) + at2.get(p, g2) for p in sorted({*at1, *at2})}
         return g1 + g2, {p: d for p, d in at.items() if d != g1 + g2}
+
+
+for _name in OPERATIONS + ("negate", "sub_mor", "lift", "extend"):
+    setattr(ProductCategory, _name, _componentwise(_name))
 
 
 def product_category(m1: ModelCategory, m2: ModelCategory) -> ProductCategory:

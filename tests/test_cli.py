@@ -356,6 +356,19 @@ class TestEqui:
         assert bad.exit_code == 1
         assert json.loads(bad.stdout)["ok"] is False
 
+    def test_a_forged_vanishing_axiom_is_no_certificate(self, tmp_path):
+        # the vanishing axiom replaced by the final fact F(S^0) = 0,
+        # which then proves itself
+        res = run("equi", "collapse", "--group", "s3", "--format", "json")
+        axiom = json.loads(res.stdout)["axioms"][0]
+        path = tmp_path / "forged.json"
+        path.write_text(res.stdout.replace(axiom, "F(S^0) = 0"))
+        bad = run("equi", "validate", "--group", "s3", "--cert", str(path),
+                  "--format", "json")
+        assert bad.exit_code == 1
+        report = json.loads(bad.stdout)
+        assert report["ok"] is False and report["step_index"] == -1
+
     @pytest.mark.parametrize("idx", ["4", "99", "-1"])
     def test_weyl_class_out_of_range_is_usage_error(self, idx):
         res = run("equi", "weyl", "--group", "s3", "--class", idx)

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from dualkit import MalformedInput
 from dualkit.equivariant import (COFIBER_LOCAL, FINAL_FACT, SINGLETON_KILL,
                                  SMASH_REMOVE, CertStep, CollapseCertificate,
                                  GroupTooLarge, IntervalSphere, InvalidAction,
@@ -399,6 +400,29 @@ class TestCollapseCertificates:
                     dataclasses.replace(cert, steps=tuple(steps)), poset)
                 assert not report.ok and report.step_index == n, other
 
+    @pytest.mark.parametrize("axiom_name", ["0", "{class 0}", "{class 3}"])
+    def test_a_vanishing_axiom_stating_a_derived_fact_is_refused(
+            self, axiom_name):
+        poset = enumerate_subgroup_classes(get_group("s3"))
+        with pytest.raises(MalformedInput, match="vanishing axiom"):
+            generate_collapse_certificate(poset, axiom_name)
+
+    def test_an_axiom_naming_no_class_of_the_poset_is_accepted(self):
+        poset = enumerate_subgroup_classes(get_group("s3"))
+        cert = generate_collapse_certificate(poset, "{class 4}")
+        assert validate_collapse_certificate(cert, poset)
+
+    def test_a_forged_vanishing_axiom_is_rejected(self):
+        poset = enumerate_subgroup_classes(get_group("s3"))
+        cert = generate_collapse_certificate(poset)
+        report = validate_collapse_certificate(forged_axiom(cert), poset)
+        assert not report.ok and report.step_index == -1
+        assert "vanishing axiom" in report.message
+        for i in range(poset.n):
+            report = validate_collapse_certificate(
+                forged_axiom(cert, kill_fact(i)), poset)
+            assert not report.ok and report.step_index == -1, i
+
     @pytest.mark.parametrize("name", PRESETS)
     def test_every_single_step_mutant_is_rejected(self, name):
         poset = enumerate_subgroup_classes(get_group(name))
@@ -415,6 +439,19 @@ class TestCollapseCertificates:
             bad = dataclasses.replace(cert, steps=steps)
             assert not validate_collapse_certificate(bad, poset), \
                 f"{name}: {what} still validates"
+
+
+def forged_axiom(cert, fact=FINAL_FACT):
+    """cert with its vanishing axiom replaced by fact, in its axioms and
+    in every premise that cites it."""
+    axiom = cert.axioms[0]
+
+    def swap(facts):
+        return tuple(fact if f == axiom else f for f in facts)
+    return dataclasses.replace(
+        cert, axioms=swap(cert.axioms),
+        steps=tuple(dataclasses.replace(s, premises=swap(s.premises))
+                    for s in cert.steps))
 
 
 def smash_removals_only(cert):
