@@ -54,6 +54,20 @@ n x n integer matrices with entries in [-9, 9], dense and with about 10 %
 of the entries nonzero, and prints the dispatch rule ``Matrix.mul``
 applies between them.
 
+For k = 0, 1, 2, 3 and 4 explicit primes it times, per call as the
+best of ``repeats`` rounds of ``MODEL_CALLS`` calls, ``ev_morphism``
+on the parts of a random endomorphism of the object of free rank 3
+with dimension 2 at each of 2 and 5 among the first k primes of 2, 3, 5
+and 7, its components given as F_p matrices at those k primes (3 and 7
+are explicit only because the component there differs from the
+reduction of the free part), beside the construct-then-check
+path it replaced (``oracle_ev_morphism`` in
+``tests/test_models_evconst.py``), and ``EvConst.compose`` of two such
+endomorphisms.  It then times one ``idem.char_split``, best of
+``repeats`` rounds of ten calls, of the object
+of free rank 2 with dimensions 3, 1 and 0 at 2, 3 and 5 for m = 2, 6,
+30 and 60.
+
 It also prints the largest entry of the transforms U and V of both
 SNFs and of the cofiber's free quotient, in decimal digits, and exits
 with status 1 if the two SNF diagonals differ, U*m*V is not D,
@@ -62,8 +76,9 @@ rank is not 2, the two solves disagree on whether a system has a
 solution, a returned X does not satisfy a*X = b, the two row
 products differ, the two echelons differ in a row or in the rank, a
 switch point changes a Smith form or a cofiber, the two left kernels
-differ in q or in the invariant factors, or the two F_p eliminations
-differ in a row, a pivot or a result.
+differ in q or in the invariant factors, the two F_p eliminations
+differ in a row, a pivot or a result, or ``ev_morphism`` and its oracle
+build different morphisms.
 """
 
 from __future__ import annotations
@@ -84,12 +99,14 @@ from dualkit.exactlin import (PACKED_NONZEROS,  # noqa: E402
                               smith_normal_form, solve_right_int)
 from dualkit import exactlin, introws  # noqa: E402
 from dualkit.introws import echelon, mul_packed, mul_rows  # noqa: E402
+from dualkit import idem  # noqa: E402
 from dualkit.models import EvConst, ev_morphism, ev_object  # noqa: E402
 from test_exactlin_differential import (oracle_echelon,  # noqa: E402
                                         oracle_forward_fp,
                                         oracle_left_kernel_int, oracle_snf,
                                         oracle_solve_int, run_echelon,
                                         run_forward, with_identity)
+from test_models_evconst import oracle_ev_morphism  # noqa: E402
 
 SIZES = (16, 24, 32, 48)
 SWITCHES = (4, 8, 16, 32, 64)
@@ -97,6 +114,9 @@ PRODUCT_SIZES = (8, 16, 32, 64, 128)
 P = 101
 FP_SIZES = (32, 64, 128)
 FP_PRIMES = (2, 7, 1000003, 999999999989)
+MODEL_PRIMES = (2, 3, 5, 7)
+MODEL_CALLS = 500
+CHAR_SPLIT_M = (2, 6, 30, 60)
 
 
 def timed(fn, repeats):
@@ -306,6 +326,60 @@ def product_series(repeats) -> bool:
     return ok
 
 
+def per_call(fn, repeats, calls=MODEL_CALLS):
+    """fn() and the time per call of calls calls, best of repeats rounds
+    (a few microseconds a call drown in the machine's noise, which only
+    ever adds time)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            result = fn()
+        best = min(best, time.perf_counter() - start)
+    return result, best / calls
+
+
+def model_parts(rng, x, k):
+    """The free part and the components at the first k primes of
+    MODEL_PRIMES of a random endomorphism of x."""
+    free = int_matrix([[rng.randint(-9, 9) for _ in range(x.f)]
+                       for _ in range(x.f)])
+    return free, {p: fp_matrix(p, [[rng.randrange(p) for _ in range(x.dim(p))]
+                                   for _ in range(x.dim(p))],
+                               shape=(x.dim(p), x.dim(p)))
+                  for p in MODEL_PRIMES[:k]}
+
+
+def models_series(repeats) -> bool:
+    """ev_morphism beside its oracle and EvConst.compose at 0-4
+    explicit primes, then one idem.char_split per m."""
+    model, ok = EvConst(), True
+    print(f"\n{'primes':>6} {'ev_morphism':>12} {'oracle':>9} "
+          f"{'compose':>9}  (per call)")
+    for k in range(len(MODEL_PRIMES) + 1):
+        rng = random.Random(6)
+        x = ev_object(3, {p: 2 for p in (2, 5) if p in MODEL_PRIMES[:k]})
+        free, comps = model_parts(rng, x, k)
+        f = ev_morphism(x, x, free, comps)
+        g = ev_morphism(x, x, *model_parts(rng, x, k))
+        assert f.explicit_primes() == MODEL_PRIMES[:k]
+        got, new_s = per_call(lambda: ev_morphism(x, x, free, comps), repeats)
+        want, old_s = per_call(
+            lambda: oracle_ev_morphism(x, x, free, comps), repeats)
+        _, compose_s = per_call(lambda: model.compose(g, f), repeats)
+        ok = ok and got == want
+        print(f"{k:>6} {new_s * 1e6:>10.1f}us {old_s * 1e6:>7.1f}us "
+              f"{compose_s * 1e6:>7.1f}us" + ("" if got == want else
+                                             "  DIFFER"))
+    obj = ev_object(2, {2: 3, 3: 1, 5: 0})
+    print(f"\nchar_split of {obj}, per call")
+    for m in CHAR_SPLIT_M:
+        _, split_s = per_call(lambda: idem.char_split(model, m, obj),
+                              repeats, calls=10)
+        print(f"  m = {m:>2} {split_s * 1e3:>7.3f}ms")
+    return ok
+
+
 def main() -> int:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     model = EvConst()
@@ -349,6 +423,9 @@ def main() -> int:
         ok = False
     if not product_series(repeats):
         print("mul_rows and mul_packed DIFFER")
+        ok = False
+    if not models_series(repeats):
+        print("ev_morphism and the construct-then-check path DIFFER")
         ok = False
     return 0 if ok else 1
 

@@ -247,17 +247,16 @@ class Matrix:
         ints), built without ``__post_init__``: only for results that are
         valid whenever the inputs are.  Over F_p the entries are reduced
         mod p in the same pass; over N and Z a row that is already a
-        tuple is kept, not copied.  Only the dimensions are checked."""
+        tuple is kept, not copied.  Only the dimensions are checked, and
+        the four fields are set by one update of the instance's
+        ``__dict__``, not one frozen-dataclass ``__setattr__`` each."""
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimension")
         p = _domain_prime(domain)
         data = (tuple([tuple([e % p for e in r]) for r in data]) if p
                 else tuple(map(tuple, data)))
         m = object.__new__(Matrix)
-        object.__setattr__(m, "domain", domain)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", data)
+        m.__dict__.update(domain=domain, rows=rows, cols=cols, data=data)
         return m
 
     @staticmethod

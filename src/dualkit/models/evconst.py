@@ -11,8 +11,24 @@ component is the reduction of the free part.  The free part is the
 component at no prime: ``dim(None)`` is f and ``component(None)`` is the
 integer matrix.  Canonical form drops explicit primes where both
 endpoints are non-exceptional and the stored matrix equals that
-reduction (one predicate, ``_redundant``, for the constructor and the
-check).
+reduction.
+
+Each canonical-form property is checked or established once per value.
+``ev_object`` establishes ``exc`` sorted with no d = f by building it so,
+and ``_check_object`` checks the dimensions nonnegative.  ``ev_morphism``
+establishes each component over F_p as it reads it and the primes
+sorted, and ``_check_components`` checks, in this order, the free
+part's domain and shape, that no exceptional prime lacks its component,
+and each component's shape before it tests that component with
+``_redundant`` and drops it if redundant.  Both then build their result
+without ``__post_init__``.  On a hand-built ``EvObject(...)`` or
+``EvMorphism(...)``, ``__post_init__`` runs the same two helpers, which
+then also check what the smart constructors establish: ``exc`` sorted
+with no d = f, the primes sorted, each component over F_p, and no
+redundant component.  So ``_redundant`` is still the one predicate for
+the constructor and the check; it compares the component's shape and
+rows with those of the free part, reduced mod p, building no
+``Matrix``.
 
 Every structure map is one call of ``_build``: one ``part(domain, p)``
 gives the free part at p = None over Z and the component at each prime
@@ -55,12 +71,7 @@ class EvObject:
     exc: tuple = ()  # tuple of (prime, dim), sorted by prime, dim != f
 
     def __post_init__(self):
-        if self.f < 0 or any(d < 0 for _, d in self.exc):
-            raise MalformedInput("negative dimension")
-        if any(d == self.f for _, d in self.exc):
-            raise ValueError("non-canonical object: exceptional dim equals f")
-        if list(self.exc) != sorted(self.exc):
-            raise ValueError("exceptional primes not sorted")
+        _check_object(self.f, self.exc, established=False)
 
     def dim(self, p: int | None) -> int:
         """The dimension at the prime p; at p = None, the free rank."""
@@ -94,9 +105,32 @@ class EvObject:
         return " + ".join(parts) if parts else "0"
 
 
+def _trusted(cls, **fields):
+    """The frozen dataclass cls with these fields, built without
+    ``__post_init__``: only for values the caller has checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _check_object(f: int, exc, established: bool) -> None:
+    """Raise unless no dimension is negative and, unless the caller
+    established it, exc is sorted with no d = f."""
+    if f < 0 or any(d < 0 for _, d in exc):
+        raise MalformedInput("negative dimension")
+    if established:
+        return
+    if any(d == f for _, d in exc):
+        raise ValueError("non-canonical object: exceptional dim equals f")
+    if list(exc) != sorted(exc):
+        raise ValueError("exceptional primes not sorted")
+
+
 def ev_object(f: int, exc: dict | None = None) -> EvObject:
-    exc = exc or {}
-    return EvObject(f, tuple(sorted((p, d) for p, d in exc.items() if d != f)))
+    """Smart constructor: drops each d = f, sorts, checks once."""
+    exc = tuple(sorted((p, d) for p, d in (exc or {}).items() if d != f))
+    _check_object(f, exc, established=True)
+    return _trusted(EvObject, f=f, exc=exc)
 
 
 UNIT = ev_object(1)
@@ -111,22 +145,8 @@ class EvMorphism:
     explicit: tuple = ()  # sorted tuple of (prime, F_p matrix cod.d_p x dom.d_p)
 
     def __post_init__(self):
-        if self.free.domain != INT or \
-                (self.free.rows, self.free.cols) != (self.cod.f, self.dom.f):
-            raise DimensionMismatch("free part shape mismatch")
-        keys = [p for p, _ in self.explicit]
-        if keys != sorted(keys):
-            raise ValueError("explicit primes not sorted")
-        for p in _primes(self.dom, self.cod):
-            if p not in keys:
-                raise MalformedInput(
-                    f"missing explicit component at prime {p}")
-        for p, m in self.explicit:
-            if m.domain != fp(p) or \
-                    (m.rows, m.cols) != (self.cod.dim(p), self.dom.dim(p)):
-                raise DimensionMismatch(f"component at {p} has wrong shape")
-            if _redundant(self.dom, self.cod, self.free, p, m):
-                raise ValueError(f"non-canonical: redundant explicit prime {p}")
+        _check_components(self.dom, self.cod, self.free, self.explicit,
+                          established=False)
 
     def component(self, p: int | None) -> Matrix:
         """The F_p matrix at the prime p; at p = None, the free part."""
@@ -156,7 +176,8 @@ class EvMorphism:
 
 def ev_morphism(dom: EvObject, cod: EvObject, free: Matrix,
                 explicit: dict | None = None) -> EvMorphism:
-    """Smart constructor: accepts raw row lists, canonicalizes."""
+    """Smart constructor: accepts raw row lists, canonicalizes and
+    checks in one pass."""
     if not isinstance(free, Matrix):
         free = int_matrix(free, shape=(cod.f, dom.f))
     comps = {}
@@ -166,16 +187,52 @@ def ev_morphism(dom: EvObject, cod: EvObject, free: Matrix,
         elif m.domain != fp(p):
             m = m.mod(p)
         comps[p] = m
-    return EvMorphism(dom, cod, free, tuple(
-        (p, comps[p]) for p in sorted(comps)
-        if not _redundant(dom, cod, free, p, comps[p])))
+    explicit = _check_components(dom, cod, free,
+                                 [(p, comps[p]) for p in sorted(comps)],
+                                 established=True)
+    return _trusted(EvMorphism, dom=dom, cod=cod, free=free,
+                    explicit=explicit)
 
 
-def _redundant(dom: EvObject, cod: EvObject, free: Matrix, p: int,
-               m: Matrix) -> bool:
+def _check_components(dom: EvObject, cod: EvObject, free: Matrix,
+                      explicit, established: bool) -> tuple:
+    """The components of explicit that are not redundant, after checking
+    the free part's domain and shape, that each exceptional prime of dom
+    and cod has a component, and each component's domain and shape
+    before testing it with ``_redundant``.  Where the caller established
+    the primes sorted and each component over F_p, a redundant component
+    is dropped; otherwise those are checked too and a redundant
+    component raises."""
+    if free.domain != INT or free.rows != cod.f or free.cols != dom.f:
+        raise DimensionMismatch("free part shape mismatch")
+    keys = [p for p, _ in explicit]
+    if not established and keys != sorted(keys):
+        raise ValueError("explicit primes not sorted")
+    missing = [p for x in (dom, cod) for p, _ in x.exc if p not in keys]
+    if missing:
+        raise MalformedInput(
+            f"missing explicit component at prime {min(missing)}")
+    kept = []
+    for p, m in explicit:
+        if (not established and m.domain != fp(p)) or \
+                m.rows != cod.dim(p) or m.cols != dom.dim(p):
+            raise DimensionMismatch(f"component at {p} has wrong shape")
+        if not _redundant(free, p, m):
+            kept.append((p, m))
+        elif not established:
+            raise ValueError(f"non-canonical: redundant explicit prime {p}")
+    return tuple(kept)
+
+
+def _redundant(free: Matrix, p: int, m: Matrix) -> bool:
     """Whether the component m at p is implied: both endpoints are
-    non-exceptional at p and m is the reduction of the free part."""
-    return dom.dim(p) == dom.f and cod.dim(p) == cod.f and m == free.mod(p)
+    non-exceptional at p and m is the reduction of the free part.  Once
+    the shapes of free and of m are checked, m has the shape of free
+    exactly when neither endpoint is exceptional at p; then m's rows
+    decide, compared with the reduced rows of free, with no Matrix
+    built."""
+    return (m.rows == free.rows and m.cols == free.cols and m.data
+            == tuple([tuple([e % p for e in r]) for r in free.data]))
 
 
 def _primes(*inputs) -> list:

@@ -13,11 +13,11 @@ import time
 import pytest
 
 from dualkit import MalformedInput
-from dualkit.exactlin import (INT, Matrix, NotInvertible, apply_factor,
-                              commutation, fp, int_matrix, invert_or_fail,
-                              is_prime, kronecker, smith_normal_form,
-                              solve_right_fp)
-from dualkit.models import (EvConst, EvMorphism, UNIT, ZERO,
+from dualkit.exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
+                              apply_factor, commutation, fp, int_matrix,
+                              invert_or_fail, is_prime, kronecker,
+                              smith_normal_form, solve_right_fp)
+from dualkit.models import (EvConst, EvMorphism, EvObject, UNIT, ZERO,
                             biproduct_equations_hold, enumerate_homs,
                             ev_morphism, ev_object, hom_group_structure,
                             triangle_equations_hold)
@@ -517,3 +517,273 @@ def test_a_missing_component_names_the_smallest_prime():
         EvMorphism(dom, S, int_matrix([[1]]))
     with pytest.raises(MalformedInput, match="at prime 11$"):
         ev_morphism(dom, S, [[1]], {5: [[]]})
+
+
+# ------------------------------------- one-pass constructors, differentially
+#
+# ``ev_morphism`` and ``ev_object`` canonicalise and check in one pass and
+# build their result without ``__post_init__``.  The oracles below are the
+# path they replaced: canonicalise, construct, then check everything again
+# with the checks ``__post_init__`` ran, copied verbatim, and the redundancy
+# predicate that built ``free.mod(p)``.
+
+def oracle_redundant(dom, cod, free, p, m):
+    return dom.dim(p) == dom.f and cod.dim(p) == cod.f and m == free.mod(p)
+
+
+def oracle_post_init_object(x):
+    if x.f < 0 or any(d < 0 for _, d in x.exc):
+        raise MalformedInput("negative dimension")
+    if any(d == x.f for _, d in x.exc):
+        raise ValueError("non-canonical object: exceptional dim equals f")
+    if list(x.exc) != sorted(x.exc):
+        raise ValueError("exceptional primes not sorted")
+
+
+def oracle_post_init_morphism(mor):
+    if mor.free.domain != INT or \
+            (mor.free.rows, mor.free.cols) != (mor.cod.f, mor.dom.f):
+        raise DimensionMismatch("free part shape mismatch")
+    keys = [p for p, _ in mor.explicit]
+    if keys != sorted(keys):
+        raise ValueError("explicit primes not sorted")
+    for p in sorted({*mor.dom.exc_primes(), *mor.cod.exc_primes()}):
+        if p not in keys:
+            raise MalformedInput(f"missing explicit component at prime {p}")
+    for p, m in mor.explicit:
+        if m.domain != fp(p) or \
+                (m.rows, m.cols) != (mor.cod.dim(p), mor.dom.dim(p)):
+            raise DimensionMismatch(f"component at {p} has wrong shape")
+        if oracle_redundant(mor.dom, mor.cod, mor.free, p, m):
+            raise ValueError(f"non-canonical: redundant explicit prime {p}")
+
+
+def _constructed(cls, check, **fields):
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    check(obj)
+    return obj
+
+
+def oracle_ev_object(f, exc=None):
+    exc = exc or {}
+    return _constructed(
+        EvObject, oracle_post_init_object, f=f,
+        exc=tuple(sorted((p, d) for p, d in exc.items() if d != f)))
+
+
+def oracle_ev_morphism(dom, cod, free, explicit=None):
+    if not isinstance(free, Matrix):
+        free = int_matrix(free, shape=(cod.f, dom.f))
+    comps = {}
+    for p, m in (explicit or {}).items():
+        if not isinstance(m, Matrix):
+            m = Matrix.from_rows(fp(p), m, shape=(cod.dim(p), dom.dim(p)))
+        elif m.domain != fp(p):
+            m = m.mod(p)
+        comps[p] = m
+    return _constructed(
+        EvMorphism, oracle_post_init_morphism, dom=dom, cod=cod, free=free,
+        explicit=tuple((p, comps[p]) for p in sorted(comps)
+                       if not oracle_redundant(dom, cod, free, p, comps[p])))
+
+
+def outcome(fn, *args):
+    """(the value, None) or (None, (exception class, message))."""
+    try:
+        return fn(*args), None
+    except Exception as e:  # noqa: BLE001 - the class is compared
+        return None, (type(e), str(e))
+
+
+def assert_same_outcome(new, oracle, *args):
+    got, got_err = outcome(new, *args)
+    want, want_err = outcome(oracle, *args)
+    assert got_err == want_err, args
+    assert got == want, args
+    if got is not None:
+        assert hash(got) == hash(want)
+        # the stored fields themselves, in order, not only equality
+        assert vars(got) == vars(want)
+
+
+DIFF_PRIMES = (2, 3, 5, 7, BIG)
+
+
+def rand_exc(rng, f):
+    """Dimensions at a random subset of DIFF_PRIMES, some equal to f, in
+    a shuffled insertion order."""
+    primes = [p for p in DIFF_PRIMES if rng.random() < 0.4]
+    rng.shuffle(primes)
+    return {p: rng.choice((f, rng.randint(0, 3))) for p in primes}
+
+
+def rand_part(rng, p, rows, cols, free=None):
+    """A component at p as raw rows (some unreduced), an integer Matrix
+    or an F_p Matrix; the reduction of free in one of those forms when
+    free is given."""
+    data = free.tolist() if free is not None else [
+        [rng.randint(-2 * min(p, 50), 2 * min(p, 50)) for _ in range(cols)]
+        for _ in range(rows)]
+    form = rng.randrange(3)
+    if form == 0:
+        return data
+    if form == 1:
+        return int_matrix(data, shape=(rows, cols))
+    return Matrix.from_rows(fp(p), data, shape=(rows, cols))
+
+
+def rand_raw_morphism(rng, dom, cod):
+    """(dom, cod, free, explicit) with every exceptional prime present
+    and, at some other primes, a redundant or a differing component."""
+    rows = [[rng.randint(-9, 9) for _ in range(dom.f)] for _ in range(cod.f)]
+    free = rows if rng.random() < 0.5 else int_matrix(
+        rows, shape=(cod.f, dom.f))
+    reduced = int_matrix(rows, shape=(cod.f, dom.f))
+    primes = {*dom.exc_primes(), *cod.exc_primes(),
+              *(p for p in DIFF_PRIMES if rng.random() < 0.4)}
+    explicit = {}
+    for p in rng.sample(sorted(primes), len(primes)):
+        exceptional = dom.dim(p) != dom.f or cod.dim(p) != cod.f
+        redundant = not exceptional and rng.random() < 0.5
+        explicit[p] = rand_part(rng, p, cod.dim(p), dom.dim(p),
+                                reduced if redundant else None)
+    return dom, cod, free, explicit
+
+
+def test_ev_object_matches_the_construct_then_check_path():
+    rng = random.Random(30)
+    for _ in range(300):
+        f = rng.randint(0, 3)
+        assert_same_outcome(ev_object, oracle_ev_object, f, rand_exc(rng, f))
+    assert_same_outcome(ev_object, oracle_ev_object, 2, None)
+    for f, exc in ((-1, {}), (-1, {2: -1}), (1, {3: -1}), (0, {2: 1, 3: -2}),
+                   (2, {5: 2, 3: -1})):
+        assert_same_outcome(ev_object, oracle_ev_object, f, exc)
+
+
+def test_ev_morphism_matches_the_construct_then_check_path():
+    rng = random.Random(31)
+    redundant = 0
+    for _ in range(300):
+        dom, cod = (ev_object(rng.randint(0, 3), rand_exc(rng, 2))
+                    for _ in range(2))
+        args = rand_raw_morphism(rng, dom, cod)
+        assert_same_outcome(ev_morphism, oracle_ev_morphism, *args)
+        redundant += len(args[3]) - len(ev_morphism(*args).explicit)
+    assert redundant > 50  # the inputs exercise the redundancy test
+
+
+def malformed_morphisms(rng):
+    """(dom, cod, free, explicit) inputs each of which breaks at least
+    one rule, some several at once."""
+    yield from [
+        # free part: a bad grid, a wrong shape, a wrong domain
+        (S, S, [[1, 2]], {}),
+        (S, S, int_matrix([[1, 2]]), {}),
+        (S, S, Matrix.from_rows(fp(2), [[1]]), {}),
+        # a missing component names the smallest missing prime
+        (ev_object(1, {5: 0, 11: 0}), S, [[1]], {}),
+        (ev_object(1, {5: 0, 11: 0}), S, [[1]], {5: [[]]}),
+        # a component's grid, shape or domain
+        (S2, S2, [], {2: [[1, 0]]}),
+        (S2, S2, [], {2: Matrix.from_rows(fp(2), [[1, 0]])}),
+        (S2, S2, [], {2: Matrix.from_rows(fp(2), [[1]] * 2)}),
+        (S, S, [[1]], {4: [[1]]}),
+        (S, S, [[1]], {3: Matrix.from_rows(fp(3), [[1, 1]])}),
+        # a wrong-shape component where the free part has no rows: its
+        # rows equal the reduced rows of the free part, so a redundancy
+        # test run before the shape check would drop it silently
+        (ev_object(2), ZERO, int_matrix([], shape=(0, 2)),
+         {3: Matrix.zeros(fp(3), 0, 1)}),
+        (ev_object(2), ZERO, [], {7: Matrix.zeros(fp(7), 0, 5)}),
+        # the reduction of the free part, with its shape, at a prime where
+        # an endpoint is exceptional: a wrong shape, not a redundancy
+        (ev_object(1, {3: 0}), S, [[1]], {3: Matrix.from_rows(fp(3), [[1]])}),
+        (ev_object(2, {5: 1}), ev_object(1, {5: 3}), [[4, 6]],
+         {5: Matrix.from_rows(fp(5), [[4, 1]])}),
+        # several faults at once: free shape before a missing prime,
+        # a missing prime before a component's shape, shape before
+        # redundancy
+        (S2, S, int_matrix([[1, 2]]), {}),
+        (ev_object(1, {3: 0}), S, [[1]],
+         {2: Matrix.from_rows(fp(2), [[1, 1]])}),
+        (S, S, [[2]], {3: Matrix.from_rows(fp(3), [[2], [0]])}),
+    ]
+    for _ in range(200):
+        dom, cod = (ev_object(rng.randint(0, 2), rand_exc(rng, 1))
+                    for _ in range(2))
+        dom, cod, free, explicit = rand_raw_morphism(rng, dom, cod)
+        fault = rng.randrange(5)
+        exceptional = [*dom.exc_primes(), *cod.exc_primes()]
+        if fault == 0 and explicit:
+            del explicit[rng.choice(list(explicit))]
+        elif fault == 4 and exceptional:
+            p = rng.choice(exceptional)
+            rows = free if isinstance(free, list) else free.tolist()
+            explicit[p] = Matrix.from_rows(fp(p), rows, shape=(cod.f, dom.f))
+        elif fault == 1 and explicit:
+            p = rng.choice(list(explicit))
+            explicit[p] = Matrix.zeros(fp(p), cod.dim(p), dom.dim(p) + 1)
+        elif fault == 2:
+            free = Matrix.zeros(INT, cod.f + rng.randint(0, 1), dom.f + 1)
+        else:
+            explicit[rng.choice((1, 4, 9))] = []
+        yield dom, cod, free, explicit
+
+
+def test_malformed_morphisms_raise_as_the_construct_then_check_path():
+    rng = random.Random(32)
+    raised = 0
+    for args in malformed_morphisms(rng):
+        assert_same_outcome(ev_morphism, oracle_ev_morphism, *args)
+        raised += outcome(oracle_ev_morphism, *args)[1] is not None
+    assert raised > 150  # a deleted component need not be exceptional
+    _, err = outcome(ev_morphism, ev_object(2), ZERO,
+                     int_matrix([], shape=(0, 2)),
+                     {3: Matrix.zeros(fp(3), 0, 1)})
+    assert err == (DimensionMismatch, "component at 3 has wrong shape")
+
+
+# ----------------------------------------- hand-built values are checked
+
+def test_a_hand_built_object_is_checked():
+    assert EvObject(1, ((2, 0), (3, 2))) == ev_object(1, {3: 2, 2: 0})
+    with pytest.raises(ValueError, match="^exceptional primes not sorted$"):
+        EvObject(1, ((3, 0), (2, 0)))
+    with pytest.raises(ValueError, match="exceptional dim equals f$"):
+        EvObject(1, ((2, 1),))
+    for f, exc in ((-1, ()), (1, ((2, -1),))):
+        with pytest.raises(MalformedInput, match="^negative dimension$"):
+            EvObject(f, exc)
+
+
+def test_a_hand_built_morphism_is_checked():
+    def fp_rows(p, rows, shape=None):
+        return Matrix.from_rows(fp(p), rows, shape=shape)
+    two = int_matrix([[2]])
+    good = EvMorphism(S, S, two, ((3, fp_rows(3, [[1]])),
+                                  (5, fp_rows(5, [[1]]))))
+    assert good == ev_morphism(S, S, [[2]], {5: [[1]], 3: [[1]]})
+    cases = [
+        (ValueError, "^explicit primes not sorted$",
+         (S, S, two, ((5, fp_rows(5, [[1]])), (3, fp_rows(3, [[1]]))))),
+        (ValueError, "^non-canonical: redundant explicit prime 3$",
+         (S, S, two, ((3, fp_rows(3, [[2]])),))),
+        (MalformedInput, "^missing explicit component at prime 2$",
+         (S2, S, int_matrix([[]], shape=(1, 0)), ())),
+        (DimensionMismatch, "^free part shape mismatch$",
+         (S, S, int_matrix([[2, 0]]), ())),
+        (DimensionMismatch, "^free part shape mismatch$",
+         (S, S, fp_rows(3, [[2]]), ())),
+        (DimensionMismatch, "^component at 2 has wrong shape$",
+         (S2, S2, int_matrix([], shape=(0, 0)), ((2, fp_rows(2, [[1, 0]])),))),
+        (DimensionMismatch, "^component at 3 has wrong shape$",
+         (S, S, two, ((3, int_matrix([[1]])),))),
+        (DimensionMismatch, "^component at 3 has wrong shape$",
+         (ev_object(2), ZERO, int_matrix([], shape=(0, 2)),
+          ((3, Matrix.zeros(fp(3), 0, 1)),))),
+    ]
+    for exc, message, args in cases:
+        with pytest.raises(exc, match=message):
+            EvMorphism(*args)
