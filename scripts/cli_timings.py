@@ -8,11 +8,13 @@ The commands are read from the CLI block of README.md.  Each runs as
 ``python3 -m dualkit.cli ...`` with ``src`` on the path, in a temporary
 directory holding the ``cert.json`` that ``equi validate`` reads.  The
 script prints the median wall time of ``repeats`` runs (default 5) of
-``import dualkit.cli`` and of each command, with the dualkit layers and
-the dualkit submodules the process loaded and whether it imported
-``click`` (read from ``python -X importtime``).  It exits with status 1
-if ``import dualkit.cli`` alone loads a layer, or if it or any command
-imports ``click``.
+``import dualkit.cli`` and of each command, then, read from one run
+under ``python -X importtime``, the total self time of its imports, the
+dualkit layers and submodules it loaded and which of the modules
+``click``, ``dataclasses`` and ``inspect`` it imported.  It exits with
+status 1 if ``import dualkit.cli`` alone loads a layer, or if it or any
+command imports one of those three modules that ``python -c pass`` does
+not already import.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 LAYERS = ("diagram", "equivariant", "idem", "models", "exactlin")
-_IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s+(\S+)$")
+# Modules no command may import: click is no dependency, and dataclasses
+# costs several milliseconds per process, most of them importing inspect.
+FORBIDDEN = ("click", "dataclasses", "inspect")
+_IMPORT_LINE = re.compile(r"^import time:\s+(\d+) \|\s+\d+ \|\s+(\S+)$")
 
 
 def readme_commands() -> list:
@@ -62,12 +67,19 @@ def run(python_args: list, cwd: Path, **env) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+def import_times(python_args: list, cwd: Path) -> tuple:
+    """(completed process, {name: self time in microseconds} of every
+    module it imported) for one run under ``-X importtime``."""
+    out = run(["-X", "importtime", *python_args], cwd)
+    return out, {m.group(2): int(m.group(1)) for m in map(
+        _IMPORT_LINE.match, out.stderr.splitlines()) if m}
+
+
 def imports(python_args: list, cwd: Path) -> tuple:
     """(completed process, set of the names of every module it imported)
     for one run under ``-X importtime``."""
-    out = run(["-X", "importtime", *python_args], cwd)
-    return out, {m.group(1) for m in map(_IMPORT_LINE.match,
-                                         out.stderr.splitlines()) if m}
+    out, times = import_times(python_args, cwd)
+    return out, set(times)
 
 
 def dualkit_modules(names) -> tuple:
@@ -77,9 +89,17 @@ def dualkit_modules(names) -> tuple:
                         if name.startswith("dualkit.")))
 
 
-def imports_click(names) -> bool:
-    """Whether names hold ``click`` or one of its submodules."""
-    return any(name.partition(".")[0] == "click" for name in names)
+def forbidden_imports(names, allowed=()) -> tuple:
+    """The modules of FORBIDDEN that names hold, as themselves or
+    through a submodule, leaving out those in allowed."""
+    tops = {name.partition(".")[0] for name in names}
+    return tuple(m for m in FORBIDDEN if m in tops and m not in allowed)
+
+
+def interpreter_imports(cwd: Path) -> tuple:
+    """The modules of FORBIDDEN that ``python -c pass`` imports: the
+    interpreter's start-up, not dualkit, loads them."""
+    return forbidden_imports(imports(["-c", "pass"], cwd)[1])
 
 
 def modules_loaded(python_args: list, cwd: Path) -> tuple:
@@ -118,23 +138,27 @@ def main() -> int:
         cases = [("import dualkit.cli", ["-c", "import dualkit.cli"])] + [
             (shlex.join(argv)[:40], ["-m", "dualkit.cli", *argv])
             for argv in readme_commands()]
-        bare_layers, with_click = (), []
+        allowed = interpreter_imports(cwd)
+        bare_layers, offenders = (), []
         for i, (name, args) in enumerate(cases):
-            _, names = imports(args, cwd)
-            modules = dualkit_modules(names)
+            _, times = import_times(args, cwd)
+            modules = dualkit_modules(times)
             layers = layers_of(modules)
             if i == 0:
                 bare_layers = layers
-            click = imports_click(names)
-            if click:
-                with_click.append(name)
+            found = forbidden_imports(times)
+            if forbidden_imports(times, allowed):
+                offenders.append(name)
             print(f"{name:40s} {median_s(args, cwd, repeats) * 1e3:7.1f} ms"
-                  f"  layers: {', '.join(layers) or '-'}\n{'':53s}"
-                  f"modules: {', '.join(modules) or '-'}\n{'':53s}"
-                  f"click: {'yes' if click else 'no'}")
-    if with_click:
-        print(f"imported click: {'; '.join(with_click)}")
-    return 1 if bare_layers or with_click else 0
+                  f"  imports: {sum(times.values()) / 1e3:.1f} ms"
+                  f"\n{'':53s}layers: {', '.join(layers) or '-'}"
+                  f"\n{'':53s}modules: {', '.join(modules) or '-'}"
+                  f"\n{'':53s}forbidden: {', '.join(found) or '-'}")
+    if allowed:
+        print(f"python -c pass imports {', '.join(allowed)}")
+    if offenders:
+        print(f"imported a forbidden module: {'; '.join(offenders)}")
+    return 1 if bare_layers or offenders else 0
 
 
 if __name__ == "__main__":

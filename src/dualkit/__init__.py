@@ -1,6 +1,8 @@
 """dualkit: a workbench for string-diagram rewriting, exact model
 categories, idempotent splittings, and equivariant collapse certificates."""
 
+import sys
+
 __version__ = "0.1.0"
 
 
@@ -16,6 +18,54 @@ class MalformedInput(DomainError, ValueError):
     JSON, a JSON value of the wrong shape, an unknown preset or trace
     name, or a value out of range (a non-prime modulus, a negative
     dimension or entry, ...)."""
+
+
+class _Field:
+    """One field as the functions of the standard ``dataclasses`` module
+    read it (``replace``, ``fields``, ``asdict``), so that they work on
+    dualkit's values, though dualkit never imports that module."""
+
+    def __init__(self, name: str, init: bool):
+        self.name, self.init = name, init
+
+    @property
+    def _field_type(self):
+        # the marker of an ordinary field; only dataclasses reads it
+        return sys.modules["dataclasses"]._FIELD
+
+
+class Record:
+    """Base of dualkit's value classes.  A subclass names its fields, in
+    order, in ``_fields`` (and those its ``__init__`` computes instead
+    of taking them in ``_derived``), keeps them in the instance
+    ``__dict__``, and writes out its own ``__init__``, ``__eq__`` (equal
+    to an instance of the same class with equal fields) and
+    ``__hash__``.  The base gives the repr ``Name(field=value, ...)``
+    and the ``__dataclass_fields__`` table of the fields."""
+
+    _fields: tuple = ()
+    _derived: tuple = ()
+
+    def __init_subclass__(cls):
+        cls.__dataclass_fields__ = {name: _Field(name, name not in
+                                                 cls._derived)
+                                    for name in cls._fields}
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+
+class Frozen(Record):
+    """A record whose ``__init__`` sets its fields through the instance
+    ``__dict__`` and that refuses every later assignment or deletion
+    with an AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def clip(text: str, limit: int = 40) -> str:

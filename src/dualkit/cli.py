@@ -6,9 +6,11 @@ Subcommands: ``diagrams`` (trace-corpus verification), ``span`` and
 machinery), ``equi`` (equivariant lattices and collapse certificates).
 
 One table, ``_TABLE``, holds each group's help and, per command, its
-runner and its options; ``main`` builds the ``argparse`` parsers from it
-when it runs, with ``--format text|json`` on every command.  Options are
-never abbreviated, and a repeated option takes its last value.
+runner and its options; ``main`` builds from it, when it runs, the
+``argparse`` parsers of the groups and of the commands of the group it
+is given, with ``--format text|json`` on every command.  Options are
+never abbreviated, and a repeated option takes its last value.  A JSON
+matrix or object option with a dimension above 256 is a usage error.
 
 Exit codes: 0 success / verdict true, 1 verdict false or domain error
 (any ``dualkit.DomainError``), 2 usage error, with nothing on standard
@@ -128,9 +130,24 @@ def _in_range(lo: int, hi: int, parse=int, what: str = "an integer"):
 
 
 def _parser():
-    """The argparse parser of every command in ``_TABLE``: no option is
-    abbreviated, and each parser takes ``--help``."""
+    """The argparse parser of the command groups in ``_TABLE``.  A
+    group's parser adds its commands' parsers only when it is the one
+    that parses, so a run builds the parsers of one group's commands.
+    No option is abbreviated, and each parser takes ``--help``."""
     import argparse
+
+    class Group(argparse.ArgumentParser):
+        def parse_known_args(self, args=None, namespace=None):
+            names = self.add_subparsers(parser_class=argparse.ArgumentParser,
+                                        **listing)
+            for name, (fn, options) in self.commands.items():
+                parser = names.add_parser(name, help=fn.__doc__,
+                                          description=fn.__doc__, **common)
+                for flag, settings in options:
+                    parser.add_argument(flag, **settings)
+                parser.set_defaults(_command=(fn, parser))
+            return super().parse_known_args(args, namespace)
+
     helper = argparse.ArgumentParser(add_help=False)
     helper.add_argument("--help", action="help",
                         help="Show this message and exit.")
@@ -138,16 +155,10 @@ def _parser():
     listing = {"metavar": "COMMAND", "required": True}
     top = argparse.ArgumentParser(prog="dualkit", description=(
         __doc__ or "").partition("\n\n")[0], **common)
-    groups = top.add_subparsers(**listing)
+    groups = top.add_subparsers(parser_class=Group, **listing)
     for group, (text, commands) in _TABLE.items():
-        names = groups.add_parser(group, help=text, description=text,
-                                  **common).add_subparsers(**listing)
-        for name, (fn, options) in commands.items():
-            parser = names.add_parser(name, help=fn.__doc__,
-                                      description=fn.__doc__, **common)
-            for flag, settings in options:
-                parser.add_argument(flag, **settings)
-            parser.set_defaults(_command=(fn, parser))
+        groups.add_parser(group, help=text, description=text,
+                          **common).commands = commands
     return top
 
 
@@ -229,12 +240,26 @@ def _json_option(blob: str, param: str | None, shape, expected: str):
     return obj
 
 
+def _matrix_dims(rows) -> list:
+    """The row count and every row length of a JSON matrix."""
+    return [len(rows), *map(len, rows)]
+
+
+def _bound_dims(param: str, what: str, dims) -> None:
+    """A usage error unless every one of dims is at most _DIM_MAX."""
+    if max(dims, default=0) > _DIM_MAX:
+        raise _UsageError(f"argument {param}: the {what} has a dimension "
+                          f"above {_DIM_MAX}")
+
+
 # -------------------------------------------------------------------- span
 
 def _span_from_json(blob: str, param: str) -> SpanMorphism:
     obj = _json_option(
         blob, param, {"dom": int, "cod": int, "matrix": [[int]]},
         'a span {"dom": m, "cod": n, "matrix": [[int, ...], ...]}')
+    _bound_dims(param, "span", [obj["dom"], obj["cod"],
+                                *_matrix_dims(obj["matrix"])])
     from .models import SpanMorphism
     return SpanMorphism.from_json(obj)
 
@@ -362,6 +387,12 @@ def _ev_morphism_from_json(blob: str, param: str) -> EvMorphism:
         blob, param, _is_ev_morphism,
         'a morphism {"free": [[int, ...], ...]}, optionally with '
         '"explicit": {p: rows} and "dom"/"cod": {"f": int, "exc": {p: int}}')
+    objects = [obj[end] for end in ("dom", "cod") if end in obj]
+    _bound_dims(param, "morphism", [
+        *_matrix_dims(obj["free"]),
+        *(d for m in obj.get("explicit", {}).values()
+          for d in _matrix_dims(m)),
+        *(d for x in objects for d in (x["f"], *x.get("exc", {}).values()))])
     from .models import EvMorphism, ev_morphism, ev_object
     if "dom" not in obj:
         # free-only shorthand: infer free objects from the matrix shape

@@ -9,9 +9,7 @@ slices and validated on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .. import DomainError, MalformedInput
+from .. import DomainError, Frozen, MalformedInput
 from .signature import (Letter, Signature, dual_letter, word_from_json,
                         word_str, word_to_json)
 
@@ -29,8 +27,7 @@ class TypingError(DomainError):
     """A cell does not fit the word it is applied to."""
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Frozen):
     """One non-identity cell at a horizontal offset within a slice.
 
     kind = "gen"/"gen-inv": data is the generator name.
@@ -38,17 +35,25 @@ class Cell:
     kind = "cup": data is a letter l; emits (dual l, l) from nothing.
     kind = "cap": data is a letter l; consumes (l, dual l).
     """
-    kind: str
-    offset: int
-    data: object
+    _fields = ("kind", "offset", "data")
 
-    def __post_init__(self):
-        if self.kind not in _DATA_FIELD:
-            raise MalformedInput(f"unknown cell kind {self.kind}")
-        if self.kind == BRAID and self.data not in (1, -1):
+    def __init__(self, kind: str, offset: int, data: object):
+        if kind not in _DATA_FIELD:
+            raise MalformedInput(f"unknown cell kind {kind}")
+        if kind == BRAID and data not in (1, -1):
             raise MalformedInput("braid sign must be +1 or -1")
-        if self.offset < 0:
+        if offset < 0:
             raise TypingError("negative offset")
+        self.__dict__.update(kind=kind, offset=offset, data=data)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.offset, self.data) == \
+            (other.kind, other.offset, other.data)
+
+    def __hash__(self):
+        return hash((self.kind, self.offset, self.data))
 
     def shifted(self, delta: int) -> "Cell":
         return Cell(self.kind, self.offset + delta, self.data)
@@ -113,16 +118,23 @@ def apply_cell(sig: Signature, current: tuple, cell: Cell) -> tuple:
     return current[:w] + tuple(produced) + current[w + len(consumed):]
 
 
-@dataclass(frozen=True)
-class Diagram:
-    sig: Signature
-    dom: tuple
-    slices: tuple = ()
+class Diagram(Frozen):
+    _fields = ("sig", "dom", "slices")
 
-    def __post_init__(self):
-        for letter in self.dom:
-            self.sig.check_letter(letter)
+    def __init__(self, sig: Signature, dom: tuple, slices: tuple = ()):
+        for letter in dom:
+            sig.check_letter(letter)
+        self.__dict__.update(sig=sig, dom=dom, slices=slices)
         self.boundaries()  # validates every slice
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sig, self.dom, self.slices) == \
+            (other.sig, other.dom, other.slices)
+
+    def __hash__(self):
+        return hash((self.sig, self.dom, self.slices))
 
     def boundaries(self) -> list:
         """Words before/after each slice; length = len(slices) + 1."""

@@ -17,21 +17,32 @@ polynomial in the number of boxes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from .. import Frozen
 from .diagram import BRAID, CAP, CUP, GEN, GEN_INV, Diagram, cell_arity
 
 
-@dataclass(frozen=True)
-class OpenGraph:
-    dom: tuple            # boundary words (letters)
-    cod: tuple
-    boxes: tuple          # occurrence index -> (kind, generator name)
-    wires: tuple          # frozensets of two endpoints
-    loops: tuple          # sorted base names of closed loops
+class OpenGraph(Frozen):
+    # dom and cod are the boundary words (of letters); boxes maps each
+    # occurrence index to (kind, generator name); wires are frozensets of
+    # two endpoints, each ("dom", i), ("cod", j) or
+    # ("box", occ, "in"|"out", port); loops are the sorted base names of
+    # the closed loops
+    _fields = ("dom", "cod", "boxes", "wires", "loops")
 
-    # endpoint encodings:
-    #   ("dom", i) / ("cod", j) / ("box", occ, "in"|"out", port)
+    def __init__(self, dom: tuple, cod: tuple, boxes: tuple, wires: tuple,
+                 loops: tuple):
+        self.__dict__.update(dom=dom, cod=cod, boxes=boxes, wires=wires,
+                             loops=loops)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dom, self.cod, self.boxes, self.wires, self.loops) == \
+            (other.dom, other.cod, other.boxes, other.wires, other.loops)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.boxes, self.wires, self.loops))
 
 
 def diagram_to_open_graph(diagram: Diagram) -> OpenGraph:
@@ -177,13 +188,22 @@ def _canonical_component(comp, colour, ports, labels) -> tuple:
     return best
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    dom: tuple
-    cod: tuple
-    boxes: tuple
-    wires: tuple
-    loops: tuple
+class NormalForm(Frozen):
+    _fields = ("dom", "cod", "boxes", "wires", "loops")
+
+    def __init__(self, dom: tuple, cod: tuple, boxes: tuple, wires: tuple,
+                 loops: tuple):
+        self.__dict__.update(dom=dom, cod=cod, boxes=boxes, wires=wires,
+                             loops=loops)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dom, self.cod, self.boxes, self.wires, self.loops) == \
+            (other.dom, other.cod, other.boxes, other.wires, other.loops)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.boxes, self.wires, self.loops))
 
 
 def normalize_symmetric(diagram: Diagram) -> NormalForm:

@@ -25,9 +25,7 @@ inverse):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .. import DomainError, MalformedInput, has_shape
+from .. import DomainError, Frozen, MalformedInput, Record, has_shape
 from .diagram import (BRAID, CAP, CUP, GEN, GEN_INV, Cell, Diagram,
                       TypingError, cell_arity)
 from .signature import Signature, dual_letter, word_str
@@ -42,21 +40,27 @@ class RewriteError(DomainError):
     """A rewrite step does not apply at the given location."""
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Frozen):
     """A declared rule between two parallel diagrams."""
-    rule_id: str
-    kind: str
-    lhs: Diagram
-    rhs: Diagram
+    _fields = ("rule_id", "kind", "lhs", "rhs")
 
-    def __post_init__(self):
-        if self.kind not in RULE_KINDS:
-            raise MalformedInput(f"unknown rule kind {self.kind}")
-        if self.lhs.sig != self.rhs.sig:
+    def __init__(self, rule_id: str, kind: str, lhs: Diagram, rhs: Diagram):
+        if kind not in RULE_KINDS:
+            raise MalformedInput(f"unknown rule kind {kind}")
+        if lhs.sig != rhs.sig:
             raise MalformedInput("rule sides use different signatures")
-        if self.lhs.dom != self.rhs.dom or self.lhs.cod != self.rhs.cod:
+        if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
             raise MalformedInput("rule sides are not parallel")
+        self.__dict__.update(rule_id=rule_id, kind=kind, lhs=lhs, rhs=rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rule_id, self.kind, self.lhs, self.rhs) == \
+            (other.rule_id, other.kind, other.lhs, other.rhs)
+
+    def __hash__(self):
+        return hash((self.rule_id, self.kind, self.lhs, self.rhs))
 
     def to_json(self) -> dict:
         return {"id": self.rule_id, "kind": self.kind,
@@ -69,16 +73,24 @@ class RewriteRule:
                            Diagram.from_json(sig, obj["rhs"]))
 
 
-@dataclass(frozen=True)
-class Step:
-    rule: str
-    direction: str
-    slice_idx: int
-    offset: int
+class Step(Frozen):
+    _fields = ("rule", "direction", "slice_idx", "offset")
 
-    def __post_init__(self):
-        if self.direction not in (FWD, BWD):
-            raise MalformedInput(f"unknown direction {self.direction}")
+    def __init__(self, rule: str, direction: str, slice_idx: int,
+                 offset: int):
+        if direction not in (FWD, BWD):
+            raise MalformedInput(f"unknown direction {direction}")
+        self.__dict__.update(rule=rule, direction=direction,
+                             slice_idx=slice_idx, offset=offset)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rule, self.direction, self.slice_idx, self.offset) == \
+            (other.rule, other.direction, other.slice_idx, other.offset)
+
+    def __hash__(self):
+        return hash((self.rule, self.direction, self.slice_idx, self.offset))
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "dir": self.direction,
@@ -306,14 +318,26 @@ TRACE_SHAPE = {
     "steps": [{"rule": str, "dir": str, "slice": int, "offset": int}]}
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
-    name: str
-    sig: Signature
-    rules: tuple          # declared RewriteRules usable by the steps
-    start: Diagram
-    end: Diagram
-    steps: tuple          # of Step
+class RewriteTrace(Frozen):
+    _fields = ("name", "sig", "rules", "start", "end", "steps")
+
+    def __init__(self, name: str, sig: Signature, rules: tuple,
+                 start: Diagram, end: Diagram, steps: tuple):
+        # rules are the declared RewriteRules usable by the steps, steps
+        # a tuple of Step
+        self.__dict__.update(name=name, sig=sig, rules=rules, start=start,
+                             end=end, steps=steps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.sig, self.rules, self.start, self.end,
+                self.steps) == (other.name, other.sig, other.rules,
+                                other.start, other.end, other.steps)
+
+    def __hash__(self):
+        return hash((self.name, self.sig, self.rules, self.start, self.end,
+                     self.steps))
 
     def to_json(self) -> dict:
         return {"name": self.name,
@@ -337,12 +361,21 @@ class RewriteTrace:
             tuple(Step.from_json(s) for s in obj["steps"]))
 
 
-@dataclass
-class TraceReport:
-    name: str
-    ok: bool
-    steps_applied: int
-    message: str = ""
+class TraceReport(Record):
+    _fields = ("name", "ok", "steps_applied", "message")
+
+    def __init__(self, name: str, ok: bool, steps_applied: int,
+                 message: str = ""):
+        self.name = name
+        self.ok = ok
+        self.steps_applied = steps_applied
+        self.message = message
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.ok, self.steps_applied, self.message) == \
+            (other.name, other.ok, other.steps_applied, other.message)
 
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok,

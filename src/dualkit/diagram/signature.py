@@ -8,15 +8,44 @@ words, optionally marked invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .. import MalformedInput
+from .. import Frozen, MalformedInput
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
-    name: str
-    dual: bool = False
+class Letter(Frozen):
+    """A named generating object, or its dual; letters are ordered by
+    (name, dual)."""
+    _fields = ("name", "dual")
+
+    def __init__(self, name: str, dual: bool = False):
+        self.__dict__.update(name=name, dual=dual)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.dual) == (other.name, other.dual)
+
+    def __hash__(self):
+        return hash((self.name, self.dual))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.dual) < (other.name, other.dual)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.dual) <= (other.name, other.dual)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.dual) > (other.name, other.dual)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.dual) >= (other.name, other.dual)
 
     def to_json(self) -> str:
         return self.name + ("^" if self.dual else "")
@@ -53,27 +82,46 @@ def word_str(w) -> str:
     return "(" + ", ".join(str(letter) for letter in w) + ")"
 
 
-@dataclass(frozen=True)
-class GenType:
-    dom: tuple
-    cod: tuple
-    invertible: bool = False
+class GenType(Frozen):
+    _fields = ("dom", "cod", "invertible")
+
+    def __init__(self, dom: tuple, cod: tuple, invertible: bool = False):
+        self.__dict__.update(dom=dom, cod=cod, invertible=invertible)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dom, self.cod, self.invertible) == \
+            (other.dom, other.cod, other.invertible)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.invertible))
 
 
-@dataclass(frozen=True)
-class Signature:
-    objects: tuple            # generating object names
-    generators: tuple = ()    # sorted tuple of (name, GenType)
+class Signature(Frozen):
+    _fields = ("objects", "generators")
 
-    def __post_init__(self):
-        names = set(self.objects)
-        if len(names) != len(self.objects):
+    def __init__(self, objects: tuple, generators: tuple = ()):
+        # objects are the generating object names; generators a sorted
+        # tuple of (name, GenType)
+        names = set(objects)
+        if len(names) != len(objects):
             raise MalformedInput("duplicate object names")
-        for gname, gt in self.generators:
+        for gname, gt in generators:
             for letter in gt.dom + gt.cod:
                 if letter.name not in names:
                     raise MalformedInput(
                         f"generator {gname} uses unknown object {letter.name}")
+        self.__dict__.update(objects=objects, generators=generators)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.objects, self.generators) == \
+            (other.objects, other.generators)
+
+    def __hash__(self):
+        return hash((self.objects, self.generators))
 
     def gen(self, name: str) -> GenType:
         for gname, gt in self.generators:

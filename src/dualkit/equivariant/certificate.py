@@ -35,9 +35,7 @@ last SmashRemove has concluded local(S^0 -> S^{}).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
-from .. import MalformedInput, has_shape
+from .. import Frozen, MalformedInput, Record, has_shape
 from .groups import GROUP_SHAPE, ConjugacyPoset, PermGroup, _join
 
 SINGLETON_KILL = "SingletonKill"
@@ -57,13 +55,26 @@ def local_fact(classes) -> str:
     return f"local(S^0 -> S^{{{inner}}})"
 
 
-@dataclass(frozen=True)
-class CertStep:
-    rule: str
-    cls: int                 # the class the step acts on
-    upset: tuple             # the current upset before the step, sorted
-    premises: tuple          # previously derived facts
-    conclusion: str
+class CertStep(Frozen):
+    _fields = ("rule", "cls", "upset", "premises", "conclusion")
+
+    def __init__(self, rule: str, cls: int, upset: tuple, premises: tuple,
+                 conclusion: str):
+        # cls is the class the step acts on, upset the current upset
+        # before the step (sorted), premises previously derived facts
+        self.__dict__.update(rule=rule, cls=cls, upset=upset,
+                             premises=premises, conclusion=conclusion)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rule, self.cls, self.upset, self.premises,
+                self.conclusion) == (other.rule, other.cls, other.upset,
+                                     other.premises, other.conclusion)
+
+    def __hash__(self):
+        return hash((self.rule, self.cls, self.upset, self.premises,
+                     self.conclusion))
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "class": self.cls,
@@ -83,12 +94,23 @@ CERTIFICATE_SHAPE = {
                "conclusion": str}]}
 
 
-@dataclass(frozen=True)
-class CollapseCertificate:
-    group: dict              # the group presentation, for provenance
-    axioms: tuple
-    steps: tuple
-    final_fact: str
+class CollapseCertificate(Frozen):
+    _fields = ("group", "axioms", "steps", "final_fact")
+
+    def __init__(self, group: dict, axioms: tuple, steps: tuple,
+                 final_fact: str):
+        # group is the group presentation, for provenance
+        self.__dict__.update(group=group, axioms=axioms, steps=steps,
+                             final_fact=final_fact)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.axioms, self.steps, self.final_fact) == \
+            (other.group, other.axioms, other.steps, other.final_fact)
+
+    def __hash__(self):
+        return hash((self.group, self.axioms, self.steps, self.final_fact))
 
     def to_json(self) -> dict:
         return {"group": self.group, "axioms": list(self.axioms),
@@ -160,18 +182,30 @@ def generate_collapse_certificate(poset: ConjugacyPoset,
                                FINAL_FACT)
 
 
-@dataclass
-class CertReport:
-    ok: bool
-    message: str = ""
-    step_index: int = -1
-    checked_steps: int = 0
+class CertReport(Record):
+    _fields = ("ok", "message", "step_index", "checked_steps")
+
+    def __init__(self, ok: bool, message: str = "", step_index: int = -1,
+                 checked_steps: int = 0):
+        self.ok = ok
+        self.message = message
+        self.step_index = step_index
+        self.checked_steps = checked_steps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.message, self.step_index,
+                self.checked_steps) == (other.ok, other.message,
+                                        other.step_index, other.checked_steps)
 
     def __bool__(self):
         return self.ok
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"ok": self.ok, "message": self.message,
+                "step_index": self.step_index,
+                "checked_steps": self.checked_steps}
 
 
 def _group_mismatch(cert_group, G: PermGroup):

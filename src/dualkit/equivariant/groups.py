@@ -14,10 +14,9 @@ orders subgroups exactly as comparing their sorted permutations does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .. import DomainError, MalformedInput, has_shape
+from .. import DomainError, Frozen, MalformedInput, has_shape
 
 # The largest group order a PermGroup may have: every consumer builds
 # its Cayley table of |G|^2 entries, and the lattice searches subgroups.
@@ -91,8 +90,7 @@ class CayleyTable:
         return out
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(Frozen):
     """The permutation group of the given degree that the generators
     generate.  ``elements`` is not an argument: it is the sorted closure
     of the generators, computed once on construction (after each
@@ -100,14 +98,24 @@ class PermGroup:
     product of generators, as the action checks and ``Representation``,
     which test products with the generators only, need.  GroupTooLarge
     if the closure has more than DEFAULT_ORDER_BOUND elements."""
-    degree: int
-    generators: tuple       # of permutation tuples
-    elements: tuple = field(init=False)
+    _fields = ("degree", "generators", "elements")
+    _derived = ("elements",)
 
-    def __post_init__(self):
-        _check_permutations(self.degree, self.generators)
-        object.__setattr__(self, "elements", tuple(sorted(
-            _closure(self.degree, self.generators))))
+    def __init__(self, degree: int, generators: tuple):
+        # generators is a tuple of permutation tuples
+        _check_permutations(degree, generators)
+        elements = tuple(sorted(_closure(degree, generators)))
+        self.__dict__.update(degree=degree, generators=generators,
+                             elements=elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.generators, self.elements) == \
+            (other.degree, other.generators, other.elements)
+
+    def __hash__(self):
+        return hash((self.degree, self.generators, self.elements))
 
     @property
     def order(self) -> int:
@@ -251,18 +259,30 @@ def normalizer(G: PermGroup, H: frozenset) -> frozenset:
 
 # ------------------------------------------------------- conjugacy poset
 
-@dataclass(frozen=True)
-class ConjugacyPoset:
+class ConjugacyPoset(Frozen):
     """Conjugacy classes of subgroups ordered by subconjugacy.
 
     Classes are indexed 0..n-1, sorted by (subgroup order, lexicographic
     element set of the canonical representative); index 0 is the trivial
     class and index n-1 is the class of the whole group.
     """
-    group: PermGroup
-    classes: tuple        # class index -> tuple of subgroups (sorted)
-    leq: tuple            # leq[i][j] iff class i subconjugate to class j
-    weyl_orders: tuple
+    _fields = ("group", "classes", "leq", "weyl_orders")
+
+    def __init__(self, group: PermGroup, classes: tuple, leq: tuple,
+                 weyl_orders: tuple):
+        # classes maps each class index to its tuple of subgroups
+        # (sorted); leq[i][j] iff class i is subconjugate to class j
+        self.__dict__.update(group=group, classes=classes, leq=leq,
+                             weyl_orders=weyl_orders)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.classes, self.leq, self.weyl_orders) == \
+            (other.group, other.classes, other.leq, other.weyl_orders)
+
+    def __hash__(self):
+        return hash((self.group, self.classes, self.leq, self.weyl_orders))
 
     @property
     def n(self) -> int:

@@ -8,9 +8,7 @@ sequence S^D -> S^0 -> S^U with U the complementary upset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .. import DomainError
+from .. import DomainError, Frozen
 from .groups import ConjugacyPoset
 
 
@@ -42,22 +40,27 @@ def up_closure(poset: ConjugacyPoset, i: int) -> frozenset:
     return frozenset(j for j in range(poset.n) if poset.leq[i][j])
 
 
-@dataclass(frozen=True)
-class IntervalSphere:
-    poset: ConjugacyPoset
-    classes: frozenset
+class IntervalSphere(Frozen):
+    _fields = ("poset", "classes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", frozenset(self.classes))
-        s = self.classes
+    def __init__(self, poset: ConjugacyPoset, classes: frozenset):
+        s = frozenset(classes)
         for h in s:
             for l in s:
-                for k in range(self.poset.n):
-                    if self.poset.leq[h][k] and self.poset.leq[k][l] \
-                            and k not in s:
+                for k in range(poset.n):
+                    if poset.leq[h][k] and poset.leq[k][l] and k not in s:
                         raise NotConvex(
                             f"class {k} lies between {h} and {l} but is "
                             "missing from the support")
+        self.__dict__.update(poset=poset, classes=s)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.poset, self.classes) == (other.poset, other.classes)
+
+    def __hash__(self):
+        return hash((self.poset, self.classes))
 
     def to_json(self) -> dict:
         return {"classes": sorted(self.classes)}
@@ -70,11 +73,26 @@ def interval_smash(i: IntervalSphere, j: IntervalSphere) -> IntervalSphere:
     return IntervalSphere(i.poset, i.classes & j.classes)
 
 
-@dataclass(frozen=True)
-class CofiberUpsetSequence:
-    downset_sphere: IntervalSphere   # S^D
-    unit_sphere: IntervalSphere      # S^0, supported everywhere
-    upset_sphere: IntervalSphere     # S^U, U the complementary upset
+class CofiberUpsetSequence(Frozen):
+    _fields = ("downset_sphere", "unit_sphere", "upset_sphere")
+
+    def __init__(self, downset_sphere: IntervalSphere,
+                 unit_sphere: IntervalSphere, upset_sphere: IntervalSphere):
+        # S^D, S^0 (supported everywhere) and S^U, U the complementary
+        # upset
+        self.__dict__.update(downset_sphere=downset_sphere,
+                             unit_sphere=unit_sphere,
+                             upset_sphere=upset_sphere)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.downset_sphere, self.unit_sphere, self.upset_sphere) == \
+            (other.downset_sphere, other.unit_sphere, other.upset_sphere)
+
+    def __hash__(self):
+        return hash((self.downset_sphere, self.unit_sphere,
+                     self.upset_sphere))
 
     def to_json(self) -> dict:
         return {"downset": sorted(self.downset_sphere.classes),

@@ -29,13 +29,12 @@ which checks no entry and only reduces mod p; so do ``commutation``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import add
 from typing import Sequence, Union
 
-from . import DomainError, MalformedInput
+from . import DomainError, Frozen, MalformedInput
 from .introws import (PACKED_NONZEROS, PACKED_ROWS, _forward_fp, echelon,
                       mul_packed, mul_pairs, mul_rows, nonzero_pairs,
                       transform_row)
@@ -210,8 +209,7 @@ def _domain_prime(domain: Domain):
     return None
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """An exact matrix over a tagged scalar domain.
 
     Entries are stored as a tuple of row tuples of Python ints.  For the
@@ -219,37 +217,45 @@ class Matrix:
     nonnegative.
     """
 
-    domain: Domain
-    rows: int
-    cols: int
-    data: tuple = field(default=())
+    _fields = ("domain", "rows", "cols", "data")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, domain: Domain, rows: int, cols: int,
+                 data: tuple = ()):
+        if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimension")
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
+        if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch("entry grid does not match declared shape")
-        p = _domain_prime(self.domain)
-        for row in self.data:
+        p = _domain_prime(domain)
+        for row in data:
             for e in row:
                 if not isinstance(e, int):
                     raise TypeError(f"non-integer entry {e!r}")
-                if self.domain == NAT and e < 0:
+                if domain == NAT and e < 0:
                     raise MalformedInput("nat matrix entry must be >= 0")
                 if p is not None and not (0 <= e < p):
                     raise ValueError(f"F_{p} entry {e} not reduced")
+        self.__dict__.update(domain=domain, rows=rows, cols=cols, data=data)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain, self.rows, self.cols, self.data) == \
+            (other.domain, other.rows, other.cols, other.data)
+
+    def __hash__(self):
+        return hash((self.domain, self.rows, self.cols, self.data))
 
     # ---------------------------------------------------------- construction
 
     @staticmethod
     def _trusted(domain: Domain, rows: int, cols: int, data) -> "Matrix":
         """The rows x cols matrix with the rows data (lists or tuples of
-        ints), built without ``__post_init__``: only for results that are
-        valid whenever the inputs are.  Over F_p the entries are reduced
-        mod p in the same pass; over N and Z a row that is already a
-        tuple is kept, not copied.  Only the dimensions are checked, and
-        the four fields are set by one update of the instance's
-        ``__dict__``, not one frozen-dataclass ``__setattr__`` each."""
+        ints), built without the entry checks of ``__init__``: only for
+        results that are valid whenever the inputs are.  Over F_p the
+        entries are reduced mod p in the same pass; over N and Z a row
+        that is already a tuple is kept, not copied.  Only the
+        dimensions are checked, and the four fields are set by one update
+        of the instance's ``__dict__``, as ``__init__`` sets them."""
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimension")
         p = _domain_prime(domain)

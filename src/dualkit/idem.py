@@ -9,10 +9,9 @@ splittings S/m, S(m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from . import DomainError
+from . import DomainError, Frozen, Record
 from .exactlin import NotInvertible
 from .models.base import DualityDatum, ModelCategory
 
@@ -21,23 +20,49 @@ class NotTwistedTrivial(DomainError):
     """The twisted-trivial-braiding equation fails for the given twist."""
 
 
-@dataclass(frozen=True)
-class ClosedIdempotent:
-    E: Any
-    r: Any  # S -> E
+class ClosedIdempotent(Frozen):
+    _fields = ("E", "r")
+
+    def __init__(self, E: Any, r: Any):
+        # r: S -> E
+        self.__dict__.update(E=E, r=r)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.E, self.r) == (other.E, other.r)
+
+    def __hash__(self):
+        return hash((self.E, self.r))
 
 
-@dataclass(frozen=True)
-class ClopenIdempotent:
-    E: Any
-    r: Any  # S -> E
-    i: Any  # E -> S
+class ClopenIdempotent(Frozen):
+    _fields = ("E", "r", "i")
+
+    def __init__(self, E: Any, r: Any, i: Any):
+        # r: S -> E and i: E -> S
+        self.__dict__.update(E=E, r=r, i=i)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.E, self.r, self.i) == (other.E, other.r, other.i)
+
+    def __hash__(self):
+        return hash((self.E, self.r, self.i))
 
 
-@dataclass
-class SplitReport:
-    pairs: list = field(default_factory=list)
-    verdict: bool = True
+class SplitReport(Record):
+    _fields = ("pairs", "verdict")
+
+    def __init__(self, pairs: list | None = None, verdict: bool = True):
+        self.pairs = [] if pairs is None else pairs
+        self.verdict = verdict
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pairs, self.verdict) == (other.pairs, other.verdict)
 
     def record(self, label, ok, detail):
         self.pairs.append({"pair": label, "ok": ok, "detail": detail})

@@ -19,10 +19,9 @@ with a domain error on it.  Everything is exact and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from .. import DomainError
+from .. import DomainError, Frozen
 from ..exactlin import NotInvertible
 
 
@@ -30,30 +29,57 @@ class UnsupportedShape(DomainError):
     """A partial operation (e.g. a shape-classified cofiber) rejected its input."""
 
 
-@dataclass(frozen=True)
-class DualityDatum:
+class DualityDatum(Frozen):
     """Self-duality data for an object: unit eta: S -> Xv (x) X and counit
     eps: X (x) Xv -> S, satisfying both triangle equations."""
-    obj: Any
-    dual: Any
-    eta: Any
-    eps: Any
+    _fields = ("obj", "dual", "eta", "eps")
+
+    def __init__(self, obj: Any, dual: Any, eta: Any, eps: Any):
+        self.__dict__.update(obj=obj, dual=dual, eta=eta, eps=eps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.obj, self.dual, self.eta, self.eps) == \
+            (other.obj, other.dual, other.eta, other.eps)
+
+    def __hash__(self):
+        return hash((self.obj, self.dual, self.eta, self.eps))
 
 
-@dataclass(frozen=True)
-class Biproduct:
-    obj: Any
-    inj1: Any
-    inj2: Any
-    proj1: Any
-    proj2: Any
+class Biproduct(Frozen):
+    _fields = ("obj", "inj1", "inj2", "proj1", "proj2")
+
+    def __init__(self, obj: Any, inj1: Any, inj2: Any, proj1: Any,
+                 proj2: Any):
+        self.__dict__.update(obj=obj, inj1=inj1, inj2=inj2, proj1=proj1,
+                             proj2=proj2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.obj, self.inj1, self.inj2, self.proj1, self.proj2) == \
+            (other.obj, other.inj1, other.inj2, other.proj1, other.proj2)
+
+    def __hash__(self):
+        return hash((self.obj, self.inj1, self.inj2, self.proj1, self.proj2))
 
 
-@dataclass(frozen=True)
-class Cofiber:
-    obj: Any
-    quotient: Any
-    provenance: str = ""
+class Cofiber(Frozen):
+    _fields = ("obj", "quotient", "provenance")
+
+    def __init__(self, obj: Any, quotient: Any, provenance: str = ""):
+        self.__dict__.update(obj=obj, quotient=quotient,
+                             provenance=provenance)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.obj, self.quotient, self.provenance) == \
+            (other.obj, other.quotient, other.provenance)
+
+    def __hash__(self):
+        return hash((self.obj, self.quotient, self.provenance))
 
 
 # The operations every model implements, each a method of the model's

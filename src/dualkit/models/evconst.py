@@ -21,8 +21,8 @@ sorted, and ``_check_components`` checks, in this order, the free
 part's domain and shape, that no exceptional prime lacks its component,
 and each component's shape before it tests that component with
 ``_redundant`` and drops it if redundant.  Both then build their result
-without ``__post_init__``.  On a hand-built ``EvObject(...)`` or
-``EvMorphism(...)``, ``__post_init__`` runs the same two helpers, which
+without running ``__init__``.  On a hand-built ``EvObject(...)`` or
+``EvMorphism(...)``, ``__init__`` runs the same two helpers, which
 then also check what the smart constructors establish: ``exc`` sorted
 with no d = f, the primes sorted, each component over F_p, and no
 redundant component.  So ``_redundant`` is still the one predicate for
@@ -52,10 +52,9 @@ cod_p - rank_p(component).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .. import MalformedInput
+from .. import Frozen, MalformedInput
 from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
                         apply_factor, commutation, fp, injection, int_matrix,
                         invert_or_fail, kronecker, left_kernel_int,
@@ -64,14 +63,22 @@ from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory
 
 
-@dataclass(frozen=True)
-class EvObject:
+class EvObject(Frozen):
     """Canonical object: free rank + exceptional dimensions (sorted, != f)."""
-    f: int
-    exc: tuple = ()  # tuple of (prime, dim), sorted by prime, dim != f
+    _fields = ("f", "exc")
 
-    def __post_init__(self):
-        _check_object(self.f, self.exc, established=False)
+    def __init__(self, f: int, exc: tuple = ()):
+        # exc is a tuple of (prime, dim), sorted by prime, dim != f
+        _check_object(f, exc, established=False)
+        self.__dict__.update(f=f, exc=exc)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.f, self.exc) == (other.f, other.exc)
+
+    def __hash__(self):
+        return hash((self.f, self.exc))
 
     def dim(self, p: int | None) -> int:
         """The dimension at the prime p; at p = None, the free rank."""
@@ -106,8 +113,9 @@ class EvObject:
 
 
 def _trusted(cls, **fields):
-    """The frozen dataclass cls with these fields, built without
-    ``__post_init__``: only for values the caller has checked."""
+    """The value of class cls with these fields, set in its ``__dict__``
+    without running ``__init__`` and its checks: only for values the
+    caller has checked."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -137,16 +145,24 @@ UNIT = ev_object(1)
 ZERO = ev_object(0)
 
 
-@dataclass(frozen=True)
-class EvMorphism:
-    dom: EvObject
-    cod: EvObject
-    free: Matrix          # cod.f x dom.f over INT
-    explicit: tuple = ()  # sorted tuple of (prime, F_p matrix cod.d_p x dom.d_p)
+class EvMorphism(Frozen):
+    _fields = ("dom", "cod", "free", "explicit")
 
-    def __post_init__(self):
-        _check_components(self.dom, self.cod, self.free, self.explicit,
-                          established=False)
+    def __init__(self, dom: EvObject, cod: EvObject, free: Matrix,
+                 explicit: tuple = ()):
+        # free is cod.f x dom.f over INT; explicit a sorted tuple of
+        # (prime, F_p matrix cod.d_p x dom.d_p)
+        _check_components(dom, cod, free, explicit, established=False)
+        self.__dict__.update(dom=dom, cod=cod, free=free, explicit=explicit)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dom, self.cod, self.free, self.explicit) == \
+            (other.dom, other.cod, other.free, other.explicit)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.free, self.explicit))
 
     def component(self, p: int | None) -> Matrix:
         """The F_p matrix at the prime p; at p = None, the free part."""

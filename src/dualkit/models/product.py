@@ -16,8 +16,6 @@ adds the factors' hom-group dimensions.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from .base import (OPERATIONS, Biproduct, Cofiber, DualityDatum,
                    ModelCategory)
 
@@ -25,8 +23,8 @@ from .base import (OPERATIONS, Biproduct, Cofiber, DualityDatum,
 def _pair(a, b):
     if not isinstance(a, (Biproduct, Cofiber, DualityDatum)):
         return (a, b)
-    pairs = {f.name: (getattr(a, f.name), getattr(b, f.name))
-             for f in fields(a)}
+    pairs = {name: (getattr(a, name), getattr(b, name))
+             for name in a._fields}
     if "provenance" in pairs:
         pairs["provenance"] = "({};{})".format(*pairs["provenance"])
     return type(a)(**pairs)

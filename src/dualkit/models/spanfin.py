@@ -16,25 +16,32 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .. import Frozen
 from ..exactlin import (NAT, DimensionMismatch, Matrix, NotInvertible,
                         apply_factor, commutation, injection, invert_or_fail,
                         kronecker, nat_matrix, pairing)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory, UnsupportedShape
 
 
-@dataclass(frozen=True)
-class SpanMorphism:
-    dom: int
-    cod: int
-    matrix: Matrix  # cod x dom over nat
+class SpanMorphism(Frozen):
+    _fields = ("dom", "cod", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.domain != NAT:
+    def __init__(self, dom: int, cod: int, matrix: Matrix):
+        # matrix is cod x dom over nat
+        if matrix.domain != NAT:
             raise ValueError("span matrices live over nat")
-        if (self.matrix.rows, self.matrix.cols) != (self.cod, self.dom):
+        if (matrix.rows, matrix.cols) != (cod, dom):
             raise DimensionMismatch("span matrix shape mismatch")
+        self.__dict__.update(dom=dom, cod=cod, matrix=matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dom, self.cod, self.matrix) == \
+            (other.dom, other.cod, other.matrix)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.matrix))
 
     def to_json(self) -> dict:
         return {"dom": self.dom, "cod": self.cod, "matrix": self.matrix.tolist()}

@@ -11,11 +11,12 @@ per top-level criterion.
 8. untwisting bijection on all transitive G-sets, exhaustive
 """
 
-import dataclasses
 import math
 import random
 import time
 from itertools import combinations
+
+from values import replace
 
 from dualkit import idem
 from dualkit.diagram import Step, load_all, validate_corpus, validate_trace
@@ -66,7 +67,7 @@ def test_criterion_1_trace_corpus_validates_and_rejects_mutations():
             for bad in (Step(other, s.direction, s.slice_idx, s.offset),
                         Step(s.rule, s.direction, s.slice_idx,
                              s.offset + 1)):
-                mutated = dataclasses.replace(
+                mutated = replace(
                     trace, steps=trace.steps[:n] + (bad,)
                     + trace.steps[n + 1:])
                 assert not validate_trace(mutated).ok, \

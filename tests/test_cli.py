@@ -5,7 +5,6 @@ apart: reports are read from the first, usage-error messages from the
 second."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import sys
@@ -14,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from cli_runner import run_cli
+from values import replace
 
 from dualkit import DomainError, MalformedInput
 from dualkit.cli import main
@@ -40,7 +40,7 @@ class TestDiagrams:
 
     def test_verify_corrupted_file(self, tmp_path):
         trace = load_trace("crossings-collapse")
-        bad = dataclasses.replace(trace, steps=trace.steps[:-1])
+        bad = replace(trace, steps=trace.steps[:-1])
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad.to_json()))
         res = run("diagrams", "verify", "--trace", str(path),
@@ -485,6 +485,40 @@ class TestContract:
         assert res.exit_code == (0 if json.loads(res.stdout)["ok"] else 1)
 
 
+# JSON values with one dimension above 256: 257 x 1 and 1 x 257 matrices,
+# and a span side or an EvConst object dimension of 257
+TALL, WIDE = [[1]] * 257, [[1] * 257]
+ABOVE = {"span": [{"dom": 1, "cod": 257, "matrix": TALL},
+                  {"dom": 257, "cod": 1, "matrix": WIDE},
+                  {"dom": 257, "cod": 1, "matrix": [[1]]},
+                  {"dom": 1, "cod": 257, "matrix": [[1]]}],
+         "evconst": [{"free": TALL}, {"free": WIDE},
+                     {"free": [[1]], "explicit": {"2": TALL}},
+                     {"free": [[1]], "explicit": {"2": WIDE}},
+                     {"free": [[1]], "dom": {"f": 257}, "cod": {"f": 1}},
+                     {"free": [[1]], "dom": {"f": 1},
+                      "cod": {"f": 1, "exc": {"2": 257}}}]}
+SMALL = {"span": '{"dom": 1, "cod": 1, "matrix": [[1]]}',
+         "evconst": '{"free": [[1]]}'}
+
+
+def _above_256():
+    """(args, flag) for each JSON option of each command and each value
+    of ABOVE, the other operand of a binary command being small."""
+    for group, values in ABOVE.items():
+        binary = ("compose", "tensor") if group == "span" else ("compose",)
+        for blob in map(json.dumps, values):
+            for cmd in binary:
+                yield ((group, cmd, "--left", blob, "--right", SMALL[group]),
+                       "--left")
+                yield ((group, cmd, "--left", SMALL[group], "--right", blob),
+                       "--right")
+            yield (group, "cofiber", "--morphism", blob), "--morphism"
+
+
+ABOVE_256 = list(_above_256())
+
+
 class TestInputShapes:
     SPAN = json.dumps({"dom": 2, "cod": 2, "matrix": [[0, 1], [1, 0]]})
 
@@ -513,6 +547,24 @@ class TestInputShapes:
         res = run(*args)
         assert res.exit_code == 2
         assert "Traceback" not in res.stdout + res.stderr
+
+    @pytest.mark.parametrize("args, flag", ABOVE_256, ids=[
+        f"{a[0]}-{a[1]}-{flag}-{n}" for n, (a, flag) in enumerate(ABOVE_256)])
+    def test_a_json_dimension_above_256_is_usage_error(self, args, flag):
+        res = run(*args)
+        assert res.exit_code == 2 and res.stdout == ""
+        what = "span" if args[0] == "span" else "morphism"
+        assert res.stderr.endswith(
+            f"argument {flag}: the {what} has a dimension above 256\n")
+
+    @pytest.mark.parametrize("args", [
+        ("span", "cofiber", "--morphism", json.dumps(
+            {"dom": 1, "cod": 256, "matrix": [[0]] * 256})),
+        ("evconst", "cofiber", "--morphism", json.dumps(
+            {"free": [[0] * 256], "explicit": {"2": [[0] * 256]}})),
+    ], ids=["span-256x1", "evconst-1x256"])
+    def test_a_json_dimension_of_256_runs(self, args):
+        assert run(*args).exit_code == 0
 
     @pytest.mark.parametrize("args", [
         ("evconst", "cofiber", "--morphism", '{"free": [[true, false]]}'),

@@ -4,8 +4,9 @@ dualkit defines is a domain failure of one family.
 Each README command runs here as a fresh ``python -m dualkit.cli``
 process under ``-X importtime``; its standard output must equal the
 in-process output through ``cli_runner.run_cli``, the dualkit layers it
-imported must be exactly the ones the command needs, and it must not
-import ``click``.  Within ``dualkit.models`` and ``dualkit.equivariant``,
+imported must be exactly the ones the command needs, and it must import
+none of ``click``, ``dataclasses`` and ``inspect``, unless
+``python -c pass`` already imports it.  Within ``dualkit.models`` and ``dualkit.equivariant``,
 a command must load the submodules it runs and none of those it does
 not.  Three README commands must print the same JSON bytes under two
 hash seeds, and a reader that closes standard output early gets no
@@ -82,21 +83,36 @@ def inputs(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def allowed(inputs):
+    """The forbidden modules that the interpreter alone imports."""
+    return cli_timings.interpreter_imports(inputs)
+
+
+def test_the_forbidden_modules_are_seen():
+    names = {"click.core", "dataclasses", "inspect", "dualkit.cli"}
+    assert cli_timings.forbidden_imports(names) == cli_timings.FORBIDDEN
+    assert cli_timings.forbidden_imports(names, ("inspect",)) == (
+        "click", "dataclasses")
+    assert cli_timings.forbidden_imports({"clicker", "inspection"}) == ()
+
+
 def test_readme_lists_every_command_group():
     assert len(README) == 12
     assert {argv[0] for argv in README} == set(LAYERS_OF)
 
 
-def test_importing_the_cli_loads_no_layer(inputs):
+def test_importing_the_cli_loads_no_layer(inputs, allowed):
     out, names = cli_timings.imports(["-c", "import dualkit.cli"], inputs)
     assert out.returncode == 0
     assert cli_timings.layers_of(cli_timings.dualkit_modules(names)) == ()
-    assert not cli_timings.imports_click(names)
+    assert cli_timings.forbidden_imports(names, allowed) == ()
     assert "argparse" not in names
 
 
 @pytest.mark.parametrize("argv", README, ids=[" ".join(a[:3]) for a in README])
-def test_fresh_process_matches_in_process(argv, inputs, monkeypatch):
+def test_fresh_process_matches_in_process(argv, inputs, allowed,
+                                          monkeypatch):
     out, names = cli_timings.imports(["-m", "dualkit.cli", *argv], inputs)
     monkeypatch.chdir(inputs)
     res = run_cli(argv)
@@ -104,7 +120,7 @@ def test_fresh_process_matches_in_process(argv, inputs, monkeypatch):
     assert out.stdout == res.stdout
     assert cli_timings.layers_of(cli_timings.dualkit_modules(names)) == \
         expected_layers(argv)
-    assert not cli_timings.imports_click(names)
+    assert cli_timings.forbidden_imports(names, allowed) == ()
 
 
 @pytest.mark.parametrize("argv", [
@@ -136,7 +152,12 @@ def test_fresh_process_loads_only_the_submodules_it_runs(argv, inputs):
     ["span", "cofiber", "--morphism", "[[1]]"],
     ["evconst", "cofiber", "--morphism", "[1]"],
     ["evconst", "compose", "--left", "{", "--right", '{"free": [[1]]}'],
-], ids=["span-compose", "span-cofiber", "evconst-cofiber", "evconst-compose"])
+    ["span", "cofiber", "--morphism",
+     '{"dom": 1, "cod": 257, "matrix": [%s]}' % ", ".join(["[1]"] * 257)],
+    ["evconst", "cofiber", "--morphism", '{"free": [[%s]]}' % ", ".join(
+        ["1"] * 257)],
+], ids=["span-compose", "span-cofiber", "evconst-cofiber", "evconst-compose",
+        "span-257x1", "evconst-1x257"])
 def test_a_malformed_json_option_loads_no_layer(argv, inputs):
     out, layers = cli_timings.layers_loaded(["-m", "dualkit.cli", *argv],
                                             inputs)

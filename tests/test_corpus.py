@@ -2,13 +2,13 @@
 every single-step mutation is rejected, and the build script still
 writes the bundled files."""
 
-import dataclasses
 import importlib.util
 import json
 import time
 from pathlib import Path
 
 import pytest
+from values import replace
 
 from dualkit.diagram import (RewriteTrace, Step, list_traces, load_all,
                              load_trace, validate_corpus, validate_trace)
@@ -84,7 +84,7 @@ def test_single_step_mutations_fail(name):
     trace = load_trace(name)
     for n, what, bad in _mutants(trace):
         steps = trace.steps[:n] + (bad,) + trace.steps[n + 1:]
-        mutated = dataclasses.replace(trace, steps=steps)
+        mutated = replace(trace, steps=steps)
         report = validate_trace(mutated)
         assert not report.ok, \
             f"{name}: corrupting step {n} ({what}) still validates"
@@ -95,7 +95,7 @@ def test_dropping_any_step_fails(name):
     trace = load_trace(name)
     for n in range(len(trace.steps)):
         steps = trace.steps[:n] + trace.steps[n + 1:]
-        mutated = dataclasses.replace(trace, steps=steps)
+        mutated = replace(trace, steps=steps)
         assert not validate_trace(mutated).ok, \
             f"{name}: dropping step {n} still validates"
 
@@ -105,5 +105,5 @@ def test_swapping_end_for_start_fails(name):
     trace = load_trace(name)
     if trace.start.slices == trace.end.slices:
         pytest.skip("start equals end")
-    mutated = dataclasses.replace(trace, end=trace.start)
+    mutated = replace(trace, end=trace.start)
     assert not validate_trace(mutated).ok

@@ -2,12 +2,12 @@
 oracle, Weyl groups, fixed-point dimensions vs projector ranks, interval
 spheres, untwisting, and collapse certificates."""
 
-import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from values import replace
 
 from dualkit import MalformedInput
 from dualkit.equivariant import (COFIBER_LOCAL, FINAL_FACT, SINGLETON_KILL,
@@ -322,7 +322,7 @@ class TestCollapseCertificates:
         steps = list(cert.steps)
         # swap the two full removal rounds so a non-minimal class goes first
         steps[0:3], steps[3:6] = steps[3:6], steps[0:3]
-        bad = dataclasses.replace(cert, steps=tuple(steps))
+        bad = replace(cert, steps=tuple(steps))
         report = validate_collapse_certificate(bad, poset)
         assert not report.ok and report.step_index == 0
 
@@ -331,7 +331,7 @@ class TestCollapseCertificates:
         cert = generate_collapse_certificate(poset)
         steps = [s for s in cert.steps
                  if not (s.rule == SINGLETON_KILL and s.cls == 0)]
-        bad = dataclasses.replace(cert, steps=tuple(steps))
+        bad = replace(cert, steps=tuple(steps))
         report = validate_collapse_certificate(bad, poset)
         assert not report.ok
 
@@ -343,7 +343,7 @@ class TestCollapseCertificates:
         assert s.rule == COFIBER_LOCAL
         steps[1] = CertStep(s.rule, s.cls, s.upset, s.premises,
                             local_fact(frozenset()))
-        bad = dataclasses.replace(cert, steps=tuple(steps))
+        bad = replace(cert, steps=tuple(steps))
         assert not validate_collapse_certificate(bad, poset)
 
     def test_certificate_bound_to_its_group(self):
@@ -364,7 +364,7 @@ class TestCollapseCertificates:
         for group in ({"degree": 4}, {"degree": 4, "generators": [[5, 1]]},
                       {"degree": 4, "generators": [["a", "b", "c", "d"]]},
                       [], {"degree": 4, "generators": [[2, 3, 4, 1.5]]}):
-            bad = dataclasses.replace(cert, group=group)
+            bad = replace(cert, group=group)
             assert not validate_collapse_certificate(bad, c4)
 
     def test_determinism(self):
@@ -395,9 +395,9 @@ class TestCollapseCertificates:
                       "anything"} - {s.conclusion}
             for other in others:
                 steps = list(cert.steps)
-                steps[n] = dataclasses.replace(s, conclusion=other)
+                steps[n] = replace(s, conclusion=other)
                 report = validate_collapse_certificate(
-                    dataclasses.replace(cert, steps=tuple(steps)), poset)
+                    replace(cert, steps=tuple(steps)), poset)
                 assert not report.ok and report.step_index == n, other
 
     @pytest.mark.parametrize("axiom_name", ["0", "{class 0}", "{class 3}"])
@@ -436,7 +436,7 @@ class TestCollapseCertificates:
         n = poset.n
         assert len(mutants) == 3 * n * (n + 7) - 1
         for what, steps in mutants:
-            bad = dataclasses.replace(cert, steps=steps)
+            bad = replace(cert, steps=steps)
             assert not validate_collapse_certificate(bad, poset), \
                 f"{name}: {what} still validates"
 
@@ -448,9 +448,9 @@ def forged_axiom(cert, fact=FINAL_FACT):
 
     def swap(facts):
         return tuple(fact if f == axiom else f for f in facts)
-    return dataclasses.replace(
+    return replace(
         cert, axioms=swap(cert.axioms),
-        steps=tuple(dataclasses.replace(s, premises=swap(s.premises))
+        steps=tuple(replace(s, premises=swap(s.premises))
                     for s in cert.steps))
 
 
@@ -458,7 +458,7 @@ def smash_removals_only(cert):
     """cert with its SmashRemove conclusions appended to the axioms and
     only its SmashRemove steps kept."""
     removals = tuple(s for s in cert.steps if s.rule == SMASH_REMOVE)
-    return dataclasses.replace(
+    return replace(
         cert, axioms=cert.axioms + tuple(s.conclusion for s in removals),
         steps=removals)
 
@@ -472,7 +472,7 @@ def certificate_mutants(cert, n_classes):
     rules = (SINGLETON_KILL, COFIBER_LOCAL, SMASH_REMOVE)
     for n, s in enumerate(steps):
         def at(**change):
-            return steps[:n] + (dataclasses.replace(s, **change),) + \
+            return steps[:n] + (replace(s, **change),) + \
                 steps[n + 1:]
         yield f"step {n} deleted", steps[:n] + steps[n + 1:]
         if n + 1 < len(steps):

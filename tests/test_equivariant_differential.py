@@ -9,12 +9,12 @@ compared after a seeded relabelling of its points, which changes every
 permutation (and so the element order) but none of the structure.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from values import replace
 
 from dualkit.equivariant import rep as rep_module
 from dualkit.equivariant import (REP_PRESETS, InvalidAction,
@@ -374,7 +374,7 @@ def test_skipping_the_last_generator_misses_a_corruption():
             check(G, bad)
     # a PermGroup with the last generator dropped is the order-2 group it
     # generates, so the mutant keeps the elements and table of S4
-    assert dataclasses.replace(G, generators=(s,)).elements == \
+    assert replace(G, generators=(s,)).elements == \
         (p_identity(4), s)
     mutant = SimpleNamespace(elements=G.elements, generators=(s,),
                              table=G.table)
