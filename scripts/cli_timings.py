@@ -13,8 +13,8 @@ under ``python -X importtime``, the total self time of its imports, the
 dualkit layers and submodules it loaded and which of the modules
 ``click``, ``dataclasses`` and ``inspect`` it imported.  It exits with
 status 1 if ``import dualkit.cli`` alone loads a layer, or if it or any
-command imports one of those three modules that ``python -c pass`` does
-not already import.
+command imports ``click``, or ``dataclasses`` or ``inspect`` where
+``python -c pass`` does not already import that module.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ LAYERS = ("diagram", "equivariant", "idem", "models", "exactlin")
 # Modules no command may import: click is no dependency, and dataclasses
 # costs several milliseconds per process, most of them importing inspect.
 FORBIDDEN = ("click", "dataclasses", "inspect")
+# Those of them that an interpreter's own start-up (a .pth file, say) may
+# import, so that a process is not at fault for them there; click never is.
+EXEMPTABLE = ("dataclasses", "inspect")
 _IMPORT_LINE = re.compile(r"^import time:\s+(\d+) \|\s+\d+ \|\s+(\S+)$")
 
 
@@ -91,15 +94,18 @@ def dualkit_modules(names) -> tuple:
 
 def forbidden_imports(names, allowed=()) -> tuple:
     """The modules of FORBIDDEN that names hold, as themselves or
-    through a submodule, leaving out those in allowed."""
+    through a submodule, leaving out those that both allowed and
+    EXEMPTABLE hold."""
     tops = {name.partition(".")[0] for name in names}
-    return tuple(m for m in FORBIDDEN if m in tops and m not in allowed)
+    return tuple(m for m in FORBIDDEN if m in tops
+                 and not (m in allowed and m in EXEMPTABLE))
 
 
 def interpreter_imports(cwd: Path) -> tuple:
-    """The modules of FORBIDDEN that ``python -c pass`` imports: the
+    """The modules of EXEMPTABLE that ``python -c pass`` imports: the
     interpreter's start-up, not dualkit, loads them."""
-    return forbidden_imports(imports(["-c", "pass"], cwd)[1])
+    names = imports(["-c", "pass"], cwd)[1]
+    return tuple(m for m in forbidden_imports(names) if m in EXEMPTABLE)
 
 
 def modules_loaded(python_args: list, cwd: Path) -> tuple:

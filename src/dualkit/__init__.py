@@ -21,9 +21,14 @@ class MalformedInput(DomainError, ValueError):
 
 
 class _Field:
-    """One field as the functions of the standard ``dataclasses`` module
-    read it (``replace``, ``fields``, ``asdict``), so that they work on
-    dualkit's values, though dualkit never imports that module."""
+    """One field as ``dataclasses.replace`` reads it.  A stopgap for the
+    benchmark, which corrupts traces, certificates and morphisms with
+    ``dataclasses.replace`` and reads ``__dataclass_fields__`` to count
+    digits; it is no public interface.  It imitates private names of
+    the ``dataclasses`` module of Python 3.10+ (``_field_type``,
+    ``_FIELD``, ``init``), which a later Python may change.  Once the
+    benchmark rebuilds values through their constructors, ``_Field``
+    and the table go."""
 
     def __init__(self, name: str, init: bool):
         self.name, self.init = name, init
@@ -41,7 +46,8 @@ class Record:
     ``__dict__``, and writes out its own ``__init__``, ``__eq__`` (equal
     to an instance of the same class with equal fields) and
     ``__hash__``.  The base gives the repr ``Name(field=value, ...)``
-    and the ``__dataclass_fields__`` table of the fields."""
+    and the benchmark's stopgap ``__dataclass_fields__`` table of the
+    fields (see ``_Field``)."""
 
     _fields: tuple = ()
     _derived: tuple = ()

@@ -5,12 +5,12 @@ Each README command runs here as a fresh ``python -m dualkit.cli``
 process under ``-X importtime``; its standard output must equal the
 in-process output through ``cli_runner.run_cli``, the dualkit layers it
 imported must be exactly the ones the command needs, and it must import
-none of ``click``, ``dataclasses`` and ``inspect``, unless
-``python -c pass`` already imports it.  Within ``dualkit.models`` and ``dualkit.equivariant``,
-a command must load the submodules it runs and none of those it does
-not.  Three README commands must print the same JSON bytes under two
-hash seeds, and a reader that closes standard output early gets no
-traceback.
+neither ``click`` nor, unless ``python -c pass`` already imports them,
+``dataclasses`` and ``inspect``.  Within ``dualkit.models`` and
+``dualkit.equivariant``, a command must load the submodules it runs and
+none of those it does not.  Three README commands must print the same
+JSON bytes under two hash seeds, and a reader that closes standard
+output early gets no traceback.
 """
 
 import importlib
@@ -85,7 +85,8 @@ def inputs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def allowed(inputs):
-    """The forbidden modules that the interpreter alone imports."""
+    """The exemptable forbidden modules that the interpreter alone
+    imports."""
     return cli_timings.interpreter_imports(inputs)
 
 
@@ -95,6 +96,16 @@ def test_the_forbidden_modules_are_seen():
     assert cli_timings.forbidden_imports(names, ("inspect",)) == (
         "click", "dataclasses")
     assert cli_timings.forbidden_imports({"clicker", "inspection"}) == ()
+
+
+def test_click_is_never_allowed(monkeypatch):
+    names = {"click.core", "dataclasses", "inspect"}
+    assert cli_timings.forbidden_imports(names, cli_timings.FORBIDDEN) == (
+        "click",)
+    # an interpreter whose start-up imports all three exempts two
+    monkeypatch.setattr(cli_timings, "imports",
+                        lambda args, cwd: (None, names))
+    assert cli_timings.interpreter_imports(None) == ("dataclasses", "inspect")
 
 
 def test_readme_lists_every_command_group():

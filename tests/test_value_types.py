@@ -9,10 +9,11 @@ cover them), except that ``PermGroup`` computes its elements.  For
 seeded field values, each class must be equal and unequal to other
 values as its twin is, hash and print as its twin does, refuse
 assignment and deletion when its twin is frozen, and, for ``Letter``,
-order as its twin does.  ``dataclasses.replace``, ``fields`` and
-``asdict`` must work on the values as on the twins (the benchmark
-corrupts traces and certificates with ``replace``), and the benchmark's
-digit count must read the same on both.
+order as its twin does.  The values carry a stopgap
+``__dataclass_fields__`` table because the benchmark corrupts traces and
+certificates with ``dataclasses.replace`` and its digit count reads the
+table; ``replace``, ``fields`` and ``asdict`` must work on the values as
+on the twins, and the digit count must read the same on both.
 """
 
 import dataclasses
@@ -25,7 +26,6 @@ from types import SimpleNamespace
 from typing import Any
 
 import pytest
-from values import replace
 
 from dualkit.exactlin import fp
 
@@ -546,4 +546,4 @@ def test_dataclasses_functions_work_as_on_the_twin(name):
                   for f in dataclasses.fields(ty) if f.init}
         new = dataclasses.replace(x, **change)
         assert repr(new) == repr(dataclasses.replace(tx, **change)) == \
-            repr(y) == repr(replace(x, **change))
+            repr(y)
