@@ -4,7 +4,9 @@ A diagram is stored in a left-to-right normal form: a tuple of slices,
 each containing exactly one non-identity cell (a generator box, an
 elementary braiding, a cup, or a cap) at a horizontal offset; identity
 slices are never stored.  The boundary word is threaded through the
-slices and validated on construction.
+slices and validated on construction, and the words found there are
+kept: ``boundaries()`` returns them as a tuple and ``cod`` is the last,
+so no reader walks the slices again.
 """
 
 from __future__ import annotations
@@ -119,13 +121,19 @@ def apply_cell(sig: Signature, current: tuple, cell: Cell) -> tuple:
 
 
 class Diagram(Frozen):
+    """A domain word and its slices.  The boundary words are not a
+    field: they are derived from the fields, once, by the walk that
+    validates every slice."""
     _fields = ("sig", "dom", "slices")
 
     def __init__(self, sig: Signature, dom: tuple, slices: tuple = ()):
         for letter in dom:
             sig.check_letter(letter)
-        self.__dict__.update(sig=sig, dom=dom, slices=slices)
-        self.boundaries()  # validates every slice
+        words = [dom]
+        for cell in slices:
+            words.append(apply_cell(sig, words[-1], cell))
+        self.__dict__.update(sig=sig, dom=dom, slices=slices,
+                             _words=tuple(words))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -136,16 +144,13 @@ class Diagram(Frozen):
     def __hash__(self):
         return hash((self.sig, self.dom, self.slices))
 
-    def boundaries(self) -> list:
+    def boundaries(self) -> tuple:
         """Words before/after each slice; length = len(slices) + 1."""
-        words = [self.dom]
-        for cell in self.slices:
-            words.append(apply_cell(self.sig, words[-1], cell))
-        return words
+        return self._words
 
     @property
     def cod(self) -> tuple:
-        return self.boundaries()[-1]
+        return self._words[-1]
 
     def to_json(self) -> dict:
         return {"dom": word_to_json(self.dom),

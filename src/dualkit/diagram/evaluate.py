@@ -6,7 +6,10 @@ the model's duality data (the bundled models are strictly self-dual),
 braids of either sign through the model braiding (the bundled models
 are symmetric), and inverse boxes through exact inversion.  Each slice
 is applied to its tensor factor alone: no identity on the other wires,
-and no Kronecker product with one, is ever built.
+and no Kronecker product with one, is ever built.  The words around each
+slice are the boundary words the diagram kept when it was built, and
+within one evaluation the model object of each such sub-word is built
+once: the words left and right of the slices repeat from slice to slice.
 """
 
 from __future__ import annotations
@@ -54,7 +57,14 @@ def evaluate(diagram: Diagram, interp: Interpretation):
     running morphism at its own tensor factor (``ModelCategory.act``)."""
     model = interp.model
     words = diagram.boundaries()
-    out = model.identity(interp.word_obj(diagram.dom))
+    objs = {}       # sub-word -> its model object, for this call
+
+    def word_obj(w):
+        if w not in objs:
+            objs[w] = interp.word_obj(w)
+        return objs[w]
+
+    out = model.identity(word_obj(diagram.dom))
     for t, cell in enumerate(diagram.slices):
         consumed, _ = cell_arity(diagram.sig, cell, words[t])
         w = cell.offset
@@ -72,6 +82,6 @@ def evaluate(diagram: Diagram, interp: Interpretation):
             mor = model.duality(interp.obj(cell.data)).eps
         else:  # pragma: no cover - exhaustive
             raise EvaluationError(f"unknown cell {cell}")
-        out = model.act(out, interp.word_obj(words[t][:w]), mor,
-                        interp.word_obj(words[t][w + len(consumed):]))
+        out = model.act(out, word_obj(words[t][:w]), mor,
+                        word_obj(words[t][w + len(consumed):]))
     return out

@@ -3,9 +3,10 @@
 A diagram determines an open graph: generator boxes with typed ports,
 wires connecting boundary positions and box ports, and closed loops,
 read off in one union-find pass over strand segments (Tarjan, J. ACM
-22, 1975).  Braids, cups and caps are pure wire routing, so two
-diagrams have the same open graph exactly when they are equal in the
-free symmetric monoidal category with duals on the signature.
+22, 1975), in which a braid only swaps its two live segments and reads
+no word.  Braids, cups and caps are pure wire routing, so two diagrams
+have the same open graph exactly when they are equal in the free
+symmetric monoidal category with duals on the signature.
 Equality is decided by a canonical labeling of the box occurrences:
 colour refinement from the box labels along the wires, then, for each
 component refinement leaves non-discrete, one individualisation per
@@ -50,12 +51,12 @@ def diagram_to_open_graph(diagram: Diagram) -> OpenGraph:
 
     A strand segment is created at a ``dom`` position, at a box output or
     at a cup, and ends at a box input, at a ``cod`` position or at a cap.
-    A braid only swaps two live segments; a cup unites the two segments
-    it creates and a cap the two it consumes.  Each resulting class has
-    two terminal ends, which make a wire, or none, which make a closed
-    loop named by its letter."""
+    A braid only swaps its two live segments: the diagram was validated
+    when it was built, so neither its letters nor its range are looked
+    at again.  A cup unites the two segments it creates and a cap the two
+    it consumes.  Each resulting class has two terminal ends, which make
+    a wire, or none, which make a closed loop named by its letter."""
     sig = diagram.sig
-    words = diagram.boundaries()
     parent, letters = [], []    # union-find forest over segments
 
     def segment(letter):
@@ -75,12 +76,14 @@ def diagram_to_open_graph(diagram: Diagram) -> OpenGraph:
     live = [segment(letter) for letter in diagram.dom]
     ends = [(("dom", i), s) for i, s in enumerate(live)]
     boxes = []
-    for t, cell in enumerate(diagram.slices):
-        consumed, produced = cell_arity(sig, cell, words[t])
+    for cell in diagram.slices:
         w = cell.offset
+        if cell.kind == BRAID:
+            live[w], live[w + 1] = live[w + 1], live[w]
+            continue
+        consumed, produced = cell_arity(sig, cell)
         ins = live[w:w + len(consumed)]
-        outs = ins[::-1] if cell.kind == BRAID else \
-            [segment(letter) for letter in produced]
+        outs = [segment(letter) for letter in produced]
         if cell.kind in (GEN, GEN_INV):
             occ = len(boxes)
             boxes.append((cell.kind, cell.data))
@@ -98,7 +101,7 @@ def diagram_to_open_graph(diagram: Diagram) -> OpenGraph:
         wires.setdefault(find(s), []).append(end)
     loops = sorted(letters[s].name for s in range(len(parent))
                    if find(s) == s and s not in wires)
-    return OpenGraph(diagram.dom, words[-1], tuple(boxes),
+    return OpenGraph(diagram.dom, diagram.cod, tuple(boxes),
                      tuple(frozenset(pair) for pair in wires.values()),
                      tuple(loops))
 

@@ -103,16 +103,20 @@ class Signature(Frozen):
 
     def __init__(self, objects: tuple, generators: tuple = ()):
         # objects are the generating object names; generators a sorted
-        # tuple of (name, GenType)
+        # tuple of (name, GenType), each name once
         names = set(objects)
         if len(names) != len(objects):
             raise MalformedInput("duplicate object names")
+        by_name = dict(generators)
+        if len(by_name) != len(generators):
+            raise MalformedInput("duplicate generator names")
         for gname, gt in generators:
             for letter in gt.dom + gt.cod:
                 if letter.name not in names:
                     raise MalformedInput(
                         f"generator {gname} uses unknown object {letter.name}")
-        self.__dict__.update(objects=objects, generators=generators)
+        self.__dict__.update(objects=objects, generators=generators,
+                             _by_name=by_name)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -124,10 +128,10 @@ class Signature(Frozen):
         return hash((self.objects, self.generators))
 
     def gen(self, name: str) -> GenType:
-        for gname, gt in self.generators:
-            if gname == name:
-                return gt
-        raise MalformedInput(f"unknown generator {name}")
+        gt = self._by_name.get(name)
+        if gt is None:
+            raise MalformedInput(f"unknown generator {name}")
+        return gt
 
     def check_letter(self, letter: Letter):
         if letter.name not in self.objects:

@@ -34,7 +34,7 @@ from math import gcd, isqrt
 from operator import add
 from typing import Sequence, Union
 
-from . import DomainError, Frozen, MalformedInput
+from . import DomainError, Frozen, MalformedInput, clip
 from .introws import (PACKED_NONZEROS, PACKED_ROWS, _forward_fp, echelon,
                       mul_packed, mul_pairs, mul_rows, nonzero_pairs,
                       transform_row)
@@ -104,13 +104,29 @@ def is_prime(n: int) -> bool:
 
 class FactorBudgetExceeded(DomainError):
     """Raised by ``pollard_brent`` for a composite whose factor it has
-    not found within ``RHO_STEPS`` steps, naming that composite."""
+    not found within its budget, naming that composite (clipped);
+    ``units`` is what the steps taken were charged."""
+
+    def __init__(self, message: str, units: int):
+        super().__init__(message)
+        self.units = units
 
 
 # rho needs about sqrt(p) steps for a prime factor p, so this bound
-# covers cofactors whose second-largest prime has about 12 digits (two
-# 12-digit primes take 1,646,718 steps) and stops in about a second
+# covers cofactors below 2**128 whose second-largest prime has about 12
+# digits (two 12-digit primes take 1,646,718 steps) and stops in about a
+# second
 RHO_STEPS = 1 << 21
+# a step squares and multiplies modulo n, at a cost that grows as the
+# square of n's size in 64-bit words; so each step is charged that
+# square, and at least 4 units, which keeps RHO_STEPS steps below 2**128
+RHO_UNITS = 4 * RHO_STEPS
+
+
+def rho_step_units(n: int) -> int:
+    """The units charged for one rho step modulo n: the squared number
+    of 64-bit words of n, and at least 4."""
+    return max(2, -(-n.bit_length() // 64)) ** 2
 
 
 def pollard_brent(n: int) -> int:
@@ -119,17 +135,20 @@ def pollard_brent(n: int) -> int:
     batches of 128 per gcd.  c starts at 1 and moves to the next integer
     when a cycle closes without a factor, so the result is deterministic.
     Raises FactorBudgetExceeded rather than start a round that would
-    take the steps of all rounds past RHO_STEPS."""
+    charge the steps of all rounds, ``rho_step_units(n)`` each, past
+    RHO_UNITS."""
     if n % 2 == 0:
         return 2
+    unit = rho_step_units(n)
+    limit = RHO_UNITS // unit       # the steps the budget buys modulo n
     c, steps = 1, 0
     while True:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            if steps + 2 * r > RHO_STEPS:
+            if steps + 2 * r > limit:
                 raise FactorBudgetExceeded(
-                    f"no factor of the composite {n} found in {RHO_STEPS} "
-                    f"Pollard-Brent rho steps")
+                    f"no factor of the composite {clip(str(n))} found in "
+                    f"{limit} Pollard-Brent rho steps", steps * unit)
             steps += 2 * r
             x = y
             for _ in range(r):

@@ -7,6 +7,7 @@ second."""
 import contextlib
 import io
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -655,6 +656,22 @@ class TestFileShapes:
         assert json.loads(res.stdout)["error"].startswith(
             "FactorBudgetExceeded: no factor of the composite "
             "100000000000000001380000000000000004437 ")
+
+    def test_factor_budget_charges_a_large_cofactor_by_its_size(self):
+        # a 16 x 16 matrix of 50-digit entries, 13 KB of JSON: its last
+        # invariant factor leaves a 794-digit composite cofactor, whose
+        # rho steps are charged 42 ** 2 units each (4755 steps)
+        rng = random.Random(0)
+        free = [[rng.randrange(10 ** 49, 10 ** 50) for _ in range(16)]
+                for _ in range(16)]
+        res = run("evconst", "cofiber", "--morphism",
+                  json.dumps({"free": free}), "--format", "json")
+        assert res.exit_code == 1
+        error = json.loads(res.stdout)["error"]
+        assert error.startswith("FactorBudgetExceeded: no factor of the "
+                                "composite ")
+        assert error.endswith("... found in 4755 Pollard-Brent rho steps")
+        assert len(error) < 200
 
 
 # a trace whose braid slice has no "sign"

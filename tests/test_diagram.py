@@ -5,9 +5,11 @@ import itertools
 
 import pytest
 
-from dualkit.diagram import (BUILTIN_RULES, Cell, Diagram, Interpretation,
-                             Letter, RewriteRule, RewriteTrace, RewriteError,
-                             Step, TypingError, apply_rule, compose,
+from dualkit import MalformedInput
+from dualkit.diagram import (BUILTIN_RULES, Cell, Diagram, GenType,
+                             Interpretation, Letter, RewriteRule,
+                             RewriteTrace, RewriteError, Signature, Step,
+                             TypingError, apply_rule, compose,
                              diagram_to_open_graph, evaluate,
                              identity_diagram, normalize_symmetric, signature,
                              tensor, validate_trace, word)
@@ -85,6 +87,18 @@ class TestTyping:
     def test_noninvertible_generator_has_no_inverse_cell(self):
         with pytest.raises(TypingError):
             dia(("T",), Cell("gen-inv", 0, "c"))
+
+    def test_duplicate_generator_names_rejected(self):
+        # a name names one generator, so lookup by name is well defined
+        one, other = GenType(word("T"), word("T")), GenType((), word("T"))
+        with pytest.raises(MalformedInput, match="duplicate generator"):
+            Signature(("T",), (("f", one), ("f", other)))
+        with pytest.raises(MalformedInput, match="duplicate generator"):
+            Signature(("T",), (("f", one), ("f", one)))
+        sig = Signature(("T",), (("f", one), ("g", other)))
+        assert (sig.gen("f"), sig.gen("g")) == (one, other)
+        with pytest.raises(MalformedInput, match="unknown generator h"):
+            sig.gen("h")
 
 
 class TestComposeTensor:

@@ -2,14 +2,17 @@
 
 The brute-force normaliser below (every product of permutations within
 each box label class, keeping the least wire encoding), the two-walk
-open-graph tracer and the triple-loop matrix product are the previous
-implementations, kept as oracles.  The refinement-based
-``normalize_symmetric`` must induce the same equal / not-equal relation
-as the oracle on a seeded pool of random diagrams with at most 6 boxes,
-the union-find ``diagram_to_open_graph`` must give the tracer's graph on
-the same pools, and the row-combination ``Matrix.mul`` must return the
-oracle's product on every domain and shape.  The brute-force normaliser
-reads the tracer's graph, so it does not depend on the union-find pass.
+open-graph tracer, the slice-by-slice boundary walk and the triple-loop
+matrix product are the previous implementations, kept as oracles.  The
+refinement-based ``normalize_symmetric`` must induce the same equal /
+not-equal relation as the oracle on a seeded pool of random diagrams
+with at most 6 boxes, the union-find ``diagram_to_open_graph`` must give
+the tracer's graph on the same pools and on braid-only and braid, cup
+and cap pools, the boundary words a diagram keeps must be the walk's,
+and the row-combination ``Matrix.mul`` must return the oracle's product
+on every domain and shape.  The brute-force normaliser reads the
+tracer's graph, and the tracer reads the walk's words, so neither
+depends on the union-find pass or on the kept words.
 """
 
 import inspect
@@ -19,12 +22,13 @@ from itertools import permutations
 
 import pytest
 
+from dualkit import MalformedInput
 from dualkit.diagram import (BUILTIN_RULES, Cell, Diagram, Letter,
                              OpenGraph, RewriteError, TypingError,
-                             apply_rule, diagram_to_open_graph,
-                             normalize_symmetric, signature)
+                             apply_rule, compose, diagram_to_open_graph,
+                             normalize_symmetric, signature, tensor)
 from dualkit.diagram import graph as graph_module
-from dualkit.diagram.diagram import cell_arity
+from dualkit.diagram.diagram import apply_cell, cell_arity
 from dualkit.exactlin import INT, NAT, Matrix, fp
 
 T = Letter("T")
@@ -44,13 +48,22 @@ MAX_BOXES = 6
 
 # ------------------------------------------------------------------ oracles
 
+def oracle_boundaries(sig, dom, slices):
+    """The words before and after each slice, re-derived by applying
+    every cell in turn to the word before it."""
+    words = [dom]
+    for cell in slices:
+        words.append(apply_cell(sig, words[-1], cell))
+    return words
+
+
 def oracle_open_graph(diagram):
     """The open graph traced by walking an edge table: every edge between
     two cells is recorded with its two endpoints, braids, cups and caps
     route an edge end to a partner port, and each wire is walked from one
     terminal to the other; the edges left over form closed loops."""
     sig = diagram.sig
-    words = diagram.boundaries()
+    words = oracle_boundaries(sig, diagram.dom, diagram.slices)
 
     edges = {}      # edge id -> [endpointA, endpointB or None]
     edge_letter = {}
@@ -423,6 +436,150 @@ def test_open_graph_oracle_catches_a_cap_that_does_not_unite(monkeypatch):
     monkeypatch.setattr(graph_module, "diagram_to_open_graph",
                         namespace["diagram_to_open_graph"])
     assert _graph_mismatches(diagram_pool(0))
+
+
+def braid_pool(seed, count=60, routing=False):
+    """Random diagrams of braids only on words of T and T^ of width 2 to
+    6, or with routing set, of braids, cups and caps from any width."""
+    rng = random.Random(seed)
+    pool = []
+    for _ in range(count):
+        dom = tuple(rng.choice((T, Td))
+                    for _ in range(rng.randrange(0 if routing else 2, 7)))
+        cells, current = [], dom
+        for _ in range(rng.randrange(1, 13)):
+            kind = rng.choice(("braid", "cup", "cap") if routing
+                              else ("braid",))
+            if kind == "braid" and len(current) >= 2:
+                cell = Cell(kind, rng.randrange(len(current) - 1),
+                            rng.choice((1, -1)))
+            elif kind == "cup" and len(current) <= 5:
+                cell = Cell(kind, rng.randrange(len(current) + 1),
+                            rng.choice((T, Td)))
+            elif kind == "cap" and len(current) >= 2:
+                w = rng.randrange(len(current) - 1)
+                cell = Cell(kind, w, current[w])
+            else:
+                continue
+            try:
+                current = apply_cell(SIG, current, cell)
+            except TypingError:     # a cap on a (T, T) or (T^, T^) pair
+                continue
+            cells.append(cell)
+        pool.append(Diagram(SIG, dom, tuple(cells)))
+    return pool
+
+
+@pytest.mark.parametrize("routing", [False, True],
+                         ids=["braids", "braids-cups-caps"])
+def test_open_graph_of_pure_routing_agrees_with_the_tracer(routing):
+    pool = braid_pool(3, routing=routing)
+    kinds = {c.kind for d in pool for c in d.slices}
+    assert kinds == ({"braid", "cup", "cap"} if routing else {"braid"})
+    assert max(len(d.dom) for d in pool) == 6
+    assert _graph_mismatches(pool) == []
+
+
+BRAID_SWAP = """            live[w], live[w + 1] = live[w + 1], live[w]
+"""
+
+
+def test_open_graph_oracle_catches_a_braid_on_the_wrong_pair(monkeypatch):
+    source = inspect.getsource(graph_module.diagram_to_open_graph)
+    assert source.count(BRAID_SWAP) == 1
+    namespace = dict(vars(graph_module))
+    exec(source.replace(BRAID_SWAP, """            live[w - 1], live[w] = live[w], live[w - 1]
+"""), namespace)
+    monkeypatch.setattr(graph_module, "diagram_to_open_graph",
+                        namespace["diagram_to_open_graph"])
+    assert _graph_mismatches(braid_pool(3))
+    assert _graph_mismatches(braid_pool(3, routing=True))
+    assert _graph_mismatches(diagram_pool(0))
+
+
+# ------------------------------------------------------------ kept words
+
+def _kept_words_mismatches(diagrams):
+    return [d for d in diagrams if d.boundaries() !=
+            tuple(oracle_boundaries(d.sig, d.dom, d.slices))]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kept_words_agree_with_the_walk(seed):
+    pool = diagram_pool(seed) + braid_pool(seed, routing=True)
+    rng = random.Random(seed)
+    made = []
+    for d in pool:
+        # d cut in two at a random slice and composed again
+        k = rng.randrange(len(d.slices) + 1)
+        first = Diagram(SIG, d.dom, d.slices[:k])
+        second = Diagram(SIG, first.cod, d.slices[k:])
+        again = compose(second, first)
+        assert again == d
+        made += [first, second, again,
+                 tensor(d, rng.choice(pool)), tensor(rng.choice(pool), d)]
+    assert _kept_words_mismatches(pool + made) == []
+    for d in pool + made:
+        assert isinstance(d.boundaries(), tuple)
+        assert d.cod == d.boundaries()[-1]
+
+
+def test_kept_words_agree_with_the_walk_after_every_move():
+    # a move whose name ends in ":" takes the generator f
+    rules = {rule + "f" if rule.endswith(":") else rule
+             for rule in BUILTIN_RULES}
+    made = {}
+
+    def step(diagram, rule, direction, k, w):
+        try:
+            out = apply_rule(diagram, rule, direction, k, w)
+        except RewriteError:
+            return None
+        made.setdefault((rule, direction), []).append(out)
+        return out
+
+    for rule in sorted(rules):
+        for diagram in STEP_POOL:
+            for k in range(len(diagram.slices) + 1):
+                for w in range(5):
+                    step(diagram, rule, "fwd", k, w)
+                    # a backward step makes a redex for the forward one
+                    out = step(diagram, rule, "bwd", k, w)
+                    if out is not None:
+                        step(out, rule, "fwd", k, w)
+    assert set(made) == {(rule, direction) for rule in rules
+                         for direction in ("fwd", "bwd")}
+    assert _kept_words_mismatches(d for ds in made.values() for d in ds) \
+        == []
+
+
+# cells that do not fit the word before them, the message each raises,
+# and its class
+ILL_TYPED = [
+    ((T,), (Cell("gen", 0, "m"),), TypingError,
+     "cell m@0 out of range on (T)"),
+    ((T, T), (Cell("gen", 0, "f"), Cell("gen", 1, "m")), TypingError,
+     "cell m@1 out of range on (T, T)"),
+    ((T, Td), (Cell("cap", 0, Td),), TypingError,
+     "cell cap[T^]@0 expects (T^, T) at 0 in (T, T^)"),
+    ((T, Td), (Cell("braid", 0, 1), Cell("gen", 0, "f")), TypingError,
+     "cell f@0 expects (T) at 0 in (T^, T)"),
+    ((T,), (Cell("braid", 0, -1),), TypingError, "braid out of range"),
+    ((T,), (Cell("gen-inv", 0, "g"),), TypingError,
+     "generator g is not invertible"),
+    ((), (Cell("cup", 1, T),), TypingError, "cell cup[T]@1 out of range on ()"),
+    ((T,), (Cell("gen", 0, "zz"),), MalformedInput, "unknown generator zz"),
+]
+
+
+@pytest.mark.parametrize("dom, slices, error, message", ILL_TYPED)
+def test_an_ill_typed_slice_raises_what_the_walk_raises(dom, slices, error,
+                                                         message):
+    with pytest.raises(error) as built:
+        Diagram(SIG, dom, slices)
+    with pytest.raises(error) as walked:
+        oracle_boundaries(SIG, dom, slices)
+    assert str(built.value) == str(walked.value) == message
 
 
 # -------------------------------------------------------------- normaliser

@@ -11,6 +11,8 @@ SpanFin, EvConst and their product, and a kernel that emits its rows in
 the wrong order must be caught.
 """
 
+import importlib
+import inspect
 import random
 
 import pytest
@@ -25,6 +27,9 @@ from dualkit.models import (EvConst, SpanFin, ev_morphism, ev_object,
                             product_category, span)
 from dualkit.models import evconst as evconst_module
 from dualkit.models import spanfin as spanfin_module
+
+# the package's name evaluate is the function, not its module
+evaluate_module = importlib.import_module("dualkit.diagram.evaluate")
 
 SF = SpanFin()
 EV = EvConst()
@@ -320,6 +325,99 @@ def test_row_order_mutant_is_caught(name, monkeypatch):
     assert any(not interp.model.mor_eq(evaluate(d, interp),
                                        whiskered_evaluate(d, interp))
                for d in DIAGRAMS)
+
+
+# ----------------------------------------- sub-words that repeat, two objects
+
+S = Letter("S")
+SIG2 = signature(["S", "T"], {"f": (("S",), ("S",)), "g": (("T",), ("T",)),
+                              "k": (("S", "T"), ("T", "S"))})
+
+
+def _two_object_interpretation(model, s, t, f, g):
+    """S |-> s and T |-> t, f and g as given, k the braiding followed by
+    g (x) f."""
+    k = model.compose(model.braiding(s, t), model.tensor_mor(g, f))
+    return Interpretation(model, {"S": s, "T": t}, {"f": f, "g": g, "k": k})
+
+
+def _two_object_interpretations():
+    s, t = ev_object(1, {3: 1}), ev_object(2)
+    ev = (s, t, ev_morphism(s, s, [[2]], {3: [[1]]}),
+          ev_morphism(t, t, [[1, 1], [0, 1]], {}))
+    sf = (2, 3, span(2, 2, [[1, 1], [0, 1]]),
+          span(3, 3, [[0, 1, 0], [2, 0, 1], [1, 0, 0]]))
+    return {"spanfin": _two_object_interpretation(SF, *sf),
+            "evconst": _two_object_interpretation(EV, *ev),
+            "product": _two_object_interpretation(
+                PROD, *((e, x) for e, x in zip(ev, sf)))}
+
+
+INTERPS2 = _two_object_interpretations()
+
+
+def _repeating_diagram(rng):
+    """Eight to twelve boxes and braids on a word of three or four
+    letters S and T, so that the words left and right of the slices
+    repeat within the diagram."""
+    current = tuple(rng.choice((S, T)) for _ in range(rng.randint(3, 4)))
+    dom, cells = current, []
+    for _ in range(rng.randint(8, 12)):
+        n = len(current)
+        options = [Cell(BRAID, w, rng.choice((1, -1))) for w in range(n - 1)]
+        options += [Cell(GEN, w, "f" if x == S else "g")
+                    for w, x in enumerate(current)]
+        options += [Cell(GEN, w, "k") for w in range(n - 1)
+                    if current[w:w + 2] == (S, T)]
+        cell = rng.choice(options)
+        cells.append(cell)
+        current = Diagram(SIG2, current, (cell,)).cod
+    return Diagram(SIG2, dom, tuple(cells))
+
+
+REPEATING = [_repeating_diagram(random.Random(seed)) for seed in range(30)]
+
+
+def test_repeating_pool_repeats_sub_words_of_unequal_objects():
+    # a sub-word occurs twice in a diagram, and two sub-words of one
+    # length differ, so a cache keyed wrongly would be seen
+    repeats = unequal = 0
+    for d in REPEATING:
+        words = d.boundaries()
+        subs = [part for t, c in enumerate(d.slices) for part in (
+            words[t][:c.offset],
+            words[t][c.offset + len(cell_arity(SIG2, c, words[t])[0]):])]
+        repeats += len(subs) > len(set(subs))
+        unequal += any(len(a) == len(b) and a != b
+                       for a in subs for b in subs)
+    assert repeats == len(REPEATING) and unequal >= len(REPEATING) // 2
+
+
+@pytest.mark.parametrize("name", sorted(INTERPS2))
+def test_evaluate_matches_the_whiskered_loop_on_repeating_words(name):
+    interp = INTERPS2[name]
+    for d in REPEATING:
+        assert interp.model.mor_eq(evaluate(d, interp),
+                                   whiskered_evaluate(d, interp)), str(d)
+
+
+def test_a_cache_keyed_by_length_is_caught(monkeypatch):
+    source = inspect.getsource(evaluate_module.evaluate)
+    keyed = source.replace("objs[w]", "objs[len(w)]").replace(
+        "w not in objs", "len(w) not in objs")
+    assert keyed.count("len(w)") == 3
+    namespace = dict(vars(evaluate_module))
+    exec(keyed, namespace)
+    monkeypatch.setattr(evaluate_module, "evaluate", namespace["evaluate"])
+    interp = INTERPS2["spanfin"]
+
+    def caught(d):
+        try:
+            return evaluate_module.evaluate(d, interp) != \
+                whiskered_evaluate(d, interp)
+        except DimensionMismatch:
+            return True
+    assert any(map(caught, REPEATING))
 
 
 @pytest.mark.parametrize("model, objects", [

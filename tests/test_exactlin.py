@@ -15,11 +15,11 @@ import pytest
 import dualkit.exactlin as exactlin
 from dualkit import MalformedInput
 from dualkit.exactlin import (
-    INT, NAT, RHO_STEPS, DimensionMismatch, FactorBudgetExceeded, Matrix,
+    INT, NAT, RHO_STEPS, RHO_UNITS, DimensionMismatch, FactorBudgetExceeded, Matrix,
     NotInvertible, PrimalityUnproven, cokernel_decomposition, commutation, fp, fp_matrix, int_matrix,
     injection, invert_or_fail, is_prime, kronecker, left_null_basis_fp,
     nat_matrix, pairing, pollard_brent, prime_factors, rank_fp,
-    smith_normal_form, solve_right_fp, solve_right_int,
+    rho_step_units, smith_normal_form, solve_right_fp, solve_right_int,
 )
 
 
@@ -455,3 +455,27 @@ def test_pollard_brent_gives_up_within_its_step_budget():
         prime_factors(6 * n)   # rho runs on the cofactor n
     assert time.perf_counter() - start < 20.0   # a hang guard, not a timing
     assert RHO_STEPS >= 1646718   # the steps two 12-digit primes take
+
+
+def test_rho_budget_charges_each_step_by_the_size_of_n():
+    # 4 units a step below 2**128, so such an n keeps RHO_STEPS steps
+    assert RHO_UNITS == 4 * RHO_STEPS
+    assert [rho_step_units(n) for n in (15, 2 ** 64, 2 ** 128 - 1,
+                                        2 ** 128, 2 ** 192, 2 ** 3482)] == \
+        [4, 4, 4, 9, 16, 55 ** 2]
+
+
+def test_pollard_brent_refuses_a_large_composite_within_its_units():
+    # a 1049-digit product of two Mersenne primes, 55 words of 64 bits:
+    # its budget buys 2773 steps, so rho stops after the rounds of
+    # 2 + 4 + ... + 1024 steps, before the round of 2048
+    n = (2 ** 1279 - 1) * (2 ** 2203 - 1)
+    assert len(str(n)) == 1049 and rho_step_units(n) == 3025
+    with pytest.raises(FactorBudgetExceeded) as caught:
+        prime_factors(n)
+    steps = sum(2 * 2 ** k for k in range(10))
+    assert caught.value.units == steps * 3025 <= RHO_UNITS \
+        < (steps + 2 * 2 ** 10) * 3025
+    assert str(caught.value) == (
+        f"no factor of the composite {str(n)[:40]}... found in 2773 "
+        "Pollard-Brent rho steps")
