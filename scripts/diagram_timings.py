@@ -10,8 +10,12 @@ equal diagram) and with one more braid (a rewired one); the script checks
 that the first two forms agree and the third differs.  The second is a
 scaling series: k = 3, 4, 5, 6 parallel boxes and one braid evaluated in
 SpanFin with T |-> 3 and f = [[1,1,0],[0,1,1],[1,0,1]] (matrices of
-dimension 3^k, up to 729), by ``evaluate`` and by the whiskering loop it
-replaced (``whiskered_evaluate``, the oracle in
+dimension 3^k, up to 729) in two equal forms, the boxes first, which
+``evaluate`` builds as one tensor product, and the braid first, where
+each box acts on the running morphism, with the least-squares slope of
+log time over log dimension for each form; both forms are also
+evaluated by the whiskering loop ``evaluate`` replaced
+(``whiskered_evaluate``, the oracle in
 ``tests/test_evaluate_differential.py``).  The third is a scaling series
 over the width: W = 4, 8, 16, 32 wires, one box f per wire and then 4W
 braids at seeded places, traced to an open graph and normalised (ms per
@@ -20,10 +24,10 @@ over log W; each diagram is also normalised with its braids slid below
 the boxes, an equal diagram.  A trace that re-derived the word of W
 letters at every slice would have a slope near 2; one that reads the
 words kept when the diagram was built, near 1.  It prints every time
-and exits with status 1 if the normaliser or the k = 5 ``evaluate``
-takes a second or more, if the normal forms of two equal diagrams
-disagree or of the rewired one agree, or if the two evaluations of any k
-differ.
+and exits with status 1 if the normaliser or a k = 5 ``evaluate`` takes
+a second or more, if the normal forms of two equal diagrams disagree or
+of the rewired one agree, or if ``evaluate`` and the whiskering loop
+differ on either form of any k.
 """
 
 from __future__ import annotations
@@ -94,6 +98,35 @@ def slope(xs, ys) -> float:
         sum((a - mx) ** 2 for a in lx)
 
 
+def evaluate_series() -> bool:
+    """Print the evaluation series of both forms; true when every
+    evaluation agrees with the whiskering loop and no k = 5 evaluation
+    takes a second or more."""
+    interp = Interpretation(SpanFin(), {"T": 3}, {"f": span(3, 3, F)})
+    print("evaluate in SpanFin, k boxes and a braid (ms): boxes first / "
+          "braid first, then the whiskered loop on each")
+    times, ok = {False: [], True: []}, True
+    for n in SERIES:
+        row = []
+        for braid_first in (False, True):
+            d = parallel_boxes(n, braid_first=braid_first)
+            value, evaluate_s = timed(lambda: evaluate(d, interp))
+            oracle, oracle_s = timed(lambda: whiskered_evaluate(d, interp))
+            agree = value == oracle
+            ok = ok and agree and (n != 5 or evaluate_s < 1.0)
+            times[braid_first].append(evaluate_s)
+            row.append((evaluate_s, oracle_s, agree))
+        print(f"  k = {n}, dimension {value.dom}: "
+              f"{row[0][0] * 1e3:.1f} / {row[1][0] * 1e3:.1f}, whiskered "
+              f"{row[0][1] * 1e3:.1f} / {row[1][1] * 1e3:.1f}"
+              + ("" if row[0][2] and row[1][2] else " (DIFFER)"))
+    dims = [3 ** n for n in SERIES]
+    print(f"  log-log slope over the dimension: boxes first "
+          f"{slope(dims, times[False]):.2f}, braid first "
+          f"{slope(dims, times[True]):.2f}")
+    return ok
+
+
 def width_series() -> bool:
     """Print the open-graph and normaliser series over the width; true
     when every pair of equal diagrams has one normal form."""
@@ -125,16 +158,7 @@ def main() -> int:
           f"rewired: {normalize_s * 1e3:.1f} ms"
           + ("" if forms_ok else " (normal forms WRONG)"))
     ok = forms_ok and normalize_s < 1.0
-    interp = Interpretation(SpanFin(), {"T": 3}, {"f": span(3, 3, F)})
-    print("evaluate in SpanFin, k boxes and a braid: evaluate / whiskered")
-    for n in SERIES:
-        value, evaluate_s = timed(lambda: evaluate(parallel_boxes(n), interp))
-        oracle, oracle_s = timed(
-            lambda: whiskered_evaluate(parallel_boxes(n), interp))
-        agree = value == oracle
-        print(f"  k = {n}, dimension {value.dom}: {evaluate_s * 1e3:.1f} / "
-              f"{oracle_s * 1e3:.1f} ms" + ("" if agree else " (DIFFER)"))
-        ok = ok and agree and (n != 5 or evaluate_s < 1.0)
+    ok = evaluate_series() and ok
     ok = width_series() and ok
     return 0 if ok else 1
 

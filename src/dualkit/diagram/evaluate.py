@@ -4,12 +4,21 @@ An interpretation assigns a model object to every generating object and
 a model morphism to every generator.  Cups and caps evaluate through
 the model's duality data (the bundled models are strictly self-dual),
 braids of either sign through the model braiding (the bundled models
-are symmetric), and inverse boxes through exact inversion.  Each slice
-is applied to its tensor factor alone: no identity on the other wires,
-and no Kronecker product with one, is ever built.  The words around each
-slice are the boundary words the diagram kept when it was built, and
-within one evaluation the model object of each such sub-word is built
-once: the words left and right of the slices repeat from slice to slice.
+are symmetric), and inverse boxes through exact inversion.
+
+The diagram's leading layer is built as one tensor product.  The
+longest prefix of slices that are boxes taking one letter to one letter,
+each with the model shape of its letters, leaves every strand in place,
+so by the interchange law it is the tensor product over the word it
+ends on of one factor per strand: the composite of the boxes on a
+strand, or one identity for each maximal run of strands no box touched.
+Every later slice, and every slice of a diagram with no such prefix,
+acts on the running morphism at its own tensor factor alone
+(``ModelCategory.act``): no identity on the other wires is tensored onto
+it.  The words around each slice are the boundary words the diagram kept
+when it was built, and within one evaluation the model object of each
+such sub-word is built once: the words left and right of the slices
+repeat from slice to slice.
 """
 
 from __future__ import annotations
@@ -52,9 +61,66 @@ class Interpretation:
         return self.generators[name]
 
 
+def _strand_box(diagram: Diagram, cell, interp: Interpretation):
+    """The morphism of ``cell`` if it is a box that takes one letter to
+    one letter and whose morphism runs between the model objects of
+    those letters; else None, and the slice loop evaluates the cell."""
+    if cell.kind not in (GEN, GEN_INV):
+        return None
+    consumed, produced = cell_arity(diagram.sig, cell)
+    # a produced letter with no object is left to the slice loop, which
+    # reports it only where a later slice reads it
+    if len(consumed) != 1 or len(produced) != 1 \
+            or produced[0].name not in interp.objects:
+        return None
+    model = interp.model
+    mor = interp.gen_mor(cell.data)
+    if cell.kind == GEN_INV:
+        mor = model.invert(mor)
+    if model.obj_eq(model.dom(mor), interp.obj(consumed[0])) and \
+            model.obj_eq(model.cod(mor), interp.obj(produced[0])):
+        return mor
+    return None
+
+
+def _leading_layer(diagram: Diagram, interp: Interpretation, word_obj):
+    """(p, f): the first p slices are boxes on one strand each
+    (``_strand_box``), and f is their morphism, the tensor product of
+    the composite on each strand a box touched and the identity of each
+    maximal run of strands none touched; f is None when p is 0."""
+    model = interp.model
+    factors = {}    # strand -> the composite of its boxes so far
+    p = 0
+    for cell in diagram.slices:
+        mor = _strand_box(diagram, cell, interp)
+        if mor is None:
+            break
+        w = cell.offset
+        factors[w] = model.compose(mor, factors[w]) if w in factors else mor
+        p += 1
+    if not factors:
+        return 0, None
+    # an untouched strand keeps its letter of the domain
+    dom = diagram.dom
+    parts, run = [], 0      # run: where the current untouched run starts
+    for w in sorted(factors):
+        if run < w:
+            parts.append(model.identity(word_obj(dom[run:w])))
+        parts.append(factors[w])
+        run = w + 1
+    if run < len(dom):
+        parts.append(model.identity(word_obj(dom[run:])))
+    out = parts[0]
+    for part in parts[1:]:
+        out = model.tensor_mor(out, part)
+    return p, out
+
+
 def evaluate(diagram: Diagram, interp: Interpretation):
-    """The model morphism denoted by the diagram: each slice acts on the
-    running morphism at its own tensor factor (``ModelCategory.act``)."""
+    """The model morphism denoted by the diagram: the leading layer of
+    one-strand boxes as one tensor product (``_leading_layer``), then
+    each slice acting on the running morphism at its own tensor factor
+    (``ModelCategory.act``)."""
     model = interp.model
     words = diagram.boundaries()
     objs = {}       # sub-word -> its model object, for this call
@@ -64,8 +130,13 @@ def evaluate(diagram: Diagram, interp: Interpretation):
             objs[w] = interp.word_obj(w)
         return objs[w]
 
-    out = model.identity(word_obj(diagram.dom))
-    for t, cell in enumerate(diagram.slices):
+    # before any box: a letter of the domain with no object is the
+    # first fault reported
+    dom = word_obj(diagram.dom)
+    start, out = _leading_layer(diagram, interp, word_obj)
+    if out is None:
+        out = model.identity(dom)
+    for t, cell in enumerate(diagram.slices[start:], start):
         consumed, _ = cell_arity(diagram.sig, cell, words[t])
         w = cell.offset
         if cell.kind == GEN:

@@ -9,6 +9,15 @@ opposite braiding for a negative braid) are kept here as oracles.  The
 new path must agree with them on seeded random morphisms and diagrams in
 SpanFin, EvConst and their product, and a kernel that emits its rows in
 the wrong order must be caught.
+
+``evaluate`` builds a diagram's leading layer of boxes that each take one
+letter to one letter as one tensor product, and only the slices after it
+act.  Seeded pools of such layers (inverse boxes, several boxes on one
+strand, boxes that change the letter, layers over some strands, the empty
+domain, no layer, a cup or cap after it) must agree with the whiskered
+loop; a layer with a box of the wrong shape, or a missing object or
+generator, must raise what the slice loop alone raised; and counting the
+calls of ``act`` pins which slices the layer took.
 """
 
 import importlib
@@ -17,9 +26,10 @@ import random
 
 import pytest
 
+from dualkit import DomainError
 from dualkit.diagram import (BRAID, CAP, CUP, GEN, GEN_INV, Cell, Diagram,
-                             Interpretation, Letter, dual_letter, evaluate,
-                             signature)
+                             EvaluationError, Interpretation, Letter,
+                             dual_letter, evaluate, signature)
 from dualkit.diagram.diagram import cell_arity
 from dualkit.exactlin import (INT, NAT, DimensionMismatch, Matrix,
                               apply_factor, fp, kronecker)
@@ -265,12 +275,15 @@ def _interpretations():
 INTERPS = _interpretations()
 
 
-def _candidates(current):
-    """Every cell that fits ``current`` and keeps at most MAX_WIRES."""
+def _candidates(current, sig=SIG, names=("f", "h", "m", "d", "u", "c"),
+                letters=(T,)):
+    """Every cell of ``sig`` that fits ``current`` and keeps at most
+    MAX_WIRES, its boxes those of ``names`` and its cups of ``letters``
+    and their duals."""
     n = len(current)
     out = []
-    for name in ("f", "h", "m", "d", "u", "c"):
-        gt = SIG.gen(name)
+    for name in names:
+        gt = sig.gen(name)
         kinds = (GEN, GEN_INV) if gt.invertible else (GEN,)
         for kind in kinds:
             dom, cod = (gt.dom, gt.cod) if kind == GEN else (gt.cod, gt.dom)
@@ -281,7 +294,7 @@ def _candidates(current):
     out += [Cell(BRAID, w, s) for w in range(n - 1) for s in (1, -1)]
     if n + 2 <= MAX_WIRES:
         out += [Cell(CUP, w, letter) for w in range(n + 1)
-                for letter in (T, dual_letter(T))]
+                for x in letters for letter in (x, dual_letter(x))]
     out += [Cell(CAP, w, current[w]) for w in range(n - 1)
             if current[w + 1] == dual_letter(current[w])]
     return out
@@ -431,3 +444,239 @@ def test_negative_braid_is_the_braiding(model, objects):
         for b in objects:
             assert model.mor_eq(model.braiding(a, b),
                                 model.invert(model.braiding(b, a)))
+
+
+# ------------------------------------------ the leading layer, two letters
+
+A, B = Letter("A"), Letter("B")
+SIG3 = signature(["A", "B"], {
+    "a": (("A",), ("A",), True),
+    "b": (("B",), ("B",)),
+    "x": (("A",), ("B",)),
+    "y": (("B",), ("A",)),
+    "m": (("A", "B"), ("A",)),
+    "u": ((), ("B",)),
+})
+SIG3_NAMES = ("a", "b", "x", "y", "m", "u")
+STRAND_BOXES = {A: (Cell(GEN, 0, "a"), Cell(GEN_INV, 0, "a"),
+                    Cell(GEN, 0, "x")),
+                B: (Cell(GEN, 0, "b"), Cell(GEN, 0, "y"))}
+
+
+def _layered_interpretations():
+    # A and B have different objects in every model, so a box A -> B
+    # changes the shape of its strand; a is invertible and not its own
+    # inverse
+    sf_objects = {"A": 3, "B": 2}
+    sf_gens = {
+        "a": span(3, 3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+        "b": span(2, 2, [[1, 1], [0, 2]]),
+        "x": span(3, 2, [[1, 0, 1], [0, 2, 1]]),
+        "y": span(2, 3, [[1, 0], [2, 1], [0, 1]]),
+        "m": span(6, 3, [[1, 0, 2, 0, 0, 1], [0, 1, 0, 3, 1, 0],
+                         [0, 0, 1, 0, 0, 2]]),
+        "u": span(1, 2, [[1], [2]]),
+    }
+    a, b = ev_object(1, {3: 2}), ev_object(2)
+    ev_objects = {"A": a, "B": b}
+    ev_gens = {
+        "a": ev_morphism(a, a, [[-1]], {3: [[1, 1], [0, 1]]}),
+        "b": ev_morphism(b, b, [[1, 1], [0, 1]], {}),
+        "x": ev_morphism(a, b, [[1], [2]], {3: [[1, 0], [1, 1]]}),
+        "y": ev_morphism(b, a, [[1, -1]], {3: [[1, 1], [0, 2]]}),
+        "m": ev_morphism(EV.tensor_obj(a, b), a, [[2, 1]],
+                         {3: [[1, 0, 0, 1], [0, 2, 1, 0]]}),
+        "u": ev_morphism(EV.unit(), b, [[3], [-1]], {}),
+    }
+    return {
+        "spanfin": Interpretation(SF, sf_objects, sf_gens),
+        "evconst": Interpretation(EV, ev_objects, ev_gens),
+        "product": Interpretation(
+            PROD, {n: (ev_objects[n], sf_objects[n]) for n in sf_objects},
+            {n: (ev_gens[n], sf_gens[n]) for n in sf_gens}),
+    }
+
+
+LAYERED_INTERPS = _layered_interpretations()
+
+
+def _layered_diagram(rng):
+    """Zero to five boxes on one strand each, on a word of zero to four
+    letters A, B and their duals, then zero to three cells of any kind
+    (at least one if there is no box), the first often a cap."""
+    dom = tuple(rng.choice((A, B, dual_letter(A), dual_letter(B)))
+                for _ in range(rng.randint(0, 4)))
+    cells, current = [], dom
+    for _ in range(rng.randint(0, 5)):
+        options = [box.shifted(w) for w, x in enumerate(current)
+                   for box in STRAND_BOXES.get(x, ())]
+        if not options:
+            break
+        cells.append(rng.choice(options))
+        current = Diagram(SIG3, current, cells[-1:]).cod
+    for i in range(rng.randint(0 if cells else 1, 3)):
+        options = _candidates(current, SIG3, SIG3_NAMES, (A, B))
+        caps = [cell for cell in options if cell.kind == CAP]
+        if i == 0 and caps and rng.random() < 0.5:
+            options = caps  # else a cap right after the layer is rare
+        cells.append(rng.choice(options))
+        current = Diagram(SIG3, current, cells[-1:]).cod
+    return Diagram(SIG3, dom, tuple(cells))
+
+
+LAYERED = [_layered_diagram(random.Random(seed)) for seed in range(80)]
+
+
+def _leading_layer(d):
+    """The leading slices that are boxes taking one letter to one."""
+    n = 0
+    for cell in d.slices:
+        if cell.kind not in (GEN, GEN_INV) or \
+                tuple(map(len, cell_arity(d.sig, cell))) != (1, 1):
+            break
+        n += 1
+    return d.slices[:n]
+
+
+def test_layered_pool_covers_every_kind_of_layer():
+    seen = set()
+    for d in LAYERED:
+        layer = _leading_layer(d)
+        strands = {cell.offset for cell in layer}
+        after = d.slices[len(layer)].kind if len(d.slices) > len(layer) \
+            else None
+        seen |= {name for name, present in (
+            ("inverse box", any(c.kind == GEN_INV for c in layer)),
+            ("boxes on one strand", len(strands) < len(layer)),
+            ("letter change", any(c.data in ("x", "y") for c in layer)),
+            ("some strands", 0 < len(strands) < len(d.dom)),
+            ("every strand", 0 < len(strands) == len(d.dom)),
+            ("empty domain", not d.dom),
+            ("no leading box", not layer and d.dom),
+            ("then cup", layer and after == CUP),
+            ("then cap", layer and after == CAP),
+            ("then nothing", layer and after is None)) if present}
+    assert len(seen) == 10, seen
+
+
+@pytest.mark.parametrize("name", sorted(LAYERED_INTERPS))
+def test_evaluate_matches_the_whiskered_loop_on_leading_layers(name):
+    interp = LAYERED_INTERPS[name]
+    for d in LAYERED:
+        assert interp.model.mor_eq(evaluate(d, interp),
+                                   whiskered_evaluate(d, interp)), str(d)
+
+
+# ------------------------------------ the leading layer, faults as before
+
+SIG4 = signature(["S", "T"], {name: (("T",), ("T",)) for name in "fgkn"}
+                 | {"e": (("T",), ("S",))})
+
+
+F3 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+
+
+def _shape_cases(model):
+    """(T's object, f: T -> T, g from a smaller object into T's, k from
+    T's object into a smaller one) in ``model``."""
+    if model is PROD:
+        return tuple(zip(_shape_cases(EV), _shape_cases(SF)))
+    into = [r[:2] for r in F3]
+    if model is SF:
+        return 3, span(3, 3, F3), span(2, 3, into), span(3, 2, F3[:2])
+    t, small = ev_object(3), ev_object(2)
+    return t, ev_morphism(t, t, F3), ev_morphism(small, t, into), \
+        ev_morphism(t, small, F3[:2])
+
+
+def _fault_cases(model):
+    """(interpretation, diagram) pairs that evaluate to an error."""
+    t, f, g, k = _shape_cases(model)
+    full = {"f": f, "g": g, "k": k, "n": f, "e": f}
+    tt = (Letter("T"), Letter("T"))
+
+    def case(objects, gens, dom, *cells):
+        return Interpretation(model, objects, gens), \
+            Diagram(SIG4, dom, tuple(Cell(*c) for c in cells))
+    no_n = {name: m for name, m in full.items() if name != "n"}
+    return [
+        # g's domain is not T's object: one box, and a box then a braid
+        case({"T": t}, full, tt, (GEN, 0, "g")),
+        case({"T": t}, full, tt, (GEN, 0, "g"), (BRAID, 0, 1)),
+        # k's codomain is not T's object, then a second box on its strand
+        case({"T": t}, full, tt, (GEN, 0, "k"), (GEN, 0, "f")),
+        # no object for S: in the domain, and made by a leading box
+        case({"T": t}, full, (Letter("T"), Letter("S")), (GEN, 0, "f")),
+        case({"T": t}, full, tt, (GEN, 0, "e"), (BRAID, 0, 1)),
+        # no morphism for n, after a box that the layer takes
+        case({"T": t}, no_n, tt, (GEN, 0, "f"), (GEN, 1, "n")),
+        # both: the domain's missing object is reported first
+        case({"T": t}, no_n, (Letter("T"), Letter("S")), (GEN, 0, "n")),
+    ]
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("model", [SF, EV, PROD], ids=lambda m: m.name)
+def test_leading_layer_faults_are_raised_as_before(model, monkeypatch):
+    cases = _fault_cases(model)
+    now = [_raised(evaluate, d, interp) for interp, d in cases]
+    oracle = [_raised(whiskered_evaluate, d, interp) for interp, d in cases]
+    # the slice loop alone, from the identity, as before the layer
+    monkeypatch.setattr(evaluate_module, "_leading_layer",
+                        lambda *args: (0, None))
+    loop = [_raised(evaluate, d, interp) for interp, d in cases]
+    assert None not in now and now == loop
+    assert [r[0] for r in now] == [r[0] for r in oracle]
+    # whiskering composes where act acts, so only the messages of the
+    # interpretation's own faults are the oracle's
+    assert [r for r in now if r[0] is EvaluationError] == \
+        [r for r in oracle if r[0] is EvaluationError]
+    assert [r[0] for r in now].count(DimensionMismatch) == 3
+
+
+# ---------------------------------------------- the layer's work, in units
+
+def _count_acts(monkeypatch):
+    """Count calls of each model class's act, by class."""
+    counts = {}
+    for cls in (type(SF), type(EV), type(PROD)):
+        def counted(self, *args, _act=cls.act, _cls=cls):
+            counts[_cls] = counts.get(_cls, 0) + 1
+            return _act(self, *args)
+        monkeypatch.setattr(cls, "act", counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(INTERPS))
+@pytest.mark.parametrize("k, m", [(1, 1), (3, 1), (3, 4), (4, 2)])
+def test_leading_boxes_make_no_act_call(name, k, m, monkeypatch):
+    interp = INTERPS[name]
+    dom = (T,) * k
+    boxes = tuple(Cell(GEN, w, "f") for w in range(k))
+    braids = tuple(Cell(BRAID, i % (k - 1) if k > 1 else 0,
+                        1 if i % 2 else -1) for i in range(m))
+    if k == 1:      # a braid needs two strands: a wire beside the box
+        dom = (T, T)
+    counts = _count_acts(monkeypatch)
+    for cells, acts in ((boxes + braids, m), (braids + boxes, k + m)):
+        counts.clear()
+        d = Diagram(SIG, dom, cells)
+        value = evaluate(d, interp)
+        assert counts.get(type(interp.model), 0) == acts, cells
+        assert interp.model.mor_eq(value, whiskered_evaluate(d, interp))
+
+
+@pytest.mark.parametrize("model", [SF, EV, PROD], ids=lambda m: m.name)
+def test_a_last_box_into_a_letter_with_no_object_evaluates(model):
+    # S has no object, but no word after the box is read
+    t, f, _, _ = _shape_cases(model)
+    interp = Interpretation(model, {"T": t}, {"e": f})
+    d = Diagram(SIG4, (Letter("T"), Letter("T")), (Cell(GEN, 1, "e"),))
+    assert model.mor_eq(evaluate(d, interp), whiskered_evaluate(d, interp))
