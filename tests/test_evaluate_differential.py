@@ -527,7 +527,7 @@ def _layered_diagram(rng):
 LAYERED = [_layered_diagram(random.Random(seed)) for seed in range(80)]
 
 
-def _leading_layer(d):
+def _layer_slices(d):
     """The leading slices that are boxes taking one letter to one."""
     n = 0
     for cell in d.slices:
@@ -541,7 +541,7 @@ def _leading_layer(d):
 def test_layered_pool_covers_every_kind_of_layer():
     seen = set()
     for d in LAYERED:
-        layer = _leading_layer(d)
+        layer = _layer_slices(d)
         strands = {cell.offset for cell in layer}
         after = d.slices[len(layer)].kind if len(d.slices) > len(layer) \
             else None
