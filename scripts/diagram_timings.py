@@ -23,11 +23,19 @@ call, best of five rounds), with the least-squares slope of log time
 over log W; each diagram is also normalised with its braids slid below
 the boxes, an equal diagram.  A trace that re-derived the word of W
 letters at every slice would have a slope near 2; one that reads the
-words kept when the diagram was built, near 1.  It prints every time
-and exits with status 1 if the normaliser or a k = 5 ``evaluate`` takes
-a second or more, if the normal forms of two equal diagrams disagree or
-of the rewired one agree, or if ``evaluate`` and the whiskering loop
-differ on either form of any k.
+words kept when the diagram was built, near 1.  The fourth is a series
+over the length of a run of braids: W = 4 wires with a box f on each,
+then B = 4, 8, 16, 32 braids at seeded places and signs, evaluated in
+SpanFin, EvConst (T |-> S^3 with dimension 1 at 2) and their product
+(ms per call, best of five rounds), with the least-squares slope of log
+time over log B for each model.  An evaluation that builds a braiding
+and acts once per braid grows linearly in B on top of the fixed cost of
+the leading layer (a slope of about 0.5-0.6 at these B); one that
+applies the whole run as one reordering of rows has a slope near 0.  It prints every time and exits
+with status 1 if the normaliser or a k = 5 ``evaluate`` takes a second
+or more, if the normal forms of two equal diagrams disagree or of the
+rewired one agree, or if ``evaluate`` and the whiskering loop differ on
+either form of any k or on any diagram of the braid-run series.
 """
 
 from __future__ import annotations
@@ -44,13 +52,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from dualkit.diagram import (Cell, Diagram, Interpretation,  # noqa: E402
                              diagram_to_open_graph, evaluate,
                              normalize_symmetric, signature, word)
-from dualkit.models import SpanFin, span  # noqa: E402
+from dualkit.models import (EvConst, SpanFin, ev_morphism,  # noqa: E402
+                            ev_object, product_category, span)
 from test_evaluate_differential import whiskered_evaluate  # noqa: E402
 
 SIG = signature(["T"], {"f": (["T"], ["T"])})
 F = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
 SERIES = (3, 4, 5, 6)
 WIDTHS = (4, 8, 16, 32)
+RUNS = (4, 8, 16, 32)
+RUN_WIDTH = 4
 
 
 def parallel_boxes(k: int, braid_first: bool = False, extra: int = 0):
@@ -147,6 +158,54 @@ def width_series() -> bool:
     return ok
 
 
+def braid_run(braids: int):
+    """A box f on each of RUN_WIDTH wires, then ``braids`` braids at
+    places and signs seeded by their number."""
+    rng = random.Random(braids)
+    boxes = [Cell("gen", w, "f") for w in range(RUN_WIDTH)]
+    run = [Cell("braid", rng.randrange(RUN_WIDTH - 1), rng.choice((1, -1)))
+           for _ in range(braids)]
+    return Diagram(SIG, word(*["T"] * RUN_WIDTH), tuple(boxes + run))
+
+
+def run_interpretations() -> dict:
+    """T and f in SpanFin, in EvConst and in their product."""
+    spanfin, evconst = SpanFin(), EvConst()
+    t = ev_object(3, {2: 1})
+    f_sf, f_ev = span(3, 3, F), ev_morphism(t, t, F, {2: [[1]]})
+    return {
+        "spanfin": Interpretation(spanfin, {"T": 3}, {"f": f_sf}),
+        "evconst": Interpretation(evconst, {"T": t}, {"f": f_ev}),
+        "product": Interpretation(product_category(evconst, spanfin),
+                                  {"T": (t, 3)}, {"f": (f_ev, f_sf)}),
+    }
+
+
+def braid_run_series() -> bool:
+    """Print the evaluation series over the length of the braid run in
+    each model; true when every evaluation agrees with the whiskering
+    loop."""
+    interps = run_interpretations()
+    print(f"evaluate, {RUN_WIDTH} boxes f then B braids (ms per call): "
+          + " / ".join(interps))
+    times, ok = {name: [] for name in interps}, True
+    for braids in RUNS:
+        d = braid_run(braids)
+        differ = []
+        for name, interp in interps.items():
+            times[name].append(ms_per_call(lambda d: evaluate(d, interp), d))
+            if not interp.model.mor_eq(evaluate(d, interp),
+                                       whiskered_evaluate(d, interp)):
+                differ.append(name)
+        ok = ok and not differ
+        print(f"  B = {braids}: "
+              + " / ".join(f"{times[name][-1]:.3f}" for name in interps)
+              + (f" (DIFFER in {', '.join(differ)})" if differ else ""))
+    print("  log-log slope over B: " + ", ".join(
+        f"{name} {slope(RUNS, times[name]):.2f}" for name in interps))
+    return ok
+
+
 def main() -> int:
     k = 12
     (built, slid, rewired), normalize_s = timed(lambda: [
@@ -160,6 +219,7 @@ def main() -> int:
     ok = forms_ok and normalize_s < 1.0
     ok = evaluate_series() and ok
     ok = width_series() and ok
+    ok = braid_run_series() and ok
     return 0 if ok else 1
 
 

@@ -3,7 +3,7 @@
 An interpretation assigns a model object to every generating object and
 a model morphism to every generator.  Cups and caps evaluate through
 the model's duality data (the bundled models are strictly self-dual),
-braids of either sign through the model braiding (the bundled models
+braids of either sign through the model's symmetry (the bundled models
 are symmetric), and inverse boxes through exact inversion.
 
 The diagram's leading layer is built as one tensor product.  The
@@ -12,13 +12,16 @@ each with the model shape of its letters, leaves every strand in place,
 so by the interchange law it is the tensor product over the word it
 ends on of one factor per strand: the composite of the boxes on a
 strand, or one identity for each maximal run of strands no box touched.
-Every later slice, and every slice of a diagram with no such prefix,
-acts on the running morphism at its own tensor factor alone
-(``ModelCategory.act``): no identity on the other wires is tensored onto
-it.  The words around each slice are the boundary words the diagram kept
-when it was built, and within one evaluation the model object of each
-such sub-word is built once: the words left and right of the slices
-repeat from slice to slice.
+After it, each maximal run of braid slices, of either sign, is one
+``ModelCategory.permute``: by coherence for symmetric monoidal
+categories the run denotes the symmetry of the permutation it makes of
+the strands, which reorders the rows of the running morphism and builds
+no braiding.  Every other slice acts on the running morphism at its own
+tensor factor alone (``ModelCategory.act``): no identity on the other
+wires is tensored onto it.  The words around each slice are the
+boundary words the diagram kept when it was built, and within one
+evaluation the model object of each such sub-word is built once: the
+words left and right of the slices repeat from slice to slice.
 """
 
 from __future__ import annotations
@@ -119,9 +122,11 @@ def _leading_layer(diagram: Diagram, interp: Interpretation, word_obj):
 def evaluate(diagram: Diagram, interp: Interpretation):
     """The model morphism denoted by the diagram: the leading layer of
     one-strand boxes as one tensor product (``_leading_layer``), then
-    each slice acting on the running morphism at its own tensor factor
-    (``ModelCategory.act``)."""
+    each maximal run of braids as one symmetry of the strands
+    (``ModelCategory.permute``) and each other slice acting on the
+    running morphism at its own tensor factor (``ModelCategory.act``)."""
     model = interp.model
+    slices = diagram.slices
     words = diagram.boundaries()
     objs = {}       # sub-word -> its model object, for this call
 
@@ -133,20 +138,30 @@ def evaluate(diagram: Diagram, interp: Interpretation):
     # before any box: a letter of the domain with no object is the
     # first fault reported
     dom = word_obj(diagram.dom)
-    start, out = _leading_layer(diagram, interp, word_obj)
+    t, out = _leading_layer(diagram, interp, word_obj)
     if out is None:
         out = model.identity(dom)
-    for t, cell in enumerate(diagram.slices[start:], start):
+    while t < len(slices):
+        cell = slices[t]
+        if cell.kind == BRAID:
+            # the models are symmetric: a run of braids of either sign is
+            # the symmetry of the permutation it makes of the strands;
+            # src[q] is the place in the run's first word of the strand
+            # the run leaves at q
+            run = words[t]
+            src = list(range(len(run)))
+            while t < len(slices) and slices[t].kind == BRAID:
+                w = slices[t].offset
+                src[w], src[w + 1] = src[w + 1], src[w]
+                t += 1
+            out = model.permute(out, [interp.obj(x) for x in run], src)
+            continue
         consumed, _ = cell_arity(diagram.sig, cell, words[t])
         w = cell.offset
         if cell.kind == GEN:
             mor = interp.gen_mor(cell.data)
         elif cell.kind == GEN_INV:
             mor = model.invert(interp.gen_mor(cell.data))
-        elif cell.kind == BRAID:
-            # the models are symmetric: either sign is the braiding a, b
-            mor = model.braiding(interp.obj(words[t][w]),
-                                 interp.obj(words[t][w + 1]))
         elif cell.kind == CUP:
             mor = model.duality(interp.obj(cell.data)).eta
         elif cell.kind == CAP:
@@ -155,4 +170,5 @@ def evaluate(diagram: Diagram, interp: Interpretation):
             raise EvaluationError(f"unknown cell {cell}")
         out = model.act(out, word_obj(words[t][:w]), mor,
                         word_obj(words[t][w + len(consumed):]))
+        t += 1
     return out

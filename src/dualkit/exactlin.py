@@ -1,30 +1,32 @@
 """Exact matrix arithmetic over N, Z (arbitrary precision), and F_p.
 
-Provides Kronecker products and ``apply_factor``, which applies a
-matrix to one tensor factor without building one; the matrices of the
-swap (``commutation``), of a biproduct's summand (``injection``) and
-of the diagonal duality (``pairing``), which fix those basis orders
-for every model; the Smith normal form with unimodular transforms,
-invariant factors, saturated left kernels (from an echelon of m alone,
-whose logged row operations are replayed for the kernel rows) and
-integral solutions, all from one row echelon over Z; the rank, left null basis and solutions
-over F_p, all from one forward elimination,
-which packs each row it updates into one big integer and reduces mod p
-only the pivot rows and, once, the rows it returns; and exact inverses,
-as the solutions of m*X = I over the matrix's own domain.  The echelon,
-the F_p elimination and the products run on plain rows in
-``dualkit.introws`` (``echelon``, ``_forward_fp``, ``mul_rows`` and
-``mul_packed``), whose packed kernels share one row format.
-All arithmetic uses Python's arbitrary-precision integers; there are no
-floats and no tolerances anywhere.
+Provides Kronecker products; ``apply_factor``, which applies a matrix
+to one tensor factor without building one; ``permute_factors``, which
+applies a symmetry of the tensor factors by picking rows, and so fixes
+the basis order of every braiding; the matrices of a biproduct's
+summand (``injection``) and of the diagonal duality (``pairing``),
+which fix those basis orders for every model; the Smith normal form
+with unimodular transforms, invariant factors, saturated left kernels
+(from an echelon of m alone, whose logged row operations are replayed
+for the kernel rows) and integral solutions, all from one row echelon
+over Z; the rank, left null basis and solutions over F_p, all from one
+forward elimination, which packs each row it updates into one big
+integer and reduces mod p only the pivot rows and, once, the rows it
+returns; and exact inverses, as the solutions of m*X = I over the
+matrix's own domain.  The echelon, the F_p elimination and the products
+run on plain rows in ``dualkit.introws`` (``echelon``, ``_forward_fp``,
+``mul_rows`` and ``mul_packed``), whose packed kernels share one row
+format.  All arithmetic uses Python's arbitrary-precision integers;
+there are no floats and no tolerances anywhere.
 
 Scalar domains are tagged: ``"nat"``, ``"int"``, or ``("fp", p)`` with p
 prime.  Matrices are immutable value objects.  Their entries are checked
 where data comes in (direct construction, ``from_rows`` and the readers
 built on it, ``retag``, ``scale``); the kernels, whose results are valid
 whenever their inputs are, build their results with ``Matrix._trusted``,
-which checks no entry and only reduces mod p; so do ``commutation``,
-``injection`` and ``pairing``, whose entries are 0 and 1.
+which checks no entry and only reduces mod p; so do ``injection`` and
+``pairing``, whose entries are 0 and 1.  ``permute_factors`` keeps the
+rows of its valid input as they are and does not even reduce them.
 """
 
 from __future__ import annotations
@@ -439,15 +441,31 @@ def apply_factor(f: Matrix, m: Matrix, left: int, right: int) -> Matrix:
     return Matrix._trusted(m.domain, left * b * right, m.cols, out)
 
 
-def commutation(domain: Domain, a: int, b: int) -> Matrix:
-    """The permutation matrix of the swap A (x) B -> B (x) A for
-    dim A = a and dim B = b: basis (i, j) at index i*b + j goes to index
-    j*a + i."""
-    rows = [[0] * (a * b) for _ in range(a * b)]
-    for i in range(a):
-        for j in range(b):
-            rows[j * a + i][i * b + j] = 1
-    return Matrix._trusted(domain, a * b, a * b, rows)
+def permute_factors(m: Matrix, dims: Sequence[int], src: Sequence[int]) -> Matrix:
+    """P * m for the symmetry P that puts tensor factor src[q] of the
+    factors of dimensions dims at position q: row (i_0, ..., i_{n-1}) of
+    the result, i_q ranging over dims[src[q]], is the row of m at the
+    index with coordinate i_q in factor src[q].  Only rows of m are
+    picked, so no matrix is built and no entry is read; the rows are
+    kept as they are, with no check and no reduction mod p."""
+    n = len(dims)
+    if sorted(src) != list(range(n)):
+        raise ValueError(f"{list(src)} is not a permutation of {n} factors")
+    strides, size = [0] * n, 1
+    for k in reversed(range(n)):
+        strides[k], size = size, size * dims[k]
+    if m.rows != size:
+        raise DimensionMismatch(
+            f"cannot permute factors of dimensions {list(dims)} of "
+            f"{m.rows} rows")
+    index = [0]
+    for k in src:
+        stride = strides[k]
+        index = [i + j * stride for i in index for j in range(dims[k])]
+    out = object.__new__(Matrix)
+    out.__dict__.update(domain=m.domain, rows=m.rows, cols=m.cols,
+                        data=tuple(map(m.data.__getitem__, index)))
+    return out
 
 
 def injection(domain: Domain, n: int, s: int, k: int) -> Matrix:

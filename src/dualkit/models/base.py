@@ -3,8 +3,9 @@
 ``OPERATIONS`` names, once, the operations every model implements:
 unit and zero objects, domain and codomain, identity, composition,
 tensor of objects and of morphisms, the action of a morphism on one
-tensor factor, braiding, zero morphisms and sums, biproducts, duality
-data, cofibers and inverses.  ``ModelCategory`` defines none of them, so
+tensor factor, the symmetry that permutes the tensor factors, braiding,
+zero morphisms and sums, biproducts, duality data, cofibers and
+inverses.  ``ModelCategory`` defines none of them, so
 a model that lacks one raises an ``AttributeError`` naming it; the
 product of two models makes each of them from this list.
 
@@ -85,16 +86,20 @@ class Cofiber(Frozen):
 # The operations every model implements, each a method of the model's
 # own class.
 OPERATIONS = ("unit", "zero_obj", "dom", "cod", "identity", "compose",
-              "tensor_obj", "tensor_mor", "act", "braiding", "zero_mor",
-              "add_mor", "biproduct", "duality", "cofiber", "invert")
+              "tensor_obj", "tensor_mor", "act", "permute", "braiding",
+              "zero_mor", "add_mor", "biproduct", "duality", "cofiber",
+              "invert")
 
 
 class ModelCategory:
     """Abstract surface.  A concrete model implements every operation of
     ``OPERATIONS``; ``act(out, left, mor, right)`` is
     (id_left (x) mor (x) id_right) o out, computed without the identities
-    or their tensor products.  Equality, the optional operations below
-    and the derived ones are defined here."""
+    or their tensor products, and ``permute(out, objs, src)``, where objs
+    are the objects whose tensor product is out's codomain, is out
+    followed by the symmetry that puts factor src[q] at position q.
+    Equality, the optional operations below and the derived ones are
+    defined here."""
 
     name: str = "abstract"
 

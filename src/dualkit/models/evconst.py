@@ -37,9 +37,10 @@ once.  ``_primes`` is the one prime rule: each explicit prime of an input
 morphism and each exceptional prime of an input object; at any other
 prime every input, and so the map, is the reduction of its free part.
 It reads the input objects, not only the endpoints of the result: the
-braiding of S^2 (dimension 3 at 5) with S^3 (dimension 2 at 5) goes
-S^6 -> S^6, yet at 5 it swaps 3 (x) 2 and is not the reduction of the
-free swap of 2 (x) 3.
+braiding of S^2 (dimension 3 at 5) with S^3 (dimension 2 at 5), which
+``permute`` builds from the identity of S^6 and the two factors' objects,
+goes S^6 -> S^6, yet at 5 it swaps 3 (x) 2 and is not the reduction of
+the free swap of 2 (x) 3.
 
 Cofibers are computed from one integer row echelon of the free part F
 alone (``left_kernel_int``): its rank gives the new free rank, the
@@ -56,10 +57,10 @@ from itertools import product
 
 from .. import Frozen, MalformedInput
 from ..exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
-                        apply_factor, commutation, fp, injection, int_matrix,
+                        apply_factor, fp, injection, int_matrix,
                         invert_or_fail, kronecker, left_kernel_int,
-                        left_null_basis_fp, pairing, prime_factors,
-                        solve_right_fp, solve_right_int)
+                        left_null_basis_fp, pairing, permute_factors,
+                        prime_factors, solve_right_fp, solve_right_int)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory
 
 
@@ -315,9 +316,17 @@ class EvConst(ModelCategory):
                           left.dim(p), right.dim(p)),
                       out, mor, left, right)
 
+    def permute(self, out: EvMorphism, objs, src) -> EvMorphism:
+        # tensor_obj multiplies dimensions, so every order of the
+        # factors is the one object out.cod
+        return _build(out.dom, out.cod,
+                      lambda d, p: permute_factors(
+                          out.component(p), [x.dim(p) for x in objs], src),
+                      out, *objs)
+
     def braiding(self, x: EvObject, y: EvObject) -> EvMorphism:
-        return _build(self.tensor_obj(x, y), self.tensor_obj(y, x),
-                      lambda d, p: commutation(d, x.dim(p), y.dim(p)), x, y)
+        return self.permute(self.identity(self.tensor_obj(x, y)), (x, y),
+                            (1, 0))
 
     def zero_mor(self, x: EvObject, y: EvObject) -> EvMorphism:
         return _build(x, y, lambda d, p: Matrix.zeros(d, y.dim(p), x.dim(p)),

@@ -10,8 +10,11 @@ operation for each name of ``base.OPERATIONS`` and for the four optional
 matrix operations (negate, sub_mor, lift, extend), so an operation added
 to the interface reaches the product without a second edit.  Each is
 its own class attribute, so it can be wrapped by name like the factors'
-methods.  ``scalar(n)`` pairs the factors' scalars, and ``hom_dims``
-adds the factors' hom-group dimensions.
+methods.  The one exception is ``permute(out, objs, src)``: its objs is
+a list of pairs, not a pair, so the loop cannot split it, and the class
+defines it itself, splitting objs per factor; the loop sets only the
+operations the class does not define.  ``scalar(n)`` pairs the factors'
+scalars, and ``hom_dims`` adds the factors' hom-group dimensions.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ class ProductCategory(ModelCategory):
     def mor_eq(self, f, g):
         return self.m1.mor_eq(f[0], g[0]) and self.m2.mor_eq(f[1], g[1])
 
+    def permute(self, out, objs, src):
+        return (self.m1.permute(out[0], [x[0] for x in objs], src),
+                self.m2.permute(out[1], [x[1] for x in objs], src))
+
     def scalar(self, n: int):
         return (self.m1.scalar(n), self.m2.scalar(n))
 
@@ -66,7 +73,8 @@ class ProductCategory(ModelCategory):
 
 
 for _name in OPERATIONS + ("negate", "sub_mor", "lift", "extend"):
-    setattr(ProductCategory, _name, _componentwise(_name))
+    if _name not in vars(ProductCategory):
+        setattr(ProductCategory, _name, _componentwise(_name))
 
 
 def product_category(m1: ModelCategory, m2: ModelCategory) -> ProductCategory:

@@ -5,6 +5,7 @@ m -> n is an isomorphism class of spans m <- A -> n, recorded as the
 n x m natural-number matrix counting apex elements over each pair.
 Composition is then exactly matrix multiplication (pullback counting),
 tensor is Kronecker (applied to one tensor factor, by ``apply_factor``),
+a symmetry of the tensor factors reorders rows (``permute_factors``),
 and every object is self-dual via the diagonal span.
 
 Cofibers are deliberately partial: only the shapes with a known answer
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 from .. import Frozen
 from ..exactlin import (NAT, DimensionMismatch, Matrix, NotInvertible,
-                        apply_factor, commutation, injection, invert_or_fail,
-                        kronecker, nat_matrix, pairing)
+                        apply_factor, injection, invert_or_fail, kronecker,
+                        nat_matrix, pairing, permute_factors)
 from .base import Biproduct, Cofiber, DualityDatum, ModelCategory, UnsupportedShape
 
 
@@ -98,8 +99,12 @@ class SpanFin(ModelCategory):
         return SpanMorphism(out.dom, left * mor.cod * right,
                             apply_factor(mor.matrix, out.matrix, left, right))
 
+    def permute(self, out: SpanMorphism, objs, src) -> SpanMorphism:
+        return SpanMorphism(out.dom, out.cod,
+                            permute_factors(out.matrix, objs, src))
+
     def braiding(self, x: int, y: int) -> SpanMorphism:
-        return SpanMorphism(x * y, y * x, commutation(NAT, x, y))
+        return self.permute(self.identity(x * y), (x, y), (1, 0))
 
     def zero_mor(self, x: int, y: int) -> SpanMorphism:
         return SpanMorphism(x, y, Matrix.zeros(NAT, y, x))

@@ -18,11 +18,21 @@ domain, no layer, a cup or cap after it) must agree with the whiskered
 loop; a layer with a box of the wrong shape, or a missing object or
 generator, must raise what the slice loop alone raised; and counting the
 calls of ``act`` pins which slices the layer took.
+
+``evaluate`` applies each maximal run of braids as one
+``ModelCategory.permute``.  Its oracle is the braid-by-braid path it
+replaced, one ``braiding`` and one ``act`` per braid
+(``_braid_by_braid``), on seeded objects, runs and morphisms in all
+three models; counting the calls of ``act``, ``permute`` and
+``braiding`` pins one ``permute`` per run and no braiding; and a run
+over a letter with no object raises the message the whiskered loop
+raises.
 """
 
 import importlib
 import inspect
 import random
+from functools import reduce
 
 import pytest
 
@@ -643,33 +653,40 @@ def test_leading_layer_faults_are_raised_as_before(model, monkeypatch):
 
 # ---------------------------------------------- the layer's work, in units
 
-def _count_acts(monkeypatch):
-    """Count calls of each model class's act, by class."""
+def _count_calls(monkeypatch):
+    """Count calls of each model class's act, permute and braiding, keyed
+    by (class, name)."""
     counts = {}
     for cls in (type(SF), type(EV), type(PROD)):
-        def counted(self, *args, _act=cls.act, _cls=cls):
-            counts[_cls] = counts.get(_cls, 0) + 1
-            return _act(self, *args)
-        monkeypatch.setattr(cls, "act", counted)
+        for name in ("act", "permute", "braiding"):
+            def counted(self, *args, _op=getattr(cls, name), _key=(cls, name)):
+                counts[_key] = counts.get(_key, 0) + 1
+                return _op(self, *args)
+            monkeypatch.setattr(cls, name, counted)
     return counts
 
 
 @pytest.mark.parametrize("name", sorted(INTERPS))
 @pytest.mark.parametrize("k, m", [(1, 1), (3, 1), (3, 4), (4, 2)])
 def test_leading_boxes_make_no_act_call(name, k, m, monkeypatch):
+    # a run of m braids is one permute; only a box after a braid acts
     interp = INTERPS[name]
+    cls = type(interp.model)
     dom = (T,) * k
     boxes = tuple(Cell(GEN, w, "f") for w in range(k))
     braids = tuple(Cell(BRAID, i % (k - 1) if k > 1 else 0,
                         1 if i % 2 else -1) for i in range(m))
     if k == 1:      # a braid needs two strands: a wire beside the box
         dom = (T, T)
-    counts = _count_acts(monkeypatch)
-    for cells, acts in ((boxes + braids, m), (braids + boxes, k + m)):
+    counts = _count_calls(monkeypatch)
+    for cells, acts, permutes in ((boxes + braids, 0, 1),
+                                  (braids + boxes, k, 1),
+                                  (braids + boxes[:1] + braids, 1, 2)):
         counts.clear()
         d = Diagram(SIG, dom, cells)
         value = evaluate(d, interp)
-        assert counts.get(type(interp.model), 0) == acts, cells
+        assert (counts.get((cls, "act"), 0), counts.get((cls, "permute"), 0),
+                counts.get((cls, "braiding"), 0)) == (acts, permutes, 0), cells
         assert interp.model.mor_eq(value, whiskered_evaluate(d, interp))
 
 
@@ -680,3 +697,78 @@ def test_a_last_box_into_a_letter_with_no_object_evaluates(model):
     interp = Interpretation(model, {"T": t}, {"e": f})
     d = Diagram(SIG4, (Letter("T"), Letter("T")), (Cell(GEN, 1, "e"),))
     assert model.mor_eq(evaluate(d, interp), whiskered_evaluate(d, interp))
+
+
+@pytest.mark.parametrize("model", [SF, EV, PROD], ids=lambda m: m.name)
+def test_a_braid_run_over_a_letter_with_no_object_raises_as_before(model):
+    # the box makes S, which has no object; the run of braids after it
+    # reads S, on a braid over S or beside it
+    t, f, _, _ = _shape_cases(model)
+    interp = Interpretation(model, {"T": t}, {"e": f})
+    ts = (Letter("T"),) * 3
+    for cells in (((GEN, 1, "e"), (BRAID, 0, 1)),
+                  ((GEN, 2, "e"), (BRAID, 1, -1), (BRAID, 0, 1)),
+                  ((GEN, 2, "e"), (BRAID, 0, 1))):
+        d = Diagram(SIG4, ts[:max(c[1] for c in cells) + 1],
+                    tuple(Cell(*c) for c in cells))
+        assert _raised(evaluate, d, interp) == \
+            _raised(whiskered_evaluate, d, interp) == \
+            (EvaluationError, "no object assigned to S"), cells
+
+
+# ------------------------------------------------ a run of braids, permuted
+
+def _braid_by_braid(model, out, objs, offsets):
+    """out followed by the braiding at each offset in turn, each acting
+    on its two factors: evaluate's path for a run of braids before
+    ``permute``."""
+    objs = list(objs)
+    for w in offsets:
+        left = reduce(model.tensor_obj, objs[:w], model.unit())
+        right = reduce(model.tensor_obj, objs[w + 2:], model.unit())
+        out = model.act(out, left, model.braiding(objs[w], objs[w + 1]),
+                        right)
+        objs[w], objs[w + 1] = objs[w + 1], objs[w]
+    return out
+
+
+def _random_into(rng, model, cod):
+    """A random morphism into cod from a random object of the model."""
+    if model is PROD:
+        return (_random_into(rng, EV, cod[0]), _random_into(rng, SF, cod[1]))
+    if model is SF:
+        return _random_span(rng, rng.randint(0, 3), cod)
+    return _random_ev(rng, rng.choice(EV_OBJECTS), cod)
+
+
+PERMUTE_OBJECTS = {SF: (0, 1, 2, 3), EV: EV_OBJECTS,
+                   PROD: tuple(zip(EV_OBJECTS, (0, 1, 2, 3, 2, 1, 3)))}
+
+
+@pytest.mark.parametrize("model", [SF, EV, PROD], ids=lambda m: m.name)
+def test_permute_matches_the_braid_by_braid_acts(model):
+    rng = random.Random(model.name)
+    pool = PERMUTE_OBJECTS[model]
+    for _ in range(80):
+        objs = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+        offsets = [rng.randrange(len(objs) - 1)
+                   for _ in range(rng.randint(0, 6))]
+        src = list(range(len(objs)))
+        for w in offsets:
+            src[w], src[w + 1] = src[w + 1], src[w]
+        out = _random_into(rng, model,
+                           reduce(model.tensor_obj, objs, model.unit()))
+        assert model.mor_eq(model.permute(out, objs, src),
+                            _braid_by_braid(model, out, objs, offsets)), \
+            (objs, offsets)
+
+
+@pytest.mark.parametrize("model", [SF, EV, PROD], ids=lambda m: m.name)
+def test_permute_refuses_a_wrong_word_or_a_repeated_position(model):
+    pool = PERMUTE_OBJECTS[model]
+    x, y = pool[2], pool[-3]
+    out = model.identity(model.tensor_obj(x, y))
+    with pytest.raises(DimensionMismatch):
+        model.permute(out, [x, y, x], (2, 1, 0))
+    with pytest.raises(ValueError):
+        model.permute(out, [x, y], (1, 1))

@@ -2,13 +2,19 @@
 
 Oracles used here are independent of the implementation under test:
 - Kronecker mixed-product identity checked by direct multiplication.
+- ``commutation``, the permutation matrix of the swap of two tensor
+  factors, which the package built before ``permute_factors`` replaced
+  it; every symmetry ``permute_factors`` applies must equal a sequence
+  of adjacent swaps by it, each applied through ``apply_factor``.
 - SNF checked by its defining postconditions (U*m*V = D, unimodularity
   via integral inversion, divisibility chain) and, for invariant
   factors, an alternative maximal-pivot elimination strategy.
 """
 
+import math
 import random
 import time
+from itertools import permutations, product
 
 import pytest
 
@@ -16,9 +22,10 @@ import dualkit.exactlin as exactlin
 from dualkit import MalformedInput
 from dualkit.exactlin import (
     INT, NAT, RHO_STEPS, RHO_UNITS, DimensionMismatch, FactorBudgetExceeded, Matrix,
-    NotInvertible, PrimalityUnproven, cokernel_decomposition, commutation, fp, fp_matrix, int_matrix,
-    injection, invert_or_fail, is_prime, kronecker, left_null_basis_fp,
-    nat_matrix, pairing, pollard_brent, prime_factors, rank_fp,
+    NotInvertible, PrimalityUnproven, apply_factor, cokernel_decomposition,
+    fp, fp_matrix, int_matrix, injection, invert_or_fail, is_prime,
+    kronecker, left_null_basis_fp, nat_matrix, pairing, permute_factors,
+    pollard_brent, prime_factors, rank_fp,
     rho_step_units, smith_normal_form, solve_right_fp, solve_right_int,
 )
 
@@ -29,6 +36,32 @@ def rand_int_matrix(rng, rows, cols, bound):
 
 
 # ------------------------------------------------------------------- oracles
+
+def commutation(domain, a, b):
+    """The permutation matrix of the swap A (x) B -> B (x) A for
+    dim A = a and dim B = b: basis (i, j) at index i*b + j goes to index
+    j*a + i."""
+    rows = [[0] * (a * b) for _ in range(a * b)]
+    for i in range(a):
+        for j in range(b):
+            rows[j * a + i][i * b + j] = 1
+    return Matrix.from_rows(domain, rows, shape=(a * b, a * b))
+
+
+def swapped_factors(m, dims, src):
+    """permute_factors(m, dims, src) as adjacent swaps: factor src[q] is
+    moved to position q past its left neighbours one at a time, each
+    swap a commutation applied to its two factors by apply_factor."""
+    order = list(range(len(dims)))     # the factor now at each position
+    for q, k in enumerate(src):
+        for j in reversed(range(q, order.index(k))):
+            a, b = dims[order[j]], dims[order[j + 1]]
+            m = apply_factor(commutation(m.domain, a, b), m,
+                             math.prod(dims[i] for i in order[:j]),
+                             math.prod(dims[i] for i in order[j + 2:]))
+            order[j], order[j + 1] = order[j + 1], order[j]
+    return m
+
 
 def snf_invariant_factors_maxpivot(m):
     """Invariant factors computed with a different pivot strategy
@@ -355,6 +388,45 @@ def test_commutation_swaps_kronecker_factors():
             kronecker(y, x).mul(commutation(INT, a, b))
     k = commutation(NAT, 2, 3)
     assert k.mul(commutation(NAT, 3, 2)).is_identity()
+
+
+# dimension tuples of up to four factors, 0 and 1 among them
+FACTOR_DIMS = [dims for n in range(3) for dims in product((0, 1, 2, 3),
+                                                          repeat=n)] + [
+    (2, 3, 1), (1, 0, 2), (3, 2, 2), (1, 1, 1), (2, 2, 3, 1), (1, 2, 0, 3),
+    (2, 2, 2, 2), (3, 1, 2, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("domain", [NAT, INT, fp(7)],
+                         ids=["nat", "int", "f7"])
+def test_permute_factors_is_adjacent_commutations(domain):
+    rng = random.Random(repr(domain))
+    lo, hi = (-5, 5) if domain == INT else (0, 6)
+    seen = set()
+    for dims in FACTOR_DIMS:
+        for src in permutations(range(len(dims))):
+            cols = rng.randint(0, 3)
+            m = Matrix.from_rows(domain, [
+                [rng.randint(lo, hi) for _ in range(cols)]
+                for _ in range(math.prod(dims))], shape=(math.prod(dims), cols))
+            out = permute_factors(m, dims, src)
+            assert out == swapped_factors(m, dims, src), (dims, src)
+            # rows are picked, not rebuilt
+            assert all(any(r is row for row in m.data) for r in out.data)
+            seen.add((len(dims), src))
+    # every permutation of up to four factors
+    assert len(seen) == sum(math.factorial(n) for n in range(5))
+
+
+def test_permute_factors_refuses_a_row_count_or_a_repeated_position():
+    m = Matrix.identity(INT, 6)
+    with pytest.raises(DimensionMismatch):
+        permute_factors(m, (2, 2), (1, 0))
+    with pytest.raises(ValueError):
+        permute_factors(m, (2, 3), (0, 0))
+    with pytest.raises(ValueError):
+        permute_factors(m, (2, 3), (1, 0, 2))
+    assert permute_factors(m, (2, 3), (0, 1)) == m
 
 
 DOMAINS = [NAT, INT, fp(7)]

@@ -22,9 +22,10 @@ with them:
 - the F_p routines, ``invert_or_fail`` and ``kronecker`` return
   byte-identical matrices, or the same exception with the same message;
 - every kernel that builds its result with ``Matrix._trusted`` (no entry
-  check) returns what the validating ``Matrix.from_rows`` builds from the
-  same rows, with tuple rows of plain ints, over N, Z, F_2 and F_7, while
-  the validating entry points still raise; a ``_trusted`` that does not
+  check), and ``permute_factors``, which keeps its input's rows, returns
+  what the validating ``Matrix.from_rows`` builds from the same rows,
+  with tuple rows of plain ints, over N, Z, F_2 and F_7, while the
+  validating entry points still raise; a ``_trusted`` that does not
   reduce mod p fails this;
 - the packed product ``mul_packed`` returns the rows ``mul_rows`` returns,
   the list kernel ``mul_pairs`` on pairs found once by ``nonzero_pairs``
@@ -79,9 +80,9 @@ from hypothesis import strategies as st
 from dualkit import exactlin, introws
 from dualkit.exactlin import (
     INT, NAT, PACKED_NONZEROS, PACKED_ROWS, DimensionMismatch, Matrix,
-    NotInvertible, apply_factor, commutation, fp, fp_matrix, int_matrix,
+    NotInvertible, apply_factor, fp, fp_matrix, int_matrix,
     invariant_factors, invert_or_fail, kronecker, left_kernel_int,
-    left_null_basis_fp, nat_matrix, prime_factors, rank_fp,
+    left_null_basis_fp, nat_matrix, permute_factors, prime_factors, rank_fp,
     smith_normal_form, solve_right_fp, solve_right_int,
 )
 from dualkit.introws import mul_packed, mul_pairs, mul_rows, nonzero_pairs
@@ -672,8 +673,6 @@ def trusted_results(domain, seed):
     out = [("identity", Matrix.identity(domain, n)) for n in range(4)]
     out += [("zeros", Matrix.zeros(domain, r, c))
             for r, c in ((0, 2), (2, 0), (2, 3))]
-    out += [("commutation", commutation(domain, a, b))
-            for a in range(4) for b in range(4)]
     for nr, nc in shapes:
         m = seeded_matrix(rng, domain, nr, nc)
         other = seeded_matrix(rng, domain, rng.randint(0, 3),
@@ -709,6 +708,10 @@ def trusted_results(domain, seed):
     # one product large and dense enough for the packed path
     out.append(("mul", seeded_matrix(rng, domain, PACKED_ROWS, 16).mul(
         seeded_matrix(rng, domain, 16, 3))))
+    out += [("permute_factors", permute_factors(
+        seeded_matrix(rng, domain, a * b * c, rng.randint(0, 3)), (a, b, c),
+        src)) for a, b, c, src in ((2, 3, 1, (1, 2, 0)), (0, 2, 2, (2, 0, 1)),
+                                   (3, 1, 2, (0, 2, 1)), (2, 2, 2, (2, 1, 0)))]
     return out
 
 
@@ -726,7 +729,7 @@ def test_trusted_results_are_what_from_rows_builds(domain):
 def test_trusted_results_cover_every_kernel():
     names = {name for domain in TRUSTED_DOMAINS
              for name, _ in trusted_results(domain, 20)}
-    assert names == {"identity", "zeros", "commutation", "transpose",
+    assert names == {"identity", "zeros", "permute_factors", "transpose",
                      "add", "kronecker", "mul", "apply_factor", "mod",
                      "snf", "left_kernel_int", "invert", "solve_right_int",
                      "left_null_basis_fp", "solve_right_fp"}

@@ -14,14 +14,14 @@ import pytest
 
 from dualkit import MalformedInput
 from dualkit.exactlin import (INT, DimensionMismatch, Matrix, NotInvertible,
-                              apply_factor, commutation, fp, int_matrix,
-                              invert_or_fail, is_prime, kronecker,
-                              smith_normal_form, solve_right_fp)
+                              apply_factor, fp, int_matrix, invert_or_fail,
+                              is_prime, kronecker, smith_normal_form,
+                              solve_right_fp)
 from dualkit.models import (EvConst, EvMorphism, EvObject, UNIT, ZERO,
                             biproduct_equations_hold, enumerate_homs,
                             ev_morphism, ev_object, hom_group_structure,
                             triangle_equations_hold)
-from test_exactlin import snf_invariant_factors_maxpivot
+from test_exactlin import commutation, snf_invariant_factors_maxpivot
 
 C = EvConst()
 

@@ -12,8 +12,8 @@ from dualkit.models.base import OPERATIONS
 MATRIX_OPERATIONS = ("negate", "sub_mor", "lift", "extend")
 
 
-def test_the_interface_lists_sixteen_distinct_operations():
-    assert len(set(OPERATIONS)) == len(OPERATIONS) == 16
+def test_the_interface_lists_seventeen_distinct_operations():
+    assert len(set(OPERATIONS)) == len(OPERATIONS) == 17
 
 
 @pytest.mark.parametrize("cls", [SpanFin, EvConst, ProductCategory])
